@@ -4,7 +4,8 @@
 #
 #   1. Builds Release (full -O3, the configuration the baseline was
 #      recorded under).
-#   2. Re-runs the bit-identity gate (PipelineEquivalenceTest.*) in that
+#   2. Re-runs the bit-identity gates (PipelineEquivalenceTest.*, and
+#      ExchangeInstantiationTest.*: lean vs full exchange) in that
 #      build — a perf number from a build that changes results is
 #      meaningless.
 #   3. Runs BM_ReplayHotPath with repetitions and compares the *minimum*
@@ -47,8 +48,9 @@ echo "== perf smoke: configure + build (Release) =="
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BUILD_DIR" -j --target cascache_tests micro_caches >/dev/null
 
-echo "== perf smoke: bit-identity gate (PipelineEquivalenceTest) =="
-"$BUILD_DIR/tests/cascache_tests" --gtest_filter='PipelineEquivalenceTest.*' \
+echo "== perf smoke: bit-identity gates (PipelineEquivalence, ExchangeInstantiation) =="
+"$BUILD_DIR/tests/cascache_tests" \
+    --gtest_filter='PipelineEquivalenceTest.*:*ExchangeInstantiationTest.*' \
     --gtest_brief=1
 
 echo "== perf smoke: BM_ReplayHotPath ($REPS repetitions) =="

@@ -79,10 +79,12 @@ class CachingScheme {
   /// True only when the scheme's serve/descend behavior is exactly the
   /// plain-LRU rule: touch the serving cache's LRU store on a hit, insert
   /// the object into every node below the serving point, and nothing
-  /// else. The simulator then replaces the per-hop OnServe/OnDescend
-  /// virtual dispatch with an inlined equivalent on the unfaulted replay
-  /// path (results are bit-identical; the handlers must still implement
-  /// the rule — the fault plane and direct drivers keep calling them).
+  /// else. When every simulator feature is off (no faults, queueing,
+  /// coherency, trace, tiers or siblings) the simulator's kLeanLru
+  /// exchange then replaces the OnServe/OnDescend virtual dispatch with
+  /// an inlined equivalent (results are bit-identical; the handlers must
+  /// still implement the rule — any feature on selects the full
+  /// exchange, which keeps calling them).
   virtual bool plain_lru_replay() const { return false; }
 
   /// Request ascent: the message passes through the non-serving cache at

@@ -270,17 +270,29 @@ struct MessageContext {
   void CommitStoreService(topology::NodeId node_id);
 };
 
+/// The sink-free core of every placement record: the aggregate write
+/// accounting plus the placing node's counters (`counters` is null while
+/// warming up). MessageContext::RecordPlacement{,At} wrap it with the
+/// trace and tier hooks; the simulator's inlined plain-LRU descent, which
+/// runs with neither, calls it directly.
+inline void CountPlacement(RequestMetrics* metrics, NodeCounters* counters,
+                           topology::NodeId node_id, uint64_t bytes,
+                           size_t evicted) {
+  metrics->write_bytes += bytes;
+  ++metrics->insertions;
+  if (counters != nullptr) {
+    NodeCounters& c = counters[node_id];
+    ++c.placements;
+    c.evictions += evicted;
+    c.bytes_cached += bytes;
+  }
+}
+
 inline void MessageContext::RecordPlacement(
     int hop, const std::vector<trace::ObjectId>& evicted) {
-  metrics->write_bytes += size;
-  ++metrics->insertions;
   const topology::NodeId node_id = (*path)[static_cast<size_t>(hop)];
-  if (telemetry.node_counters != nullptr) {
-    NodeCounters& c = telemetry.node_counters[node_id];
-    ++c.placements;
-    c.evictions += evicted.size();
-    c.bytes_cached += size;
-  }
+  CountPlacement(metrics, telemetry.node_counters, node_id, size,
+                 evicted.size());
   if (telemetry.trace != nullptr) {
     EmitPlacementTrace(node_id, object, size, evicted);
   }
@@ -305,14 +317,8 @@ inline void MessageContext::RecordPlacement(
 inline void MessageContext::RecordPlacementAt(
     topology::NodeId node_id, trace::ObjectId object_id, uint64_t bytes,
     const std::vector<trace::ObjectId>& evicted) {
-  metrics->write_bytes += bytes;
-  ++metrics->insertions;
-  if (telemetry.node_counters != nullptr) {
-    NodeCounters& c = telemetry.node_counters[node_id];
-    ++c.placements;
-    c.evictions += evicted.size();
-    c.bytes_cached += bytes;
-  }
+  CountPlacement(metrics, telemetry.node_counters, node_id, bytes,
+                 evicted.size());
   if (telemetry.trace != nullptr) {
     EmitPlacementTrace(node_id, object_id, bytes, evicted);
   }

@@ -29,10 +29,13 @@ struct DecodedRequest {
 /// heap allocation in the steady state.
 struct RequestArena {
   /// Route-resolution scratch for the fault plane (reroutes produce paths
-  /// that differ from the cached routes). The unfaulted replay reads the
-  /// simulator's route cache instead and never touches these two.
+  /// that differ from the cached routes), laid out like a cached route:
+  /// delay_prefix[i] == link_delays[0] + ... + link_delays[i-1], summed
+  /// left to right per attempt. The unfaulted replay reads the
+  /// simulator's route cache instead and never touches these three.
   std::vector<topology::NodeId> path;
   std::vector<double> link_delays;
+  std::vector<double> delay_prefix;
 
   /// Per-request link costs along the active path. Unlike delays these
   /// depend on the object size under the latency/weighted cost models, so

@@ -39,6 +39,23 @@ void EmitEvent(EventTrace* trace, const MessageContext& ctx,
   trace->Emit(event);
 }
 
+/// Per-link delays along `nodes` plus their left-to-right running sums:
+/// prefix[i] == delays[0] + ... + delays[i-1], each entry one addition on
+/// the previous, which is the order every latency is summed in.
+void FillLinkDelays(const Network& network,
+                    const std::vector<topology::NodeId>& nodes,
+                    std::vector<double>* delays, std::vector<double>* prefix) {
+  delays->clear();
+  prefix->clear();
+  double acc = 0.0;
+  prefix->push_back(acc);
+  for (size_t i = 0; i + 1 < nodes.size(); ++i) {
+    delays->push_back(network.LinkDelay(nodes[i], nodes[i + 1]));
+    acc += delays->back();
+    prefix->push_back(acc);
+  }
+}
+
 }  // namespace
 
 util::Status TierParams::Validate() const {
@@ -82,7 +99,7 @@ Simulator::Simulator(const Network* network, CacheSet* caches,
       scheme_plain_lru_(scheme != nullptr && scheme->plain_lru_replay()) {
   // The exchange context's invariant fields point at the simulator's
   // reused per-request buffers; the path/delay pointers are repointed at
-  // the cached route by every StepDecoded.
+  // the request's route by every hook-running Exchange.
   ctx_.path = &arena_.path;
   ctx_.link_delays = &arena_.link_delays;
   ctx_.link_costs = &arena_.link_costs;
@@ -339,17 +356,12 @@ void Simulator::ReplayContended(trace::RequestSpan requests,
   while (engine_.Pop(&ev)) {
     if (ev.kind == EventKind::kArrival) {
       --arrivals_pending;
-      const trace::Request& request = requests[ev.payload];
-      DecodedRequest decoded;
-      decoded.object = request.object;
-      decoded.size = catalog_->size(request.object);
-      decoded.server = catalog_->server(request.object);
-      decoded.requester = RequesterFor(request.client);
-      decoded.attach = network_->ServerAttach(decoded.server);
+      DecodedRequest decoded = Decode(requests[ev.payload]);
       decoded.time = ev.time;  // The clock's (possibly ramped) arrival time.
       const bool collect = ev.payload >= warmup_count;
       StepOutcome out;
-      StepDecoded(decoded, collect, nullptr, &out);
+      // Contention is on, so SelectExchange() is always kFull here.
+      Exchange<ExchangeKind::kFull>(decoded, collect, nullptr, &out);
       uint64_t slot;
       if (!pending_free_.empty()) {
         slot = pending_free_.back();
@@ -395,32 +407,61 @@ double Simulator::NextArrivalTime(double trace_time) {
   return arrival_clock_;
 }
 
+DecodedRequest Simulator::Decode(const trace::Request& request) {
+  DecodedRequest decoded;
+  decoded.object = request.object;
+  decoded.size = catalog_->size(request.object);
+  decoded.server = catalog_->server(request.object);
+  decoded.requester = RequesterFor(request.client);
+  decoded.attach = network_->ServerAttach(decoded.server);
+  decoded.time = request.time;
+  return decoded;
+}
+
+Simulator::ExchangeKind Simulator::SelectExchange() const {
+  if (faults_ != nullptr || queueing_ != nullptr || updates_ != nullptr ||
+      trace_ != nullptr || tiered_ || sibling_on_) {
+    return ExchangeKind::kFull;
+  }
+  return scheme_plain_lru_ ? ExchangeKind::kLeanLru
+                           : ExchangeKind::kLeanHooks;
+}
+
 void Simulator::ReplayRange(trace::RequestSpan requests, size_t begin,
                             size_t end, bool collect) {
-  // Decode-then-replay in blocks: the decode loop touches only the trace
-  // and the catalog's flat arrays (branch-free, prefetch-friendly), the
-  // replay loop only decoded integers. Ordering is exactly the trace
-  // order, so results are bit-identical to one-at-a-time Step() calls.
-  std::vector<DecodedRequest>& batch = arena_.batch;
   // Collected exchanges stream into the open block: the order-sensitive
   // per-request arithmetic (Welford stats, queue-wait sum) hits the
   // collector exactly as Record() would — bit-identical — while the
   // integer counters accumulate in block_stats_ and write back once per
   // range (MetricsCollector::FlushBlock) instead of once per request.
   if (collect) block_stats_ = {};
+  switch (SelectExchange()) {
+    case ExchangeKind::kLeanLru:
+      ReplayBlocks<ExchangeKind::kLeanLru>(requests, begin, end, collect);
+      break;
+    case ExchangeKind::kLeanHooks:
+      ReplayBlocks<ExchangeKind::kLeanHooks>(requests, begin, end, collect);
+      break;
+    case ExchangeKind::kFull:
+      ReplayBlocks<ExchangeKind::kFull>(requests, begin, end, collect);
+      break;
+  }
+  if (collect) metrics_.FlushBlock(block_stats_);
+}
+
+template <Simulator::ExchangeKind kKind>
+void Simulator::ReplayBlocks(trace::RequestSpan requests, size_t begin,
+                             size_t end, bool collect) {
+  // Decode-then-replay in blocks: the decode loop touches only the trace
+  // and the catalog's flat arrays (branch-free, prefetch-friendly), the
+  // replay loop only decoded integers. Ordering is exactly the trace
+  // order, so results are bit-identical to one-at-a-time Step() calls.
+  std::vector<DecodedRequest>& batch = arena_.batch;
   for (size_t block = begin; block < end; block += kDecodeBlock) {
     const size_t block_end = std::min(end, block + kDecodeBlock);
     batch.clear();
     for (size_t i = block; i < block_end; ++i) {
-      const trace::Request& request = requests[i];
-      DecodedRequest decoded;
-      decoded.object = request.object;
-      decoded.size = catalog_->size(request.object);
-      decoded.server = catalog_->server(request.object);
-      decoded.requester = RequesterFor(request.client);
-      decoded.attach = network_->ServerAttach(decoded.server);
-      decoded.time = request.time;
-      batch.push_back(decoded);
+      batch.push_back(Decode(requests[i]));
     }
     // Software-pipelined replay: resolve every request's route up front
     // (RouteFor fills its dense cache slot lazily and is idempotent, so
@@ -444,7 +485,7 @@ void Simulator::ReplayRange(trace::RequestSpan requests, size_t begin,
     constexpr size_t kPrefetchAhead = 16;
     for (size_t j = 0; j < batch.size(); ++j) {
       if (!pipeline) {
-        StepDecoded(batch[j], collect);
+        Exchange<kKind>(batch[j], collect, nullptr, nullptr);
         continue;
       }
       const size_t p = j + kPrefetchAhead;
@@ -454,28 +495,18 @@ void Simulator::ReplayRange(trace::RequestSpan requests, size_t begin,
           nodes[v].PrefetchProbe(ahead.object);
           // Under the plain-LRU rule a miss inserts (and usually evicts)
           // at every path node, so warm the victim entries too.
-          if (scheme_plain_lru_) nodes[v].PrefetchLruVictim();
+          if constexpr (kKind == ExchangeKind::kLeanLru) {
+            nodes[v].PrefetchLruVictim();
+          }
         }
       }
-      StepDecoded(batch[j], collect, batch_routes_[j]);
+      Exchange<kKind>(batch[j], collect, batch_routes_[j], nullptr);
     }
   }
-  if (collect) metrics_.FlushBlock(block_stats_);
 }
 
 void Simulator::Step(const trace::Request& request, bool collect) {
-  DecodedRequest decoded;
-  decoded.object = request.object;
-  decoded.size = catalog_->size(request.object);
-  decoded.server = catalog_->server(request.object);
-  decoded.requester = RequesterFor(request.client);
-  decoded.attach = network_->ServerAttach(decoded.server);
-  decoded.time = request.time;
-  // One-shot block: FinishRequest's analytic exit records through the
-  // open block, so a direct Step() opens one around the single exchange.
-  block_stats_ = {};
-  StepDecoded(decoded, collect);
-  metrics_.FlushBlock(block_stats_);
+  ReplayRange(trace::RequestSpan(&request, 1), 0, 1, collect);
 }
 
 topology::NodeId Simulator::RequesterFor(trace::ClientId client) {
@@ -501,240 +532,96 @@ const Simulator::CachedRoute& Simulator::RouteFor(topology::NodeId from,
   }
   if (!route->filled) {
     route->nodes = network_->PathToServer(from, server);
-    route->delays.clear();
-    route->delays.reserve(route->nodes.size());
-    for (size_t i = 0; i + 1 < route->nodes.size(); ++i) {
-      route->delays.push_back(
-          network_->LinkDelay(route->nodes[i], route->nodes[i + 1]));
-    }
-    // Left-to-right running sums: each entry extends the previous one by
-    // a single addition, the same sequence the per-request loop performed,
-    // so latencies computed from the prefix are bit-identical.
-    route->delay_prefix.clear();
-    route->delay_prefix.reserve(route->nodes.size());
-    double acc = 0.0;
-    route->delay_prefix.push_back(acc);
-    for (double d : route->delays) {
-      acc += d;
-      route->delay_prefix.push_back(acc);
-    }
+    FillLinkDelays(*network_, route->nodes, &route->delays,
+                   &route->delay_prefix);
     route->filled = true;
   }
   return *route;
 }
 
-uint32_t Simulator::Ascend(MessageContext& ctx) {
-  // Version the client receives; downstream copies inherit it (a stale
-  // serving copy propagates its stale version). All freshness checks use
-  // ctx.now, the attempt time: after fault-plane retries it trails the
-  // request's nominal time (and equals it otherwise).
-  uint32_t served_version =
-      updates_ == nullptr ? 0 : updates_->VersionAt(ctx.object, ctx.now);
-
-  // The request message climbs the distribution tree toward the server.
-  // At each hop: coherency admission first — under a protocol, expired or
-  // invalidated copies are discarded and the request continues upstream;
-  // under kNone a stale copy is served (and counted) — then, if the hop
-  // cannot serve, the scheme's ascent handler piggybacks its state. A
-  // hop whose cache process is down (fault plane) is transparent: it can
-  // serve nothing and its piggyback entry is lost.
-  const std::vector<topology::NodeId>& path = *ctx.path;
+bool Simulator::QueueAscentOp(MessageContext& ctx, size_t hop) {
+  // Event-driven replay: the hop's lookup (+ d-cache probe) is service
+  // demand on the node's bounded queue. A full queue refuses the whole
+  // request — it ends here, at the refusing hop.
+  const topology::NodeId node_id = (*ctx.path)[hop];
   NodeCounters* const counters = ctx.telemetry.node_counters;
   EventTrace* const trace = ctx.telemetry.trace;
-  CacheNode* const nodes = caches_->nodes_data();
-  const bool faults_active = faults_ != nullptr;
-
-  // Fast path: no coherency schedule, no fault plane, no event sink and a
-  // locally-deciding scheme — the per-hop work collapses to a cache probe
-  // plus counters, with served_version pinned at 0 (no update schedule).
-  // This is the exact subset of the general loop below those features
-  // would leave untaken, so results are bit-identical.
-  if (!faults_active && updates_ == nullptr && trace == nullptr &&
-      !scheme_observes_ascent_ && queueing_ == nullptr && !tiered_ &&
-      !sibling_on_) {
-    for (size_t i = 0; i < path.size(); ++i) {
-      const topology::NodeId node_id = path[i];
-      if (nodes[node_id].Contains(ctx.object)) {
-        ctx.response.hit_index = static_cast<int>(i);
-        if (counters != nullptr) {
-          ++counters[node_id].hits;
-          counters[node_id].bytes_served += ctx.size;
-        }
-        return served_version;
-      }
-      if (counters != nullptr) ++counters[node_id].misses;
-    }
-    ctx.response.hit_index = -1;
-    return served_version;
-  }
-
-  for (size_t i = 0; i < path.size(); ++i) {
-    const topology::NodeId node_id = path[i];
-    CacheNode* node = &nodes[node_id];
-    const int32_t level = node_levels_[static_cast<size_t>(node_id)];
-    const bool down = faults_active && arena_.node_down[i] != 0;
-    // Event-driven replay: the hop's lookup (+ d-cache probe) is service
-    // demand on the node's bounded queue. A full queue refuses the whole
-    // request — it ends here, at the refusing hop. A down hop serves
-    // nothing and charges nothing (its queue is not running).
-    if (queueing_ != nullptr && !down && ascent_op_cost_ > 0.0) {
-      const QueueingPlane::Admission adm =
-          queueing_->AdmitOp(node_id, ctx.now, ascent_op_cost_,
-                             options_.contention.node_queue_capacity);
-      if (adm.shed) {
-        ctx.response.shed = true;
-        ctx.response.hit_index = -1;
-        ctx.metrics->hops = static_cast<int>(i);
-        if (counters != nullptr) {
-          ++counters[node_id].sheds;
-          if (adm.depth > counters[node_id].max_queue_depth) {
-            counters[node_id].max_queue_depth = adm.depth;
-          }
-        }
-        if (trace != nullptr) {
-          EmitEvent(trace, ctx, TraceEventType::kShed, node_id, level,
-                    static_cast<double>(adm.depth));
-        }
-        return served_version;
-      }
-      ctx.metrics->queue_wait += adm.wait;
-      ctx.now += adm.wait + ascent_op_cost_;
-      if (counters != nullptr &&
-          adm.depth > counters[node_id].max_queue_depth) {
+  const int32_t level = node_levels_[static_cast<size_t>(node_id)];
+  const QueueingPlane::Admission adm =
+      queueing_->AdmitOp(node_id, ctx.now, ascent_op_cost_,
+                         options_.contention.node_queue_capacity);
+  if (adm.shed) {
+    ctx.response.shed = true;
+    if (counters != nullptr) {
+      ++counters[node_id].sheds;
+      if (adm.depth > counters[node_id].max_queue_depth) {
         counters[node_id].max_queue_depth = adm.depth;
       }
-      if (trace != nullptr) {
-        EmitEvent(trace, ctx, TraceEventType::kQueueDepth, node_id, level,
-                  static_cast<double>(adm.depth));
-      }
     }
-    bool servable = !down && node->Contains(ctx.object);
-    // Degraded-node fault class: the hop's disk is out. A tiered node
-    // keeps serving what its RAM tier holds (coherency admission is
-    // skipped — the copy metadata lives with the disk store, which the
-    // node cannot touch); any copy only the disk holds is unavailable
-    // (tiered or not), recorded as a disk-degraded decision. Contents are
-    // preserved: recovery resumes with the pre-outage store.
-    bool ram_only = false;
-    if (servable && faults_active && arena_.disk_down[i] != 0) [[unlikely]] {
-      if (node->tiered() && node->ram()->Contains(ctx.object)) {
-        ram_only = true;
-      } else {
-        servable = false;
-        ctx.RecordDiskDegraded(static_cast<int>(i));
-      }
-    }
-    if (servable && !ram_only && updates_ != nullptr) {
-      const CacheNode::CopyStamp* stamp = node->FindCopy(ctx.object);
-      // Copies can only enter a cache through StampCopy'd insertions
-      // within this run; treat a missing stamp (e.g. test-injected copy)
-      // as fresh-at-time-0.
-      const double fetch_time = stamp != nullptr ? stamp->fetch_time : 0.0;
-      const uint32_t version = stamp != nullptr ? stamp->version : 0;
-      const CoherencyProtocol protocol = options_.coherency.protocol;
-      if (protocol == CoherencyProtocol::kTtl &&
-          ctx.now - fetch_time > options_.coherency.ttl) {
-        node->EraseObject(ctx.object);
-        ++ctx.metrics->copies_expired;
-        servable = false;
-        if (counters != nullptr) ++counters[node_id].expirations;
-        if (trace != nullptr) {
-          EmitEvent(trace, ctx, TraceEventType::kExpired, node_id, level,
-                    ctx.now - fetch_time);
-        }
-      } else {
-        const uint32_t current = updates_->VersionAt(ctx.object, ctx.now);
-        if (protocol == CoherencyProtocol::kInvalidation &&
-            version < current) {
-          node->EraseObject(ctx.object);
-          ++ctx.metrics->copies_invalidated;
-          servable = false;
-          if (counters != nullptr) ++counters[node_id].invalidations;
-          if (trace != nullptr) {
-            EmitEvent(trace, ctx, TraceEventType::kInvalidated, node_id,
-                      level, static_cast<double>(current - version));
-          }
-        } else {
-          if (version < current) {
-            ctx.metrics->stale_hit = true;
-            if (counters != nullptr) ++counters[node_id].stale_serves;
-            if (trace != nullptr) {
-              EmitEvent(trace, ctx, TraceEventType::kStaleServe, node_id,
-                        level, static_cast<double>(current - version));
-            }
-          }
-          served_version = version;
-        }
-      }
-    }
-    if (servable) {
-      // Which tier serves: the RAM front when it holds the object (or is
-      // all the node has left during a disk outage), else the disk store
-      // with promotion into RAM (inclusive: the disk copy stays).
-      if (tiered_ && node->tiered()) [[unlikely]] {
-        CacheNode::TierServe tier;
-        if (ram_only) {
-          tier.ram_hit = node->ram()->Touch(ctx.object);
-        } else {
-          tier = node->ServeTiered(ctx.object, ctx.size);
-        }
-        ctx.RecordTierServe(node_id, tier);
-        ChargeTierServe(ctx, node_id, tier.ram_hit);
-      }
-      ctx.response.hit_index = static_cast<int>(i);
-      if (counters != nullptr) {
-        ++counters[node_id].hits;
-        counters[node_id].bytes_served += ctx.size;
-      }
-      if (trace != nullptr) {
-        EmitEvent(trace, ctx, TraceEventType::kHit, node_id, level,
-                  static_cast<double>(i));
-      }
-      return served_version;
-    }
-    if (counters != nullptr) ++counters[node_id].misses;
     if (trace != nullptr) {
-      EmitEvent(trace, ctx, TraceEventType::kMiss, node_id, level,
-                static_cast<double>(i));
+      EmitEvent(trace, ctx, TraceEventType::kShed, node_id, level,
+                static_cast<double>(adm.depth));
     }
-    // Sibling cooperation: a live hop that missed locally probes its
-    // siblings before letting the request ascend. On a sibling serve the
-    // exchange ends here — hit_index is this hop, the descent below it is
-    // identical to a local hit, and this hop contributes no piggyback
-    // entry (exactly as if it had served), so scheme state stays
-    // hop-aligned.
-    if (sibling_on_ && !down &&
-        TrySiblings(ctx, i, &served_version)) {
-      return served_version;
-    }
-    if (scheme_observes_ascent_) {
-      ctx.request.hop = static_cast<int>(i);
-      if (faults_active) {
-        // A down hop contributes no piggyback entry; an up hop's entry
-        // may still be lost in transit. Either way the scheme sees
-        // piggyback_lost for this hop only and applies its documented
-        // fallback (DESIGN.md §10).
-        const bool lost =
-            down || faults_->AscentLoss(ctx.telemetry.request_index,
-                                        static_cast<int>(i));
-        if (lost) {
-          ctx.request.piggyback_lost = true;
-          ctx.RecordDegraded(static_cast<int>(i));
-        }
-        scheme_->OnAscend(ctx, static_cast<int>(i));
-        ctx.request.piggyback_lost = false;
-      } else {
-        scheme_->OnAscend(ctx, static_cast<int>(i));
-      }
-    }
+    return false;
   }
-  ctx.response.hit_index = -1;
+  ctx.metrics->queue_wait += adm.wait;
+  ctx.now += adm.wait + ascent_op_cost_;
+  if (counters != nullptr && adm.depth > counters[node_id].max_queue_depth) {
+    counters[node_id].max_queue_depth = adm.depth;
+  }
   if (trace != nullptr) {
-    // The origin serve is not node-scoped: node/level are -1.
-    EmitEvent(trace, ctx, TraceEventType::kOrigin, -1, -1,
-              static_cast<double>(path.size()) - 1.0 + server_link_hops_);
+    EmitEvent(trace, ctx, TraceEventType::kQueueDepth, node_id, level,
+              static_cast<double>(adm.depth));
   }
-  return served_version;
+  return true;
+}
+
+bool Simulator::AdmitCopy(MessageContext& ctx, size_t hop,
+                          uint32_t* served_version) {
+  const topology::NodeId node_id = (*ctx.path)[hop];
+  CacheNode* node = caches_->node(node_id);
+  NodeCounters* const counters = ctx.telemetry.node_counters;
+  EventTrace* const trace = ctx.telemetry.trace;
+  const int32_t level = node_levels_[static_cast<size_t>(node_id)];
+  const CacheNode::CopyStamp* stamp = node->FindCopy(ctx.object);
+  // Copies can only enter a cache through StampCopy'd insertions within
+  // this run; treat a missing stamp (e.g. test-injected copy) as
+  // fresh-at-time-0.
+  const double fetch_time = stamp != nullptr ? stamp->fetch_time : 0.0;
+  const uint32_t version = stamp != nullptr ? stamp->version : 0;
+  const CoherencyProtocol protocol = options_.coherency.protocol;
+  if (protocol == CoherencyProtocol::kTtl &&
+      ctx.now - fetch_time > options_.coherency.ttl) {
+    node->EraseObject(ctx.object);
+    ++ctx.metrics->copies_expired;
+    if (counters != nullptr) ++counters[node_id].expirations;
+    if (trace != nullptr) {
+      EmitEvent(trace, ctx, TraceEventType::kExpired, node_id, level,
+                ctx.now - fetch_time);
+    }
+    return false;
+  }
+  const uint32_t current = updates_->VersionAt(ctx.object, ctx.now);
+  if (protocol == CoherencyProtocol::kInvalidation && version < current) {
+    node->EraseObject(ctx.object);
+    ++ctx.metrics->copies_invalidated;
+    if (counters != nullptr) ++counters[node_id].invalidations;
+    if (trace != nullptr) {
+      EmitEvent(trace, ctx, TraceEventType::kInvalidated, node_id, level,
+                static_cast<double>(current - version));
+    }
+    return false;
+  }
+  if (version < current) {
+    ctx.metrics->stale_hit = true;
+    if (counters != nullptr) ++counters[node_id].stale_serves;
+    if (trace != nullptr) {
+      EmitEvent(trace, ctx, TraceEventType::kStaleServe, node_id, level,
+                static_cast<double>(current - version));
+    }
+  }
+  *served_version = version;
+  return true;
 }
 
 bool Simulator::TrySiblings(MessageContext& ctx, size_t hop,
@@ -805,17 +692,7 @@ bool Simulator::TrySiblings(MessageContext& ctx, size_t hop,
       }
       if (version < updates_->VersionAt(ctx.object, ctx.now)) continue;
     }
-    if (tiered_ && sib_node->tiered()) {
-      CacheNode::TierServe tier;
-      if (ram_only) {
-        tier.ram_hit = sib_node->ram()->Touch(ctx.object);
-      } else {
-        tier = sib_node->ServeTiered(ctx.object, ctx.size);
-      }
-      ctx.RecordTierServe(sib, tier);
-      ChargeTierServe(ctx, sib, tier.ram_hit);
-    }
-    ctx.response.hit_index = static_cast<int>(hop);
+    if (tiered_ && sib_node->tiered()) ServeTier(ctx, sib, ram_only);
     ctx.response.served_by_sibling = true;
     ctx.response.sibling = sib;
     // The hit reply carries the protocol header back across the leg.
@@ -827,10 +704,21 @@ bool Simulator::TrySiblings(MessageContext& ctx, size_t hop,
   return false;
 }
 
-void Simulator::ChargeTierServe(MessageContext& ctx, topology::NodeId node_id,
-                                bool ram_hit) {
+void Simulator::ServeTier(MessageContext& ctx, topology::NodeId node_id,
+                          bool ram_only) {
+  // Which tier serves: the RAM front when it holds the object (or is all
+  // the node has left during a disk outage), else the disk store with
+  // promotion into RAM (inclusive: the disk copy stays).
+  CacheNode* node = caches_->node(node_id);
+  CacheNode::TierServe tier;
+  if (ram_only) {
+    tier.ram_hit = node->ram()->Touch(ctx.object);
+  } else {
+    tier = node->ServeTiered(ctx.object, ctx.size);
+  }
+  ctx.RecordTierServe(node_id, tier);
   const double cost =
-      ram_hit ? options_.tier.ram_hit_cost : options_.tier.disk_hit_cost;
+      tier.ram_hit ? options_.tier.ram_hit_cost : options_.tier.disk_hit_cost;
   if (cost <= 0.0) return;
   if (queueing_ == nullptr) {
     ctx.tier_service += cost;
@@ -849,104 +737,39 @@ void Simulator::ChargeTierServe(MessageContext& ctx, topology::NodeId node_id,
   }
 }
 
-void Simulator::StepDecoded(const DecodedRequest& request, bool collect,
-                            const CachedRoute* route_in,
-                            StepOutcome* outcome) {
+template <Simulator::ExchangeKind kKind>
+void Simulator::Exchange(const DecodedRequest& request, bool collect,
+                         const CachedRoute* route_in, StepOutcome* outcome) {
+  // Feature gates. Both lean instantiations fold every gate to a
+  // compile-time false, which deletes that feature's code from their
+  // body; the full one reads the simulator's per-run state. kLeanLru
+  // additionally replaces the scheme hooks with the inlined plain-LRU
+  // rule, so it never wires the shared MessageContext at all.
+  constexpr bool kLean = kKind != ExchangeKind::kFull;
+  constexpr bool kHooks = kKind != ExchangeKind::kLeanLru;
+  const bool faulted = !kLean && faults_ != nullptr;
+  const bool queued = !kLean && queueing_ != nullptr;
+  const bool coherent = !kLean && updates_ != nullptr;
+  const bool tiered = !kLean && tiered_;
+  const bool siblings = !kLean && sibling_on_;
+
   const trace::ObjectId object = request.object;
   const uint64_t size = request.size;
   const topology::NodeId requester = request.requester;
-
-  if (scheme_plain_lru_ && faults_ == nullptr && updates_ == nullptr &&
-      trace_ == nullptr && queueing_ == nullptr && !tiered_ &&
-      !sibling_on_) {
-    // Fused plain-LRU exchange, entirely on local state: ascent probes,
-    // the serve decision and the descent placements in one pass over the
-    // path, skipping the MessageContext wiring the general pipeline
-    // needs for its scheme/coherency/trace hooks. The per-node order of
-    // operations, the latency arithmetic (prefix sums + memoized size
-    // scale) and the accounting (statement-for-statement the
-    // RecordPlacement/RecordPlacementRejected bodies with a null trace —
-    // see message.h) are exactly the general path's, so results are
-    // bit-identical; PipelineEquivalenceTest holds both paths to the
-    // same golden results.
-    const CachedRoute& route =
-        route_in != nullptr
-            ? *route_in
-            : RouteFor(requester, request.attach, request.server);
-    const std::vector<topology::NodeId>& path = route.nodes;
-    const double* const delay_prefix = route.delay_prefix.data();
-    ++step_index_;  // Keeps the trace-sampling key monotone.
-    NodeCounters* const counters =
-        collect ? metrics_.node_counters_data() : nullptr;
-    CacheNode* const nodes = caches_->nodes_data();
-
-    RequestMetrics rm;
-    rm.size_bytes = size;
-    const size_t path_len = path.size();
-    int hit = -1;
-    for (size_t i = 0; i < path_len; ++i) {
-      const topology::NodeId node_id = path[i];
-      if (nodes[node_id].Contains(object)) {
-        hit = static_cast<int>(i);
-        if (counters != nullptr) {
-          ++counters[node_id].hits;
-          counters[node_id].bytes_served += size;
-        }
-        break;
-      }
-      if (counters != nullptr) ++counters[node_id].misses;
-    }
-    double base_delay;
-    if (hit >= 0) {
-      base_delay = delay_prefix[hit];
-      rm.hops = hit;
-      rm.cache_hit = true;
-      rm.read_bytes = size;
-      nodes[path[static_cast<size_t>(hit)]].lru()->Touch(object);
-    } else {
-      base_delay = delay_prefix[path_len - 1] + server_link_delay_;
-      rm.hops = static_cast<int>(path_len) - 1 + server_link_hops_;
-    }
-    rm.latency =
-        base_delay * (object < size_scale_table_.size()
-                          ? size_scale_table_[object]
-                          : static_cast<double>(size) / mean_object_size_);
-    const int first_missing =
-        hit >= 0 ? hit - 1 : static_cast<int>(path_len) - 1;
-    for (int i = first_missing; i >= 0; --i) {
-      // InsertAbsent: every descent node's ascent probe just missed.
-      const topology::NodeId node_id = path[static_cast<size_t>(i)];
-      bool inserted = false;
-      const std::vector<trace::ObjectId>& evicted =
-          nodes[node_id].lru()->InsertAbsent(object, size, &inserted);
-      if (inserted) {
-        rm.write_bytes += size;
-        ++rm.insertions;
-        if (counters != nullptr) {
-          NodeCounters& c = counters[node_id];
-          ++c.placements;
-          c.evictions += evicted.size();
-          c.bytes_cached += size;
-        }
-      } else if (counters != nullptr) {
-        ++counters[node_id].placements_rejected;
-      }
-    }
-    FinishRequest(rm, collect, request.time + rm.latency, outcome);
-    return;
-  }
-
-  RequestMetrics request_metrics;
-  request_metrics.size_bytes = size;
-
-  MessageContext& ctx = ctx_;
+  const uint64_t request_index = step_index_++;
+  NodeCounters* const counters =
+      collect ? metrics_.node_counters_data() : nullptr;
+  CacheNode* const nodes = caches_->nodes_data();
+  RequestMetrics rm;
+  rm.size_bytes = size;
 
   // Anchor the run's clock at this request's arrival. Under the analytic
   // policy this is the trace timestamp; under the event-driven one the
   // heap already advanced the clock to the arrival event, so the Set is
   // an identity. Every time consumer below — TTL expiry, retry backoff,
-  // fault-schedule evaluation, queueing — derives from this one source.
-  engine_.clock().Set(request.time);
+  // fault-schedule evaluation, queueing — derives from this one instant.
+  if constexpr (kHooks) engine_.clock().Set(request.time);
+  double now = request.time;
 
   // Path resolution. Without a fault plane the route comes from the dense
   // (requester, attach) cache — resolved once, reused for every request
@@ -954,18 +777,17 @@ void Simulator::StepDecoded(const DecodedRequest& request, bool collect,
   // cutting the path) times out and retries with deterministic
   // exponential backoff, so the attempt time `now` may trail the request
   // time, and reroutes produce paths the cache must not serve.
-  double now = engine_.clock().now();
   bool reachable = true;
-  // Left-to-right running sums of the route's delays (CachedRoute); null
-  // on the fault-plane path, whose routes are per-attempt.
-  const double* delay_prefix = nullptr;
-  if (faults_ == nullptr) {
+  const std::vector<topology::NodeId>* route_nodes;
+  const std::vector<double>* route_delays;
+  const double* delay_prefix;
+  if (!faulted) {
     const CachedRoute& route =
         route_in != nullptr
             ? *route_in
             : RouteFor(requester, request.attach, request.server);
-    ctx.path = &route.nodes;
-    ctx.link_delays = &route.delays;
+    route_nodes = &route.nodes;
+    route_delays = &route.delays;
     delay_prefix = route.delay_prefix.data();
   } else {
     const FaultScheduleConfig& fc = faults_->config();
@@ -975,114 +797,111 @@ void Simulator::StepDecoded(const DecodedRequest& request, bool collect,
       reachable = faults_->ResolvePath(requester, request.server, now,
                                        &arena_.path, &rerouted);
       if (reachable) {
-        request_metrics.rerouted = rerouted;
+        rm.rerouted = rerouted;
         break;
       }
       if (attempt >= fc.max_retries) break;
       now += fc.request_timeout + std::ldexp(fc.retry_backoff, attempt);
       ++attempt;
-      ++request_metrics.retries;
+      ++rm.retries;
     }
-    arena_.link_delays.clear();
-    arena_.link_delays.reserve(arena_.path.size());
-    for (size_t i = 0; i + 1 < arena_.path.size(); ++i) {
-      arena_.link_delays.push_back(
-          network_->LinkDelay(arena_.path[i], arena_.path[i + 1]));
-    }
-    ctx.path = &arena_.path;
-    ctx.link_delays = &arena_.link_delays;
+    FillLinkDelays(*network_, arena_.path, &arena_.link_delays,
+                   &arena_.delay_prefix);
+    route_nodes = &arena_.path;
+    route_delays = &arena_.link_delays;
+    delay_prefix = arena_.delay_prefix.data();
   }
-  const std::vector<topology::NodeId>& path = *ctx.path;
-  const std::vector<double>& link_delays = *ctx.link_delays;
+  const std::vector<topology::NodeId>& path = *route_nodes;
+  const size_t path_len = path.size();
+  const double size_scale =
+      object < size_scale_table_.size()
+          ? size_scale_table_[object]
+          : static_cast<double>(size) / mean_object_size_;
 
-  ctx.object = object;
-  ctx.size = size;
-  ctx.size_scale = object < size_scale_table_.size()
-                       ? size_scale_table_[object]
-                       : static_cast<double>(size) / mean_object_size_;
-  ctx.now = now;
-  // No virtual server link under en-route (servers are co-located with
-  // their attach node), so its cost is 0 under every cost model. Cost
-  // fields stay untouched for cost-oblivious schemes — nothing reads them.
-  if (scheme_uses_link_costs_) {
+  // The hook instantiations hand the scheme handlers the exchange through
+  // the reused context. Telemetry: per-node counters only while
+  // collecting (they must mirror the aggregates' warm-up exclusion
+  // exactly); the trace keys its per-request sampling decision off the
+  // replay position.
+  MessageContext& ctx = ctx_;
+  EventTrace* const trace =
+      !kLean && trace_ != nullptr && trace_->SampleRequest(request_index)
+          ? trace_.get()
+          : nullptr;
+  if constexpr (kHooks) {
+    ctx.path = route_nodes;
+    ctx.link_delays = route_delays;
+    ctx.object = object;
+    ctx.size = size;
+    ctx.size_scale = size_scale;
+    ctx.now = now;
+    ctx.metrics = &rm;
+    ctx.request = RequestMessage();
+    ctx.response = ResponseMessage();
+    ctx.tier_service = 0.0;
+    ctx.telemetry.request_index = request_index;
+    ctx.telemetry.node_counters = counters;
+    ctx.telemetry.trace = trace;
+  }
+
+  if (faulted && !reachable) {
+    // Retries exhausted with no surviving route: the request fails. It
+    // still pays the timeouts it sat through — latency covers the elapsed
+    // attempts plus the final timeout — and is recorded (failed, zero
+    // hops) so requests == served + failed with nothing silently dropped.
+    rm.failed = true;
+    rm.latency = (now - request.time) + options_.faults.request_timeout;
+    if (counters != nullptr) {
+      counters[requester].retries += static_cast<uint64_t>(rm.retries);
+    }
+    if (trace != nullptr) {
+      const int32_t level = node_levels_[static_cast<size_t>(requester)];
+      if (rm.retries > 0) {
+        EmitEvent(trace, ctx, TraceEventType::kRetry, requester, level,
+                  static_cast<double>(rm.retries));
+      }
+      EmitEvent(trace, ctx, TraceEventType::kRequestFailed, requester, level,
+                static_cast<double>(rm.retries));
+    }
+    FinishRequest(rm, collect, request.time + rm.latency, outcome);
+    return;
+  }
+
+  // Link costs are size-dependent (latency / weighted models): computed
+  // per request from the route's delays. No virtual server link under
+  // en-route (servers are co-located with their attach node), so its cost
+  // is 0 under every cost model. Skipped outright for schemes that never
+  // read costs (LRU, MODULO, LFU, STATIC).
+  if (kHooks && scheme_uses_link_costs_) {
     ctx.server_link_cost =
         server_link_hops_ == 0
             ? 0.0
             : cost_model_.LinkCost(server_link_delay_, size,
                                    mean_object_size_);
-  }
-  ctx.metrics = &request_metrics;
-  ctx.request = RequestMessage();
-  ctx.response = ResponseMessage();
-  ctx.tier_service = 0.0;
-
-  // Telemetry wiring: per-node counters only while collecting (they must
-  // mirror the aggregates' warm-up exclusion exactly); the trace keys its
-  // per-request sampling decision off the replay position.
-  const uint64_t request_index = step_index_++;
-  ctx.telemetry.request_index = request_index;
-  ctx.telemetry.node_counters = collect ? metrics_.node_counters_data()
-                                        : nullptr;
-  ctx.telemetry.trace = trace_ != nullptr && trace_->SampleRequest(request_index)
-                            ? trace_.get()
-                            : nullptr;
-  NodeCounters* const counters = ctx.telemetry.node_counters;
-  EventTrace* const trace = ctx.telemetry.trace;
-
-  if (!reachable) {
-    // Retries exhausted with no surviving route: the request fails. It
-    // still pays the timeouts it sat through — latency covers the elapsed
-    // attempts plus the final timeout — and is recorded (failed, zero
-    // hops) so requests == served + failed with nothing silently dropped.
-    request_metrics.failed = true;
-    request_metrics.latency = (now - request.time) + options_.faults.request_timeout;
-    if (counters != nullptr) {
-      counters[requester].retries +=
-          static_cast<uint64_t>(request_metrics.retries);
-    }
-    if (trace != nullptr) {
-      const int32_t level = node_levels_[static_cast<size_t>(requester)];
-      if (request_metrics.retries > 0) {
-        EmitEvent(trace, ctx, TraceEventType::kRetry, requester, level,
-                  static_cast<double>(request_metrics.retries));
-      }
-      EmitEvent(trace, ctx, TraceEventType::kRequestFailed, requester, level,
-                static_cast<double>(request_metrics.retries));
-    }
-    FinishRequest(request_metrics, collect,
-                  request.time + request_metrics.latency, outcome);
-    return;
-  }
-
-  // Link costs are size-dependent (latency / weighted models): computed
-  // per request from the cached delays, with the exact same cost-model
-  // calls as an uncached replay. Skipped outright for schemes that never
-  // read them (LRU, MODULO, LFU, STATIC).
-  if (scheme_uses_link_costs_) {
     arena_.link_costs.clear();
-    arena_.link_costs.reserve(link_delays.size());
-    for (double delay : link_delays) {
-      arena_.link_costs.push_back(cost_model_.LinkCost(delay, size,
-                                                       mean_object_size_));
+    arena_.link_costs.reserve(route_delays->size());
+    for (double delay : *route_delays) {
+      arena_.link_costs.push_back(
+          cost_model_.LinkCost(delay, size, mean_object_size_));
     }
     ctx.link_costs = &arena_.link_costs;
   }
 
-  if (faults_ != nullptr) {
+  if (faulted) {
     // Apply pending cold restarts along the path, then flag hops whose
     // cache process is still down at the attempt time. Crashes are
     // charged to the crashed node; retries and reroutes to the
     // requester — the same localities NodeCounters reconciliation
     // asserts against the aggregates.
-    arena_.node_down.assign(path.size(), 0);
-    arena_.disk_down.assign(path.size(), 0);
-    for (size_t i = 0; i < path.size(); ++i) {
+    arena_.node_down.assign(path_len, 0);
+    arena_.disk_down.assign(path_len, 0);
+    for (size_t i = 0; i < path_len; ++i) {
       const topology::NodeId node_id = path[i];
       if (faults_->DiskDown(node_id, now)) arena_.disk_down[i] = 1;
       const int applied =
           faults_->ApplyCrashRestarts(caches_->node(node_id), now);
       if (applied > 0) {
-        request_metrics.crashes_applied += applied;
+        rm.crashes_applied += applied;
         if (counters != nullptr) {
           counters[node_id].crashes += static_cast<uint64_t>(applied);
         }
@@ -1095,19 +914,18 @@ void Simulator::StepDecoded(const DecodedRequest& request, bool collect,
       if (faults_->NodeDown(node_id, now)) arena_.node_down[i] = 1;
     }
     if (counters != nullptr) {
-      counters[requester].retries +=
-          static_cast<uint64_t>(request_metrics.retries);
-      if (request_metrics.rerouted) ++counters[requester].reroutes;
+      counters[requester].retries += static_cast<uint64_t>(rm.retries);
+      if (rm.rerouted) ++counters[requester].reroutes;
     }
     if (trace != nullptr) {
       const int32_t level = node_levels_[static_cast<size_t>(requester)];
-      if (request_metrics.retries > 0) {
+      if (rm.retries > 0) {
         EmitEvent(trace, ctx, TraceEventType::kRetry, requester, level,
-                  static_cast<double>(request_metrics.retries));
+                  static_cast<double>(rm.retries));
       }
-      if (request_metrics.rerouted) {
+      if (rm.rerouted) {
         EmitEvent(trace, ctx, TraceEventType::kReroute, requester, level,
-                  static_cast<double>(path.size()));
+                  static_cast<double>(path_len));
       }
     }
   }
@@ -1115,185 +933,239 @@ void Simulator::StepDecoded(const DecodedRequest& request, bool collect,
   if (trace != nullptr) {
     EmitEvent(trace, ctx, TraceEventType::kRequest, requester,
               node_levels_[static_cast<size_t>(requester)],
-              static_cast<double>(path.size()));
+              static_cast<double>(path_len));
   }
 
   // --- Phase 1: the request message ascends to its serving point. -------
-  // The attempt starts here: under contention ctx.now accrues queue waits
-  // and service from this instant on.
-  const double attempt_start = ctx.now;
-  const uint32_t served_version = Ascend(ctx);
-  if (ctx.response.shed) {
-    // Refused by a full node queue on the ascent: the exchange ends at
-    // the refusing hop — no serve, no descent, no placements. Its latency
-    // is the time it spent getting there (queue waits and service so far,
-    // plus any fault-plane retries); Ascend set rm.hops to the refusal
-    // hop and charged the refusing node's shed counter.
-    request_metrics.shed = true;
-    request_metrics.latency = ctx.now - request.time;
-    if (scheme_observes_ascent_) scheme_->OnAbort();
-    FinishRequest(request_metrics, collect, ctx.now, outcome);
-    return;
-  }
-  const int hit_index = ctx.response.hit_index;
-
-  // Access latency and hops (paper cost model: link delay scaled by object
-  // size; the client-to-first-cache cost is excluded).
-  double base_delay = 0.0;
-  int hops = 0;
-  if (hit_index >= 0) {
-    if (delay_prefix != nullptr) {
-      base_delay = delay_prefix[hit_index];
-    } else {
-      for (int i = 0; i < hit_index; ++i) {
-        base_delay += link_delays[static_cast<size_t>(i)];
+  // At each hop: coherency admission first — under a protocol, expired or
+  // invalidated copies are discarded and the request continues upstream;
+  // under kNone a stale copy is served (and counted) — then, if the hop
+  // cannot serve, the sibling leg and the scheme's ascent handler. A hop
+  // whose cache process is down (fault plane) is transparent: it can
+  // serve nothing and its piggyback entry is lost. The attempt starts
+  // here: under contention ctx.now accrues queue waits and service from
+  // this instant on, and all freshness checks read it.
+  const double attempt_start = now;
+  // Version the client receives; downstream copies inherit it (a stale
+  // serving copy propagates its stale version).
+  uint32_t served_version = coherent ? updates_->VersionAt(object, now) : 0;
+  int hit = -1;
+  for (size_t i = 0; i < path_len; ++i) {
+    const topology::NodeId node_id = path[i];
+    CacheNode& node = nodes[node_id];
+    const bool down = faulted && arena_.node_down[i] != 0;
+    // A down hop serves nothing and charges nothing (its queue is not
+    // running); a full queue ends the exchange at the refusing hop — no
+    // serve, no descent, no placements. Its latency is the time it spent
+    // getting there (queue waits and service so far, plus any fault-plane
+    // retries).
+    if (queued && !down && ascent_op_cost_ > 0.0 &&
+        !QueueAscentOp(ctx, i)) {
+      rm.shed = true;
+      rm.hops = static_cast<int>(i);
+      rm.latency = ctx.now - request.time;
+      if (scheme_observes_ascent_) scheme_->OnAbort();
+      FinishRequest(rm, collect, ctx.now, outcome);
+      return;
+    }
+    bool servable = !down && node.Contains(object);
+    // Degraded-node fault class: the hop's disk is out. A tiered node
+    // keeps serving what its RAM tier holds (coherency admission is
+    // skipped — the copy metadata lives with the disk store, which the
+    // node cannot touch); any copy only the disk holds is unavailable
+    // (tiered or not), recorded as a disk-degraded decision. Contents are
+    // preserved: recovery resumes with the pre-outage store.
+    bool ram_only = false;
+    if (servable && faulted && arena_.disk_down[i] != 0) [[unlikely]] {
+      if (node.tiered() && node.ram()->Contains(object)) {
+        ram_only = true;
+      } else {
+        servable = false;
+        ctx.RecordDiskDegraded(static_cast<int>(i));
       }
     }
-    hops = hit_index;
-    if (ctx.response.served_by_sibling) {
+    if (servable && !ram_only && coherent) {
+      servable = AdmitCopy(ctx, i, &served_version);
+    }
+    if (servable) {
+      if (tiered && node.tiered()) [[unlikely]] {
+        ServeTier(ctx, node_id, ram_only);
+      }
+      hit = static_cast<int>(i);
+      if (counters != nullptr) {
+        ++counters[node_id].hits;
+        counters[node_id].bytes_served += size;
+      }
+      if (trace != nullptr) {
+        EmitEvent(trace, ctx, TraceEventType::kHit, node_id,
+                  node_levels_[static_cast<size_t>(node_id)],
+                  static_cast<double>(i));
+      }
+      break;
+    }
+    if (counters != nullptr) ++counters[node_id].misses;
+    if (trace != nullptr) {
+      EmitEvent(trace, ctx, TraceEventType::kMiss, node_id,
+                node_levels_[static_cast<size_t>(node_id)],
+                static_cast<double>(i));
+    }
+    // Sibling cooperation: a live hop that missed locally probes its
+    // siblings before letting the request ascend. On a sibling serve the
+    // exchange ends here — hit is this hop, the descent below it is
+    // identical to a local hit, and this hop contributes no piggyback
+    // entry (exactly as if it had served), so scheme state stays
+    // hop-aligned.
+    if (siblings && !down && TrySiblings(ctx, i, &served_version)) {
+      hit = static_cast<int>(i);
+      break;
+    }
+    if (kHooks && scheme_observes_ascent_) {
+      ctx.request.hop = static_cast<int>(i);
+      // A down hop contributes no piggyback entry; an up hop's entry may
+      // still be lost in transit. Either way the scheme sees
+      // piggyback_lost for this hop only and applies its documented
+      // fallback (DESIGN.md §10).
+      if (faulted &&
+          (down || faults_->AscentLoss(request_index, static_cast<int>(i)))) {
+        ctx.request.piggyback_lost = true;
+        ctx.RecordDegraded(static_cast<int>(i));
+      }
+      scheme_->OnAscend(ctx, static_cast<int>(i));
+      ctx.request.piggyback_lost = false;
+    }
+  }
+  if (trace != nullptr && hit < 0) {
+    // The origin serve is not node-scoped: node/level are -1.
+    EmitEvent(trace, ctx, TraceEventType::kOrigin, -1, -1,
+              static_cast<double>(path_len) - 1.0 + server_link_hops_);
+  }
+
+  // Access latency and hops (paper cost model: link delay scaled by object
+  // size; the client-to-first-cache cost is excluded). delay_prefix[i] is
+  // the left-to-right sum of the first i link delays.
+  double base_delay;
+  int hops;
+  if (hit >= 0) {
+    base_delay = delay_prefix[hit];
+    hops = hit;
+    if (siblings && ctx.response.served_by_sibling) {
       // Sibling detour: the probe climbs to the probing hop's parent and
       // over to the sibling, the body comes back the same way — two hops
       // and two extra link delays on top of the ascent to the probing
       // hop. Sibling sets are nonempty only off the tree root, so the
-      // parent (path[hit_index + 1]) always exists here.
-      base_delay +=
-          link_delays[static_cast<size_t>(hit_index)] +
-          network_->LinkDelay(path[static_cast<size_t>(hit_index) + 1],
-                              ctx.response.sibling);
-      hops = hit_index + 2;
+      // parent (path[hit + 1]) always exists here.
+      base_delay += (*route_delays)[static_cast<size_t>(hit)] +
+                    network_->LinkDelay(path[static_cast<size_t>(hit) + 1],
+                                        ctx.response.sibling);
+      hops = hit + 2;
     }
-    request_metrics.cache_hit = true;
-    request_metrics.read_bytes = size;
+    rm.cache_hit = true;
+    rm.read_bytes = size;
   } else {
-    if (delay_prefix != nullptr) {
-      base_delay = delay_prefix[link_delays.size()];
-    } else {
-      for (double d : link_delays) base_delay += d;
-    }
-    base_delay += server_link_delay_;
-    hops = static_cast<int>(link_delays.size()) + server_link_hops_;
+    base_delay = delay_prefix[path_len - 1] + server_link_delay_;
+    hops = static_cast<int>(path_len) - 1 + server_link_hops_;
   }
-  request_metrics.latency = base_delay * ctx.size_scale;
+  rm.latency = base_delay * size_scale;
   // Analytic tier service (RAM/disk hit cost) rides on top of the
   // propagation latency; under the event-driven policy it was charged on
   // the serving node's queue and arrives via ctx.now below instead.
-  if (ctx.tier_service > 0.0) request_metrics.latency += ctx.tier_service;
-  request_metrics.hops = hops;
+  if (tiered && ctx.tier_service > 0.0) rm.latency += ctx.tier_service;
+  rm.hops = hops;
 
-  // --- Phase 2: the serving node decides, the response descends. --------
-  if (scheme_plain_lru_ && faults_ == nullptr && queueing_ == nullptr) {
-    // Inlined equivalent of LruScheme::OnServe/OnDescend (see
-    // CachingScheme::plain_lru_replay): touch the serving cache, insert
-    // at every hop below the serving point. Statement-for-statement the
-    // handlers' unfaulted behavior, minus ~4 virtual calls per request.
-    CacheNode* const nodes = caches_->nodes_data();
-    if (hit_index >= 0) {
-      // A sibling serve refreshes the *sibling's* store (the probing hop
-      // is proxy-only and keeps nothing) — the inlined equivalent of
-      // OnSiblingServe's default delegation to OnServe.
-      const topology::NodeId serving_node =
-          ctx.response.served_by_sibling
-              ? ctx.response.sibling
-              : path[static_cast<size_t>(hit_index)];
-      nodes[serving_node].lru()->Touch(object);
-    }
-    for (int i = ctx.first_missing(); i >= 0; --i) {
-      // InsertAbsent is sound here: every descent node sits below the
-      // serving point, so its ascent probe just missed for this object.
-      bool inserted = false;
-      const std::vector<trace::ObjectId>& evicted =
-          nodes[path[static_cast<size_t>(i)]].lru()->InsertAbsent(
-              object, size, &inserted);
-      if (inserted) {
-        ctx.RecordPlacement(i, evicted);
-      } else {
-        ctx.RecordPlacementRejected(i);
-      }
-    }
-  } else if (faults_ == nullptr && queueing_ == nullptr) {
-    if (ctx.response.served_by_sibling) {
+  // --- Phase 2: the serving node decides, the response descends through
+  // every node below the serving point (the attach node too when the
+  // origin served). ---------------------------------------------------------
+  // Where the hooks do not run, the plain-LRU rule stands in for them
+  // (see CachingScheme::plain_lru_replay): touch the serving store, insert
+  // at every hop below it, account as RecordPlacement does without the
+  // trace, tiers and queueing this instantiation excludes.
+  if constexpr (kHooks) {
+    ctx.response.hit_index = hit;
+    if (siblings && ctx.response.served_by_sibling) {
       scheme_->OnSiblingServe(ctx);
     } else {
       scheme_->OnServe(ctx);
     }
-    for (int i = ctx.first_missing(); i >= 0; --i) {
-      scheme_->OnDescend(ctx, i);
-    }
-  } else {
-    if (ctx.response.served_by_sibling) {
-      scheme_->OnSiblingServe(ctx);
-    } else {
-      scheme_->OnServe(ctx);
-    }
-    // The body of a sibling serve crosses the sibling leg before it
-    // descends: one contended transfer keyed on the (sibling, probing
-    // hop) pair.
-    if (queueing_ != nullptr && ctx.response.served_by_sibling) {
-      const QueueingPlane::Transfer t = queueing_->TransferOn(
-          ctx.response.sibling, path[static_cast<size_t>(hit_index)],
-          ctx.now, size, options_.contention.link_bandwidth);
-      request_metrics.queue_wait += t.wait;
-      ctx.now += t.wait + t.tx;
-    }
-    // A down hop cannot act on the descending decision, and an up hop's
-    // decision entry may be lost in transit. The scheme still runs its
-    // descent hook (penalty bookkeeping survives; see DESIGN.md §10) but
-    // must not place or refresh under decision_lost. Under contention a
-    // hop additionally charges the object body's link transfer, and a
-    // full store queue drops the decision there the same way
-    // (DescendContention).
-    const bool faulted = faults_ != nullptr;
-    for (int i = ctx.first_missing(); i >= 0; --i) {
-      if (faulted) {
-        const bool lost =
-            arena_.node_down[static_cast<size_t>(i)] != 0 ||
-            faults_->DescentLoss(request_index, i);
-        if (lost) {
-          ctx.response.decision_lost = true;
-          ctx.RecordDegraded(i);
-        } else if (arena_.disk_down[static_cast<size_t>(i)] != 0) {
-          // Disk outage at the hop: it cannot commit a placement (the
-          // RAM tier is inclusive in the disk store), so the decision is
-          // lost here. Disjoint from the message-loss degradation above.
-          ctx.response.decision_lost = true;
-          ctx.RecordDiskDegraded(i);
-        }
+  } else if (hit >= 0) {
+    nodes[path[static_cast<size_t>(hit)]].lru()->Touch(object);
+  }
+  // The body of a sibling serve crosses the sibling leg before it
+  // descends: one contended transfer keyed on the (sibling, probing hop)
+  // pair.
+  if (queued && ctx.response.served_by_sibling) {
+    const QueueingPlane::Transfer t = queueing_->TransferOn(
+        ctx.response.sibling, path[static_cast<size_t>(hit)], ctx.now, size,
+        options_.contention.link_bandwidth);
+    rm.queue_wait += t.wait;
+    ctx.now += t.wait + t.tx;
+  }
+  // A down hop cannot act on the descending decision, and an up hop's
+  // decision entry may be lost in transit. The scheme still runs its
+  // descent hook (penalty bookkeeping survives; see DESIGN.md §10) but
+  // must not place or refresh under decision_lost. Under contention a hop
+  // additionally charges the object body's link transfer, and a full
+  // store queue drops the decision there the same way
+  // (DescendContention).
+  const int first_missing =
+      hit >= 0 ? hit - 1 : static_cast<int>(path_len) - 1;
+  for (int i = first_missing; i >= 0; --i) {
+    if (faulted) {
+      if (arena_.node_down[static_cast<size_t>(i)] != 0 ||
+          faults_->DescentLoss(request_index, i)) {
+        ctx.response.decision_lost = true;
+        ctx.RecordDegraded(i);
+      } else if (arena_.disk_down[static_cast<size_t>(i)] != 0) {
+        // Disk outage at the hop: it cannot commit a placement (the RAM
+        // tier is inclusive in the disk store), so the decision is lost
+        // here. Disjoint from the message-loss degradation above.
+        ctx.response.decision_lost = true;
+        ctx.RecordDiskDegraded(i);
       }
-      if (queueing_ != nullptr) DescendContention(i);
+    }
+    if (queued) DescendContention(i);
+    if constexpr (kHooks) {
       scheme_->OnDescend(ctx, i);
       ctx.response.decision_lost = false;
+    } else {
+      // InsertAbsent is sound here: every descent node sits below the
+      // serving point, so its ascent probe just missed for this object.
+      const topology::NodeId node_id = path[static_cast<size_t>(i)];
+      bool inserted = false;
+      const std::vector<trace::ObjectId>& evicted =
+          nodes[node_id].lru()->InsertAbsent(object, size, &inserted);
+      if (inserted) {
+        CountPlacement(&rm, counters, node_id, size, evicted.size());
+      } else if (counters != nullptr) {
+        ++counters[node_id].placements_rejected;
+      }
     }
   }
   // Contended exchanges pay their accrued waits on top of the analytic
   // propagation latency (zero when every service knob is zero, so the
   // equivalence with the analytic policy is exact).
-  if (queueing_ != nullptr) {
-    request_metrics.latency += ctx.now - attempt_start;
+  if (queued) rm.latency += ctx.now - attempt_start;
+  if constexpr (kHooks) {
+    rm.request_msg_bytes = ctx.request.payload_bytes;
+    rm.response_msg_bytes = ctx.response.payload_bytes;
   }
-  request_metrics.request_msg_bytes = ctx.request.payload_bytes;
-  request_metrics.response_msg_bytes = ctx.response.payload_bytes;
 
   // Stamp freshness metadata on the copies this request created. Copies
   // below the serving point inherit the served version; the serving copy
   // keeps its original stamp (hits do not revalidate). A down hop stored
   // nothing this request, so any copy it already holds keeps its stamp.
-  if (updates_ != nullptr) {
-    const int top = ctx.top_index();
+  if (coherent) {
+    const int top = hit >= 0 ? hit : static_cast<int>(path_len) - 1;
     for (int i = 0; i <= top; ++i) {
-      if (i == hit_index) continue;
-      if (faults_ != nullptr &&
-          arena_.node_down[static_cast<size_t>(i)] != 0) {
-        continue;
-      }
-      CacheNode* node = caches_->node(path[static_cast<size_t>(i)]);
-      if (node->Contains(object)) {
-        node->StampCopy(object, ctx.now, served_version);
+      if (i == hit) continue;
+      if (faulted && arena_.node_down[static_cast<size_t>(i)] != 0) continue;
+      CacheNode& node = nodes[path[static_cast<size_t>(i)]];
+      if (node.Contains(object)) {
+        node.StampCopy(object, ctx.now, served_version);
       }
     }
   }
 
-  FinishRequest(request_metrics, collect,
-                attempt_start + request_metrics.latency, outcome);
+  FinishRequest(rm, collect, attempt_start + rm.latency, outcome);
 }
 
 void Simulator::DescendContention(int i) {

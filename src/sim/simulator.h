@@ -185,6 +185,7 @@ class Simulator {
   /// and custom drivers; Run() is the normal entry point. NOTE: coherency
   /// tracking requires the update schedule, which Run() builds; direct
   /// Step() drivers that want coherency must call EnableCoherency first.
+  /// A one-request ReplayRange().
   void Step(const trace::Request& request, bool collect);
 
   /// Replays requests [begin, end) of the trace, decoding them in blocks
@@ -221,7 +222,7 @@ class Simulator {
   const VirtualClock& virtual_clock() const { return engine_.clock(); }
 
  private:
-  /// StepDecoded result when the event-driven replay needs the exchange
+  /// Exchange result when the event-driven replay needs the exchange
   /// back instead of recording it: the metrics travel to the request's
   /// completion event, where they are recorded in completion order.
   struct StepOutcome {
@@ -251,30 +252,48 @@ class Simulator {
     bool filled = false;
   };
 
-  /// Drives the request message up the path: per-hop coherency admission
-  /// then the scheme's ascent hook, stopping at the serving cache. All
-  /// timing uses ctx.now (== the attempt time, which trails the request
-  /// time after fault-plane retries). Returns the serving version for
-  /// freshness stamping.
-  uint32_t Ascend(MessageContext& ctx);
+  /// The three instantiations of Exchange(). Lean = no fault plane, no
+  /// queueing plane, no coherency schedule, no event trace, no tiers and
+  /// no siblings: every feature gate folds to a compile-time false.
+  ///  - kLeanLru: lean, and the scheme is plain_lru_replay(): the serve
+  ///    and descent run the inlined plain-LRU rule, and the shared
+  ///    MessageContext and the clock are never touched;
+  ///  - kLeanHooks: lean, any other scheme: the virtual hooks run;
+  ///  - kFull: any feature on (plain LRU included): the hooks run and
+  ///    every feature is tested per request.
+  enum class ExchangeKind { kLeanLru, kLeanHooks, kFull };
 
-  /// The decoded-request hot path shared by Step(), ReplayRange() and
-  /// ReplayContended(). `route`, when non-null, is the request's
-  /// already-resolved cached route (ReplayRange's pipelined prefetch
-  /// stage resolves it one request ahead); null means resolve here. Only
-  /// meaningful without a fault plane. `outcome`, when non-null, receives
-  /// the exchange instead of the metrics collector (event-driven replay).
-  void StepDecoded(const DecodedRequest& request, bool collect,
-                   const CachedRoute* route = nullptr,
-                   StepOutcome* outcome = nullptr);
+  /// The instantiation this simulator's current state selects. Read once
+  /// per ReplayRange() (and so per Step()); ReplayContended() runs with
+  /// the queueing plane on and always takes kFull.
+  ExchangeKind SelectExchange() const;
 
-  /// Terminal of every StepDecoded exit: hands the exchange to `outcome`
+  /// ReplayRange's decode-then-replay block loop on one instantiation.
+  template <ExchangeKind kKind>
+  void ReplayBlocks(trace::RequestSpan requests, size_t begin, size_t end,
+                    bool collect);
+
+  /// One request/response exchange (paper §2.3-2.4), written once: route
+  /// resolution, the hop-by-hop ascent (coherency admission, tier serve,
+  /// sibling leg, the scheme's ascent hook), the latency, the serve and
+  /// the descent. `route`, when non-null, is the request's
+  /// already-resolved cached route (ReplayBlocks' pipelined prefetch
+  /// stage resolves it ahead); null means resolve here. Only meaningful
+  /// without a fault plane. `outcome`, when non-null, receives the
+  /// exchange instead of the metrics collector (event-driven replay).
+  template <ExchangeKind kKind>
+  void Exchange(const DecodedRequest& request, bool collect,
+                const CachedRoute* route, StepOutcome* outcome);
+
+  /// Catalog lookups and attach-point resolution for one trace request.
+  DecodedRequest Decode(const trace::Request& request);
+
+  /// Terminal of every Exchange exit: hands the exchange to `outcome`
   /// (event-driven replay) or streams it into the open block accumulator.
-  /// Every analytic driver (ReplayRange, Step) opens a block before
-  /// collecting, so the collecting exit is a single inline RecordInBlock
-  /// — in the class body because an out-of-line call (or a second,
-  /// fallback record body) here costs a measurable fraction of the fused
-  /// plain-LRU request budget.
+  /// ReplayRange opens a block before collecting, so the collecting exit
+  /// is a single inline RecordInBlock — in the class body because an
+  /// out-of-line call (or a second, fallback record body) here costs a
+  /// measurable fraction of the kLeanLru request budget.
   void FinishRequest(const RequestMetrics& rm, bool collect,
                      double completion_time, StepOutcome* outcome) {
     if (outcome != nullptr) {
@@ -303,23 +322,37 @@ class Simulator {
   /// drops the placement decision there (decision_lost + RecordStoreShed).
   void DescendContention(int i);
 
-  /// Sibling leg of Ascend at path index `hop` (which just missed
+  /// Event-driven ascent charge at path index `hop`: the lookup (+ d-cache
+  /// probe) as service demand on the node's bounded queue. Returns false
+  /// when the full queue refuses the request (response.shed, the node's
+  /// shed counter); the exchange then ends at that hop.
+  bool QueueAscentOp(MessageContext& ctx, size_t hop);
+
+  /// Coherency admission of the servable copy at path index `hop`: drops
+  /// an expired (TTL) or invalidated copy and returns false, else counts
+  /// a stale serve if the copy lags the origin, writes its version to
+  /// `*served_version` and returns true.
+  bool AdmitCopy(MessageContext& ctx, size_t hop, uint32_t* served_version);
+
+  /// Sibling leg of the ascent at path index `hop` (which just missed
   /// locally): probes the hop's siblings in ascending node id, bounded by
   /// max_probes, and serves from the first fresh copy. Probes never
   /// mutate sibling stores (an expired / stale sibling copy is skipped,
-  /// not erased). Returns true when a sibling served — response.hit_index
-  /// is `hop` with served_by_sibling / sibling set — and writes the
-  /// serving copy's version to `*served_version`. Kept out of line so the
-  /// sibling-off ascent loop stays compact (one never-taken branch).
+  /// not erased). Returns true when a sibling served — served_by_sibling
+  /// / sibling set, the serve is at `hop` — and writes the serving copy's
+  /// version to `*served_version`. Kept out of line so the sibling-off
+  /// ascent loop stays compact (one never-taken branch).
   __attribute__((noinline)) bool TrySiblings(MessageContext& ctx, size_t hop,
                                              uint32_t* served_version);
 
-  /// Charges the serving tier's service seconds at `node_id`: analytic
-  /// replay → ctx.tier_service (the simulator adds it to the request
-  /// latency); event-driven → service demand on the node's queue
-  /// (non-shedding: a serve already under way is never refused).
-  void ChargeTierServe(MessageContext& ctx, topology::NodeId node_id,
-                       bool ram_hit);
+  /// Serves out of `node_id`'s tiers — the RAM tier only when `ram_only`
+  /// (disk outage), else ServeTiered with promotion — records the serve
+  /// and charges the tier's service seconds: analytic replay →
+  /// ctx.tier_service (added to the request latency); event-driven →
+  /// service demand on the node's queue (non-shedding: a serve already
+  /// under way is never refused).
+  void ServeTier(MessageContext& ctx, topology::NodeId node_id,
+                 bool ram_only);
 
   /// Route (path + delays) for a requester/attach pair: the dense cache
   /// entry when enabled (filled on first use), else a per-request
@@ -353,11 +386,11 @@ class Simulator {
   /// read ctx.link_costs, so the per-request cost-model evaluation is
   /// skipped entirely for them.
   bool scheme_uses_link_costs_;
-  /// Cached scheme->plain_lru_replay(): the unfaulted replay inlines the
-  /// plain-LRU serve/descend rule instead of the virtual dispatch.
+  /// Cached scheme->plain_lru_replay(): selects the kLeanLru exchange when
+  /// every feature is off.
   bool scheme_plain_lru_;
   /// Cached options.tier.active(): nodes run a RAM tier this run. Off
-  /// keeps the fused fast paths eligible and the replay bit-identical to
+  /// keeps the lean exchanges eligible and the replay bit-identical to
   /// the pre-tier pipeline.
   bool tiered_ = false;
   /// Sibling cooperation is live: options.sibling.enabled AND the
@@ -409,10 +442,11 @@ class Simulator {
   /// Per-request scratch (link costs, fault flags, decode blocks); reset,
   /// never reallocated, between requests.
   RequestArena arena_;
-  /// Reused exchange context; the invariant fields (cache plane, server
-  /// link delay) are wired in the constructor. The path/delay pointers are
-  /// repointed per request at the cached route (or the arena's resolved
-  /// path under the fault plane).
+  /// Reused exchange context of the hook-running exchanges; the invariant
+  /// fields (cache plane, server link delay) are wired in the
+  /// constructor. The path/delay pointers are repointed per request at
+  /// the cached route (or the arena's resolved path under the fault
+  /// plane).
   MessageContext ctx_;
   // --- Event-driven replay state, declared last: the analytic hot path
   // --- never touches it (beyond the queueing_ gate above), so keeping it
