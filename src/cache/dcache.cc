@@ -27,31 +27,32 @@ ObjectDescriptor* DCache::Insert(ObjectId id, const ObjectDescriptor& desc) {
   if (const SlotId slot = index_.Get(id); slot != kNoSlot) {
     ObjectDescriptor& stored = pool_.at(slot);
     stored = desc;
-    heap_.Update(id, PriorityOf(desc));
+    heap_.Update(slot, PriorityOf(desc));
     return &stored;
   }
   if (count_ >= capacity_) {
     // Admission: do not displace a higher-priority descriptor.
     if (PriorityOf(desc) < heap_.Top().second) return nullptr;
-    const ObjectId victim = heap_.Pop().first;
-    const SlotId victim_slot = index_.Get(victim);
-    CASCACHE_CHECK(victim_slot != kNoSlot);
-    index_.Erase(victim);
+    const SlotId victim_slot = heap_.Pop().first;
+    index_.Erase(ids_[victim_slot]);
     pool_.Free(victim_slot);
     --count_;
   }
   const SlotId slot = pool_.Alloc();
+  if (slot >= ids_.size()) ids_.resize(pool_.slot_span());
+  ids_[slot] = id;
   ObjectDescriptor& stored = pool_.at(slot);
   stored = desc;
   index_.Set(id, slot);
-  heap_.Push(id, PriorityOf(desc));
+  heap_.Push(slot, PriorityOf(desc));
   ++count_;
   return &stored;
 }
 
 void DCache::Refresh(ObjectId id, const ObjectDescriptor& desc) {
-  if (!heap_.Contains(id)) return;
-  heap_.Update(id, PriorityOf(desc));
+  const SlotId slot = index_.Get(id);
+  if (slot == kNoSlot) return;
+  heap_.Update(slot, PriorityOf(desc));
 }
 
 bool DCache::Erase(ObjectId id) {
@@ -60,7 +61,7 @@ bool DCache::Erase(ObjectId id) {
   index_.Erase(id);
   pool_.Free(slot);
   --count_;
-  CASCACHE_CHECK(heap_.Erase(id));
+  CASCACHE_CHECK(heap_.Erase(slot));
   return true;
 }
 

@@ -2,6 +2,7 @@
 #define CASCACHE_CACHE_DCACHE_H_
 
 #include <cstddef>
+#include <vector>
 
 #include "cache/descriptor.h"
 #include "cache/flat_store.h"
@@ -29,7 +30,9 @@ enum class DCachePolicy {
 /// table, so Find/Insert/Refresh are O(1) array hops with no hashing and
 /// no per-descriptor allocation; chunks are stable, so returned
 /// ObjectDescriptor pointers survive later insertions. The eviction heap
-/// is keyed by the dense ObjectId space (direct-index position map).
+/// is keyed by pool slot, with a slot→id array naming the victim, so its
+/// position map spans the d-cache capacity rather than the catalog: the
+/// only per-catalog-id state is the 4-byte id→slot table.
 class DCache {
  public:
   explicit DCache(size_t max_descriptors,
@@ -58,12 +61,9 @@ class DCache {
   bool Erase(ObjectId id);
   void Clear();
 
-  /// Selects sparse id-index/heap storage for huge sparse catalogs (see
+  /// Selects sparse id-index storage for huge sparse catalogs (see
   /// SlotIndex::SetSparse); the d-cache must be empty.
-  void SetSparse(bool sparse) {
-    index_.SetSparse(sparse);
-    heap_.SetSparse(sparse);
-  }
+  void SetSparse(bool sparse) { index_.SetSparse(sparse); }
 
   size_t size() const { return count_; }
   size_t capacity() const { return capacity_; }
@@ -79,9 +79,11 @@ class DCache {
   DCachePolicy policy_;
   ChunkedSlotPool<ObjectDescriptor> pool_;
   SlotIndex index_;
+  /// slot → id of the descriptor in it (names the heap's victim).
+  std::vector<ObjectId> ids_;
   size_t count_ = 0;
-  /// Min-heap on priority: the top is the eviction victim.
-  util::DenseIndexedMinHeap<ObjectId> heap_;
+  /// Min-heap of slots on priority: the top is the eviction victim.
+  util::DenseIndexedMinHeap<SlotId> heap_;
 };
 
 }  // namespace cascache::cache

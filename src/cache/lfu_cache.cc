@@ -15,6 +15,7 @@ SlotId LfuCache::AllocSlot() {
   const SlotId slot = static_cast<SlotId>(sizes_.size());
   sizes_.push_back(0);
   counts_.push_back(0);
+  ids_.push_back(0);
   return slot;
 }
 
@@ -28,7 +29,7 @@ bool LfuCache::Touch(ObjectId id) {
   const SlotId slot = index_.Get(id);
   if (slot == kNoSlot) return false;
   ++counts_[slot];
-  heap_.Update(id, static_cast<double>(counts_[slot]));
+  heap_.Update(slot, static_cast<double>(counts_[slot]));
   return true;
 }
 
@@ -42,9 +43,8 @@ const std::vector<ObjectId>& LfuCache::Insert(ObjectId id, uint64_t size,
 
   while (used_ + size > capacity_) {
     CASCACHE_CHECK(!heap_.empty());
-    const ObjectId victim = heap_.Pop().first;
-    const SlotId victim_slot = index_.Get(victim);
-    CASCACHE_DCHECK(victim_slot != kNoSlot);
+    const SlotId victim_slot = heap_.Pop().first;
+    const ObjectId victim = ids_[victim_slot];
     used_ -= sizes_[victim_slot];
     index_.Erase(victim);
     free_.push_back(victim_slot);
@@ -54,8 +54,9 @@ const std::vector<ObjectId>& LfuCache::Insert(ObjectId id, uint64_t size,
   const SlotId slot = AllocSlot();
   sizes_[slot] = size;
   counts_[slot] = 1;
+  ids_[slot] = id;
   index_.Set(id, slot);
-  heap_.Push(id, 1.0);
+  heap_.Push(slot, 1.0);
   used_ += size;
   ++count_;
   if (inserted != nullptr) *inserted = true;
@@ -69,7 +70,7 @@ bool LfuCache::Erase(ObjectId id) {
   index_.Erase(id);
   free_.push_back(slot);
   --count_;
-  CASCACHE_CHECK(heap_.Erase(id));
+  CASCACHE_CHECK(heap_.Erase(slot));
   return true;
 }
 

@@ -19,7 +19,9 @@ using trace::ObjectId;
 /// (Williams et al., cited as [19]) evaluated against LRU.
 ///
 /// Sizes and counts live in struct-of-arrays slots behind a direct-index
-/// id→slot table; the eviction heap uses the dense ObjectId position map.
+/// id→slot table; the eviction heap is keyed by slot (a slot→id array
+/// names the victim), so its position map spans resident objects, not
+/// the catalog.
 class LfuCache {
  public:
   explicit LfuCache(uint64_t capacity_bytes);
@@ -43,12 +45,9 @@ class LfuCache {
   bool Erase(ObjectId id);
   void Clear();
 
-  /// Selects sparse id-index/heap storage for huge sparse catalogs (see
+  /// Selects sparse id-index storage for huge sparse catalogs (see
   /// SlotIndex::SetSparse); the cache must be empty.
-  void SetSparse(bool sparse) {
-    index_.SetSparse(sparse);
-    heap_.SetSparse(sparse);
-  }
+  void SetSparse(bool sparse) { index_.SetSparse(sparse); }
 
   uint64_t capacity_bytes() const { return capacity_; }
   uint64_t used_bytes() const { return used_; }
@@ -67,12 +66,13 @@ class LfuCache {
   // Struct-of-arrays entry slots + direct id→slot index.
   std::vector<uint64_t> sizes_;
   std::vector<uint64_t> counts_;
+  std::vector<ObjectId> ids_;
   std::vector<SlotId> free_;
   SlotIndex index_;
   std::vector<ObjectId> evicted_scratch_;
 
-  /// Min-heap on count: top is the LFU victim.
-  util::DenseIndexedMinHeap<ObjectId> heap_;
+  /// Min-heap of slots on count: top is the LFU victim.
+  util::DenseIndexedMinHeap<SlotId> heap_;
 };
 
 }  // namespace cascache::cache

@@ -6,23 +6,10 @@ namespace cascache::cache {
 
 NclCache::NclCache(uint64_t capacity_bytes) : capacity_(capacity_bytes) {}
 
-SlotId NclCache::AllocSlot() {
-  if (!free_.empty()) {
-    const SlotId slot = free_.back();
-    free_.pop_back();
-    return slot;
-  }
-  const SlotId slot = static_cast<SlotId>(sizes_.size());
-  sizes_.push_back(0);
-  losses_.push_back(0.0);
-  ncls_.push_back(0.0);
-  return slot;
-}
-
 double NclCache::LossOf(ObjectId id) const {
   const SlotId slot = index_.Get(id);
   CASCACHE_CHECK_MSG(slot != kNoSlot, "object not cached");
-  return losses_[slot];
+  return slots_.at(slot).loss;
 }
 
 NclCache::EvictionPlan NclCache::PlanEviction(uint64_t need_bytes) const {
@@ -41,11 +28,12 @@ void NclCache::PlanEvictionInto(uint64_t need_bytes,
   }
   uint64_t to_free = need_bytes - free;
   for (const auto& [ncl, id] : order_) {
-    const SlotId slot = index_.Get(id);
-    CASCACHE_DCHECK(slot != kNoSlot);
+    const SlotId slot_id = index_.Get(id);
+    CASCACHE_DCHECK(slot_id != kNoSlot);
+    const Slot& slot = slots_.at(slot_id);
     plan->victims.push_back(id);
-    plan->cost_loss += losses_[slot];
-    plan->freed_bytes += sizes_[slot];
+    plan->cost_loss += slot.loss;
+    plan->freed_bytes += slot.size;
     if (plan->freed_bytes >= to_free) {
       plan->feasible = true;
       return;
@@ -59,6 +47,7 @@ const std::vector<ObjectId>& NclCache::Insert(ObjectId id, uint64_t size,
                                               double loss, bool* inserted) {
   if (inserted != nullptr) *inserted = false;
   evicted_scratch_.clear();
+  evicted_slots_.clear();
   CASCACHE_CHECK(size > 0);
   if (Contains(id)) {
     UpdateLoss(id, loss);
@@ -69,15 +58,17 @@ const std::vector<ObjectId>& NclCache::Insert(ObjectId id, uint64_t size,
   PlanEvictionInto(size, &insert_plan_);
   CASCACHE_CHECK(insert_plan_.feasible);
   for (ObjectId victim : insert_plan_.victims) {
+    evicted_slots_.push_back(index_.Get(victim));
     CASCACHE_CHECK(Erase(victim));
     evicted_scratch_.push_back(victim);
   }
-  const SlotId slot = AllocSlot();
-  sizes_[slot] = size;
-  losses_[slot] = loss;
-  ncls_[slot] = loss / static_cast<double>(size);
-  order_.emplace(ncls_[slot], id);
-  index_.Set(id, slot);
+  const SlotId slot_id = slots_.Alloc();
+  Slot& slot = slots_.at(slot_id);
+  slot.size = size;
+  slot.loss = loss;
+  slot.order_pos =
+      order_.emplace(loss / static_cast<double>(size), id).first;
+  index_.Set(id, slot_id);
   used_ += size;
   ++count_;
   if (inserted != nullptr) *inserted = true;
@@ -85,35 +76,35 @@ const std::vector<ObjectId>& NclCache::Insert(ObjectId id, uint64_t size,
 }
 
 bool NclCache::UpdateLoss(ObjectId id, double loss) {
-  const SlotId slot = index_.Get(id);
-  if (slot == kNoSlot) return false;
-  order_.erase({ncls_[slot], id});
-  losses_[slot] = loss;
-  ncls_[slot] = loss / static_cast<double>(sizes_[slot]);
-  order_.emplace(ncls_[slot], id);
+  const SlotId slot_id = index_.Get(id);
+  if (slot_id == kNoSlot) return false;
+  Slot& slot = slots_.at(slot_id);
+  slot.loss = loss;
+  const double ncl = loss / static_cast<double>(slot.size);
+  if (ncl == slot.order_pos->first) return true;  // Same key, same order.
+  // Re-key the node in place: no tree search, no free/allocate.
+  Order::node_type node = order_.extract(slot.order_pos);
+  node.value().first = ncl;
+  slot.order_pos = order_.insert(std::move(node)).position;
   return true;
 }
 
 bool NclCache::Erase(ObjectId id) {
-  const SlotId slot = index_.Get(id);
-  if (slot == kNoSlot) return false;
-  order_.erase({ncls_[slot], id});
-  used_ -= sizes_[slot];
+  const SlotId slot_id = index_.Get(id);
+  if (slot_id == kNoSlot) return false;
+  const Slot& slot = slots_.at(slot_id);
+  order_.erase(slot.order_pos);
+  used_ -= slot.size;
   index_.Erase(id);
-  free_.push_back(slot);
+  slots_.Free(slot_id);
   --count_;
   return true;
 }
 
 void NclCache::Clear() {
-  // Return every slot to the free list instead of shrinking the arrays
-  // (see FlatLru::Clear): a cleared store re-fills its old slots without
-  // regrowing.
-  free_.clear();
-  free_.reserve(sizes_.size());
-  for (SlotId slot = static_cast<SlotId>(sizes_.size()); slot-- > 0;) {
-    free_.push_back(slot);
-  }
+  // The pool keeps its chunks (see ChunkedSlotPool::Clear): a cleared
+  // store re-fills its old slots without regrowing.
+  slots_.Clear();
   index_.Clear();
   order_.clear();
   used_ = 0;

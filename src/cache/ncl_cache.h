@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "cache/descriptor.h"
 #include "cache/flat_store.h"
 #include "trace/object_catalog.h"
 
@@ -20,12 +21,21 @@ using trace::ObjectId;
 /// greedily in ascending NCL order until enough space is freed — the
 /// paper's knapsack heuristic.
 ///
-/// Entry storage is flat: size/loss/NCL live in struct-of-arrays slots
-/// behind a direct-index id→slot table, so the greedy plan scan and the
-/// per-access loss refresh touch contiguous arrays instead of hash nodes.
+/// Each entry lives in one chunked-pool slot behind a direct-index id→slot
+/// table: its size, loss, its position in the NCL order and the cached
+/// object's descriptor (paper §2.3: the descriptor of a cached object is
+/// kept with it). So a cost-mode node reads one id index to learn whether
+/// an object is cached *and* where its descriptor is; chunk stability
+/// keeps descriptor pointers valid across later insertions. Insert and
+/// the standalone store leave a new slot's descriptor unspecified — the
+/// owner (sim::CacheNode) writes it.
+///
 /// The ascending (NCL, id) order remains a std::set — the greedy scan
 /// needs non-destructive in-order traversal, and keeping the exact same
-/// comparator preserves bit-identical victim order.
+/// comparator preserves bit-identical victim order. Each slot keeps its
+/// set iterator, so Erase and UpdateLoss never search the tree, and
+/// UpdateLoss re-keys the set node in place (extract + insert) instead of
+/// freeing and allocating one.
 class NclCache {
  public:
   /// Greedy eviction preview: which objects would be purged to free
@@ -56,6 +66,13 @@ class NclCache {
   /// Cost loss (f·m) currently recorded for a cached object.
   double LossOf(ObjectId id) const;
 
+  /// Descriptor slot of a cached object; nullptr if absent. Stable until
+  /// the object leaves the store.
+  ObjectDescriptor* FindDescriptor(ObjectId id) {
+    const SlotId slot = index_.Get(id);
+    return slot == kNoSlot ? nullptr : &slots_.at(slot).desc;
+  }
+
   /// Plans the greedy smallest-NCL-first eviction that frees at least
   /// `need_bytes` beyond current free space; does not modify the cache.
   /// If the cache already has `need_bytes` free, the plan is empty and
@@ -74,8 +91,16 @@ class NclCache {
   const std::vector<ObjectId>& Insert(ObjectId id, uint64_t size, double loss,
                                       bool* inserted = nullptr);
 
-  /// Updates the cost loss (and hence NCL priority) of a cached object.
-  /// No-op if absent; returns presence.
+  /// The descriptor the i-th victim of the last Insert carried. Its slot
+  /// is already free and the new object may reuse it, so this is valid
+  /// only until the new object's descriptor is written.
+  const ObjectDescriptor& EvictedDescriptor(size_t i) const {
+    return slots_.at(evicted_slots_[i]).desc;
+  }
+
+  /// Updates the cost loss (and hence NCL priority) of a cached object;
+  /// the order is only touched when the NCL value changes. No-op if
+  /// absent; returns presence.
   bool UpdateLoss(ObjectId id, double loss);
 
   bool Erase(ObjectId id);
@@ -91,13 +116,31 @@ class NclCache {
   size_t num_objects() const { return count_; }
 
   /// High-water slot count (test/debug helper).
-  size_t slot_span() const { return sizes_.size(); }
+  size_t slot_span() const { return slots_.slot_span(); }
 
   /// Ids of all cached objects in ascending NCL order (test/debug helper).
   std::vector<ObjectId> IdsByNcl() const;
 
+  /// Visits every cached object in ascending NCL order; `fn` takes
+  /// (ObjectId, uint64_t size, const ObjectDescriptor&). Invariant checks
+  /// only — the hot path never iterates.
+  template <typename Fn>
+  void ForEach(Fn fn) const {
+    for (const auto& [ncl, id] : order_) {
+      const Slot& slot = slots_.at(index_.Get(id));
+      fn(id, slot.size, slot.desc);
+    }
+  }
+
  private:
-  SlotId AllocSlot();
+  using Order = std::set<std::pair<double, ObjectId>>;
+
+  struct Slot {
+    uint64_t size;
+    double loss;  ///< f·m
+    Order::iterator order_pos;  ///< This entry's (NCL, id) node.
+    ObjectDescriptor desc;
+  };
 
   uint64_t capacity_;
   uint64_t used_ = 0;
@@ -106,17 +149,14 @@ class NclCache {
   /// fresh victims vector per call.
   EvictionPlan insert_plan_;
   std::vector<ObjectId> evicted_scratch_;
+  std::vector<SlotId> evicted_slots_;  ///< Parallel to evicted_scratch_.
 
-  // Struct-of-arrays entry slots + direct id→slot index.
-  std::vector<uint64_t> sizes_;
-  std::vector<double> losses_;  ///< f·m
-  std::vector<double> ncls_;    ///< loss / size
-  std::vector<SlotId> free_;
+  ChunkedSlotPool<Slot> slots_;
   SlotIndex index_;
 
   /// Ascending (NCL, id) order; supports the greedy in-order scan that the
   /// heap alternative cannot provide without destructive pops.
-  std::set<std::pair<double, ObjectId>> order_;
+  Order order_;
 };
 
 }  // namespace cascache::cache

@@ -169,13 +169,8 @@ void CoordinatedScheme::OnDescend(sim::MessageContext& ctx, int hop) {
   } else {
     // Refresh the miss penalty of a known descriptor, or admit one into
     // the d-cache as the object passes through (paper §2.3-2.4).
-    if (node->FindDescriptor(ctx.object) != nullptr) {
-      node->UpdateMissPenalty(ctx.object, ctx.response.penalty, ctx.now);
-    } else {
-      cache::ObjectDescriptor* desc =
-          node->AdmitDescriptor(ctx.object, ctx.size, ctx.now);
-      if (desc != nullptr) desc->miss_penalty = ctx.response.penalty;
-    }
+    node->UpdateMissPenaltyOrAdmit(ctx.object, ctx.size, ctx.response.penalty,
+                                   ctx.now);
   }
 }
 

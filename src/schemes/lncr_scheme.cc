@@ -2,39 +2,26 @@
 
 namespace cascache::schemes {
 
-namespace {
-
-/// Record the access at one node; unknown objects get a d-cache
-/// descriptor (frequency estimation).
-void RecordAt(sim::MessageContext& ctx, int hop) {
-  sim::CacheNode* node = ctx.node(hop);
-  if (node->RecordAccess(ctx.object, ctx.now) == nullptr &&
-      !node->Contains(ctx.object)) {
-    node->AdmitDescriptor(ctx.object, ctx.size, ctx.now);
-  }
-}
-
-}  // namespace
-
 void LncrScheme::OnAscend(sim::MessageContext& ctx, int hop) {
   // Lost piggyback entry (fault plane): the hop's access is simply not
   // observed — LNC-R keeps no cross-hop alignment, so skipping the
   // frequency update is the whole fallback.
   if (ctx.request.piggyback_lost) return;
-  sim::CacheNode* node = ctx.node(hop);
-  if (node->RecordAccess(ctx.object, ctx.now) != nullptr) {
+  if (ctx.node(hop)->RecordAccessOrAdmit(ctx.object, ctx.size, ctx.now)) {
     // The ascent only visits nodes that could not serve, so a descriptor
     // found here lives in the d-cache.
     ctx.RecordDCacheHit(hop);
-  } else if (!node->Contains(ctx.object)) {
-    node->AdmitDescriptor(ctx.object, ctx.size, ctx.now);
   }
 }
 
 void LncrScheme::OnServe(sim::MessageContext& ctx) {
   // The serving cache also counts the access (this refreshes the
   // object's NCL priority there); the ascent handled every node below.
-  if (!ctx.origin_served()) RecordAt(ctx, ctx.hit_index());
+  // Unknown objects get a d-cache descriptor (frequency estimation).
+  if (!ctx.origin_served()) {
+    ctx.node(ctx.hit_index())
+        ->RecordAccessOrAdmit(ctx.object, ctx.size, ctx.now);
+  }
 }
 
 void LncrScheme::OnSiblingServe(sim::MessageContext& ctx) {
@@ -42,14 +29,10 @@ void LncrScheme::OnSiblingServe(sim::MessageContext& ctx) {
   // refreshes the NCL priority of the copy that actually served). The
   // probing hop records nothing — exactly as if it had served locally
   // (OnAscend never runs at a serving point), keeping hop alignment
-  // identical to a local hit. The d-cache fallback mirrors RecordAt for
+  // identical to a local hit. The d-cache fallback mirrors OnServe for
   // uniformity; it cannot fire here because the sibling holds the copy.
-  sim::CacheNode* sibling =
-      &ctx.caches->nodes_data()[ctx.response.sibling];
-  if (sibling->RecordAccess(ctx.object, ctx.now) == nullptr &&
-      !sibling->Contains(ctx.object)) {
-    sibling->AdmitDescriptor(ctx.object, ctx.size, ctx.now);
-  }
+  ctx.caches->nodes_data()[ctx.response.sibling].RecordAccessOrAdmit(
+      ctx.object, ctx.size, ctx.now);
 }
 
 void LncrScheme::OnDescend(sim::MessageContext& ctx, int hop) {

@@ -26,9 +26,7 @@ void CacheNode::Reset(const CacheNodeConfig& config) {
   const bool reuse = SameStoreShape(config_, config);
   config_ = config;
   estimator_ = cache::FrequencyEstimator(config.frequency);
-  main_descriptors_.Clear();
   copy_stamps_.Clear();
-  main_descriptors_.SetSparse(config_.sparse_ids);
   copy_stamps_.SetSparse(config_.sparse_ids);
   if (reuse) {
     // Same store shape (the common case: crash cold-restarts re-apply the
@@ -103,12 +101,11 @@ bool CacheNode::EraseObject(ObjectId id) {
   if (lru_ != nullptr) return lru_->Erase(id);
   if (gds_ != nullptr) return gds_->Erase(id);
   if (lfu_ != nullptr) return lfu_->Erase(id);
-  if (!ncl_->Erase(id)) return false;
+  const ObjectDescriptor* desc = ncl_->FindDescriptor(id);
+  if (desc == nullptr) return false;
   // Demote the descriptor so the access history survives the drop.
-  if (ObjectDescriptor* desc = main_descriptors_.Find(id); desc != nullptr) {
-    if (dcache_ != nullptr) dcache_->Insert(id, *desc);
-    main_descriptors_.Erase(id);
-  }
+  if (dcache_ != nullptr) dcache_->Insert(id, *desc);
+  ncl_->Erase(id);
   return true;
 }
 
@@ -160,22 +157,19 @@ bool CacheNode::CheckInvariants() const {
     });
     if (!included) return false;
   }
-  if (ncl_ == nullptr) {
-    return main_descriptors_.size() == 0;
-  }
-  if (ncl_->num_objects() != main_descriptors_.size()) return false;
+  if (ncl_ == nullptr) return true;
+  // The cached objects and their descriptors share NclCache slots, so
+  // they coincide by construction; check sizes and d-cache disjointness.
   bool ok = true;
-  main_descriptors_.ForEach(
-      [&](ObjectId id, const ObjectDescriptor& desc) {
-        if (!ncl_->Contains(id)) ok = false;
-        if (dcache_ != nullptr && dcache_->Contains(id)) ok = false;
-        if (desc.size == 0) ok = false;
-      });
+  ncl_->ForEach([&](ObjectId id, uint64_t size, const ObjectDescriptor& desc) {
+    if (dcache_ != nullptr && dcache_->Contains(id)) ok = false;
+    if (desc.size != size) ok = false;
+  });
   return ok;
 }
 
 ObjectDescriptor* CacheNode::FindDescriptor(ObjectId id) {
-  if (ObjectDescriptor* desc = main_descriptors_.Find(id); desc != nullptr) {
+  if (ObjectDescriptor* desc = MainDescriptor(id); desc != nullptr) {
     return desc;
   }
   if (dcache_ != nullptr) return dcache_->Find(id);
@@ -183,15 +177,24 @@ ObjectDescriptor* CacheNode::FindDescriptor(ObjectId id) {
 }
 
 ObjectDescriptor* CacheNode::RecordAccess(ObjectId id, double now) {
-  ObjectDescriptor* desc = FindDescriptor(id);
-  if (desc == nullptr) return nullptr;
-  estimator_.OnAccess(desc, now);
-  if (DescriptorInMain(id)) {
-    RefreshLoss(id, now);
-  } else if (dcache_ != nullptr) {
+  if (ObjectDescriptor* desc = MainDescriptor(id); desc != nullptr) {
+    estimator_.OnAccess(desc, now);
+    RefreshLoss(id, desc, now);
+    return desc;
+  }
+  if (dcache_ == nullptr) return nullptr;
+  ObjectDescriptor* desc = dcache_->Find(id);
+  if (desc != nullptr) {
+    estimator_.OnAccess(desc, now);
     dcache_->Refresh(id, *desc);
   }
   return desc;
+}
+
+bool CacheNode::RecordAccessOrAdmit(ObjectId id, uint64_t size, double now) {
+  if (RecordAccess(id, now) != nullptr) return true;
+  if (dcache_ != nullptr) AdmitNew(id, size, now);
+  return false;
 }
 
 ObjectDescriptor* CacheNode::AdmitDescriptor(ObjectId id, uint64_t size,
@@ -201,6 +204,11 @@ ObjectDescriptor* CacheNode::AdmitDescriptor(ObjectId id, uint64_t size,
   if (ObjectDescriptor* existing = dcache_->Find(id); existing != nullptr) {
     return existing;
   }
+  return AdmitNew(id, size, now);
+}
+
+ObjectDescriptor* CacheNode::AdmitNew(ObjectId id, uint64_t size,
+                                      double now) {
   ObjectDescriptor desc;
   desc.size = size;
   estimator_.OnAccess(&desc, now);  // Record the access that brought it in.
@@ -212,7 +220,20 @@ void CacheNode::UpdateMissPenalty(ObjectId id, double miss_penalty,
   ObjectDescriptor* desc = FindDescriptor(id);
   if (desc == nullptr) return;
   desc->miss_penalty = miss_penalty;
-  if (DescriptorInMain(id)) RefreshLoss(id, now);
+  if (DescriptorInMain(id)) RefreshLoss(id, desc, now);
+}
+
+void CacheNode::UpdateMissPenaltyOrAdmit(ObjectId id, uint64_t size,
+                                         double miss_penalty, double now) {
+  if (ObjectDescriptor* desc = MainDescriptor(id); desc != nullptr) {
+    desc->miss_penalty = miss_penalty;
+    RefreshLoss(id, desc, now);
+    return;
+  }
+  if (dcache_ == nullptr) return;
+  ObjectDescriptor* desc = dcache_->Find(id);
+  if (desc == nullptr) desc = AdmitNew(id, size, now);
+  if (desc != nullptr) desc->miss_penalty = miss_penalty;
 }
 
 cache::NclCache::EvictionPlan CacheNode::PlanEvictionFor(
@@ -259,25 +280,27 @@ bool CacheNode::InsertCost(ObjectId id, uint64_t size, double miss_penalty,
   CASCACHE_CHECK(inserted);
 
   // Demote evicted objects' descriptors to the d-cache (their history is
-  // worth keeping; LFU admission may still reject cold ones).
-  for (ObjectId victim : evicted) {
-    ObjectDescriptor* victim_desc = main_descriptors_.Find(victim);
-    CASCACHE_CHECK(victim_desc != nullptr);
-    if (dcache_ != nullptr) {
-      dcache_->Insert(victim, *victim_desc);
+  // worth keeping; LFU admission may still reject cold ones). This must
+  // precede writing the new descriptor: the new object may have taken a
+  // victim's slot.
+  if (dcache_ != nullptr) {
+    for (size_t i = 0; i < evicted.size(); ++i) {
+      dcache_->Insert(evicted[i], ncl_->EvictedDescriptor(i));
     }
-    main_descriptors_.Erase(victim);
   }
-  main_descriptors_.Insert(id, desc);
+  *ncl_->FindDescriptor(id) = desc;
   if (evicted_out != nullptr) *evicted_out = evicted;
   return true;
 }
 
 void CacheNode::RefreshLoss(ObjectId id, double now) {
   CASCACHE_CHECK(ncl_ != nullptr);
-  ObjectDescriptor* desc = main_descriptors_.Find(id);
-  CASCACHE_CHECK_MSG(desc != nullptr,
-                     "RefreshLoss on object without main descriptor");
+  ObjectDescriptor* desc = ncl_->FindDescriptor(id);
+  CASCACHE_CHECK_MSG(desc != nullptr, "RefreshLoss on object not cached");
+  RefreshLoss(id, desc, now);
+}
+
+void CacheNode::RefreshLoss(ObjectId id, ObjectDescriptor* desc, double now) {
   const double frequency = estimator_.Estimate(desc, now);
   ncl_->UpdateLoss(id, frequency * desc->miss_penalty);
 }

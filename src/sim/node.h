@@ -6,7 +6,6 @@
 
 #include "cache/dcache.h"
 #include "cache/descriptor.h"
-#include "cache/descriptor_table.h"
 #include "cache/flat_lru.h"
 #include "cache/flat_store.h"
 #include "cache/frequency.h"
@@ -167,8 +166,8 @@ class CacheNode {
   const CopyStamp* FindCopy(ObjectId id) const;
 
   /// Structural invariants, used by tests and debug sweeps: byte usage
-  /// within capacity; in cost mode, the cached-object set and the main
-  /// descriptor table coincide and are disjoint from the d-cache.
+  /// within capacity; in cost mode, every cached object's descriptor
+  /// records its size and the cached set is disjoint from the d-cache.
   bool CheckInvariants() const;
 
   uint64_t used_bytes() const;
@@ -209,14 +208,15 @@ class CacheNode {
   }
   cache::DCache* dcache() { return dcache_.get(); }
 
-  /// Descriptor of an object, whether cached (main table) or tracked in
-  /// the d-cache; nullptr if unknown at this node.
+  /// Descriptor of an object, whether cached (main, kept in the object's
+  /// store slot) or tracked in the d-cache; nullptr if unknown at this
+  /// node.
   ObjectDescriptor* FindDescriptor(ObjectId id);
 
-  /// True if the object's descriptor lives in the main table (object is
+  /// True if the object's descriptor is a main descriptor (object is
   /// cached here).
   bool DescriptorInMain(ObjectId id) const {
-    return main_descriptors_.Contains(id);
+    return ncl_ != nullptr && ncl_->Contains(id);
   }
 
   /// Records an access on the object's descriptor if the node knows the
@@ -224,6 +224,11 @@ class CacheNode {
   /// its NCL eviction priority; for d-cached descriptors, its LFU
   /// priority. Returns the descriptor, or nullptr if unknown.
   ObjectDescriptor* RecordAccess(ObjectId id, double now);
+
+  /// RecordAccess, and for an unknown object AdmitDescriptor, in one
+  /// lookup pass (LNC-R's per-hop access). Returns whether the node
+  /// already knew the object.
+  bool RecordAccessOrAdmit(ObjectId id, uint64_t size, double now);
 
   /// Ensures the d-cache has a descriptor for a non-cached object,
   /// creating one (with a single access at `now`) if absent. Subject to
@@ -235,6 +240,12 @@ class CacheNode {
   /// refreshing the dependent priorities. No-op if the node has no
   /// descriptor for it.
   void UpdateMissPenalty(ObjectId id, double miss_penalty, double now);
+
+  /// UpdateMissPenalty for a known object; otherwise AdmitDescriptor and
+  /// set the admitted descriptor's miss penalty (the response descent
+  /// past a non-selected node, paper §2.3-2.4), in one lookup pass.
+  void UpdateMissPenaltyOrAdmit(ObjectId id, uint64_t size,
+                                double miss_penalty, double now);
 
   /// Greedy NCL eviction preview for inserting `size` bytes (paper §2.1's
   /// l computation). Cost mode only.
@@ -259,6 +270,16 @@ class CacheNode {
   void RefreshLoss(ObjectId id, double now);
 
  private:
+  /// Main descriptor of a cached object; nullptr if not cached here (or
+  /// not in cost mode).
+  ObjectDescriptor* MainDescriptor(ObjectId id) {
+    return ncl_ != nullptr ? ncl_->FindDescriptor(id) : nullptr;
+  }
+  void RefreshLoss(ObjectId id, ObjectDescriptor* desc, double now);
+  /// Creates and inserts a d-cache descriptor for an object the node does
+  /// not know; the d-cache must exist. nullptr if admission rejects it.
+  ObjectDescriptor* AdmitNew(ObjectId id, uint64_t size, double now);
+
   topology::NodeId id_;
   CacheNodeConfig config_;
   cache::FrequencyEstimator estimator_;
@@ -266,13 +287,13 @@ class CacheNode {
   std::unique_ptr<cache::FlatLru> lru_;
   /// Inclusive RAM tier over the mode store (nullptr = untiered).
   std::unique_ptr<cache::FlatLru> ram_;
+  /// Cost-mode store; also holds the descriptors of the objects it
+  /// caches, in their slots (stable pointers, one id index).
   std::unique_ptr<cache::NclCache> ncl_;
   std::unique_ptr<cache::GdsCache> gds_;
   std::unique_ptr<cache::LfuCache> lfu_;
+  /// Descriptors of hot objects not cached here (nullptr = disabled).
   std::unique_ptr<cache::DCache> dcache_;
-  /// Descriptors of objects currently in the cost-mode main cache
-  /// (chunked pool: stable pointers, no per-descriptor allocation).
-  cache::DescriptorTable main_descriptors_;
   /// Freshness stamps of cached copies (populated only when the simulator
   /// runs with coherency tracking). May contain leftover stamps for
   /// objects the store evicted internally; consumers must check

@@ -26,36 +26,24 @@ class HashPosMap {
   void Set(const Key& key, size_t pos) { pos_[key] = pos; }
   void Erase(const Key& key) { pos_.erase(key); }
   void Clear() { pos_.clear(); }
-  /// Storage-mode hint; a no-op here (hashing is already id-sparse).
-  void SetSparse(bool) {}
   size_t size() const { return pos_.size(); }
 
  private:
   std::unordered_map<Key, size_t, Hash> pos_;
 };
 
-/// Direct-index key→heap-position map for keys that are dense unsigned
-/// integers (the closed ObjectId catalog): one array load per lookup
-/// instead of a hash probe. Grows lazily to the largest key seen; Clear
-/// is O(1) (the table re-grows on demand, retaining capacity).
-///
-/// SetSparse switches to a hash table internally: at huge catalogs
-/// (10^8 ids) the dense array would cost 8 bytes per id *per heap*
-/// (~800 MB each in the LFU store and every d-cache), while heap
-/// operations run only on misses — hashing there is cheap relative to
-/// what it saves. The dense fast path keeps one predictable branch.
+/// Direct-index key→heap-position map for small dense unsigned keys: one
+/// array load per lookup instead of a hash probe. The stores key their
+/// heaps by pool SlotId, not ObjectId, so the table spans the store's
+/// capacity (resident entries), never the catalog. Grows lazily to the
+/// largest key seen; Clear is O(1) (the table re-grows on demand,
+/// retaining capacity).
 class DensePosMap {
  public:
   size_t Lookup(uint32_t key) const {
-    if (!sparse_) return key < pos_.size() ? pos_[key] : kHeapNpos;
-    auto it = sparse_pos_.find(key);
-    return it == sparse_pos_.end() ? kHeapNpos : it->second;
+    return key < pos_.size() ? pos_[key] : kHeapNpos;
   }
   void Set(uint32_t key, size_t pos) {
-    if (sparse_) {
-      sparse_pos_[key] = pos;
-      return;
-    }
     if (key >= pos_.size()) {
       const size_t target =
           std::max<size_t>(static_cast<size_t>(key) + 1, pos_.size() * 2);
@@ -64,43 +52,31 @@ class DensePosMap {
     pos_[key] = pos;
   }
   void Erase(uint32_t key) {
-    if (sparse_) {
-      sparse_pos_.erase(key);
-      return;
-    }
     if (key < pos_.size()) pos_[key] = kHeapNpos;
     --count_;  // Callers only erase present keys (heap invariant).
   }
   void Clear() {
     pos_.clear();
-    sparse_pos_.clear();
     count_ = 0;
   }
-  /// Selects dense (default) or hash storage; the map must be empty.
-  void SetSparse(bool sparse) {
-    CASCACHE_CHECK(count_ == 0 && sparse_pos_.empty());
-    sparse_ = sparse;
-  }
-  size_t size() const { return sparse_ ? sparse_pos_.size() : count_; }
+  size_t size() const { return count_; }
 
  private:
   std::vector<size_t> pos_;
   size_t count_ = 0;
-  bool sparse_ = false;
-  std::unordered_map<uint32_t, size_t> sparse_pos_;
 };
 
 /// Binary min-heap over (key, priority) pairs with O(log n) priority update
-/// and erase by key. This backs the NCL-ordered cache store (descriptors
-/// keyed by normalized cost loss, §2.4 of the paper: "descriptors of cached
-/// objects can be organized as a heap based on their normalized cost
-/// losses") and the LFU d-cache.
+/// and erase by key. This backs the LFU d-cache (paper §2.4) and the
+/// in-cache LFU store.
 ///
 /// Keys must be unique. Priorities are doubles; ties are broken
 /// arbitrarily (but deterministically: the sift order depends only on the
-/// operation sequence, so the PosMap policy never changes victims).
+/// priorities and the operation sequence, never on the keys, so neither
+/// the PosMap policy nor what the key names changes victims).
 /// The PosMap parameter selects the key→position index: HashPosMap for
-/// arbitrary keys, DensePosMap for dense uint32 keys (ObjectId stores).
+/// arbitrary keys, DensePosMap for small dense uint32 keys (the stores'
+/// pool slots).
 template <typename Key, typename PosMap = HashPosMap<Key>>
 class IndexedMinHeap {
  public:
@@ -175,14 +151,6 @@ class IndexedMinHeap {
     pos_.Clear();
   }
 
-  /// Forwards the position-map storage mode (DensePosMap switches to
-  /// hashing for huge sparse key spaces; HashPosMap ignores it). The
-  /// heap must be empty.
-  void SetSparse(bool sparse) {
-    CASCACHE_CHECK(entries_.empty());
-    pos_.SetSparse(sparse);
-  }
-
   /// Unordered view of all entries (heap order, not priority order).
   const std::vector<std::pair<Key, double>>& entries() const {
     return entries_;
@@ -252,7 +220,7 @@ class IndexedMinHeap {
   PosMap pos_;
 };
 
-/// Heap over the dense ObjectId space: direct-index position map.
+/// Heap over small dense keys (pool slots): direct-index position map.
 template <typename Key>
 using DenseIndexedMinHeap = IndexedMinHeap<Key, DensePosMap>;
 

@@ -1,6 +1,7 @@
 // Differential tests for the flat cache plane: the production stores
 // (FlatLru over a struct-of-arrays slot pool, DCache over a pooled
-// descriptor table) are driven through long random operation sequences in
+// descriptor table with a slot-keyed heap, NclCache with descriptors and
+// set positions in its slots) are driven through long random operation sequences in
 // lock-step with the historical node-based implementations kept as
 // oracles in tests/testing/ref_caches.h. Every observable — return
 // values, membership, byte accounting, eviction order, descriptor
@@ -13,6 +14,7 @@
 
 #include "cache/dcache.h"
 #include "cache/flat_lru.h"
+#include "cache/ncl_cache.h"
 #include "testing/ref_caches.h"
 #include "util/random.h"
 
@@ -21,6 +23,7 @@ namespace {
 
 using cascache::testing::RefDCache;
 using cascache::testing::RefLruCache;
+using cascache::testing::RefNclCache;
 using trace::ObjectId;
 using util::Rng;
 
@@ -168,6 +171,72 @@ TEST(DCacheDifferentialTest, ZeroCapacityRejectsEverywhere) {
   EXPECT_EQ(ref.Insert(7, desc), nullptr);
   EXPECT_FALSE(flat.Contains(7));
   EXPECT_FALSE(ref.Contains(7));
+}
+
+// NCL store: random Insert / UpdateLoss / Erase / PlanEviction / Clear in
+// lock-step with the historical store. Losses are mostly exact multiples
+// of the size from a small set, so many ids share an NCL value and the
+// (NCL, id) tie-break decides the order; a quarter of the updates re-set
+// the current loss, the case the production store skips re-keying for.
+TEST(NclCacheDifferentialTest, MatchesReferenceUnderRandomOps) {
+  Rng rng(20030305);
+  constexpr uint64_t kCapacity = 4096;
+  NclCache flat(kCapacity);
+  RefNclCache ref(kCapacity);
+  NclCache::EvictionPlan flat_plan;
+  NclCache::EvictionPlan ref_plan;
+  const double kNcls[] = {0.25, 0.5, 1.0, 2.0};
+  auto random_loss = [&](uint64_t size) {
+    if (rng.NextDouble(0.0, 1.0) < 0.8) {
+      return kNcls[rng.NextUint64(4)] * static_cast<double>(size);
+    }
+    return rng.NextDouble(0.0, 50.0);
+  };
+  for (int step = 0; step < 100000; ++step) {
+    const ObjectId id = static_cast<ObjectId>(rng.NextUint64(150));
+    const double dice = rng.NextDouble(0.0, 1.0);
+    if (dice < 0.35) {
+      const uint64_t size = 1 + rng.NextUint64(kCapacity / 8);
+      const double loss = random_loss(size);
+      bool flat_inserted = false;
+      bool ref_inserted = false;
+      const std::vector<ObjectId>& flat_evicted =
+          flat.Insert(id, size, loss, &flat_inserted);
+      const std::vector<ObjectId>& ref_evicted =
+          ref.Insert(id, size, loss, &ref_inserted);
+      ASSERT_EQ(flat_inserted, ref_inserted) << "step " << step;
+      ASSERT_EQ(flat_evicted, ref_evicted) << "step " << step;
+    } else if (dice < 0.65) {
+      double loss = random_loss(1 + rng.NextUint64(kCapacity / 8));
+      if (ref.Contains(id) && rng.NextDouble(0.0, 1.0) < 0.25) {
+        loss = ref.LossOf(id);  // Equal-loss update: order unchanged.
+      }
+      ASSERT_EQ(flat.UpdateLoss(id, loss), ref.UpdateLoss(id, loss))
+          << "step " << step;
+    } else if (dice < 0.8) {
+      ASSERT_EQ(flat.Erase(id), ref.Erase(id)) << "step " << step;
+    } else if (dice < 0.998) {
+      const uint64_t need = 1 + rng.NextUint64(kCapacity + kCapacity / 4);
+      flat.PlanEvictionInto(need, &flat_plan);
+      ref.PlanEvictionInto(need, &ref_plan);
+      ASSERT_EQ(flat_plan.victims, ref_plan.victims) << "step " << step;
+      // Same summation order, so bit-identical, not merely close.
+      ASSERT_EQ(flat_plan.cost_loss, ref_plan.cost_loss) << "step " << step;
+      ASSERT_EQ(flat_plan.freed_bytes, ref_plan.freed_bytes)
+          << "step " << step;
+      ASSERT_EQ(flat_plan.feasible, ref_plan.feasible) << "step " << step;
+    } else {
+      flat.Clear();
+      ref.Clear();
+    }
+    ASSERT_EQ(flat.used_bytes(), ref.used_bytes()) << "step " << step;
+    ASSERT_EQ(flat.num_objects(), ref.num_objects()) << "step " << step;
+    ASSERT_EQ(flat.IdsByNcl(), ref.IdsByNcl()) << "step " << step;
+  }
+  for (ObjectId id = 0; id < 150; ++id) {
+    ASSERT_EQ(flat.Contains(id), ref.Contains(id)) << "id " << id;
+    if (ref.Contains(id)) ASSERT_EQ(flat.LossOf(id), ref.LossOf(id));
+  }
 }
 
 }  // namespace

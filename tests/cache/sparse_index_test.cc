@@ -1,5 +1,5 @@
-// Tests for the sparse (hashed) mode of the store id->slot tables:
-// cache::SlotIndex and util::DensePosMap. Sparse mode backs huge
+// Tests for the sparse (hashed) mode of the store id->slot table,
+// cache::SlotIndex. Sparse mode backs huge
 // procedural catalogs (> 2^24 ids), where dense direct-index tables
 // would blow the memory budget.
 
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "cache/flat_store.h"
-#include "util/indexed_heap.h"
 #include "util/random.h"
 
 namespace cascache::cache {
@@ -102,25 +101,3 @@ TEST(SparseSlotIndexTest, DenseModeUnchangedByDefault) {
 
 }  // namespace
 }  // namespace cascache::cache
-
-namespace cascache::util {
-namespace {
-
-TEST(SparseDensePosMapTest, InsertLookupEraseClear) {
-  DensePosMap map;
-  map.SetSparse(true);
-  EXPECT_EQ(map.Lookup(5), kHeapNpos);
-  map.Set(5, 0);
-  map.Set(80'000'000, 1);
-  EXPECT_EQ(map.Lookup(5), 0u);
-  EXPECT_EQ(map.Lookup(80'000'000), 1u);
-  map.Erase(5);
-  EXPECT_EQ(map.Lookup(5), kHeapNpos);
-  EXPECT_EQ(map.size(), 1u);
-  map.Clear();
-  EXPECT_EQ(map.Lookup(80'000'000), kHeapNpos);
-  EXPECT_EQ(map.size(), 0u);
-}
-
-}  // namespace
-}  // namespace cascache::util

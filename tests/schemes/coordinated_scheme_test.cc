@@ -101,7 +101,7 @@ TEST_F(CoordinatedSchemeTest, InsertedCopyResetsDownstreamPenalty) {
   simulator.Step(At(1.0, 0), false);
   simulator.Step(At(2.0, 0), false);  // Leaf caches the object.
   ASSERT_TRUE(network_->node(3)->Contains(0));
-  network_->node(3)->ncl()->Erase(0);  // Forcibly drop the copy (keep desc).
+  network_->node(3)->EraseObject(0);  // Forcibly drop the copy (keep desc).
 
   simulator.Step(At(3.0, 0), false);  // Origin serves again.
   // The object is re-placed at the leaf (it is clearly hot there now).

@@ -215,9 +215,28 @@ TEST(CacheNodeTest, CheckInvariantsCatchesCorruption) {
   CacheNode node(0, CostConfig());
   ASSERT_TRUE(node.InsertCost(1, 100, 5.0, 1.0));
   EXPECT_TRUE(node.CheckInvariants());
-  // Bypass the CacheNode API to desynchronize store and descriptors.
-  node.ncl()->Erase(1);
+  // Bypass the CacheNode API to give a cached object a d-cache
+  // descriptor too, breaking disjointness.
+  node.dcache()->Insert(1, *node.FindDescriptor(1));
   EXPECT_FALSE(node.CheckInvariants());
+}
+
+// Main descriptors live in the store's chunked slots: a descriptor
+// pointer must survive later insertions that grow the store past a chunk
+// and recycle other objects' slots.
+TEST(CacheNodeTest, DescriptorPointersSurviveLaterInsertions) {
+  CacheNode node(0, CostConfig(/*capacity=*/600 * 10));
+  ASSERT_TRUE(node.InsertCost(1, 10, 1e9, 1.0));  // Far too costly to evict.
+  ObjectDescriptor* desc = node.FindDescriptor(1);
+  ASSERT_NE(desc, nullptr);
+  for (ObjectId id = 2; id < 2000; ++id) {
+    ASSERT_TRUE(node.InsertCost(id, 10, 1.0, 2.0));
+  }
+  ASSERT_TRUE(node.Contains(1));
+  EXPECT_EQ(node.FindDescriptor(1), desc);
+  EXPECT_EQ(desc->size, 10u);
+  EXPECT_DOUBLE_EQ(desc->miss_penalty, 1e9);
+  EXPECT_TRUE(node.CheckInvariants());
 }
 
 TEST(CacheNodeTest, ResetClearsEverything) {

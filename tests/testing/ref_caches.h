@@ -3,11 +3,15 @@
 
 #include <cstdint>
 #include <list>
+#include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cache/descriptor.h"
 #include "cache/dcache.h"
+#include "cache/flat_store.h"
+#include "cache/ncl_cache.h"
 #include "trace/object_catalog.h"
 #include "util/check.h"
 #include "util/indexed_heap.h"
@@ -240,6 +244,148 @@ class RefDCache {
   cache::DCachePolicy policy_;
   std::unordered_map<ObjectId, cache::ObjectDescriptor> descriptors_;
   util::IndexedMinHeap<ObjectId> heap_;
+};
+
+/// Reference NCL store oracle: the historical NclCache, verbatim — size,
+/// loss and NCL in struct-of-arrays slots behind their own id→slot index,
+/// and the (NCL, id) std::set reordered by erase + emplace on every loss
+/// update. The production NclCache (descriptors in its slots, per-slot
+/// set iterators, in-place re-keying) must match it observably.
+class RefNclCache {
+ public:
+  using EvictionPlan = cache::NclCache::EvictionPlan;
+
+  explicit RefNclCache(uint64_t capacity_bytes) : capacity_(capacity_bytes) {}
+
+  bool Contains(ObjectId id) const { return index_.Contains(id); }
+
+  double LossOf(ObjectId id) const {
+    const cache::SlotId slot = index_.Get(id);
+    CASCACHE_CHECK_MSG(slot != cache::kNoSlot, "object not cached");
+    return losses_[slot];
+  }
+
+  void PlanEvictionInto(uint64_t need_bytes, EvictionPlan* plan) const {
+    plan->Clear();
+    const uint64_t free = capacity_ - used_;
+    if (free >= need_bytes) {
+      plan->feasible = true;
+      return;
+    }
+    uint64_t to_free = need_bytes - free;
+    for (const auto& [ncl, id] : order_) {
+      const cache::SlotId slot = index_.Get(id);
+      CASCACHE_DCHECK(slot != cache::kNoSlot);
+      plan->victims.push_back(id);
+      plan->cost_loss += losses_[slot];
+      plan->freed_bytes += sizes_[slot];
+      if (plan->freed_bytes >= to_free) {
+        plan->feasible = true;
+        return;
+      }
+    }
+    // Even evicting everything is not enough.
+    plan->feasible = false;
+  }
+
+  const std::vector<ObjectId>& Insert(ObjectId id, uint64_t size, double loss,
+                                      bool* inserted = nullptr) {
+    if (inserted != nullptr) *inserted = false;
+    evicted_scratch_.clear();
+    CASCACHE_CHECK(size > 0);
+    if (Contains(id)) {
+      UpdateLoss(id, loss);
+      return evicted_scratch_;
+    }
+    if (size > capacity_) return evicted_scratch_;
+
+    PlanEvictionInto(size, &insert_plan_);
+    CASCACHE_CHECK(insert_plan_.feasible);
+    for (ObjectId victim : insert_plan_.victims) {
+      CASCACHE_CHECK(Erase(victim));
+      evicted_scratch_.push_back(victim);
+    }
+    const cache::SlotId slot = AllocSlot();
+    sizes_[slot] = size;
+    losses_[slot] = loss;
+    ncls_[slot] = loss / static_cast<double>(size);
+    order_.emplace(ncls_[slot], id);
+    index_.Set(id, slot);
+    used_ += size;
+    ++count_;
+    if (inserted != nullptr) *inserted = true;
+    return evicted_scratch_;
+  }
+
+  bool UpdateLoss(ObjectId id, double loss) {
+    const cache::SlotId slot = index_.Get(id);
+    if (slot == cache::kNoSlot) return false;
+    order_.erase({ncls_[slot], id});
+    losses_[slot] = loss;
+    ncls_[slot] = loss / static_cast<double>(sizes_[slot]);
+    order_.emplace(ncls_[slot], id);
+    return true;
+  }
+
+  bool Erase(ObjectId id) {
+    const cache::SlotId slot = index_.Get(id);
+    if (slot == cache::kNoSlot) return false;
+    order_.erase({ncls_[slot], id});
+    used_ -= sizes_[slot];
+    index_.Erase(id);
+    free_.push_back(slot);
+    --count_;
+    return true;
+  }
+
+  void Clear() {
+    free_.clear();
+    free_.reserve(sizes_.size());
+    for (cache::SlotId slot = static_cast<cache::SlotId>(sizes_.size());
+         slot-- > 0;) {
+      free_.push_back(slot);
+    }
+    index_.Clear();
+    order_.clear();
+    used_ = 0;
+    count_ = 0;
+  }
+
+  uint64_t used_bytes() const { return used_; }
+  size_t num_objects() const { return count_; }
+
+  std::vector<ObjectId> IdsByNcl() const {
+    std::vector<ObjectId> ids;
+    ids.reserve(order_.size());
+    for (const auto& [ncl, id] : order_) ids.push_back(id);
+    return ids;
+  }
+
+ private:
+  cache::SlotId AllocSlot() {
+    if (!free_.empty()) {
+      const cache::SlotId slot = free_.back();
+      free_.pop_back();
+      return slot;
+    }
+    const cache::SlotId slot = static_cast<cache::SlotId>(sizes_.size());
+    sizes_.push_back(0);
+    losses_.push_back(0.0);
+    ncls_.push_back(0.0);
+    return slot;
+  }
+
+  uint64_t capacity_;
+  uint64_t used_ = 0;
+  size_t count_ = 0;
+  EvictionPlan insert_plan_;
+  std::vector<ObjectId> evicted_scratch_;
+  std::vector<uint64_t> sizes_;
+  std::vector<double> losses_;  ///< f·m
+  std::vector<double> ncls_;    ///< loss / size
+  std::vector<cache::SlotId> free_;
+  cache::SlotIndex index_;
+  std::set<std::pair<double, ObjectId>> order_;
 };
 
 }  // namespace cascache::testing
