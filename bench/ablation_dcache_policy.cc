@@ -30,7 +30,9 @@ int main() {
 
       schemes::CoordinatedScheme scheme;
       config.sim.dcache_policy = policy;
-      sim::Simulator simulator((*runner_or)->network(), &scheme, config.sim);
+      sim::CacheSet caches = (*runner_or)->network()->MakeCacheSet();
+      sim::Simulator simulator((*runner_or)->network(), &caches, &scheme,
+                               config.sim);
       const uint64_t capacity = static_cast<uint64_t>(
           0.01 * static_cast<double>(
                      (*runner_or)->workload().catalog.total_bytes()));

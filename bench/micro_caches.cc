@@ -146,7 +146,9 @@ void BM_ReplayHotPath(benchmark::State& state) {
   auto scheme = std::move(cascache::schemes::MakeScheme(spec)).value();
   cascache::sim::SimOptions options;
   options.warmup_fraction = 0.0;  // Measure every replayed request.
-  cascache::sim::Simulator simulator(network.get(), scheme.get(), options);
+  cascache::sim::CacheSet caches = network->MakeCacheSet();
+  cascache::sim::Simulator simulator(network.get(), &caches, scheme.get(),
+                                     options);
   const uint64_t capacity = static_cast<uint64_t>(
       0.03 * static_cast<double>(workload.catalog.total_bytes()));
 

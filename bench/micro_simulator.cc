@@ -53,7 +53,8 @@ void RunSchemeBenchmark(benchmark::State& state, Env* env,
   spec.kind = kind;
   auto scheme_or = schemes::MakeScheme(spec);
   CASCACHE_CHECK_OK(scheme_or.status());
-  sim::Simulator simulator(env->network.get(), scheme_or->get());
+  sim::CacheSet caches = env->network->MakeCacheSet();
+  sim::Simulator simulator(env->network.get(), &caches, scheme_or->get());
   // Configure 1% caches once; replay the trace cyclically.
   const uint64_t capacity = env->workload.catalog.total_bytes() / 100;
   CASCACHE_CHECK_OK(simulator.Run(env->workload, capacity));

@@ -1,6 +1,5 @@
 // Micro benchmark M4: trace IO throughput — how fast the streaming
-// reader yields requests (buffered block reads vs the legacy
-// one-fread-per-field path) and how fast the mmap overlay scans. The
+// reader yields requests and how fast the mmap overlay scans. The
 // buffered reader is the floor for every --trace-in replay that cannot
 // mmap (v1 traces); the mapped scan is the v2 replay's ingest cost.
 
@@ -33,10 +32,8 @@ const std::string& TracePath() {
 }
 
 void BM_TraceReaderNext(benchmark::State& state) {
-  trace::TraceReader::Options options;
-  options.buffer_bytes = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
-    auto reader_or = trace::TraceReader::Open(TracePath(), options);
+    auto reader_or = trace::TraceReader::Open(TracePath());
     CASCACHE_CHECK_OK(reader_or.status());
     trace::Request req;
     uint64_t n = 0;
@@ -52,8 +49,7 @@ void BM_TraceReaderNext(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kRequests));
 }
-// 0 = legacy unbuffered (three freads per record); 256 KiB = default.
-BENCHMARK(BM_TraceReaderNext)->Arg(0)->Arg(256 * 1024);
+BENCHMARK(BM_TraceReaderNext);
 
 void BM_MappedTraceScan(benchmark::State& state) {
   for (auto _ : state) {

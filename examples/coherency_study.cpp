@@ -56,7 +56,8 @@ int main(int argc, char** argv) {
     options.coherency.mutable_fraction = mutable_fraction;
     options.coherency.mean_update_period = update_period;
     options.coherency.ttl = update_period / 2.0;
-    sim::Simulator simulator(net_or->get(), &scheme, options);
+    sim::CacheSet caches = (*net_or)->MakeCacheSet();
+    sim::Simulator simulator(net_or->get(), &caches, &scheme, options);
     CASCACHE_CHECK_OK(simulator.Run(
         *workload_or, workload_or->catalog.total_bytes() / 100));
     const sim::MetricsSummary m = simulator.metrics().Summary();

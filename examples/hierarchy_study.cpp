@@ -39,10 +39,11 @@ int main(int argc, char** argv) {
   net_params.tree.fanout = fanout;
   auto net_or = sim::Network::Build(net_params, &workload_or->catalog);
   CASCACHE_CHECK_OK(net_or.status());
-  sim::Network& net = **net_or;
+  const sim::Network& net = **net_or;
+  sim::CacheSet caches = net.MakeCacheSet();
 
   schemes::CoordinatedScheme scheme;
-  sim::Simulator simulator(&net, &scheme);
+  sim::Simulator simulator(&net, &caches, &scheme);
   const uint64_t capacity = workload_or->catalog.total_bytes() / 50;  // 2%.
   CASCACHE_CHECK_OK(simulator.Run(*workload_or, capacity));
 
@@ -59,8 +60,8 @@ int main(int argc, char** argv) {
   std::vector<int> nodes_per_level(static_cast<size_t>(depth), 0);
   for (topology::NodeId v = 0; v < net.num_nodes(); ++v) {
     const int level = tree_or->level[static_cast<size_t>(v)];
-    bytes_per_level[level] += net.node(v)->used_bytes();
-    objects_per_level[level] += net.node(v)->num_cached_objects();
+    bytes_per_level[level] += caches.node(v)->used_bytes();
+    objects_per_level[level] += caches.node(v)->num_cached_objects();
     ++nodes_per_level[level];
   }
   std::printf("copies by tree level (root = level %d):\n", depth - 1);

@@ -8,10 +8,9 @@
 namespace cascache::sim {
 
 /// The mutable cache plane of a simulation run: one CacheNode per network
-/// node, indexed by graph node id. The Network owns the immutable shared
-/// state (graph, routing trees, attach points, catalog) plus one default
-/// CacheSet for single-threaded use; parallel sweeps give every worker
-/// its own CacheSet over the same read-only Network, which is the whole
+/// node, indexed by graph node id. The Network owns only the immutable
+/// shared state (graph, routing trees, attach points, catalog); every run
+/// gets its own CacheSet from Network::MakeCacheSet(), which is the whole
 /// isolation story of the concurrent experiment runner.
 class CacheSet {
  public:

@@ -77,7 +77,7 @@ ExperimentRunner::CreateFromTrace(const ExperimentConfig& config,
   return runner;
 }
 
-trace::WorkloadView ExperimentRunner::ReplayView() {
+trace::WorkloadView ExperimentRunner::ReplayView() const {
   if (mapped_ != nullptr && config_.release_trace_pages) {
     return mapped_->StreamingView();
   }
@@ -113,13 +113,7 @@ int ResolveJobs(int requested) {
 }
 
 util::StatusOr<RunResult> ExperimentRunner::RunOne(
-    const schemes::SchemeSpec& spec, double cache_fraction) {
-  return RunCell(spec, cache_fraction, network_->caches());
-}
-
-util::StatusOr<RunResult> ExperimentRunner::RunCell(
-    const schemes::SchemeSpec& spec, double cache_fraction,
-    CacheSet* caches) {
+    const schemes::SchemeSpec& spec, double cache_fraction) const {
   const trace::WorkloadView replay = ReplayView();
   schemes::SchemeSpec effective = spec;
   if (effective.kind == schemes::SchemeKind::kStatic &&
@@ -137,7 +131,8 @@ util::StatusOr<RunResult> ExperimentRunner::RunCell(
       1, static_cast<uint64_t>(cache_fraction *
                                static_cast<double>(
                                    replay.catalog->total_bytes())));
-  Simulator simulator(network_.get(), caches, scheme.get(), config_.sim);
+  CacheSet caches = network_->MakeCacheSet();
+  Simulator simulator(network_.get(), &caches, scheme.get(), config_.sim);
   const auto start = std::chrono::steady_clock::now();
   CASCACHE_RETURN_IF_ERROR(simulator.Run(replay, capacity));
   const double wall =
@@ -197,31 +192,18 @@ util::StatusOr<std::vector<RunResult>> ExperimentRunner::RunAll() {
                  jobs);
     jobs = 1;
   }
-  if (jobs <= 1) {
-    // Exact legacy path: sequential, on the network's default cache set
-    // (post-run state stays inspectable through Network::node()).
-    std::vector<RunResult> results;
-    results.reserve(cells.size());
-    for (const Cell& cell : cells) {
-      CASCACHE_ASSIGN_OR_RETURN(RunResult result,
-                                RunOne(*cell.spec, cell.fraction));
-      results.push_back(std::move(result));
-    }
-    return results;
-  }
-
-  // Parallel path: every cell runs on its own cache plane over the shared
-  // immutable network. Each worker writes only results[i]/statuses[i] for
-  // the cells it executed, so result order is the cell order by
-  // construction, independent of completion order.
+  // Every cell runs on its own cache plane over the shared immutable
+  // network. Each task writes only results[i]/statuses[i], so result
+  // order is the cell order by construction, independent of completion
+  // order. The pool is FIFO, so a single worker runs the cells in order,
+  // as page release needs.
   std::vector<RunResult> results(cells.size());
   std::vector<util::Status> statuses(cells.size(), util::Status::Ok());
   {
     util::ThreadPool pool(jobs);
     for (size_t i = 0; i < cells.size(); ++i) {
       pool.Submit([this, i, &cells, &results, &statuses] {
-        CacheSet caches = network_->MakeCacheSet();
-        auto result_or = RunCell(*cells[i].spec, cells[i].fraction, &caches);
+        auto result_or = RunOne(*cells[i].spec, cells[i].fraction);
         if (result_or.ok()) {
           results[i] = std::move(result_or).value();
         } else {
@@ -231,8 +213,7 @@ util::StatusOr<std::vector<RunResult>> ExperimentRunner::RunAll() {
     }
     pool.Wait();
   }
-  // Report the first failure in cell order (deterministic, like the
-  // sequential path would).
+  // Report the first failure in cell order (deterministic for any jobs).
   for (const util::Status& status : statuses) {
     if (!status.ok()) return status;
   }

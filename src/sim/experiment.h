@@ -25,10 +25,9 @@ struct ExperimentConfig {
   /// (the paper sweeps 0.1% .. 10%, log scale).
   std::vector<double> cache_fractions = {0.001, 0.003, 0.01, 0.03, 0.10};
   std::vector<schemes::SchemeSpec> schemes;
-  /// Worker threads for RunAll. 1 runs the exact legacy sequential path
-  /// on the network's default cache set; N > 1 runs cells concurrently,
-  /// each on its own cache plane; 0 (default) resolves via the
-  /// CASCACHE_JOBS environment variable, falling back to
+  /// Worker threads for RunAll. Every cell runs on its own cache plane;
+  /// 1 runs the cells one after another, N > 1 concurrently; 0 (default)
+  /// resolves via the CASCACHE_JOBS environment variable, falling back to
   /// hardware_concurrency. Results are bit-identical for every value.
   int jobs = 0;
   /// Only meaningful with CreateFromTrace over a mapped (v2) trace:
@@ -101,15 +100,15 @@ class ExperimentRunner {
 
   /// Runs every (cache size, scheme) cell; results are ordered by cache
   /// size then scheme (the order given in the config) regardless of
-  /// completion order. With config.jobs resolving to N > 1, cells execute
-  /// concurrently on per-worker cache planes over the shared immutable
-  /// network; the results are bit-identical to the sequential run.
+  /// completion order. Each cell runs on its own cache plane over the
+  /// shared immutable network, on config.jobs workers; the results are
+  /// bit-identical for every worker count.
   util::StatusOr<std::vector<RunResult>> RunAll();
 
-  /// Runs a single cell against the shared workload/network, on the
-  /// network's default cache set (post-run cache state stays inspectable).
+  /// Runs a single cell against the shared workload/network, on a fresh
+  /// cache plane. Thread-safe: RunAll's workers call it concurrently.
   util::StatusOr<RunResult> RunOne(const schemes::SchemeSpec& spec,
-                                   double cache_fraction);
+                                   double cache_fraction) const;
 
   /// The generated workload. Empty under CreateFromTrace with a mapped
   /// trace (requests stay on disk); use view() for replay-agnostic
@@ -122,20 +121,15 @@ class ExperimentRunner {
   }
   /// Non-null iff this runner replays a mapped v2 trace.
   const trace::MappedTrace* mapped_trace() const { return mapped_.get(); }
-  Network* network() { return network_.get(); }
+  const Network* network() const { return network_.get(); }
   const ExperimentConfig& config() const { return config_; }
 
  private:
   explicit ExperimentRunner(ExperimentConfig config);
 
-  /// Runs one cell on the given cache plane (the shared implementation
-  /// behind RunOne and the parallel RunAll workers).
-  util::StatusOr<RunResult> RunCell(const schemes::SchemeSpec& spec,
-                                    double cache_fraction, CacheSet* caches);
-
-  /// The view RunCell hands to Simulator::Run: view(), plus the page-
+  /// The view RunOne hands to Simulator::Run: view(), plus the page-
   /// release hook when config_.release_trace_pages applies.
-  trace::WorkloadView ReplayView();
+  trace::WorkloadView ReplayView() const;
 
   ExperimentConfig config_;
   trace::Workload workload_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -97,8 +98,9 @@ util::Status ApplyFaultSetting(const std::string& key,
   };
   if (key == "seed") {
     char* end = nullptr;
+    errno = 0;
     const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-    if (value.empty() || *end != '\0' || value[0] == '-') {
+    if (value.empty() || *end != '\0' || value[0] == '-' || errno == ERANGE) {
       return util::Status::InvalidArgument("bad seed: " + value);
     }
     config->seed = parsed;
@@ -124,8 +126,10 @@ util::Status ApplyFaultSetting(const std::string& key,
   if (key == "timeout") return parse_double(&config->request_timeout);
   if (key == "max_retries") {
     char* end = nullptr;
+    errno = 0;
     const long parsed = std::strtol(value.c_str(), &end, 10);
-    if (value.empty() || *end != '\0') {
+    if (value.empty() || *end != '\0' || errno == ERANGE ||
+        !std::in_range<int>(parsed)) {
       return util::Status::InvalidArgument("bad max_retries: " + value);
     }
     config->max_retries = static_cast<int>(parsed);

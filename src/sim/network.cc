@@ -99,7 +99,6 @@ util::StatusOr<std::unique_ptr<Network>> Network::Build(
     net->routing_->Precompute(dest);
   }
 
-  net->caches_ = CacheSet(net->graph_.num_nodes());
   return net;
 }
 

@@ -34,13 +34,11 @@ struct NetworkParams {
 };
 
 /// The simulated content-distribution network. After Build() the Network
-/// is an immutable core — graph, distribution trees (precomputed for
-/// every server attach node), client/server attach points, catalog — that
-/// any number of threads may query concurrently through the const
-/// accessors. The mutable per-run cache state lives in CacheSet: the
-/// Network owns one default set (the single-threaded legacy interface
-/// below forwards to it), and parallel sweeps create one isolated set per
-/// worker via MakeCacheSet().
+/// is immutable — graph, distribution trees (precomputed for every server
+/// attach node), client/server attach points, catalog — and any number of
+/// threads may query it concurrently. It holds no cache state: every run
+/// takes its own mutable plane from MakeCacheSet() and hands it to the
+/// Simulator, so concurrent runs over one Network never share a cache.
 class Network {
  public:
   /// Builds the network for a catalog's servers. The catalog outlives the
@@ -80,32 +78,9 @@ class Network {
     return graph_.EdgeDelay(u, v);
   }
 
-  /// A fresh, independently mutable cache plane over this topology (one
-  /// per worker in parallel sweeps).
+  /// A fresh, independently mutable cache plane over this topology: one
+  /// per simulation run.
   CacheSet MakeCacheSet() const { return CacheSet(graph_.num_nodes()); }
-
-  /// The default cache plane, used by the legacy single-threaded
-  /// interface (tests, examples, sequential runs).
-  CacheSet* caches() { return &caches_; }
-
-  CacheNode* node(topology::NodeId id) {
-    CASCACHE_CHECK(graph_.IsValidNode(id));
-    return caches_.node(id);
-  }
-
-  /// Re-initializes every cache of the default set with the given
-  /// configuration (start of a simulation run).
-  void ConfigureCaches(const CacheNodeConfig& config) {
-    caches_.Configure(config);
-  }
-
-  /// Re-initializes the default set with per-node capacities
-  /// (heterogeneous provisioning studies). `capacities` must have one
-  /// entry per node; the rest of `config` applies to every node.
-  void ConfigureCachesWithCapacities(const CacheNodeConfig& config,
-                                     const std::vector<uint64_t>& capacities) {
-    caches_.ConfigureWithCapacities(config, capacities);
-  }
 
   /// Cache level of a node: tree level under the hierarchical
   /// architecture (0 = leaf, depth-1 = root); 0 for every node under
@@ -157,8 +132,6 @@ class Network {
   const trace::ObjectCatalog* catalog_;
   topology::Graph graph_{0};
   std::unique_ptr<topology::RoutingTable> routing_;
-  /// Default (legacy single-threaded) cache plane.
-  CacheSet caches_;
   /// Candidate attach nodes for clients and servers.
   std::vector<topology::NodeId> client_sites_;
   std::vector<topology::NodeId> server_sites_;

@@ -177,10 +177,6 @@ Simulator::Simulator(const Network* network, CacheSet* caches,
   }
 }
 
-Simulator::Simulator(Network* network, schemes::CachingScheme* scheme,
-                     const SimOptions& options)
-    : Simulator(network, network->caches(), scheme, options) {}
-
 util::Status Simulator::EnableCoherency(uint32_t num_objects) {
   const CoherencyParams& params = options_.coherency;
   if (params.protocol == CoherencyProtocol::kNone &&

@@ -160,11 +160,6 @@ class Simulator {
             schemes::CachingScheme* scheme,
             const SimOptions& options = SimOptions());
 
-  /// Single-threaded convenience: runs on the network's default cache
-  /// set.
-  Simulator(Network* network, schemes::CachingScheme* scheme,
-            const SimOptions& options = SimOptions());
-
   /// Replays the full workload: resets caches, configures them for the
   /// given per-node capacity, runs the warm-up, then collects statistics.
   util::Status Run(const trace::Workload& workload,

@@ -57,16 +57,9 @@ struct WorkloadParams {
   /// temporal re-reference), must be >= 1.
   double temporal_mean_depth = 100.0;
 
-  /// Popularity churn: expected number of rank-swap events per simulated
-  /// hour. Each event exchanges the popularity ranks of two random
-  /// objects, so hot sets drift over long traces. 0 = stationary
-  /// popularity (the default). Superseded by `model.drift_mode`
-  /// (workload_model.h); combining both is rejected.
-  double churn_swaps_per_hour = 0.0;
-
   /// Non-stationary workload components (popularity drift, flash crowds,
   /// diurnal cycles, sessions, regional skew). All off by default, which
-  /// keeps the historical static-Zipf request stream bit-for-bit.
+  /// gives the stationary Zipf request stream.
   WorkloadModelParams model;
 
   /// Generate the catalog procedurally (ObjectCatalog::BuildProcedural):

@@ -21,6 +21,8 @@ constexpr char kMagic[4] = {'C', 'C', 'T', 'R'};
 constexpr long kNumRequestsOffset = 16;
 constexpr uint64_t kTraceV1HeaderBytes = 24;
 constexpr uint64_t kCatalogEntryBytes = 12;  // uint64 size + uint32 server
+// TraceReader's block buffer: 16Ki records = 256 KiB.
+constexpr size_t kReaderBufferRecords = 16 * 1024;
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -265,37 +267,6 @@ util::Status WriteTrace(const Workload& workload, const std::string& path) {
   return util::Status::Ok();
 }
 
-util::Status WriteTraceV1(const Workload& workload, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (f == nullptr) {
-    return util::Status::IoError("cannot open for write: " + path);
-  }
-  if (std::fwrite(kMagic, 1, 4, f.get()) != 4) {
-    return util::Status::IoError("short write: " + path);
-  }
-  const uint32_t num_objects = workload.catalog.num_objects();
-  const uint32_t num_servers = workload.catalog.num_servers();
-  const uint64_t num_requests = workload.requests.size();
-  if (!WriteOne(f.get(), kTraceVersion1) || !WriteOne(f.get(), num_objects) ||
-      !WriteOne(f.get(), num_servers) || !WriteOne(f.get(), num_requests)) {
-    return util::Status::IoError("short write: " + path);
-  }
-  for (ObjectId id = 0; id < num_objects; ++id) {
-    const uint64_t size = workload.catalog.size(id);
-    const uint32_t server = workload.catalog.server(id);
-    if (!WriteOne(f.get(), size) || !WriteOne(f.get(), server)) {
-      return util::Status::IoError("short write: " + path);
-    }
-  }
-  for (const Request& req : workload.requests) {
-    if (!WriteOne(f.get(), req.time) || !WriteOne(f.get(), req.client) ||
-        !WriteOne(f.get(), req.object)) {
-      return util::Status::IoError("short write: " + path);
-    }
-  }
-  return util::Status::Ok();
-}
-
 util::StatusOr<Workload> ReadTrace(const std::string& path) {
   FilePtr f(std::fopen(path.c_str(), "rb"));
   if (f == nullptr) {
@@ -517,11 +488,6 @@ TraceReader::~TraceReader() {
 
 util::StatusOr<std::unique_ptr<TraceReader>> TraceReader::Open(
     const std::string& path) {
-  return Open(path, Options{});
-}
-
-util::StatusOr<std::unique_ptr<TraceReader>> TraceReader::Open(
-    const std::string& path, const Options& options) {
   std::unique_ptr<TraceReader> reader(new TraceReader());
   reader->file_ = std::fopen(path.c_str(), "rb");
   if (reader->file_ == nullptr) {
@@ -532,12 +498,7 @@ util::StatusOr<std::unique_ptr<TraceReader>> TraceReader::Open(
       ReadHeaderAndCatalog(reader->file_, path, &h, &reader->catalog_));
   reader->version_ = h.version;
   reader->num_requests_ = h.num_requests;
-  if (options.buffer_bytes > 0) {
-    // Round up to whole records so Refill never splits one.
-    const size_t records = std::max<size_t>(
-        1, options.buffer_bytes / sizeof(Request));
-    reader->buf_.resize(records * sizeof(Request));
-  }
+  reader->buf_.resize(kReaderBufferRecords * sizeof(Request));
   return reader;
 }
 
@@ -562,24 +523,14 @@ util::Status TraceReader::Refill() {
 util::StatusOr<bool> TraceReader::Next(Request* request) {
   CASCACHE_CHECK(request != nullptr);
   if (requests_read_ >= num_requests_) return false;
-  if (buf_.empty()) {
-    // Legacy unbuffered path: one fread per field. Kept selectable via
-    // Options::buffer_bytes = 0 so the buffering win stays measurable.
-    if (!ReadOne(file_, &request->time) ||
-        !ReadOne(file_, &request->client) ||
-        !ReadOne(file_, &request->object)) {
+  if (buf_len_ - buf_pos_ < sizeof(Request)) {
+    CASCACHE_RETURN_IF_ERROR(Refill());
+    if (buf_len_ - buf_pos_ < sizeof(Request)) {
       return util::Status::IoError("truncated request stream");
     }
-  } else {
-    if (buf_len_ - buf_pos_ < sizeof(Request)) {
-      CASCACHE_RETURN_IF_ERROR(Refill());
-      if (buf_len_ - buf_pos_ < sizeof(Request)) {
-        return util::Status::IoError("truncated request stream");
-      }
-    }
-    std::memcpy(request, buf_.data() + buf_pos_, sizeof(Request));
-    buf_pos_ += sizeof(Request);
   }
+  std::memcpy(request, buf_.data() + buf_pos_, sizeof(Request));
+  buf_pos_ += sizeof(Request);
   if (request->object >= catalog_.num_objects()) {
     return util::Status::InvalidArgument("object id out of range");
   }

@@ -11,9 +11,9 @@
 
 namespace cascache::trace {
 
-/// Binary trace file IO (little-endian throughout). Two format versions:
+/// Binary trace file IO (little-endian throughout). Three format versions:
 ///
-/// v1 (legacy, still readable):
+/// v1 (legacy, read-only):
 ///   magic "CCTR" | uint32 version=1 | uint32 num_objects |
 ///   uint32 num_servers | uint64 num_requests |
 ///   per object: uint64 size, uint32 server |
@@ -55,11 +55,7 @@ constexpr uint64_t kTraceV2HeaderBytes = 32;
 /// is procedural (catalog.procedural()).
 util::Status WriteTrace(const Workload& workload, const std::string& path);
 
-/// Writes `workload` in the legacy v1 format. Kept so compatibility
-/// tests and tooling can produce v1 inputs; new traces should be v2.
-util::Status WriteTraceV1(const Workload& workload, const std::string& path);
-
-/// Reads a trace written by WriteTrace/WriteTraceV1 (either version).
+/// Reads a trace in any format version (v1, v2 or v3).
 /// Validates magic, version, bounds of every record (object/client ids,
 /// monotonically non-decreasing timestamps) and truncation.
 util::StatusOr<Workload> ReadTrace(const std::string& path);
@@ -120,22 +116,15 @@ class TraceWriter {
   bool closed_ = false;
 };
 
-/// Streaming reader for trace files (v1 and v2): loads the catalog
+/// Streaming reader for trace files (any version): loads the catalog
 /// eagerly (it is small) and yields requests one at a time, so
 /// multi-gigabyte traces replay in constant memory. Performs the same
 /// validation as ReadTrace. Reads the request region through an
-/// internal block buffer; Options::buffer_bytes = 0 selects the legacy
-/// one-fread-per-field path (kept for the buffering micro-bench).
+/// internal 256 KiB block buffer.
 class TraceReader {
  public:
-  struct Options {
-    size_t buffer_bytes = 256 * 1024;
-  };
-
   static util::StatusOr<std::unique_ptr<TraceReader>> Open(
       const std::string& path);
-  static util::StatusOr<std::unique_ptr<TraceReader>> Open(
-      const std::string& path, const Options& options);
 
   TraceReader(const TraceReader&) = delete;
   TraceReader& operator=(const TraceReader&) = delete;

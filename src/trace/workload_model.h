@@ -2,15 +2,10 @@
 #define CASCACHE_TRACE_WORKLOAD_MODEL_H_
 
 #include <cstdint>
-#include <functional>
 
-#include "trace/object_catalog.h"
-#include "util/random.h"
 #include "util/status.h"
 
 namespace cascache::trace {
-
-struct WorkloadParams;  // synthetic.h
 
 /// How object popularity drifts over simulated time.
 enum class DriftMode {
@@ -37,7 +32,7 @@ inline constexpr uint32_t kDriftShuffleMaxObjects = 1u << 24;
 /// so any trace length streams through TraceWriter in bounded memory.
 /// Components compose freely except where ValidateWorkloadModel says
 /// otherwise; defaults leave every component off, in which case the
-/// generator takes the historical bit-exact static path.
+/// generator draws the stationary Zipf stream.
 struct WorkloadModelParams {
   // --- Popularity drift -----------------------------------------------------
   DriftMode drift_mode = DriftMode::kNone;
@@ -78,8 +73,7 @@ struct WorkloadModelParams {
   /// global popularity order; in [0, 1].
   double regional_bias = 0.0;
 
-  /// True if any non-stationary component is active; false selects the
-  /// historical static-Zipf emitter byte-for-byte.
+  /// True if any non-stationary component is active.
   bool enabled() const {
     return drift_mode != DriftMode::kNone || flash_rate_per_hour > 0.0 ||
            diurnal_amplitude > 0.0 || session_prob > 0.0 ||
@@ -88,16 +82,9 @@ struct WorkloadModelParams {
 };
 
 /// Validates the model-only knobs (ranges, required pairings).
-/// Cross-checks against the base workload (shuffle table size, churn
-/// conflicts) live in the synthetic generator's ValidateParams.
+/// Cross-checks against the base workload (shuffle table size, region
+/// count) live in the synthetic generator's ValidateParams.
 util::Status ValidateWorkloadModel(const WorkloadModelParams& model);
-
-/// Generates the non-stationary request stream, calling emit(req) once
-/// per request in time order; `rng` must already have produced the
-/// catalog (the generators share one stream so streamed and in-RAM
-/// output stay bit-identical). Only called when model.enabled().
-void EmitModelRequests(const WorkloadParams& params, util::Rng* rng,
-                       const std::function<void(const Request&)>& emit);
 
 }  // namespace cascache::trace
 

@@ -60,8 +60,7 @@ double ZipfSampler::HIntegralInverse(double x) const {
   return std::exp(x * helper);
 }
 
-size_t ZipfSampler::Sample(Rng* rng) const {
-  if (alias_ != nullptr) return alias_->Sample(rng);
+size_t ZipfSampler::SampleRejection(Rng* rng) const {
   while (true) {
     const double u =
         h_integral_n_ + rng->NextDouble() * (h_integral_x1_ - h_integral_n_);

@@ -59,13 +59,17 @@ class ZipfSampler {
   ZipfSampler(size_t n, double theta);
 
   /// Draws a rank in [0, n) (0 = most popular).
-  size_t Sample(Rng* rng) const;
+  size_t Sample(Rng* rng) const {
+    if (alias_ != nullptr) return alias_->Sample(rng);
+    return SampleRejection(rng);
+  }
 
   size_t n() const { return n_; }
   double theta() const { return theta_; }
   bool rejection_mode() const { return alias_ == nullptr; }
 
  private:
+  size_t SampleRejection(Rng* rng) const;
   double HIntegral(double x) const;
   double H(double x) const;
   double HIntegralInverse(double x) const;

@@ -90,7 +90,8 @@ TEST_P(ModelVsSimulator, ByteHitRatioAgrees) {
   auto net_or = sim::Network::Build(net_params, &workload_or->catalog);
   ASSERT_TRUE(net_or.ok());
   schemes::LruScheme scheme;
-  sim::Simulator simulator(net_or->get(), &scheme);
+  sim::CacheSet caches = (*net_or)->MakeCacheSet();
+  sim::Simulator simulator(net_or->get(), &caches, &scheme);
   const uint64_t capacity = static_cast<uint64_t>(
       cache_fraction *
       static_cast<double>(workload_or->catalog.total_bytes()));

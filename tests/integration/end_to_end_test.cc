@@ -115,7 +115,8 @@ TEST(EndToEndStatsTest, CoordinatedStatsAreConsistent) {
   ASSERT_TRUE(runner_or.ok());
 
   schemes::CoordinatedScheme scheme;
-  sim::Simulator simulator((*runner_or)->network(), &scheme);
+  sim::CacheSet caches = (*runner_or)->network()->MakeCacheSet();
+  sim::Simulator simulator((*runner_or)->network(), &caches, &scheme);
   ASSERT_TRUE(simulator
                   .Run((*runner_or)->workload(),
                        (*runner_or)->workload().catalog.total_bytes() / 50)

@@ -20,7 +20,8 @@ class CoordinatedSchemeTest : public ::testing::Test {
  protected:
   CoordinatedSchemeTest()
       : catalog_(MakeCatalog({{100, 0}, {100, 0}, {100, 0}})),
-        network_(MakeChainNetwork(&catalog_, 4)) {
+        network_(MakeChainNetwork(&catalog_, 4)),
+        caches_(network_->MakeCacheSet()) {
     Configure(1000);
   }
 
@@ -29,11 +30,12 @@ class CoordinatedSchemeTest : public ::testing::Test {
     config.mode = sim::CacheMode::kCost;
     config.capacity_bytes = capacity;
     config.dcache_entries = dcache;
-    network_->ConfigureCaches(config);
+    caches_.Configure(config);
   }
 
   trace::ObjectCatalog catalog_;
   std::unique_ptr<sim::Network> network_;
+  sim::CacheSet caches_;
   CoordinatedScheme scheme_;
 };
 
@@ -47,33 +49,33 @@ TEST_F(CoordinatedSchemeTest, FirstRequestOnlySeedsDescriptors) {
   // No node has a descriptor yet, so every node is tagged out of the
   // candidate set (paper §2.4): nothing is cached, but the response pass
   // admits descriptors with the correct miss penalties.
-  Simulator simulator(network_.get(), &scheme_);
+  Simulator simulator(network_.get(), &caches_, &scheme_);
   simulator.Step(At(1.0, 0), true);
   for (topology::NodeId v = 0; v < 4; ++v) {
-    EXPECT_FALSE(network_->node(v)->Contains(0)) << "node " << v;
+    EXPECT_FALSE(caches_.node(v)->Contains(0)) << "node " << v;
   }
   EXPECT_DOUBLE_EQ(simulator.metrics().Summary().avg_write_bytes, 0.0);
   EXPECT_EQ(scheme_.stats().excluded_no_descriptor, 4u);
   EXPECT_EQ(scheme_.stats().dp_runs, 0u);
   // Miss penalties accumulate from the origin: root=1, node1=2, node2=3,
   // leaf=4 (unit links, size_scale 1, virtual server link 1).
-  EXPECT_DOUBLE_EQ(network_->node(0)->dcache()->Find(0)->miss_penalty, 1.0);
-  EXPECT_DOUBLE_EQ(network_->node(1)->dcache()->Find(0)->miss_penalty, 2.0);
-  EXPECT_DOUBLE_EQ(network_->node(2)->dcache()->Find(0)->miss_penalty, 3.0);
-  EXPECT_DOUBLE_EQ(network_->node(3)->dcache()->Find(0)->miss_penalty, 4.0);
+  EXPECT_DOUBLE_EQ(caches_.node(0)->dcache()->Find(0)->miss_penalty, 1.0);
+  EXPECT_DOUBLE_EQ(caches_.node(1)->dcache()->Find(0)->miss_penalty, 2.0);
+  EXPECT_DOUBLE_EQ(caches_.node(2)->dcache()->Find(0)->miss_penalty, 3.0);
+  EXPECT_DOUBLE_EQ(caches_.node(3)->dcache()->Find(0)->miss_penalty, 4.0);
 }
 
 TEST_F(CoordinatedSchemeTest, SecondRequestPlacesAtClientEdgeOnly) {
   // With equal frequencies at every node and ample space (l = 0), the DP
   // places a single copy at the requesting cache: any upstream copy would
   // add no saving (f_i - f_{i+1} = 0) at a non-negative loss.
-  Simulator simulator(network_.get(), &scheme_);
+  Simulator simulator(network_.get(), &caches_, &scheme_);
   simulator.Step(At(1.0, 0), false);
   simulator.Step(At(2.0, 0), true);
-  EXPECT_TRUE(network_->node(3)->Contains(0));   // Leaf only.
-  EXPECT_FALSE(network_->node(2)->Contains(0));
-  EXPECT_FALSE(network_->node(1)->Contains(0));
-  EXPECT_FALSE(network_->node(0)->Contains(0));
+  EXPECT_TRUE(caches_.node(3)->Contains(0));   // Leaf only.
+  EXPECT_FALSE(caches_.node(2)->Contains(0));
+  EXPECT_FALSE(caches_.node(1)->Contains(0));
+  EXPECT_FALSE(caches_.node(0)->Contains(0));
   EXPECT_DOUBLE_EQ(simulator.metrics().Summary().avg_write_bytes, 100.0);
   EXPECT_EQ(scheme_.stats().dp_runs, 1u);
   EXPECT_EQ(scheme_.stats().placements, 1u);
@@ -81,7 +83,7 @@ TEST_F(CoordinatedSchemeTest, SecondRequestPlacesAtClientEdgeOnly) {
 }
 
 TEST_F(CoordinatedSchemeTest, ThirdRequestHitsAtLeaf) {
-  Simulator simulator(network_.get(), &scheme_);
+  Simulator simulator(network_.get(), &caches_, &scheme_);
   simulator.Step(At(1.0, 0), false);
   simulator.Step(At(2.0, 0), false);
   simulator.Step(At(3.0, 0), true);
@@ -97,55 +99,56 @@ TEST_F(CoordinatedSchemeTest, InsertedCopyResetsDownstreamPenalty) {
   // that the leaf descriptor's miss penalty reflects the nearest upstream
   // copy (hit at leaf -> no change), then evict the leaf copy and verify
   // the next response updates penalties relative to the new serving node.
-  Simulator simulator(network_.get(), &scheme_);
+  Simulator simulator(network_.get(), &caches_, &scheme_);
   simulator.Step(At(1.0, 0), false);
   simulator.Step(At(2.0, 0), false);  // Leaf caches the object.
-  ASSERT_TRUE(network_->node(3)->Contains(0));
-  network_->node(3)->EraseObject(0);  // Forcibly drop the copy (keep desc).
+  ASSERT_TRUE(caches_.node(3)->Contains(0));
+  caches_.node(3)->EraseObject(0);  // Forcibly drop the copy (keep desc).
 
   simulator.Step(At(3.0, 0), false);  // Origin serves again.
   // The object is re-placed at the leaf (it is clearly hot there now).
-  EXPECT_TRUE(network_->node(3)->Contains(0));
+  EXPECT_TRUE(caches_.node(3)->Contains(0));
   // Upstream d-cache descriptors saw the response pass: node2's miss
   // penalty is its distance to the origin copy (3 links).
-  EXPECT_DOUBLE_EQ(network_->node(2)->dcache()->Find(0)->miss_penalty, 3.0);
+  EXPECT_DOUBLE_EQ(caches_.node(2)->dcache()->Find(0)->miss_penalty, 3.0);
 }
 
 TEST_F(CoordinatedSchemeTest, HotObjectDisplacesColdUnderContention) {
   Configure(100);  // One object per node.
-  Simulator simulator(network_.get(), &scheme_);
+  Simulator simulator(network_.get(), &caches_, &scheme_);
   // Object 1 is requested twice, 49 seconds apart: it gets placed at the
   // leaf with a *small* recorded cost loss (f ~ 2/49, m = 4).
   simulator.Step(At(1.0, 1), false);
   simulator.Step(At(50.0, 1), false);
-  ASSERT_TRUE(network_->node(3)->Contains(1));
+  ASSERT_TRUE(caches_.node(3)->Contains(1));
   // Object 0 arrives back-to-back: at its second request its saving at
   // the leaf (f*m = 2*4) dwarfs the loss of evicting object 1 (~0.16), so
   // the DP picks the leaf and displaces the cold object.
   simulator.Step(At(51.0, 0), false);
   simulator.Step(At(52.0, 0), false);
-  EXPECT_TRUE(network_->node(3)->Contains(0));
-  EXPECT_FALSE(network_->node(3)->Contains(1));
+  EXPECT_TRUE(caches_.node(3)->Contains(0));
+  EXPECT_FALSE(caches_.node(3)->Contains(1));
 }
 
 TEST_F(CoordinatedSchemeTest, OversizedObjectIsNeverPlaced) {
   trace::ObjectCatalog catalog = MakeCatalog({{5000, 0}, {100, 0}});
   auto network = MakeChainNetwork(&catalog, 4);
+  sim::CacheSet caches = network->MakeCacheSet();
   CacheNodeConfig config;
   config.mode = sim::CacheMode::kCost;
   config.capacity_bytes = 1000;  // Object 0 (5000 B) can never fit.
   config.dcache_entries = 16;
-  network->ConfigureCaches(config);
+  caches.Configure(config);
   CoordinatedScheme scheme;
-  Simulator simulator(network.get(), &scheme);
+  Simulator simulator(network.get(), &caches, &scheme);
   for (double t = 1.0; t <= 6.0; t += 1.0) simulator.Step(At(t, 0), false);
   for (topology::NodeId v = 0; v < 4; ++v) {
-    EXPECT_FALSE(network->node(v)->Contains(0));
+    EXPECT_FALSE(caches.node(v)->Contains(0));
   }
 }
 
 TEST_F(CoordinatedSchemeTest, StatsAccumulateAndReset) {
-  Simulator simulator(network_.get(), &scheme_);
+  Simulator simulator(network_.get(), &caches_, &scheme_);
   simulator.Step(At(1.0, 0), false);
   simulator.Step(At(2.0, 0), false);
   EXPECT_EQ(scheme_.stats().requests, 2u);
@@ -156,7 +159,7 @@ TEST_F(CoordinatedSchemeTest, StatsAccumulateAndReset) {
 }
 
 TEST_F(CoordinatedSchemeTest, CandidateHistogramAndOverhead) {
-  Simulator simulator(network_.get(), &scheme_);
+  Simulator simulator(network_.get(), &caches_, &scheme_);
   // First request: 0 candidates (no descriptors anywhere).
   simulator.Step(At(1.0, 0), false);
   EXPECT_EQ(scheme_.stats().k_histogram[0], 1u);
@@ -176,23 +179,23 @@ TEST_F(CoordinatedSchemeTest, LruDCachePolicyAlsoWorks) {
   config.capacity_bytes = 1000;
   config.dcache_entries = 16;
   config.dcache_policy = cache::DCachePolicy::kLru;
-  network_->ConfigureCaches(config);
-  Simulator simulator(network_.get(), &scheme_);
+  caches_.Configure(config);
+  Simulator simulator(network_.get(), &caches_, &scheme_);
   simulator.Step(At(1.0, 0), false);
   simulator.Step(At(2.0, 0), false);
   simulator.Step(At(3.0, 0), true);
-  EXPECT_TRUE(network_->node(3)->Contains(0));
+  EXPECT_TRUE(caches_.node(3)->Contains(0));
   EXPECT_DOUBLE_EQ(simulator.metrics().Summary().byte_hit_ratio, 1.0);
 }
 
 TEST_F(CoordinatedSchemeTest, NoDCacheMeansNoCandidatesButStillWorks) {
   Configure(1000, /*dcache=*/0);
-  Simulator simulator(network_.get(), &scheme_);
+  Simulator simulator(network_.get(), &caches_, &scheme_);
   // Without a d-cache no node ever has a descriptor for a non-cached
   // object, so nothing is ever placed — degenerate but stable.
   for (double t = 1.0; t <= 5.0; t += 1.0) simulator.Step(At(t, 0), true);
   for (topology::NodeId v = 0; v < 4; ++v) {
-    EXPECT_FALSE(network_->node(v)->Contains(0));
+    EXPECT_FALSE(caches_.node(v)->Contains(0));
   }
   EXPECT_EQ(scheme_.stats().dp_runs, 0u);
   EXPECT_DOUBLE_EQ(simulator.metrics().Summary().byte_hit_ratio, 0.0);

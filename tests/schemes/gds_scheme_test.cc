@@ -18,17 +18,19 @@ class GdsSchemeTest : public ::testing::Test {
  protected:
   GdsSchemeTest()
       : catalog_(MakeCatalog({{100, 0}, {100, 0}, {100, 0}})),
-        network_(MakeChainNetwork(&catalog_, 4)) {}
+        network_(MakeChainNetwork(&catalog_, 4)),
+        caches_(network_->MakeCacheSet()) {}
 
   void Configure(sim::CacheMode mode, uint64_t capacity) {
     CacheNodeConfig config;
     config.mode = mode;
     config.capacity_bytes = capacity;
-    network_->ConfigureCaches(config);
+    caches_.Configure(config);
   }
 
   trace::ObjectCatalog catalog_;
   std::unique_ptr<sim::Network> network_;
+  sim::CacheSet caches_;
 };
 
 TEST_F(GdsSchemeTest, GdsProperties) {
@@ -41,10 +43,10 @@ TEST_F(GdsSchemeTest, GdsProperties) {
 TEST_F(GdsSchemeTest, GdsCachesEverywhere) {
   Configure(sim::CacheMode::kGds, 1000);
   GdsScheme scheme;
-  Simulator simulator(network_.get(), &scheme);
+  Simulator simulator(network_.get(), &caches_, &scheme);
   simulator.Step(At(1.0, 0), true);
   for (topology::NodeId v = 0; v < 4; ++v) {
-    EXPECT_TRUE(network_->node(v)->Contains(0)) << "node " << v;
+    EXPECT_TRUE(caches_.node(v)->Contains(0)) << "node " << v;
   }
   EXPECT_DOUBLE_EQ(simulator.metrics().Summary().avg_write_bytes, 400.0);
 }
@@ -56,26 +58,26 @@ TEST_F(GdsSchemeTest, GdsCreditArithmeticOnChain) {
   // last refresh — verify the credit and inflation bookkeeping exactly.
   Configure(sim::CacheMode::kGds, 200);  // Two 100-byte objects per node.
   GdsScheme scheme;
-  Simulator simulator(network_.get(), &scheme);
+  Simulator simulator(network_.get(), &caches_, &scheme);
 
   simulator.Step(At(1.0, 0), false);
-  EXPECT_DOUBLE_EQ(network_->node(3)->gds()->CreditOf(0), 0.01);
+  EXPECT_DOUBLE_EQ(caches_.node(3)->gds()->CreditOf(0), 0.01);
   simulator.Step(At(2.0, 1), false);
-  EXPECT_DOUBLE_EQ(network_->node(3)->gds()->CreditOf(1), 0.01);
+  EXPECT_DOUBLE_EQ(caches_.node(3)->gds()->CreditOf(1), 0.01);
 
   // Object 2 needs 100 bytes: the tie between objects 0 and 1 breaks by
   // id, evicting object 0 and advancing L to its credit.
   simulator.Step(At(3.0, 2), false);
-  EXPECT_FALSE(network_->node(3)->Contains(0));
-  EXPECT_DOUBLE_EQ(network_->node(3)->gds()->inflation(), 0.01);
-  EXPECT_DOUBLE_EQ(network_->node(3)->gds()->CreditOf(2), 0.02);
+  EXPECT_FALSE(caches_.node(3)->Contains(0));
+  EXPECT_DOUBLE_EQ(caches_.node(3)->gds()->inflation(), 0.01);
+  EXPECT_DOUBLE_EQ(caches_.node(3)->gds()->CreditOf(2), 0.02);
 
   // Re-requesting object 0 now evicts object 1 (minimum credit 0.01).
   simulator.Step(At(4.0, 0), false);
-  EXPECT_TRUE(network_->node(3)->Contains(0));
-  EXPECT_TRUE(network_->node(3)->Contains(2));
-  EXPECT_FALSE(network_->node(3)->Contains(1));
-  EXPECT_DOUBLE_EQ(network_->node(3)->gds()->CreditOf(0), 0.02);
+  EXPECT_TRUE(caches_.node(3)->Contains(0));
+  EXPECT_TRUE(caches_.node(3)->Contains(2));
+  EXPECT_FALSE(caches_.node(3)->Contains(1));
+  EXPECT_DOUBLE_EQ(caches_.node(3)->gds()->CreditOf(0), 0.02);
 }
 
 TEST_F(GdsSchemeTest, LfuProperties) {
@@ -88,27 +90,27 @@ TEST_F(GdsSchemeTest, LfuProperties) {
 TEST_F(GdsSchemeTest, LfuCachesEverywhereAndCounts) {
   Configure(sim::CacheMode::kLfu, 1000);
   LfuScheme scheme;
-  Simulator simulator(network_.get(), &scheme);
+  Simulator simulator(network_.get(), &caches_, &scheme);
   simulator.Step(At(1.0, 0), false);
   simulator.Step(At(2.0, 0), false);  // Hit at the leaf.
   for (topology::NodeId v = 0; v < 4; ++v) {
-    EXPECT_TRUE(network_->node(v)->Contains(0));
+    EXPECT_TRUE(caches_.node(v)->Contains(0));
   }
-  EXPECT_EQ(network_->node(3)->lfu()->CountOf(0), 2u);
-  EXPECT_EQ(network_->node(0)->lfu()->CountOf(0), 1u);  // Root untouched.
+  EXPECT_EQ(caches_.node(3)->lfu()->CountOf(0), 2u);
+  EXPECT_EQ(caches_.node(0)->lfu()->CountOf(0), 1u);  // Root untouched.
 }
 
 TEST_F(GdsSchemeTest, LfuKeepsHotObjectUnderContention) {
   Configure(sim::CacheMode::kLfu, 100);
   LfuScheme scheme;
-  Simulator simulator(network_.get(), &scheme);
+  Simulator simulator(network_.get(), &caches_, &scheme);
   simulator.Step(At(1.0, 0), false);
   simulator.Step(At(2.0, 0), false);
   simulator.Step(At(3.0, 0), false);  // Count 3 at the leaf.
   simulator.Step(At(4.0, 1), false);  // One object per node: evicts 0.
   // LFU is in-cache only: insertion must evict the sole resident.
-  EXPECT_TRUE(network_->node(3)->Contains(1));
-  EXPECT_FALSE(network_->node(3)->Contains(0));
+  EXPECT_TRUE(caches_.node(3)->Contains(1));
+  EXPECT_FALSE(caches_.node(3)->Contains(0));
 }
 
 TEST_F(GdsSchemeTest, FactoryBuildsNewSchemes) {

@@ -18,7 +18,8 @@ class LncrSchemeTest : public ::testing::Test {
  protected:
   LncrSchemeTest()
       : catalog_(MakeCatalog({{100, 0}, {100, 0}, {100, 0}})),
-        network_(MakeChainNetwork(&catalog_, 4)) {
+        network_(MakeChainNetwork(&catalog_, 4)),
+        caches_(network_->MakeCacheSet()) {
     Configure(1000);
   }
 
@@ -27,11 +28,12 @@ class LncrSchemeTest : public ::testing::Test {
     config.mode = sim::CacheMode::kCost;
     config.capacity_bytes = capacity;
     config.dcache_entries = 16;
-    network_->ConfigureCaches(config);
+    caches_.Configure(config);
   }
 
   trace::ObjectCatalog catalog_;
   std::unique_ptr<sim::Network> network_;
+  sim::CacheSet caches_;
   LncrScheme scheme_;
 };
 
@@ -42,23 +44,23 @@ TEST_F(LncrSchemeTest, Properties) {
 }
 
 TEST_F(LncrSchemeTest, CachesEverywhereLikeLru) {
-  Simulator simulator(network_.get(), &scheme_);
+  Simulator simulator(network_.get(), &caches_, &scheme_);
   simulator.Step(At(1.0, 0), true);
   for (topology::NodeId v = 0; v < 4; ++v) {
-    EXPECT_TRUE(network_->node(v)->Contains(0)) << "node " << v;
+    EXPECT_TRUE(caches_.node(v)->Contains(0)) << "node " << v;
   }
   EXPECT_DOUBLE_EQ(simulator.metrics().Summary().avg_write_bytes, 400.0);
 }
 
 TEST_F(LncrSchemeTest, MissPenaltyIsImmediateUpstreamLink) {
-  Simulator simulator(network_.get(), &scheme_);
+  Simulator simulator(network_.get(), &caches_, &scheme_);
   simulator.Step(At(1.0, 0), true);
   // Chain with unit link delays and size_scale 1: every node's miss
   // penalty for the object is 1.0 (its upstream link), including the root
   // whose upstream is the virtual server link (delay 1.0 under growth 1).
   for (topology::NodeId v = 0; v < 4; ++v) {
     const cache::ObjectDescriptor* desc =
-        network_->node(v)->FindDescriptor(0);
+        caches_.node(v)->FindDescriptor(0);
     ASSERT_NE(desc, nullptr) << "node " << v;
     EXPECT_DOUBLE_EQ(desc->miss_penalty, 1.0) << "node " << v;
   }
@@ -66,7 +68,7 @@ TEST_F(LncrSchemeTest, MissPenaltyIsImmediateUpstreamLink) {
 
 TEST_F(LncrSchemeTest, EvictsLeastNormalizedCostLoss) {
   Configure(200);  // Two objects per node.
-  Simulator simulator(network_.get(), &scheme_);
+  Simulator simulator(network_.get(), &caches_, &scheme_);
   // Make object 0 hot (three accesses) and object 1 cold.
   simulator.Step(At(1.0, 0), false);
   simulator.Step(At(2.0, 0), false);
@@ -74,42 +76,42 @@ TEST_F(LncrSchemeTest, EvictsLeastNormalizedCostLoss) {
   simulator.Step(At(4.0, 1), false);
   // Inserting object 2 must evict the cold object 1 at the leaf.
   simulator.Step(At(5.0, 2), false);
-  EXPECT_TRUE(network_->node(3)->Contains(0));
-  EXPECT_FALSE(network_->node(3)->Contains(1));
-  EXPECT_TRUE(network_->node(3)->Contains(2));
+  EXPECT_TRUE(caches_.node(3)->Contains(0));
+  EXPECT_FALSE(caches_.node(3)->Contains(1));
+  EXPECT_TRUE(caches_.node(3)->Contains(2));
 }
 
 TEST_F(LncrSchemeTest, DCacheTracksNonCachedObjects) {
   Configure(100);  // One object per node.
-  Simulator simulator(network_.get(), &scheme_);
+  Simulator simulator(network_.get(), &caches_, &scheme_);
   simulator.Step(At(1.0, 0), false);
   simulator.Step(At(2.0, 1), false);  // Evicts object 0 everywhere.
   // Object 0's descriptor must survive in the leaf's d-cache (demoted on
   // eviction) with its access history.
-  const cache::ObjectDescriptor* desc = network_->node(3)->dcache()->Find(0);
+  const cache::ObjectDescriptor* desc = caches_.node(3)->dcache()->Find(0);
   ASSERT_NE(desc, nullptr);
   EXPECT_GE(desc->num_accesses, 1);
 }
 
 TEST_F(LncrSchemeTest, FrequencyHistorySurvivesEvictionAndDrivesReplacement) {
   Configure(100);
-  Simulator simulator(network_.get(), &scheme_);
+  Simulator simulator(network_.get(), &caches_, &scheme_);
   // Hammer object 0, then push it out with object 1, then re-request 0:
   // its remembered frequency should let it displace the cold object 1.
   for (double t = 1.0; t <= 5.0; t += 1.0) simulator.Step(At(t, 0), false);
   simulator.Step(At(6.0, 1), false);
-  EXPECT_FALSE(network_->node(3)->Contains(0));
+  EXPECT_FALSE(caches_.node(3)->Contains(0));
   simulator.Step(At(7.0, 0), false);
-  EXPECT_TRUE(network_->node(3)->Contains(0));
-  EXPECT_FALSE(network_->node(3)->Contains(1));
+  EXPECT_TRUE(caches_.node(3)->Contains(0));
+  EXPECT_FALSE(caches_.node(3)->Contains(1));
 }
 
 TEST_F(LncrSchemeTest, HitRefreshesDescriptorAtServingCache) {
-  Simulator simulator(network_.get(), &scheme_);
+  Simulator simulator(network_.get(), &caches_, &scheme_);
   simulator.Step(At(1.0, 0), false);
   simulator.Step(At(2.0, 0), false);  // Hit at the leaf.
   const cache::ObjectDescriptor* desc =
-      network_->node(3)->FindDescriptor(0);
+      caches_.node(3)->FindDescriptor(0);
   ASSERT_NE(desc, nullptr);
   EXPECT_EQ(desc->num_accesses, 2);
 }

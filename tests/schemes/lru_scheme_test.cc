@@ -19,15 +19,17 @@ class LruSchemeTest : public ::testing::Test {
   // Chain: leaf=3, 2, 1, root=0; object 0 and 1 of 100 bytes each.
   LruSchemeTest()
       : catalog_(MakeCatalog({{100, 0}, {100, 0}})),
-        network_(MakeChainNetwork(&catalog_, 4)) {
+        network_(MakeChainNetwork(&catalog_, 4)),
+        caches_(network_->MakeCacheSet()) {
     CacheNodeConfig config;
     config.mode = sim::CacheMode::kLru;
     config.capacity_bytes = 100;  // Each node holds exactly one object.
-    network_->ConfigureCaches(config);
+    caches_.Configure(config);
   }
 
   trace::ObjectCatalog catalog_;
   std::unique_ptr<sim::Network> network_;
+  sim::CacheSet caches_;
   LruScheme scheme_;
 };
 
@@ -38,38 +40,38 @@ TEST_F(LruSchemeTest, PropertiesMatchPaperSetup) {
 }
 
 TEST_F(LruSchemeTest, CachesEverywhereOnOriginMiss) {
-  Simulator simulator(network_.get(), &scheme_);
+  Simulator simulator(network_.get(), &caches_, &scheme_);
   simulator.Step(At(1.0, 0), true);
   for (topology::NodeId v = 0; v < 4; ++v) {
-    EXPECT_TRUE(network_->node(v)->Contains(0)) << "node " << v;
+    EXPECT_TRUE(caches_.node(v)->Contains(0)) << "node " << v;
   }
   EXPECT_DOUBLE_EQ(simulator.metrics().Summary().avg_write_bytes, 400.0);
 }
 
 TEST_F(LruSchemeTest, CachesOnlyBelowHitPoint) {
-  Simulator simulator(network_.get(), &scheme_);
+  Simulator simulator(network_.get(), &caches_, &scheme_);
   simulator.Step(At(1.0, 0), false);  // Object 0 everywhere.
   // Evict object 0 at the two lowest caches so the hit lands at node 1
   // (path index 2).
-  network_->node(3)->lru()->Erase(0);
-  network_->node(2)->lru()->Erase(0);
+  caches_.node(3)->lru()->Erase(0);
+  caches_.node(2)->lru()->Erase(0);
   sim::RequestMetrics metrics;
   simulator.Step(At(2.0, 0), true);
   // Hit at node 1; nodes 3 and 2 repopulated; node 0 untouched.
-  EXPECT_TRUE(network_->node(3)->Contains(0));
-  EXPECT_TRUE(network_->node(2)->Contains(0));
+  EXPECT_TRUE(caches_.node(3)->Contains(0));
+  EXPECT_TRUE(caches_.node(2)->Contains(0));
   const sim::MetricsSummary s = simulator.metrics().Summary();
   EXPECT_DOUBLE_EQ(s.avg_hops, 2.0);
   EXPECT_DOUBLE_EQ(s.avg_write_bytes, 200.0);
 }
 
 TEST_F(LruSchemeTest, EvictsLruOnContention) {
-  Simulator simulator(network_.get(), &scheme_);
+  Simulator simulator(network_.get(), &caches_, &scheme_);
   simulator.Step(At(1.0, 0), false);  // Object 0 everywhere.
   simulator.Step(At(2.0, 1), false);  // Object 1 replaces 0 (100-byte caches).
   for (topology::NodeId v = 0; v < 4; ++v) {
-    EXPECT_FALSE(network_->node(v)->Contains(0));
-    EXPECT_TRUE(network_->node(v)->Contains(1));
+    EXPECT_FALSE(caches_.node(v)->Contains(0));
+    EXPECT_TRUE(caches_.node(v)->Contains(1));
   }
 }
 
@@ -78,13 +80,13 @@ TEST_F(LruSchemeTest, TouchOnHitProtectsRecency) {
   CacheNodeConfig config;
   config.mode = sim::CacheMode::kLru;
   config.capacity_bytes = 200;
-  network_->ConfigureCaches(config);
-  Simulator simulator(network_.get(), &scheme_);
+  caches_.Configure(config);
+  Simulator simulator(network_.get(), &caches_, &scheme_);
   simulator.Step(At(1.0, 0), false);
   simulator.Step(At(2.0, 1), false);
   simulator.Step(At(3.0, 0), false);  // Hit at the leaf; touch object 0.
   // Shrink to one object? Not possible live; instead verify LRU victim.
-  EXPECT_EQ(network_->node(3)->lru()->LruVictim(), 1u);
+  EXPECT_EQ(caches_.node(3)->lru()->LruVictim(), 1u);
 }
 
 }  // namespace

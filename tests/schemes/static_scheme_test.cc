@@ -20,15 +20,17 @@ class StaticSchemeTest : public ::testing::Test {
   // Objects: 0 and 1 are 100 B, object 2 is 200 B.
   StaticSchemeTest()
       : catalog_(MakeCatalog({{100, 0}, {100, 0}, {200, 0}})),
-        network_(MakeChainNetwork(&catalog_, 4)) {
+        network_(MakeChainNetwork(&catalog_, 4)),
+        caches_(network_->MakeCacheSet()) {
     CacheNodeConfig config;
     config.mode = sim::CacheMode::kLru;
     config.capacity_bytes = 200;
-    network_->ConfigureCaches(config);
+    caches_.Configure(config);
   }
 
   trace::ObjectCatalog catalog_;
   std::unique_ptr<sim::Network> network_;
+  sim::CacheSet caches_;
 };
 
 TEST_F(StaticSchemeTest, Properties) {
@@ -41,10 +43,10 @@ TEST_F(StaticSchemeTest, Properties) {
 
 TEST_F(StaticSchemeTest, NothingCachedDuringLearning) {
   StaticScheme scheme(100);
-  Simulator simulator(network_.get(), &scheme);
+  Simulator simulator(network_.get(), &caches_, &scheme);
   for (double t = 1.0; t <= 5.0; t += 1.0) simulator.Step(At(t, 0), false);
   for (topology::NodeId v = 0; v < 4; ++v) {
-    EXPECT_FALSE(network_->node(v)->Contains(0));
+    EXPECT_FALSE(caches_.node(v)->Contains(0));
   }
   EXPECT_FALSE(scheme.frozen());
   EXPECT_EQ(scheme.requests_seen(), 5u);
@@ -52,7 +54,7 @@ TEST_F(StaticSchemeTest, NothingCachedDuringLearning) {
 
 TEST_F(StaticSchemeTest, FreezeFillsByDemandDensity) {
   StaticScheme scheme(6);
-  Simulator simulator(network_.get(), &scheme);
+  Simulator simulator(network_.get(), &caches_, &scheme);
   // Demand: object 0 x3, object 2 x2, object 1 x1. Density (count/size):
   // obj0 3/100 > obj1 1/100 > obj2 2/200. Capacity 200 fits obj0+obj1.
   simulator.Step(At(1.0, 0), false);
@@ -63,15 +65,15 @@ TEST_F(StaticSchemeTest, FreezeFillsByDemandDensity) {
   simulator.Step(At(6.0, 0), false);  // Sixth request triggers the freeze.
   ASSERT_TRUE(scheme.frozen());
   for (topology::NodeId v = 0; v < 4; ++v) {
-    EXPECT_TRUE(network_->node(v)->Contains(0)) << "node " << v;
-    EXPECT_TRUE(network_->node(v)->Contains(1)) << "node " << v;
-    EXPECT_FALSE(network_->node(v)->Contains(2)) << "node " << v;
+    EXPECT_TRUE(caches_.node(v)->Contains(0)) << "node " << v;
+    EXPECT_TRUE(caches_.node(v)->Contains(1)) << "node " << v;
+    EXPECT_FALSE(caches_.node(v)->Contains(2)) << "node " << v;
   }
 }
 
 TEST_F(StaticSchemeTest, ContentsNeverChangeAfterFreeze) {
   StaticScheme scheme(3);
-  Simulator simulator(network_.get(), &scheme);
+  Simulator simulator(network_.get(), &caches_, &scheme);
   simulator.Step(At(1.0, 0), false);
   simulator.Step(At(2.0, 0), false);
   simulator.Step(At(3.0, 0), false);  // Freeze: object 0 everywhere.
@@ -79,14 +81,14 @@ TEST_F(StaticSchemeTest, ContentsNeverChangeAfterFreeze) {
   // Hammer object 1; it must never displace object 0.
   for (double t = 4.0; t <= 20.0; t += 1.0) simulator.Step(At(t, 1), false);
   for (topology::NodeId v = 0; v < 4; ++v) {
-    EXPECT_TRUE(network_->node(v)->Contains(0));
-    EXPECT_FALSE(network_->node(v)->Contains(1));
+    EXPECT_TRUE(caches_.node(v)->Contains(0));
+    EXPECT_FALSE(caches_.node(v)->Contains(1));
   }
 }
 
 TEST_F(StaticSchemeTest, FrozenHitsServeRequests) {
   StaticScheme scheme(2);
-  Simulator simulator(network_.get(), &scheme);
+  Simulator simulator(network_.get(), &caches_, &scheme);
   simulator.Step(At(1.0, 0), false);
   simulator.Step(At(2.0, 0), false);  // Freeze.
   simulator.Step(At(3.0, 0), true);   // Hit at the leaf.

@@ -55,19 +55,20 @@ TEST(CapacityProfileTest, EnRouteIsFlat) {
 TEST(CapacityProfileTest, GrowthConcentratesCapacityUpward) {
   const trace::Workload workload = SmallWorkload();
   auto network = HierNetwork(&workload.catalog);
+  sim::CacheSet caches = network->MakeCacheSet();
   schemes::LruScheme scheme;
   SimOptions options;
   options.level_capacity_growth = 4.0;
-  Simulator simulator(network.get(), &scheme, options);
+  Simulator simulator(network.get(), &caches, &scheme, options);
   ASSERT_TRUE(simulator.Run(workload, 100'000).ok());
 
-  const uint64_t root_capacity = network->node(0)->capacity_bytes();
+  const uint64_t root_capacity = caches.node(0)->capacity_bytes();
   uint64_t leaf_capacity = 0;
   uint64_t total = 0;
   for (topology::NodeId v = 0; v < network->num_nodes(); ++v) {
-    total += network->node(v)->capacity_bytes();
+    total += caches.node(v)->capacity_bytes();
     if (network->NodeLevel(v) == 0) {
-      leaf_capacity = network->node(v)->capacity_bytes();
+      leaf_capacity = caches.node(v)->capacity_bytes();
     }
   }
   // Root holds 4^3 = 64x a leaf's capacity.
@@ -81,41 +82,44 @@ TEST(CapacityProfileTest, GrowthConcentratesCapacityUpward) {
 TEST(CapacityProfileTest, ShrinkConcentratesCapacityAtLeaves) {
   const trace::Workload workload = SmallWorkload();
   auto network = HierNetwork(&workload.catalog);
+  sim::CacheSet caches = network->MakeCacheSet();
   schemes::LruScheme scheme;
   SimOptions options;
   options.level_capacity_growth = 0.5;
-  Simulator simulator(network.get(), &scheme, options);
+  Simulator simulator(network.get(), &caches, &scheme, options);
   ASSERT_TRUE(simulator.Run(workload, 100'000).ok());
   uint64_t leaf_capacity = 0;
   for (topology::NodeId v = 0; v < network->num_nodes(); ++v) {
     if (network->NodeLevel(v) == 0) {
-      leaf_capacity = network->node(v)->capacity_bytes();
+      leaf_capacity = caches.node(v)->capacity_bytes();
       break;
     }
   }
-  EXPECT_GT(leaf_capacity, network->node(0)->capacity_bytes());
+  EXPECT_GT(leaf_capacity, caches.node(0)->capacity_bytes());
 }
 
 TEST(CapacityProfileTest, UniformGrowthMatchesPlainConfigure) {
   const trace::Workload workload = SmallWorkload();
   auto network = HierNetwork(&workload.catalog);
+  sim::CacheSet caches = network->MakeCacheSet();
   schemes::LruScheme scheme;
   SimOptions options;
   options.level_capacity_growth = 1.0;
-  Simulator simulator(network.get(), &scheme, options);
+  Simulator simulator(network.get(), &caches, &scheme, options);
   ASSERT_TRUE(simulator.Run(workload, 12'345).ok());
   for (topology::NodeId v = 0; v < network->num_nodes(); ++v) {
-    EXPECT_EQ(network->node(v)->capacity_bytes(), 12'345u);
+    EXPECT_EQ(caches.node(v)->capacity_bytes(), 12'345u);
   }
 }
 
 TEST(CapacityProfileTest, RejectsNonPositiveGrowth) {
   const trace::Workload workload = SmallWorkload();
   auto network = HierNetwork(&workload.catalog);
+  sim::CacheSet caches = network->MakeCacheSet();
   schemes::LruScheme scheme;
   SimOptions options;
   options.level_capacity_growth = 0.0;
-  Simulator simulator(network.get(), &scheme, options);
+  Simulator simulator(network.get(), &caches, &scheme, options);
   EXPECT_FALSE(simulator.Run(workload, 1000).ok());
 }
 

@@ -85,15 +85,17 @@ class CoherencySimTest : public ::testing::Test {
  protected:
   CoherencySimTest()
       : catalog_(MakeCatalog({{100, 0}})),
-        network_(MakeChainNetwork(&catalog_, 4)) {
+        network_(MakeChainNetwork(&catalog_, 4)),
+        caches_(network_->MakeCacheSet()) {
     CacheNodeConfig config;
     config.mode = CacheMode::kLru;
     config.capacity_bytes = 1000;
-    network_->ConfigureCaches(config);
+    caches_.Configure(config);
   }
 
   trace::ObjectCatalog catalog_;
   std::unique_ptr<sim::Network> network_;
+  sim::CacheSet caches_;
   schemes::LruScheme scheme_;
 };
 
@@ -101,7 +103,7 @@ TEST_F(CoherencySimTest, TtlExpiryForcesRefetch) {
   SimOptions options;
   options.coherency.protocol = CoherencyProtocol::kTtl;
   options.coherency.ttl = 10.0;
-  Simulator simulator(network_.get(), &scheme_, options);
+  Simulator simulator(network_.get(), &caches_, &scheme_, options);
   ASSERT_TRUE(simulator.EnableCoherency(1).ok());
 
   simulator.Step(At(1.0, 0), false);  // Cold miss; cached everywhere.
@@ -122,7 +124,7 @@ TEST_F(CoherencySimTest, TtlHitDoesNotRefreshStamp) {
   SimOptions options;
   options.coherency.protocol = CoherencyProtocol::kTtl;
   options.coherency.ttl = 10.0;
-  Simulator simulator(network_.get(), &scheme_, options);
+  Simulator simulator(network_.get(), &caches_, &scheme_, options);
   ASSERT_TRUE(simulator.EnableCoherency(1).ok());
   simulator.Step(At(1.0, 0), false);
   simulator.Step(At(9.0, 0), false);   // Hit, but no revalidation.
@@ -135,16 +137,17 @@ TEST(CoherencyStaleTest, NoneProtocolCountsStaleHits) {
   // t=1 and hit at t=15 is stale.
   trace::ObjectCatalog catalog = MakeCatalog({{100, 0}});
   auto network = MakeChainNetwork(&catalog, 4);
+  sim::CacheSet caches = network->MakeCacheSet();
   CacheNodeConfig config;
   config.mode = CacheMode::kLru;
   config.capacity_bytes = 1000;
-  network->ConfigureCaches(config);
+  caches.Configure(config);
   schemes::LruScheme scheme;
   SimOptions options;
   options.coherency.protocol = CoherencyProtocol::kNone;
   options.coherency.mutable_fraction = 1.0;
   options.coherency.mean_update_period = 20.0;
-  Simulator simulator(network.get(), &scheme, options);
+  Simulator simulator(network.get(), &caches, &scheme, options);
   ASSERT_TRUE(simulator.EnableCoherency(1).ok());
   // Install a deterministic schedule via the test constructor path: the
   // randomized one is awkward here, so drive the check through a long
@@ -161,16 +164,17 @@ TEST(CoherencyStaleTest, NoneProtocolCountsStaleHits) {
 TEST(CoherencyStaleTest, InvalidationDropsOutdatedCopies) {
   trace::ObjectCatalog catalog = MakeCatalog({{100, 0}});
   auto network = MakeChainNetwork(&catalog, 4);
+  sim::CacheSet caches = network->MakeCacheSet();
   CacheNodeConfig config;
   config.mode = CacheMode::kLru;
   config.capacity_bytes = 1000;
-  network->ConfigureCaches(config);
+  caches.Configure(config);
   schemes::LruScheme scheme;
   SimOptions options;
   options.coherency.protocol = CoherencyProtocol::kInvalidation;
   options.coherency.mutable_fraction = 1.0;
   options.coherency.mean_update_period = 20.0;
-  Simulator simulator(network.get(), &scheme, options);
+  Simulator simulator(network.get(), &caches, &scheme, options);
   ASSERT_TRUE(simulator.EnableCoherency(1).ok());
   simulator.Step(At(1.0, 0), false);
   // Far in the future the origin version has advanced: all four copies
@@ -190,23 +194,24 @@ TEST(CoherencyStaleTest, StaleVersionPropagatesDownstream) {
   // own (old) version: hitting those later is still a stale hit.
   trace::ObjectCatalog catalog = MakeCatalog({{100, 0}});
   auto network = MakeChainNetwork(&catalog, 4);
+  sim::CacheSet caches = network->MakeCacheSet();
   CacheNodeConfig config;
   config.mode = CacheMode::kLru;
   config.capacity_bytes = 1000;
-  network->ConfigureCaches(config);
+  caches.Configure(config);
   schemes::LruScheme scheme;
   SimOptions options;
   options.coherency.protocol = CoherencyProtocol::kNone;
   options.coherency.mutable_fraction = 1.0;
   options.coherency.mean_update_period = 20.0;
-  Simulator simulator(network.get(), &scheme, options);
+  Simulator simulator(network.get(), &caches, &scheme, options);
   ASSERT_TRUE(simulator.EnableCoherency(1).ok());
 
   simulator.Step(At(1.0, 0), false);          // Fetch v0 everywhere.
-  network->node(3)->EraseObject(0);           // Drop the leaf copy only.
+  caches.node(3)->EraseObject(0);           // Drop the leaf copy only.
   simulator.Step(At(10'000.0, 0), false);     // Stale hit at node 2 re-
                                               // populates the leaf with v0.
-  const auto* stamp = network->node(3)->FindCopy(0);
+  const auto* stamp = caches.node(3)->FindCopy(0);
   ASSERT_NE(stamp, nullptr);
   EXPECT_EQ(stamp->version, 0u);
   EXPECT_DOUBLE_EQ(stamp->fetch_time, 10'000.0);
@@ -220,32 +225,33 @@ TEST(CoherencyCostModeTest, TtlDropDemotesDescriptorUnderCoordinated) {
   // the node invariants hold.
   trace::ObjectCatalog catalog = MakeCatalog({{100, 0}});
   auto network = MakeChainNetwork(&catalog, 4);
+  sim::CacheSet caches = network->MakeCacheSet();
   CacheNodeConfig config;
   config.mode = CacheMode::kCost;
   config.capacity_bytes = 1000;
   config.dcache_entries = 16;
-  network->ConfigureCaches(config);
+  caches.Configure(config);
   auto scheme_or =
       schemes::MakeScheme({.kind = schemes::SchemeKind::kCoordinated});
   ASSERT_TRUE(scheme_or.ok());
   SimOptions options;
   options.coherency.protocol = CoherencyProtocol::kTtl;
   options.coherency.ttl = 10.0;
-  Simulator simulator(network.get(), scheme_or->get(), options);
+  Simulator simulator(network.get(), &caches, scheme_or->get(), options);
   ASSERT_TRUE(simulator.EnableCoherency(1).ok());
 
   simulator.Step(At(1.0, 0), false);  // Seed descriptors.
   simulator.Step(At(2.0, 0), false);  // Placed at the leaf.
-  ASSERT_TRUE(network->node(3)->Contains(0));
+  ASSERT_TRUE(caches.node(3)->Contains(0));
   simulator.Step(At(50.0, 0), true);  // TTL 10 expired: drop + refetch.
   const MetricsSummary s = simulator.metrics().Summary();
   EXPECT_EQ(s.copies_expired, 1u);
   for (topology::NodeId v = 0; v < 4; ++v) {
-    EXPECT_TRUE(network->node(v)->CheckInvariants()) << "node " << v;
+    EXPECT_TRUE(caches.node(v)->CheckInvariants()) << "node " << v;
   }
   // The demoted descriptor kept its history (>= 3 accesses recorded).
   const cache::ObjectDescriptor* desc =
-      network->node(3)->FindDescriptor(0);
+      caches.node(3)->FindDescriptor(0);
   ASSERT_NE(desc, nullptr);
   EXPECT_GE(desc->num_accesses, 3);
 }
@@ -256,12 +262,13 @@ class CoherencyCoordinatedTest : public ::testing::Test {
  protected:
   CoherencyCoordinatedTest()
       : catalog_(MakeCatalog({{100, 0}})),
-        network_(MakeChainNetwork(&catalog_, 4)) {
+        network_(MakeChainNetwork(&catalog_, 4)),
+        caches_(network_->MakeCacheSet()) {
     CacheNodeConfig config;
     config.mode = CacheMode::kCost;
     config.capacity_bytes = 1000;
     config.dcache_entries = 16;
-    network_->ConfigureCaches(config);
+    caches_.Configure(config);
     auto scheme_or =
         schemes::MakeScheme({.kind = schemes::SchemeKind::kCoordinated});
     CASCACHE_CHECK(scheme_or.ok());
@@ -273,11 +280,12 @@ class CoherencyCoordinatedTest : public ::testing::Test {
   void SeedAndPlace(Simulator& simulator) {
     simulator.Step(At(1.0, 0), false);
     simulator.Step(At(2.0, 0), false);
-    ASSERT_TRUE(network_->node(3)->Contains(0));
+    ASSERT_TRUE(caches_.node(3)->Contains(0));
   }
 
   trace::ObjectCatalog catalog_;
   std::unique_ptr<sim::Network> network_;
+  sim::CacheSet caches_;
   std::unique_ptr<schemes::CachingScheme> scheme_;
 };
 
@@ -286,7 +294,7 @@ TEST_F(CoherencyCoordinatedTest, NoneProtocolServesAndCountsStaleHit) {
   options.coherency.protocol = CoherencyProtocol::kNone;
   options.coherency.mutable_fraction = 1.0;
   options.coherency.mean_update_period = 20.0;
-  Simulator simulator(network_.get(), scheme_.get(), options);
+  Simulator simulator(network_.get(), &caches_, scheme_.get(), options);
   ASSERT_TRUE(simulator.EnableCoherency(1).ok());
   SeedAndPlace(simulator);
   // Far in the future the origin version has advanced, but without a
@@ -303,7 +311,7 @@ TEST_F(CoherencyCoordinatedTest, TtlExpiryDropsCopyOnAscent) {
   SimOptions options;
   options.coherency.protocol = CoherencyProtocol::kTtl;
   options.coherency.ttl = 10.0;
-  Simulator simulator(network_.get(), scheme_.get(), options);
+  Simulator simulator(network_.get(), &caches_, scheme_.get(), options);
   ASSERT_TRUE(simulator.EnableCoherency(1).ok());
   SeedAndPlace(simulator);
   // 48 s after the leaf copy was fetched (> ttl 10): the ascent drops it
@@ -313,7 +321,7 @@ TEST_F(CoherencyCoordinatedTest, TtlExpiryDropsCopyOnAscent) {
   EXPECT_EQ(s.copies_expired, 1u);
   EXPECT_DOUBLE_EQ(s.hit_ratio, 0.0);
   for (topology::NodeId v = 0; v < 4; ++v) {
-    EXPECT_TRUE(network_->node(v)->CheckInvariants()) << "node " << v;
+    EXPECT_TRUE(caches_.node(v)->CheckInvariants()) << "node " << v;
   }
 }
 
@@ -322,7 +330,7 @@ TEST_F(CoherencyCoordinatedTest, InvalidationDropsOutdatedCopyOnAscent) {
   options.coherency.protocol = CoherencyProtocol::kInvalidation;
   options.coherency.mutable_fraction = 1.0;
   options.coherency.mean_update_period = 20.0;
-  Simulator simulator(network_.get(), scheme_.get(), options);
+  Simulator simulator(network_.get(), &caches_, scheme_.get(), options);
   ASSERT_TRUE(simulator.EnableCoherency(1).ok());
   SeedAndPlace(simulator);
   // The origin version advanced past the leaf copy's: invalidated on
@@ -333,23 +341,24 @@ TEST_F(CoherencyCoordinatedTest, InvalidationDropsOutdatedCopyOnAscent) {
   EXPECT_DOUBLE_EQ(s.hit_ratio, 0.0);
   EXPECT_DOUBLE_EQ(s.stale_hit_ratio, 0.0);
   for (topology::NodeId v = 0; v < 4; ++v) {
-    EXPECT_TRUE(network_->node(v)->CheckInvariants()) << "node " << v;
+    EXPECT_TRUE(caches_.node(v)->CheckInvariants()) << "node " << v;
   }
 }
 
 TEST(CoherencyDisabledTest, PaperSettingHasNoTracking) {
   trace::ObjectCatalog catalog = MakeCatalog({{100, 0}});
   auto network = MakeChainNetwork(&catalog, 4);
+  sim::CacheSet caches = network->MakeCacheSet();
   CacheNodeConfig config;
   config.mode = CacheMode::kLru;
   config.capacity_bytes = 1000;
-  network->ConfigureCaches(config);
+  caches.Configure(config);
   schemes::LruScheme scheme;
-  Simulator simulator(network.get(), &scheme);  // Defaults.
+  Simulator simulator(network.get(), &caches, &scheme);  // Defaults.
   ASSERT_TRUE(simulator.EnableCoherency(1).ok());
   simulator.Step(At(1.0, 0), false);
   // No stamps are recorded in the paper setting.
-  EXPECT_EQ(network->node(3)->FindCopy(0), nullptr);
+  EXPECT_EQ(caches.node(3)->FindCopy(0), nullptr);
 }
 
 }  // namespace

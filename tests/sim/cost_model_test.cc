@@ -72,41 +72,43 @@ TEST(CostModelIntegrationTest, HopCostsYieldHopPenalties) {
   trace::ObjectCatalog catalog = MakeCatalog({{100, 0}});
   // Chain with growth 5: link delays 1, 5, 25 (leaf upward), server 125.
   auto network = MakeChainNetwork(&catalog, 4, 1.0, 5.0);
+  sim::CacheSet caches = network->MakeCacheSet();
   CacheNodeConfig config;
   config.mode = CacheMode::kCost;
   config.capacity_bytes = 1000;
   config.dcache_entries = 16;
-  network->ConfigureCaches(config);
+  caches.Configure(config);
 
   schemes::CoordinatedScheme scheme;
   SimOptions options;
   options.cost_model.kind = CostModelKind::kHops;
-  Simulator simulator(network.get(), &scheme, options);
+  Simulator simulator(network.get(), &caches, &scheme, options);
   simulator.Step(At(1.0, 0), false);
 
   // Under kHops, the descriptor miss penalties are hop distances to the
   // origin: root = 1, ..., leaf = 4 — independent of the delay growth.
-  EXPECT_DOUBLE_EQ(network->node(0)->dcache()->Find(0)->miss_penalty, 1.0);
-  EXPECT_DOUBLE_EQ(network->node(3)->dcache()->Find(0)->miss_penalty, 4.0);
+  EXPECT_DOUBLE_EQ(caches.node(0)->dcache()->Find(0)->miss_penalty, 1.0);
+  EXPECT_DOUBLE_EQ(caches.node(3)->dcache()->Find(0)->miss_penalty, 4.0);
 }
 
 TEST(CostModelIntegrationTest, LatencyCostsReflectDelayGrowth) {
   trace::ObjectCatalog catalog = MakeCatalog({{100, 0}});
   auto network = MakeChainNetwork(&catalog, 4, 1.0, 5.0);
+  sim::CacheSet caches = network->MakeCacheSet();
   CacheNodeConfig config;
   config.mode = CacheMode::kCost;
   config.capacity_bytes = 1000;
   config.dcache_entries = 16;
-  network->ConfigureCaches(config);
+  caches.Configure(config);
 
   schemes::CoordinatedScheme scheme;
-  Simulator simulator(network.get(), &scheme);  // Default: latency.
+  Simulator simulator(network.get(), &caches, &scheme);  // Default: latency.
   simulator.Step(At(1.0, 0), false);
 
   // Delays: server link 125, then 25, 5, 1 down the chain.
-  EXPECT_DOUBLE_EQ(network->node(0)->dcache()->Find(0)->miss_penalty, 125.0);
-  EXPECT_DOUBLE_EQ(network->node(1)->dcache()->Find(0)->miss_penalty, 150.0);
-  EXPECT_DOUBLE_EQ(network->node(3)->dcache()->Find(0)->miss_penalty, 156.0);
+  EXPECT_DOUBLE_EQ(caches.node(0)->dcache()->Find(0)->miss_penalty, 125.0);
+  EXPECT_DOUBLE_EQ(caches.node(1)->dcache()->Find(0)->miss_penalty, 150.0);
+  EXPECT_DOUBLE_EQ(caches.node(3)->dcache()->Find(0)->miss_penalty, 156.0);
 }
 
 // The metrics stay physical regardless of the optimized cost: latency is
@@ -116,15 +118,16 @@ TEST(CostModelIntegrationTest, MetricsIndependentOfModelOnFirstMiss) {
                              CostModelKind::kBandwidth}) {
     trace::ObjectCatalog catalog = MakeCatalog({{100, 0}});
     auto network = MakeChainNetwork(&catalog, 4, 1.0, 5.0);
+    sim::CacheSet caches = network->MakeCacheSet();
     CacheNodeConfig config;
     config.mode = CacheMode::kCost;
     config.capacity_bytes = 1000;
     config.dcache_entries = 16;
-    network->ConfigureCaches(config);
+    caches.Configure(config);
     schemes::CoordinatedScheme scheme;
     SimOptions options;
     options.cost_model.kind = kind;
-    Simulator simulator(network.get(), &scheme, options);
+    Simulator simulator(network.get(), &caches, &scheme, options);
     simulator.Step(At(1.0, 0), true);
     // Cold miss: 1 + 5 + 25 tree delays + 125 server link.
     EXPECT_DOUBLE_EQ(simulator.metrics().Summary().avg_latency, 156.0)

@@ -140,19 +140,20 @@ TEST(DegradedFaultTest, SiblingLossIsAPureHashOfRequestAndProbe) {
 TEST(DegradedFaultTest, TieredNodeServesRamOnlyDuringDiskOutage) {
   trace::ObjectCatalog catalog = MakeCatalog({{100, 0}, {100, 0}});
   auto network = MakeChainNetwork(&catalog, /*depth=*/3);
+  sim::CacheSet caches = network->MakeCacheSet();
   schemes::LruScheme scheme;
   SimOptions options;
   options.tier.ram_fraction = 0.5;
   options.faults = DiskFaultConfig(40.0, 15.0);
-  Simulator simulator(network.get(), &scheme, options);
+  Simulator simulator(network.get(), &caches, &scheme, options);
   CacheNodeConfig config;
   config.mode = CacheMode::kLru;
   config.capacity_bytes = 1'000;
   config.ram_fraction = options.tier.ram_fraction;
-  network->ConfigureCaches(config);
+  caches.Configure(config);
 
   const topology::NodeId leaf = network->RequesterNode(0);
-  CacheNode* node = network->node(leaf);
+  CacheNode* node = caches.node(leaf);
   // Object 0: disk + RAM resident. Object 1: disk only.
   node->lru()->Insert(0, 100);
   node->ServeTiered(0, 100);
@@ -188,17 +189,18 @@ TEST(DegradedFaultTest, TieredNodeServesRamOnlyDuringDiskOutage) {
 TEST(DegradedFaultTest, UntieredNodeDegradesToProxyOnly) {
   trace::ObjectCatalog catalog = MakeCatalog({{100, 0}});
   auto network = MakeChainNetwork(&catalog, /*depth=*/3);
+  sim::CacheSet caches = network->MakeCacheSet();
   schemes::LruScheme scheme;
   SimOptions options;  // No tier: the whole node is its disk store.
   options.faults = DiskFaultConfig(40.0, 15.0);
-  Simulator simulator(network.get(), &scheme, options);
+  Simulator simulator(network.get(), &caches, &scheme, options);
   CacheNodeConfig config;
   config.mode = CacheMode::kLru;
   config.capacity_bytes = 1'000;
-  network->ConfigureCaches(config);
+  caches.Configure(config);
 
   const topology::NodeId leaf = network->RequesterNode(0);
-  network->node(leaf)->lru()->Insert(0, 100);
+  caches.node(leaf)->lru()->Insert(0, 100);
   const double t = FindLoneLeafOutage(simulator.fault_plane(),
                                       network->PathToServer(leaf, 0));
   ASSERT_GE(t, 0.0);
@@ -212,25 +214,26 @@ TEST(DegradedFaultTest, UntieredNodeDegradesToProxyOnly) {
   EXPECT_EQ(s.cache_hits, 0u);
   EXPECT_EQ(s.disk_degraded, 2u);
   EXPECT_EQ(s.served_requests, 1u);
-  EXPECT_TRUE(network->node(leaf)->Contains(0));  // Data survives.
+  EXPECT_TRUE(caches.node(leaf)->Contains(0));  // Data survives.
 }
 
 TEST(DegradedFaultTest, DiskContentsServeAgainAfterRecovery) {
   trace::ObjectCatalog catalog = MakeCatalog({{100, 0}});
   auto network = MakeChainNetwork(&catalog, /*depth=*/2);
+  sim::CacheSet caches = network->MakeCacheSet();
   schemes::LruScheme scheme;
   SimOptions options;
   options.tier.ram_fraction = 0.2;
   options.faults = DiskFaultConfig(40.0, 15.0);
-  Simulator simulator(network.get(), &scheme, options);
+  Simulator simulator(network.get(), &caches, &scheme, options);
   CacheNodeConfig config;
   config.mode = CacheMode::kLru;
   config.capacity_bytes = 1'000;
   config.ram_fraction = options.tier.ram_fraction;
-  network->ConfigureCaches(config);
+  caches.Configure(config);
 
   const topology::NodeId leaf = network->RequesterNode(0);
-  network->node(leaf)->lru()->Insert(0, 100);  // Disk only, not in RAM.
+  caches.node(leaf)->lru()->Insert(0, 100);  // Disk only, not in RAM.
   FaultPlane* plane = simulator.fault_plane();
   const double t_down = FindDiskState(plane, leaf, 0.0, true);
   ASSERT_GE(t_down, 0.0);
@@ -274,12 +277,13 @@ TEST(DegradedFaultTest, DegradedRunsReconcileExactly) {
     auto scheme = std::move(scheme_or).value();
     auto network = MakeTreeNetwork(&workload.catalog, /*depth=*/3,
                                    /*fanout=*/2);
+    sim::CacheSet caches = network->MakeCacheSet();
     SimOptions options;
     options.tier.ram_fraction = 0.25;
     options.sibling.enabled = true;
     options.faults = DiskFaultConfig(200.0, 60.0);
     options.faults.sibling_loss_prob = 0.1;
-    Simulator simulator(network.get(), scheme.get(), options);
+    Simulator simulator(network.get(), &caches, scheme.get(), options);
     ASSERT_TRUE(simulator.Run(workload, 2'000).ok()) << scheme->name();
 
     const MetricsSummary s = simulator.metrics().Summary();
@@ -306,10 +310,11 @@ TEST(DegradedFaultTest, DegradedRunsReconcileExactly) {
     // for bit (fault streams reset with the run).
     auto network2 = MakeTreeNetwork(&workload.catalog, /*depth=*/3,
                                     /*fanout=*/2);
+    sim::CacheSet caches2 = network2->MakeCacheSet();
     auto scheme2_or = schemes::MakeScheme(spec);
     ASSERT_TRUE(scheme2_or.ok());
     auto scheme2 = std::move(scheme2_or).value();
-    Simulator repeat(network2.get(), scheme2.get(), options);
+    Simulator repeat(network2.get(), &caches2, scheme2.get(), options);
     ASSERT_TRUE(repeat.Run(workload, 2'000).ok());
     const MetricsSummary r = repeat.metrics().Summary();
     EXPECT_EQ(r.cache_hits, s.cache_hits) << scheme->name();

@@ -123,6 +123,12 @@ TEST(FaultScheduleConfigTest, ApplyFaultSettingParsesEveryKey) {
   EXPECT_FALSE(ApplyFaultSetting("no_such_key", "1", &config).ok());
   EXPECT_FALSE(ApplyFaultSetting("node_mtbf", "abc", &config).ok());
   EXPECT_FALSE(ApplyFaultSetting("crash_cuts_routing", "maybe", &config).ok());
+  // Out-of-range integers are rejected, not wrapped or saturated.
+  EXPECT_FALSE(ApplyFaultSetting("max_retries", "4294967297", &config).ok());
+  EXPECT_FALSE(
+      ApplyFaultSetting("seed", "99999999999999999999", &config).ok());
+  EXPECT_EQ(config.max_retries, 5);
+  EXPECT_EQ(config.seed, 99u);
 }
 
 TEST(FaultScheduleConfigTest, LoadsConfigFileWithCommentsAndBlanks) {
@@ -173,10 +179,12 @@ class FaultPlaneChainTest : public ::testing::Test {
  protected:
   FaultPlaneChainTest()
       : catalog_(MakeCatalog({{100, 0}})),
-        network_(MakeChainNetwork(&catalog_, 4)) {}
+        network_(MakeChainNetwork(&catalog_, 4)),
+        caches_(network_->MakeCacheSet()) {}
 
   trace::ObjectCatalog catalog_;
   std::unique_ptr<Network> network_;
+  sim::CacheSet caches_;
 };
 
 TEST_F(FaultPlaneChainTest, OutageStreamsAreQueryOrderIndependent) {
@@ -271,11 +279,11 @@ TEST_F(FaultPlaneChainTest, CrashRestartLosesCacheContents) {
   CacheNodeConfig node_config;
   node_config.mode = CacheMode::kLru;
   node_config.capacity_bytes = 1000;
-  network_->ConfigureCaches(node_config);
+  caches_.Configure(node_config);
 
   FaultPlane plane(CrashConfig(/*mtbf=*/5.0, /*downtime=*/5.0),
                    network_.get());
-  CacheNode* node = network_->node(1);
+  CacheNode* node = caches_.node(1);
   bool inserted = false;
   node->lru()->Insert(/*object=*/0, /*size=*/100, &inserted);
   ASSERT_TRUE(inserted);
@@ -503,7 +511,8 @@ TEST(FaultPlaneEnrouteTest, PathChangesMidRunAreHandled) {
   options.coherency.mean_update_period = 30.0;
 
   schemes::LruScheme scheme;
-  Simulator simulator(network_or->get(), &scheme, options);
+  sim::CacheSet caches = (*network_or)->MakeCacheSet();
+  Simulator simulator(network_or->get(), &caches, &scheme, options);
   const uint64_t capacity = static_cast<uint64_t>(
       0.03 * static_cast<double>(workload_or->catalog.total_bytes()));
   ASSERT_TRUE(simulator.Run(*workload_or, capacity).ok());
@@ -514,7 +523,8 @@ TEST(FaultPlaneEnrouteTest, PathChangesMidRunAreHandled) {
 
   // A second simulator over the same inputs replays bit-identically.
   schemes::LruScheme scheme2;
-  Simulator simulator2(network_or->get(), &scheme2, options);
+  sim::CacheSet caches2 = (*network_or)->MakeCacheSet();
+  Simulator simulator2(network_or->get(), &caches2, &scheme2, options);
   ASSERT_TRUE(simulator2.Run(*workload_or, capacity).ok());
   const MetricsSummary s2 = simulator2.metrics().Summary();
   EXPECT_EQ(SummaryFields(s), SummaryFields(s2));

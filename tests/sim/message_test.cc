@@ -47,20 +47,22 @@ class MessagePipelineTest : public ::testing::Test {
  protected:
   MessagePipelineTest()
       : catalog_(MakeCatalog({{100, 0}})),
-        network_(MakeChainNetwork(&catalog_, 4)) {
+        network_(MakeChainNetwork(&catalog_, 4)),
+        caches_(network_->MakeCacheSet()) {
     CacheNodeConfig config;
     config.mode = CacheMode::kLru;
     config.capacity_bytes = 1000;
-    network_->ConfigureCaches(config);
+    caches_.Configure(config);
   }
 
   trace::ObjectCatalog catalog_;
   std::unique_ptr<Network> network_;
+  sim::CacheSet caches_;
   RecordingScheme scheme_;
 };
 
 TEST_F(MessagePipelineTest, ColdMissVisitsEveryHopThenDescends) {
-  Simulator simulator(network_.get(), &scheme_);
+  Simulator simulator(network_.get(), &caches_, &scheme_);
   simulator.Step(At(1.0, 0), /*collect=*/true);
   const std::vector<std::string> want = {
       "ascend:0", "ascend:1", "ascend:2", "ascend:3",
@@ -70,7 +72,7 @@ TEST_F(MessagePipelineTest, ColdMissVisitsEveryHopThenDescends) {
 }
 
 TEST_F(MessagePipelineTest, HitAtRequestingCacheSkipsAscentAndDescent) {
-  Simulator simulator(network_.get(), &scheme_);
+  Simulator simulator(network_.get(), &caches_, &scheme_);
   simulator.Step(At(1.0, 0), false);
   scheme_.events.clear();
   // All caches hold the object now; the leaf serves immediately, so no
@@ -81,9 +83,9 @@ TEST_F(MessagePipelineTest, HitAtRequestingCacheSkipsAscentAndDescent) {
 }
 
 TEST_F(MessagePipelineTest, PartialHitAscendsToServerAndDescendsBelowIt) {
-  Simulator simulator(network_.get(), &scheme_);
+  Simulator simulator(network_.get(), &caches_, &scheme_);
   simulator.Step(At(1.0, 0), false);
-  network_->node(network_->RequesterNode(0))->lru()->Erase(0);
+  caches_.node(network_->RequesterNode(0))->lru()->Erase(0);
   scheme_.events.clear();
   // Leaf misses (hook fires), its parent serves, descent refills the leaf.
   simulator.Step(At(2.0, 0), true);
@@ -92,7 +94,7 @@ TEST_F(MessagePipelineTest, PartialHitAscendsToServerAndDescendsBelowIt) {
 }
 
 TEST_F(MessagePipelineTest, PayloadBytesFlowIntoMetrics) {
-  Simulator simulator(network_.get(), &scheme_);
+  Simulator simulator(network_.get(), &caches_, &scheme_);
   // Cold miss: 4 ascent hops x 5 request bytes, 3 response bytes.
   simulator.Step(At(1.0, 0), true);
   MetricsSummary s = simulator.metrics().Summary();

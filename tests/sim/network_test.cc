@@ -104,20 +104,21 @@ TEST(NetworkTest, ConfigureCachesResetsState) {
   NetworkParams params;
   auto net_or = Network::Build(params, &catalog);
   ASSERT_TRUE(net_or.ok());
-  Network& net = **net_or;
+  CacheSet caches = (*net_or)->MakeCacheSet();
+  EXPECT_EQ(caches.num_nodes(), (*net_or)->num_nodes());
 
   CacheNodeConfig config;
   config.mode = CacheMode::kLru;
   config.capacity_bytes = 1000;
-  net.ConfigureCaches(config);
-  net.node(0)->lru()->Insert(1, 100);
-  EXPECT_TRUE(net.node(0)->Contains(1));
+  caches.Configure(config);
+  caches.node(0)->lru()->Insert(1, 100);
+  EXPECT_TRUE(caches.node(0)->Contains(1));
 
   config.mode = CacheMode::kCost;
   config.dcache_entries = 4;
-  net.ConfigureCaches(config);
-  EXPECT_FALSE(net.node(0)->Contains(1));
-  EXPECT_EQ(net.node(0)->mode(), CacheMode::kCost);
+  caches.Configure(config);
+  EXPECT_FALSE(caches.node(0)->Contains(1));
+  EXPECT_EQ(caches.node(0)->mode(), CacheMode::kCost);
 }
 
 TEST(NetworkTest, MeanClientServerHopsIsPlausible) {

@@ -100,8 +100,8 @@ trace::WorkloadParams SmallWorkload() {
   return w;
 }
 
-/// Runs one sweep case through the ExperimentRunner (sequentially, so the
-/// default cache plane and legacy ordering are exercised) and appends its
+/// Runs one sweep case through the ExperimentRunner (one worker, which
+/// runs the cells in order, each on a fresh cache plane) and appends its
 /// golden rows.
 void RunSweepCase(const std::string& case_name,
                   const sim::ExperimentConfig& config,
@@ -201,7 +201,8 @@ std::vector<std::string> ComputeRows() {
     EXPECT_TRUE(network_or.ok());
     if (!network_or.ok()) return rows;
     schemes::CoordinatedScheme scheme;
-    sim::Simulator simulator(network_or->get(), &scheme);
+    sim::CacheSet caches = (*network_or)->MakeCacheSet();
+    sim::Simulator simulator(network_or->get(), &caches, &scheme);
     const uint64_t capacity = static_cast<uint64_t>(
         0.03 * static_cast<double>(workload_or->catalog.total_bytes()));
     auto status = simulator.Run(*workload_or, capacity);

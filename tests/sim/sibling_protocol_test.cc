@@ -81,16 +81,17 @@ CacheNodeConfig LruConfig(uint64_t capacity) {
 TEST(SiblingProtocolTest, SiblingServeShortCircuitsAscent) {
   trace::ObjectCatalog catalog = MakeCatalog({{100, 0}});
   auto network = MakeTreeNetwork(&catalog, /*depth=*/3, /*fanout=*/2);
+  sim::CacheSet caches = network->MakeCacheSet();
   ASSERT_TRUE(network->HasSiblings());
   schemes::LruScheme scheme;
-  Simulator simulator(network.get(), &scheme, SiblingOptions());
-  network->ConfigureCaches(LruConfig(1'000));
+  Simulator simulator(network.get(), &caches, &scheme, SiblingOptions());
+  caches.Configure(LruConfig(1'000));
 
   const topology::NodeId leaf = network->RequesterNode(0);
   const std::vector<topology::NodeId>& siblings = network->Siblings(leaf);
   ASSERT_EQ(siblings.size(), 1u);  // Fanout 2: exactly one sibling.
   const topology::NodeId sib = siblings[0];
-  network->node(sib)->lru()->Insert(0, 100);
+  caches.node(sib)->lru()->Insert(0, 100);
 
   simulator.Step(At(1.0, 0), /*collect=*/true);
   const MetricsSummary s = simulator.metrics().Summary();
@@ -103,16 +104,17 @@ TEST(SiblingProtocolTest, SiblingServeShortCircuitsAscent) {
   EXPECT_DOUBLE_EQ(s.avg_latency, 2.0);
   EXPECT_DOUBLE_EQ(s.avg_hops, 2.0);
   // Proxy-only: the probing leaf keeps no copy, the sibling keeps its.
-  EXPECT_FALSE(network->node(leaf)->Contains(0));
-  EXPECT_TRUE(network->node(sib)->Contains(0));
+  EXPECT_FALSE(caches.node(leaf)->Contains(0));
+  EXPECT_TRUE(caches.node(sib)->Contains(0));
 }
 
 TEST(SiblingProtocolTest, ProbesAscendingIdThenAscendOnMiss) {
   trace::ObjectCatalog catalog = MakeCatalog({{100, 0}});
   auto network = MakeTreeNetwork(&catalog, /*depth=*/3, /*fanout=*/3);
+  sim::CacheSet caches = network->MakeCacheSet();
   RecordingScheme scheme;
-  Simulator simulator(network.get(), &scheme, SiblingOptions());
-  network->ConfigureCaches(LruConfig(1'000));
+  Simulator simulator(network.get(), &caches, &scheme, SiblingOptions());
+  caches.Configure(LruConfig(1'000));
 
   const topology::NodeId leaf = network->RequesterNode(0);
   const std::vector<topology::NodeId>& leaf_sibs = network->Siblings(leaf);
@@ -154,13 +156,14 @@ TEST(SiblingProtocolTest, ProbesAscendingIdThenAscendOnMiss) {
 TEST(SiblingProtocolTest, SiblingServeSkipsOnAscendAtProbingHop) {
   trace::ObjectCatalog catalog = MakeCatalog({{100, 0}});
   auto network = MakeTreeNetwork(&catalog, /*depth=*/3, /*fanout=*/2);
+  sim::CacheSet caches = network->MakeCacheSet();
   RecordingScheme scheme;
-  Simulator simulator(network.get(), &scheme, SiblingOptions());
-  network->ConfigureCaches(LruConfig(1'000));
+  Simulator simulator(network.get(), &caches, &scheme, SiblingOptions());
+  caches.Configure(LruConfig(1'000));
 
   const topology::NodeId leaf = network->RequesterNode(0);
   const topology::NodeId sib = network->Siblings(leaf)[0];
-  network->node(sib)->lru()->Insert(0, 100);
+  caches.node(sib)->lru()->Insert(0, 100);
 
   simulator.Step(At(1.0, 0), /*collect=*/true);
   // The probing hop behaves exactly like a serving point: probe, then
@@ -179,11 +182,12 @@ TEST(SiblingProtocolTest, SiblingServeSkipsOnAscendAtProbingHop) {
 TEST(SiblingProtocolTest, MaxProbesBoundsTheProbeFanout) {
   trace::ObjectCatalog catalog = MakeCatalog({{100, 0}});
   auto network = MakeTreeNetwork(&catalog, /*depth=*/2, /*fanout=*/4);
+  sim::CacheSet caches = network->MakeCacheSet();
   schemes::LruScheme scheme;
   SimOptions options = SiblingOptions();
   options.sibling.max_probes = 1;
-  Simulator simulator(network.get(), &scheme, options);
-  network->ConfigureCaches(LruConfig(1'000));
+  Simulator simulator(network.get(), &caches, &scheme, options);
+  caches.Configure(LruConfig(1'000));
 
   const topology::NodeId leaf = network->RequesterNode(0);
   ASSERT_EQ(network->Siblings(leaf).size(), 3u);
@@ -195,11 +199,12 @@ TEST(SiblingProtocolTest, MaxProbesBoundsTheProbeFanout) {
 TEST(SiblingProtocolTest, LevelFilterRestrictsProbingToThatLevel) {
   trace::ObjectCatalog catalog = MakeCatalog({{100, 0}});
   auto network = MakeTreeNetwork(&catalog, /*depth=*/3, /*fanout=*/2);
+  sim::CacheSet caches = network->MakeCacheSet();
   schemes::LruScheme scheme;
   SimOptions options = SiblingOptions();
   options.sibling.level = 1;  // Mid-level caches only.
-  Simulator simulator(network.get(), &scheme, options);
-  network->ConfigureCaches(LruConfig(1'000));
+  Simulator simulator(network.get(), &caches, &scheme, options);
+  caches.Configure(LruConfig(1'000));
 
   const topology::NodeId leaf = network->RequesterNode(0);
   const topology::NodeId mid = network->Parent(leaf);
@@ -208,8 +213,8 @@ TEST(SiblingProtocolTest, LevelFilterRestrictsProbingToThatLevel) {
   // Copies at both the leaf's sibling and the mid-level sibling: the
   // leaf may not probe (level filter), so the serve comes from the
   // mid-level sibling at hop 1.
-  network->node(network->Siblings(leaf)[0])->lru()->Insert(0, 100);
-  network->node(mid_sib)->lru()->Insert(0, 100);
+  caches.node(network->Siblings(leaf)[0])->lru()->Insert(0, 100);
+  caches.node(mid_sib)->lru()->Insert(0, 100);
 
   simulator.Step(At(1.0, 0), /*collect=*/true);
   const MetricsSummary s = simulator.metrics().Summary();
@@ -218,22 +223,23 @@ TEST(SiblingProtocolTest, LevelFilterRestrictsProbingToThatLevel) {
   // The descent below the probing hop runs as for a local hit there:
   // the leaf receives a copy (plain-LRU placement), the probing
   // mid-level node stays proxy-only.
-  EXPECT_TRUE(network->node(leaf)->Contains(0));
-  EXPECT_FALSE(network->node(mid)->Contains(0));
+  EXPECT_TRUE(caches.node(leaf)->Contains(0));
+  EXPECT_FALSE(caches.node(mid)->Contains(0));
 }
 
 TEST(SiblingProtocolTest, SiblingLossFallsBackToTheAscent) {
   trace::ObjectCatalog catalog = MakeCatalog({{100, 0}});
   auto network = MakeTreeNetwork(&catalog, /*depth=*/3, /*fanout=*/2);
+  sim::CacheSet caches = network->MakeCacheSet();
   schemes::LruScheme scheme;
   SimOptions options = SiblingOptions();
   options.faults.sibling_loss_prob = 1.0;  // Every probe (or reply) lost.
-  Simulator simulator(network.get(), &scheme, options);
-  network->ConfigureCaches(LruConfig(1'000));
+  Simulator simulator(network.get(), &caches, &scheme, options);
+  caches.Configure(LruConfig(1'000));
 
   const topology::NodeId leaf = network->RequesterNode(0);
   const topology::NodeId sib = network->Siblings(leaf)[0];
-  network->node(sib)->lru()->Insert(0, 100);
+  caches.node(sib)->lru()->Insert(0, 100);
 
   simulator.Step(At(1.0, 0), /*collect=*/true);
   const MetricsSummary s = simulator.metrics().Summary();
@@ -243,7 +249,7 @@ TEST(SiblingProtocolTest, SiblingLossFallsBackToTheAscent) {
   EXPECT_EQ(s.sibling_hits, 0u);
   EXPECT_EQ(s.cache_hits, 0u);
   EXPECT_GE(s.degraded_decisions, 1u);
-  EXPECT_TRUE(network->node(sib)->Contains(0));  // Probes never mutate.
+  EXPECT_TRUE(caches.node(sib)->Contains(0));  // Probes never mutate.
 }
 
 // With every sibling probe lost, the delivered results must be exactly
@@ -263,11 +269,12 @@ TEST(SiblingProtocolTest, TotalSiblingLossMatchesDisabledSiblings) {
   auto run = [&](bool sibling, double loss) {
     trace::ObjectCatalog& catalog = workload.catalog;
     auto network = MakeTreeNetwork(&catalog, /*depth=*/3, /*fanout=*/2);
+    sim::CacheSet caches = network->MakeCacheSet();
     schemes::LruScheme scheme;
     SimOptions options;
     options.sibling.enabled = sibling;
     options.faults.sibling_loss_prob = loss;
-    Simulator simulator(network.get(), &scheme, options);
+    Simulator simulator(network.get(), &caches, &scheme, options);
     CASCACHE_CHECK_OK(simulator.Run(workload, 2'000));
     return simulator.metrics().Summary();
   };
@@ -288,18 +295,19 @@ TEST(SiblingProtocolTest, TotalSiblingLossMatchesDisabledSiblings) {
 TEST(SiblingProtocolTest, StaleSiblingCopyIsSkippedNotErased) {
   trace::ObjectCatalog catalog = MakeCatalog({{100, 0}});
   auto network = MakeTreeNetwork(&catalog, /*depth=*/3, /*fanout=*/2);
+  sim::CacheSet caches = network->MakeCacheSet();
   schemes::LruScheme scheme;
   SimOptions options = SiblingOptions();
   options.coherency.protocol = CoherencyProtocol::kTtl;
   options.coherency.ttl = 10.0;
-  Simulator simulator(network.get(), &scheme, options);
+  Simulator simulator(network.get(), &caches, &scheme, options);
   ASSERT_TRUE(simulator.EnableCoherency(1).ok());
-  network->ConfigureCaches(LruConfig(1'000));
+  caches.Configure(LruConfig(1'000));
 
   const topology::NodeId leaf = network->RequesterNode(0);
   const topology::NodeId sib = network->Siblings(leaf)[0];
-  network->node(sib)->lru()->Insert(0, 100);
-  network->node(sib)->StampCopy(0, /*fetch_time=*/0.0, /*version=*/1);
+  caches.node(sib)->lru()->Insert(0, 100);
+  caches.node(sib)->StampCopy(0, /*fetch_time=*/0.0, /*version=*/1);
 
   // Well past the TTL: the sibling's copy is expired, so the probe
   // reads as a miss and the request goes to the origin.
@@ -307,12 +315,12 @@ TEST(SiblingProtocolTest, StaleSiblingCopyIsSkippedNotErased) {
   const MetricsSummary s = simulator.metrics().Summary();
   EXPECT_EQ(s.sibling_probes, 2u);  // Leaf level + mid level.
   EXPECT_EQ(s.sibling_hits, 0u);
-  EXPECT_TRUE(network->node(sib)->Contains(0));  // Skipped, not erased.
+  EXPECT_TRUE(caches.node(sib)->Contains(0));  // Skipped, not erased.
 
   // Within the TTL the same copy serves. The first request's descent
   // placed copies along the path at t=100; by t=150 those have expired
   // too, so the leaf misses again and probes the freshly stamped sibling.
-  network->node(sib)->StampCopy(0, /*fetch_time=*/145.0, /*version=*/1);
+  caches.node(sib)->StampCopy(0, /*fetch_time=*/145.0, /*version=*/1);
   simulator.Step(At(150.0, 0), /*collect=*/true);
   EXPECT_EQ(simulator.metrics().Summary().sibling_hits, 1u);
 }
@@ -348,9 +356,10 @@ TEST(SiblingProtocolTest, AllSchemesReconcileUnderSiblingCooperation) {
         std::move(scheme_or).value();
     auto network = MakeTreeNetwork(&workload.catalog, /*depth=*/3,
                                    /*fanout=*/3);
+    sim::CacheSet caches = network->MakeCacheSet();
     SimOptions options = SiblingOptions();
     options.dcache_ratio = 3.0;
-    Simulator simulator(network.get(), scheme.get(), options);
+    Simulator simulator(network.get(), &caches, scheme.get(), options);
     ASSERT_TRUE(simulator.Run(workload, 3'000).ok()) << scheme->name();
 
     const MetricsSummary s = simulator.metrics().Summary();

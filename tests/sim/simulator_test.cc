@@ -20,19 +20,21 @@ class SimulatorChainTest : public ::testing::Test {
  protected:
   SimulatorChainTest()
       : catalog_(MakeCatalog({{100, 0}})),
-        network_(MakeChainNetwork(&catalog_, 4)) {}
+        network_(MakeChainNetwork(&catalog_, 4)),
+        caches_(network_->MakeCacheSet()) {}
 
   trace::ObjectCatalog catalog_;
   std::unique_ptr<Network> network_;
+  sim::CacheSet caches_;
 };
 
 TEST_F(SimulatorChainTest, ColdMissGoesToOrigin) {
   schemes::LruScheme scheme;
-  Simulator simulator(network_.get(), &scheme);
+  Simulator simulator(network_.get(), &caches_, &scheme);
   CacheNodeConfig config;
   config.mode = CacheMode::kLru;
   config.capacity_bytes = 1000;
-  network_->ConfigureCaches(config);
+  caches_.Configure(config);
 
   simulator.Step(At(1.0, 0), /*collect=*/true);
   const MetricsSummary s = simulator.metrics().Summary();
@@ -48,11 +50,11 @@ TEST_F(SimulatorChainTest, ColdMissGoesToOrigin) {
 
 TEST_F(SimulatorChainTest, WarmHitAtLeafIsFree) {
   schemes::LruScheme scheme;
-  Simulator simulator(network_.get(), &scheme);
+  Simulator simulator(network_.get(), &caches_, &scheme);
   CacheNodeConfig config;
   config.mode = CacheMode::kLru;
   config.capacity_bytes = 1000;
-  network_->ConfigureCaches(config);
+  caches_.Configure(config);
 
   simulator.Step(At(1.0, 0), /*collect=*/false);  // Warm.
   simulator.Step(At(2.0, 0), /*collect=*/true);   // Hit at the leaf.
@@ -67,15 +69,15 @@ TEST_F(SimulatorChainTest, WarmHitAtLeafIsFree) {
 
 TEST_F(SimulatorChainTest, PartialHitUsesIntermediateCache) {
   schemes::LruScheme scheme;
-  Simulator simulator(network_.get(), &scheme);
+  Simulator simulator(network_.get(), &caches_, &scheme);
   CacheNodeConfig config;
   config.mode = CacheMode::kLru;
   config.capacity_bytes = 1000;
-  network_->ConfigureCaches(config);
+  caches_.Configure(config);
 
   simulator.Step(At(1.0, 0), false);
   // Evict the object from the leaf only; next request hits one level up.
-  network_->node(network_->RequesterNode(0))->lru()->Erase(0);
+  caches_.node(network_->RequesterNode(0))->lru()->Erase(0);
   simulator.Step(At(2.0, 0), true);
   const MetricsSummary s = simulator.metrics().Summary();
   EXPECT_DOUBLE_EQ(s.avg_latency, 1.0);
@@ -90,12 +92,13 @@ TEST_F(SimulatorChainTest, SizeScalingMultipliesDelay) {
   // 300-byte object costs 4 links * (300/200) = 6.0.
   trace::ObjectCatalog catalog = MakeCatalog({{100, 0}, {300, 0}});
   auto network = MakeChainNetwork(&catalog, 4);
+  sim::CacheSet caches = network->MakeCacheSet();
   schemes::LruScheme scheme;
-  Simulator simulator(network.get(), &scheme);
+  Simulator simulator(network.get(), &caches, &scheme);
   CacheNodeConfig config;
   config.mode = CacheMode::kLru;
   config.capacity_bytes = 1000;
-  network->ConfigureCaches(config);
+  caches.Configure(config);
 
   simulator.Step(At(1.0, 1), true);
   EXPECT_DOUBLE_EQ(simulator.metrics().Summary().avg_latency, 6.0);
@@ -105,7 +108,7 @@ TEST_F(SimulatorChainTest, RunAppliesWarmupFraction) {
   schemes::LruScheme scheme;
   SimOptions options;
   options.warmup_fraction = 0.5;
-  Simulator simulator(network_.get(), &scheme, options);
+  Simulator simulator(network_.get(), &caches_, &scheme, options);
 
   trace::Workload workload;
   workload.catalog.Add(100, 0);
@@ -122,7 +125,7 @@ TEST_F(SimulatorChainTest, RunAppliesWarmupFraction) {
 
 TEST_F(SimulatorChainTest, RunRejectsBadArguments) {
   schemes::LruScheme scheme;
-  Simulator simulator(network_.get(), &scheme);
+  Simulator simulator(network_.get(), &caches_, &scheme);
   trace::Workload empty;
   EXPECT_FALSE(simulator.Run(empty, 1000).ok());
   trace::Workload nonempty;
@@ -137,7 +140,7 @@ TEST_F(SimulatorChainTest, RunRejectsBadWarmupFractionWithoutAborting) {
   schemes::LruScheme scheme;
   SimOptions options;
   options.warmup_fraction = 1.5;
-  Simulator simulator(network_.get(), &scheme, options);
+  Simulator simulator(network_.get(), &caches_, &scheme, options);
   trace::Workload workload;
   workload.catalog.Add(100, 0);
   workload.requests.push_back(At(0.0, 0));
@@ -146,7 +149,7 @@ TEST_F(SimulatorChainTest, RunRejectsBadWarmupFractionWithoutAborting) {
 
   SimOptions negative;
   negative.warmup_fraction = -0.1;
-  Simulator simulator2(network_.get(), &scheme, negative);
+  Simulator simulator2(network_.get(), &caches_, &scheme, negative);
   EXPECT_EQ(simulator2.Run(workload, 1000).code(),
             util::StatusCode::kInvalidArgument);
 }
@@ -156,7 +159,7 @@ TEST_F(SimulatorChainTest, RunRejectsBadCostModelWithoutAborting) {
   SimOptions options;
   options.cost_model.kind = CostModelKind::kWeighted;
   options.cost_model.alpha = -1.0;  // Invalid weight.
-  Simulator simulator(network_.get(), &scheme, options);
+  Simulator simulator(network_.get(), &caches_, &scheme, options);
   trace::Workload workload;
   workload.catalog.Add(100, 0);
   workload.requests.push_back(At(0.0, 0));
@@ -168,12 +171,13 @@ TEST(SimulatorSingleNodeTest, DepthOneTreeIsASingleProxy) {
   // Degenerate hierarchy: one cache, origin one virtual hop above it.
   trace::ObjectCatalog catalog = MakeCatalog({{100, 0}});
   auto network = MakeChainNetwork(&catalog, /*depth=*/1, /*base_delay=*/2.0);
+  sim::CacheSet caches = network->MakeCacheSet();
   schemes::LruScheme scheme;
-  Simulator simulator(network.get(), &scheme);
+  Simulator simulator(network.get(), &caches, &scheme);
   CacheNodeConfig config;
   config.mode = CacheMode::kLru;
   config.capacity_bytes = 1000;
-  network->ConfigureCaches(config);
+  caches.Configure(config);
 
   simulator.Step(At(1.0, 0), true);  // Cold miss: server link only.
   MetricsSummary s = simulator.metrics().Summary();
@@ -191,18 +195,19 @@ TEST(SimulatorSingleNodeTest, CoordinatedOnSingleProxy) {
   // The DP degenerates to the single-cache admission rule f*m > l.
   trace::ObjectCatalog catalog = MakeCatalog({{100, 0}});
   auto network = MakeChainNetwork(&catalog, 1, 2.0);
+  sim::CacheSet caches = network->MakeCacheSet();
   schemes::CoordinatedScheme scheme;
-  Simulator simulator(network.get(), &scheme);
+  Simulator simulator(network.get(), &caches, &scheme);
   CacheNodeConfig config;
   config.mode = CacheMode::kCost;
   config.capacity_bytes = 1000;
   config.dcache_entries = 8;
-  network->ConfigureCaches(config);
+  caches.Configure(config);
 
   simulator.Step(At(1.0, 0), false);  // Seeds the descriptor.
-  EXPECT_FALSE(network->node(0)->Contains(0));
+  EXPECT_FALSE(caches.node(0)->Contains(0));
   simulator.Step(At(2.0, 0), false);  // f*m = 2*2 > l = 0: cache it.
-  EXPECT_TRUE(network->node(0)->Contains(0));
+  EXPECT_TRUE(caches.node(0)->Contains(0));
   simulator.Step(At(3.0, 0), true);
   EXPECT_DOUBLE_EQ(simulator.metrics().Summary().byte_hit_ratio, 1.0);
 }
@@ -214,14 +219,14 @@ TEST_F(SimulatorChainTest, RunConfiguresDCacheForCostSchemes) {
   ASSERT_TRUE(scheme_or.ok());
   SimOptions options;
   options.dcache_ratio = 3.0;
-  Simulator simulator(network_.get(), scheme_or->get(), options);
+  Simulator simulator(network_.get(), &caches_, scheme_or->get(), options);
   trace::Workload workload;
   workload.catalog.Add(100, 0);
   workload.requests.push_back(At(0.0, 0));
   workload.requests.push_back(At(1.0, 0));
   ASSERT_TRUE(simulator.Run(workload, 1000).ok());
   // capacity 1000 / mean 100 = 10 objects -> 30 descriptors.
-  EXPECT_EQ(network_->node(0)->dcache()->capacity(), 30u);
+  EXPECT_EQ(caches_.node(0)->dcache()->capacity(), 30u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/trace_v1_fixture.h"
 #include "trace/trace_io.h"
 
 namespace cascache::trace {
@@ -94,15 +95,12 @@ TEST_F(MappedTraceTest, RejectsMissingFile) {
 }
 
 TEST_F(MappedTraceTest, RejectsV1WithHelpfulMessage) {
-  const std::string path = TempPath("v1.cctr");
-  ASSERT_TRUE(WriteTraceV1(SmallWorkload(), path).ok());
-  auto mapped_or = MappedTrace::Open(path);
+  auto mapped_or = MappedTrace::Open(testing::V1FixturePath());
   ASSERT_FALSE(mapped_or.ok());
   EXPECT_EQ(mapped_or.status().code(), util::StatusCode::kInvalidArgument);
   EXPECT_NE(mapped_or.status().message().find("not mmap-able"),
             std::string::npos)
       << mapped_or.status();
-  std::remove(path.c_str());
 }
 
 TEST_F(MappedTraceTest, RejectsBadMagic) {

@@ -1,9 +1,13 @@
 #include "trace/synthetic.h"
 
 #include <algorithm>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "testing/ref_generator.h"
+#include "util/random.h"
 #include "util/zipf.h"
 
 namespace cascache::trace {
@@ -156,6 +160,57 @@ TEST(SyntheticTest, RejectsBadParameters) {
   params = SmallParams();
   params.num_clients = 0;
   EXPECT_FALSE(GenerateWorkload(params).ok());
+}
+
+// The single emitter, with every workload-model component off, draws the
+// historical stationary stream: compared record by record against the
+// reference copy of the former static emitter over random parameters.
+// The procedural catalog draws nothing from the RNG, so both emitters
+// start from the same state.
+TEST(GeneratorReferenceTest, StaticStreamMatchesReferenceEmitter) {
+  util::Rng pick(20030305);
+  for (int trial = 0; trial < 40; ++trial) {
+    WorkloadParams params;
+    params.procedural_catalog = true;
+    params.num_objects = 1 + static_cast<uint32_t>(pick.NextUint64(200'000));
+    params.num_clients = 1 + static_cast<uint32_t>(pick.NextUint64(5'000));
+    params.num_servers = 1 + static_cast<uint32_t>(pick.NextUint64(64));
+    params.num_requests = 1'000 + pick.NextUint64(4'000);
+    params.zipf_theta = pick.NextDouble(0.3, 1.5);
+    params.client_zipf_theta = pick.NextDouble(0.2, 1.2);
+    params.request_rate = pick.NextDouble(1.0, 1'000.0);
+    if (pick.NextBool()) {
+      params.temporal_locality = pick.NextDouble(0.01, 0.95);
+      params.temporal_window = 1 + static_cast<uint32_t>(pick.NextUint64(5'000));
+      params.temporal_mean_depth = pick.NextDouble(1.0, 300.0);
+    }
+    params.seed = pick.NextUint64();
+    SCOPED_TRACE(::testing::Message()
+                 << "trial " << trial << ": objects=" << params.num_objects
+                 << " clients=" << params.num_clients
+                 << " theta=" << params.zipf_theta
+                 << " temporal=" << params.temporal_locality
+                 << " window=" << params.temporal_window
+                 << " depth=" << params.temporal_mean_depth
+                 << " seed=" << params.seed);
+
+    auto workload_or = GenerateWorkload(params);
+    ASSERT_TRUE(workload_or.ok()) << workload_or.status();
+    const std::vector<Request>& got = workload_or->requests;
+
+    util::Rng rng(params.seed);
+    std::vector<Request> want;
+    testing::RefEmitStaticRequests(
+        params, &rng, [&](const Request& req) { want.push_back(req); });
+
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(std::memcmp(&got[i].time, &want[i].time, sizeof(double)), 0)
+          << "time of request " << i;
+      ASSERT_EQ(got[i].client, want[i].client) << "client of request " << i;
+      ASSERT_EQ(got[i].object, want[i].object) << "object of request " << i;
+    }
+  }
 }
 
 }  // namespace

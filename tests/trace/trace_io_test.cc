@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/trace_v1_fixture.h"
+
 namespace cascache::trace {
 namespace {
 
@@ -203,9 +205,10 @@ TEST_F(TraceIoTest, WritesVersion2WithAlignedRequestRegion) {
 }
 
 TEST_F(TraceIoTest, V1TraceStillReadable) {
-  const Workload original = SmallWorkload();
-  const std::string path = TempPath("legacy.cctr");
-  ASSERT_TRUE(WriteTraceV1(original, path).ok());
+  auto original_or = GenerateWorkload(testing::V1FixtureParams());
+  ASSERT_TRUE(original_or.ok());
+  const Workload& original = *original_or;
+  const std::string path = testing::V1FixturePath();
 
   auto reader_or = TraceReader::Open(path);
   ASSERT_TRUE(reader_or.ok()) << reader_or.status();
@@ -215,12 +218,31 @@ TEST_F(TraceIoTest, V1TraceStillReadable) {
   ASSERT_TRUE(read_or.ok()) << read_or.status();
   ASSERT_EQ(read_or->requests.size(), original.requests.size());
   ASSERT_EQ(read_or->catalog.num_objects(), original.catalog.num_objects());
+  ASSERT_EQ(read_or->catalog.num_servers(), original.catalog.num_servers());
+  for (ObjectId id = 0; id < original.catalog.num_objects(); ++id) {
+    EXPECT_EQ(read_or->catalog.size(id), original.catalog.size(id));
+    EXPECT_EQ(read_or->catalog.server(id), original.catalog.server(id));
+  }
   for (size_t i = 0; i < original.requests.size(); ++i) {
     EXPECT_DOUBLE_EQ(read_or->requests[i].time, original.requests[i].time);
     EXPECT_EQ(read_or->requests[i].client, original.requests[i].client);
     EXPECT_EQ(read_or->requests[i].object, original.requests[i].object);
   }
-  std::remove(path.c_str());
+
+  // The streaming reader yields the same records.
+  Request req;
+  size_t i = 0;
+  for (;;) {
+    auto more_or = (*reader_or)->Next(&req);
+    ASSERT_TRUE(more_or.ok()) << more_or.status();
+    if (!*more_or) break;
+    ASSERT_LT(i, original.requests.size());
+    EXPECT_DOUBLE_EQ(req.time, original.requests[i].time);
+    EXPECT_EQ(req.client, original.requests[i].client);
+    EXPECT_EQ(req.object, original.requests[i].object);
+    ++i;
+  }
+  EXPECT_EQ(i, original.requests.size());
 }
 
 TEST_F(TraceIoTest, TraceWriterPatchesRequestCount) {
@@ -261,31 +283,6 @@ TEST_F(TraceIoTest, TraceWriterRejectsBadRecords) {
   std::remove(path.c_str());
 }
 
-TEST_F(TraceIoTest, UnbufferedReaderMatchesBuffered) {
-  const Workload original = SmallWorkload();
-  const std::string path = TempPath("unbuffered.cctr");
-  ASSERT_TRUE(WriteTrace(original, path).ok());
-
-  TraceReader::Options legacy;
-  legacy.buffer_bytes = 0;  // one fread per field, the pre-buffering path
-  auto reader_or = TraceReader::Open(path, legacy);
-  ASSERT_TRUE(reader_or.ok()) << reader_or.status();
-  Request req;
-  size_t i = 0;
-  for (;;) {
-    auto more_or = (*reader_or)->Next(&req);
-    ASSERT_TRUE(more_or.ok());
-    if (!*more_or) break;
-    ASSERT_LT(i, original.requests.size());
-    EXPECT_DOUBLE_EQ(req.time, original.requests[i].time);
-    EXPECT_EQ(req.client, original.requests[i].client);
-    EXPECT_EQ(req.object, original.requests[i].object);
-    ++i;
-  }
-  EXPECT_EQ(i, original.requests.size());
-  std::remove(path.c_str());
-}
-
 TEST_F(TraceIoTest, StreamingGenerationMatchesInMemory) {
   WorkloadParams params;
   params.num_objects = 300;
@@ -294,7 +291,8 @@ TEST_F(TraceIoTest, StreamingGenerationMatchesInMemory) {
   params.num_servers = 8;
   params.seed = 11;
   params.temporal_locality = 0.3;
-  params.churn_swaps_per_hour = 50.0;
+  params.model.drift_mode = DriftMode::kShuffle;
+  params.model.drift_half_life_s = 600.0;
 
   auto in_ram_or = GenerateWorkload(params);
   ASSERT_TRUE(in_ram_or.ok());

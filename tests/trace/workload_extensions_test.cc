@@ -1,5 +1,5 @@
-// Tests for the workload-realism extensions: temporal locality (LRU-stack
-// re-references) and popularity churn (rank drift over time).
+// Tests for the temporal-locality extension (LRU-stack re-references),
+// alone and combined with popularity drift.
 
 #include <gtest/gtest.h>
 
@@ -98,74 +98,13 @@ TEST(TemporalLocalityTest, RejectsBadParameters) {
   EXPECT_FALSE(GenerateWorkload(params).ok());
 }
 
-/// Per-object counts over a half of the request stream.
-std::vector<uint64_t> HalfCounts(const Workload& workload, bool second) {
-  std::vector<uint64_t> counts(workload.catalog.num_objects(), 0);
-  const size_t half = workload.requests.size() / 2;
-  const size_t begin = second ? half : 0;
-  const size_t end = second ? workload.requests.size() : half;
-  for (size_t i = begin; i < end; ++i) {
-    ++counts[workload.requests[i].object];
-  }
-  return counts;
-}
-
-/// L1 distance between normalized popularity histograms of the two trace
-/// halves — higher means the hot set drifted.
-double HalfDrift(const Workload& workload) {
-  const auto first = HalfCounts(workload, false);
-  const auto second = HalfCounts(workload, true);
-  uint64_t n1 = 0, n2 = 0;
-  for (uint64_t c : first) n1 += c;
-  for (uint64_t c : second) n2 += c;
-  double drift = 0.0;
-  for (size_t i = 0; i < first.size(); ++i) {
-    drift += std::abs(static_cast<double>(first[i]) / n1 -
-                      static_cast<double>(second[i]) / n2);
-  }
-  return drift;
-}
-
-TEST(ChurnTest, RankSwapsDriftThePopularitySet) {
-  WorkloadParams params = BaseParams();
-  auto stationary = GenerateWorkload(params);
-  ASSERT_TRUE(stationary.ok());
-
-  // The trace spans ~1200 s; a high churn rate makes drift visible.
-  params.churn_swaps_per_hour = 3'000.0;
-  auto churned = GenerateWorkload(params);
-  ASSERT_TRUE(churned.ok());
-
-  EXPECT_GT(HalfDrift(*churned), HalfDrift(*stationary) * 1.5);
-}
-
-TEST(ChurnTest, OverallSkewIsPreserved) {
-  // Swapping ranks changes *which* objects are hot, not the rank-frequency
-  // law itself.
-  WorkloadParams params = BaseParams();
-  params.churn_swaps_per_hour = 1'000.0;
-  auto workload = GenerateWorkload(params);
-  ASSERT_TRUE(workload.ok());
-  std::vector<double> counts;
-  for (uint64_t c : CountAccesses(*workload)) {
-    counts.push_back(static_cast<double>(c));
-  }
-  std::sort(counts.rbegin(), counts.rend());
-  // Head still dominates (theta ~ 0.8 gives the top 10% > 40% of mass).
-  double head = 0.0, total = 0.0;
-  for (size_t i = 0; i < counts.size(); ++i) {
-    total += counts[i];
-    if (i < counts.size() / 10) head += counts[i];
-  }
-  EXPECT_GT(head / total, 0.4);
-}
-
 TEST(ExtensionsDeterminismTest, ReproducibleWithExtensionsEnabled) {
   WorkloadParams params = BaseParams();
   params.temporal_locality = 0.4;
   params.temporal_window = 512;
   params.temporal_mean_depth = 20.0;
-  params.churn_swaps_per_hour = 500.0;
+  params.model.drift_mode = DriftMode::kShuffle;
+  params.model.drift_half_life_s = 600.0;
   auto a = GenerateWorkload(params);
   auto b = GenerateWorkload(params);
   ASSERT_TRUE(a.ok() && b.ok());
@@ -175,12 +114,6 @@ TEST(ExtensionsDeterminismTest, ReproducibleWithExtensionsEnabled) {
     EXPECT_EQ(a->requests[i].client, b->requests[i].client);
     EXPECT_DOUBLE_EQ(a->requests[i].time, b->requests[i].time);
   }
-}
-
-TEST(ChurnTest, RejectsNegativeRate) {
-  WorkloadParams params = BaseParams();
-  params.churn_swaps_per_hour = -1.0;
-  EXPECT_FALSE(GenerateWorkload(params).ok());
 }
 
 }  // namespace

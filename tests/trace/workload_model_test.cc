@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -217,17 +218,32 @@ TEST(DriftTest, ShuffleModeMovesTheHotSet) {
   EXPECT_GT(HalfDrift(*drifted), HalfDrift(*stationary) * 2.0);
 }
 
+TEST(DriftTest, ShufflePreservesOverallSkew) {
+  // Swapping ranks changes *which* objects are hot, not the rank-frequency
+  // law itself.
+  WorkloadParams params = BaseParams();
+  params.model.drift_mode = DriftMode::kShuffle;
+  params.model.drift_half_life_s = 1200.0;
+  auto workload = GenerateWorkload(params);
+  ASSERT_TRUE(workload.ok());
+  std::vector<double> counts;
+  for (uint64_t c : CountAccesses(*workload)) {
+    counts.push_back(static_cast<double>(c));
+  }
+  std::sort(counts.rbegin(), counts.rend());
+  // Head still dominates (theta ~ 0.8 gives the top 10% > 40% of mass).
+  double head = 0.0, total = 0.0;
+  for (size_t i = 0; i < counts.size(); ++i) {
+    total += counts[i];
+    if (i < counts.size() / 10) head += counts[i];
+  }
+  EXPECT_GT(head / total, 0.4);
+}
+
 TEST(DriftTest, ShuffleRefusesHugeCatalogs) {
   WorkloadParams params = BaseParams();
   params.num_objects = kDriftShuffleMaxObjects + 1;
   params.model.drift_mode = DriftMode::kShuffle;
-  EXPECT_FALSE(GenerateWorkload(params).ok());
-}
-
-TEST(DriftTest, RejectsCombiningWithLegacyChurn) {
-  WorkloadParams params = BaseParams();
-  params.model.drift_mode = DriftMode::kRotate;
-  params.churn_swaps_per_hour = 100.0;
   EXPECT_FALSE(GenerateWorkload(params).ok());
 }
 

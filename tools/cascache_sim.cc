@@ -16,6 +16,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <utility>
 
 #include "sim/experiment.h"
 #include "sim/fault_plane.h"
@@ -46,6 +48,18 @@ long PeakRssKb() {
   return -1;
 }
 
+/// Narrows an integer flag value to T, rejecting values T cannot hold
+/// instead of letting static_cast wrap them.
+template <typename T, typename V>
+util::StatusOr<T> NarrowFlag(const char* name, V value) {
+  if (!std::in_range<T>(value)) {
+    return util::Status::InvalidArgument(std::string("--") + name +
+                                         " out of range: " +
+                                         std::to_string(value));
+  }
+  return static_cast<T>(value);
+}
+
 util::StatusOr<schemes::SchemeSpec> ParseScheme(const std::string& name,
                                                 int radius) {
   schemes::SchemeSpec spec;
@@ -74,12 +88,11 @@ util::StatusOr<schemes::SchemeSpec> ParseScheme(const std::string& name,
 
 util::Status RunMain(int argc, char** argv) {
   util::FlagParser flags;
-  std::string arch, schemes_text, cache_text, cost, coherency, trace_path,
-      save_trace;
+  std::string arch, schemes_text, cache_text, cost, coherency, save_trace;
   uint64_t requests, objects, clients, servers, seed;
   int64_t radius;
   double theta, dcache_ratio, warmup, ttl, mutable_fraction, update_period,
-      temporal, churn, level_growth;
+      temporal, level_growth;
   bool help;
 
   flags.AddBool("help", false, "print this help", &help);
@@ -97,9 +110,6 @@ util::Status RunMain(int argc, char** argv) {
   flags.AddUint64("servers", 200, "origin server count", &servers);
   flags.AddDouble("theta", 0.8, "Zipf exponent of object popularity", &theta);
   flags.AddUint64("seed", 42, "workload seed", &seed);
-  flags.AddString("trace", "",
-                  "deprecated alias of --trace-in",
-                  &trace_path);
   std::string trace_in, trace_out;
   bool trace_stream_release;
   flags.AddString("trace-in", "",
@@ -139,7 +149,6 @@ util::Status RunMain(int argc, char** argv) {
   flags.AddDouble("temporal", 0.0,
                   "temporal-locality re-reference probability",
                   &temporal);
-  flags.AddDouble("churn", 0.0, "popularity rank swaps per hour", &churn);
   // Non-stationary workload model (trace/workload_model.h). --workload
   // names the enabled components; the per-component knobs below only
   // take effect for components that are named.
@@ -369,10 +378,12 @@ util::Status RunMain(int argc, char** argv) {
     return util::Status::InvalidArgument("unknown --arch: " + arch);
   }
 
+  CASCACHE_ASSIGN_OR_RETURN(const int modulo_radius,
+                            NarrowFlag<int>("radius", radius));
   config.schemes.clear();
   for (const std::string& name : util::SplitCommaList(schemes_text)) {
     CASCACHE_ASSIGN_OR_RETURN(schemes::SchemeSpec spec,
-                              ParseScheme(name, static_cast<int>(radius)));
+                              ParseScheme(name, modulo_radius));
     config.schemes.push_back(spec);
   }
   if (config.schemes.empty()) {
@@ -385,13 +396,15 @@ util::Status RunMain(int argc, char** argv) {
   }
 
   config.workload.num_requests = requests;
-  config.workload.num_objects = static_cast<uint32_t>(objects);
-  config.workload.num_clients = static_cast<uint32_t>(clients);
-  config.workload.num_servers = static_cast<uint32_t>(servers);
+  CASCACHE_ASSIGN_OR_RETURN(config.workload.num_objects,
+                            NarrowFlag<uint32_t>("objects", objects));
+  CASCACHE_ASSIGN_OR_RETURN(config.workload.num_clients,
+                            NarrowFlag<uint32_t>("clients", clients));
+  CASCACHE_ASSIGN_OR_RETURN(config.workload.num_servers,
+                            NarrowFlag<uint32_t>("servers", servers));
   config.workload.zipf_theta = theta;
   config.workload.seed = seed;
   config.workload.temporal_locality = temporal;
-  config.workload.churn_swaps_per_hour = churn;
 
   // Workload model and catalog mode: explicit flag beats environment.
   if (!flags.WasSet("workload")) {
@@ -422,7 +435,9 @@ util::Status RunMain(int argc, char** argv) {
         model.drift_half_life_s = drift_half_life;
       } else if (part == "flash") {
         model.flash_rate_per_hour = flash_per_hour;
-        model.flash_objects = static_cast<uint32_t>(flash_objects);
+        CASCACHE_ASSIGN_OR_RETURN(
+            model.flash_objects,
+            NarrowFlag<uint32_t>("workload-flash-objects", flash_objects));
         model.flash_peak_share = flash_peak_share;
         model.flash_ramp_s = flash_ramp;
         model.flash_decay_s = flash_decay;
@@ -433,7 +448,8 @@ util::Status RunMain(int argc, char** argv) {
         model.session_prob = session_prob;
         model.session_mean_run = session_run;
       } else if (part == "regional") {
-        model.regions = static_cast<uint32_t>(regions);
+        CASCACHE_ASSIGN_OR_RETURN(
+            model.regions, NarrowFlag<uint32_t>("workload-regions", regions));
         model.regional_bias = regional_bias;
       } else {
         return util::Status::InvalidArgument(
@@ -478,7 +494,7 @@ util::Status RunMain(int argc, char** argv) {
   config.sim.coherency.ttl = ttl;
   config.sim.coherency.mutable_fraction = mutable_fraction;
   config.sim.coherency.mean_update_period = update_period;
-  config.jobs = static_cast<int>(jobs);
+  CASCACHE_ASSIGN_OR_RETURN(config.jobs, NarrowFlag<int>("jobs", jobs));
   config.sim.trace.enabled = !trace_jsonl.empty();
   config.sim.trace.sampling_rate = trace_sample;
   if (trace_ring < 1) {
@@ -522,7 +538,9 @@ util::Status RunMain(int argc, char** argv) {
     fault_config.request_timeout = fault_timeout;
   }
   if (flags.WasSet("fault-max-retries")) {
-    fault_config.max_retries = static_cast<int>(fault_max_retries);
+    CASCACHE_ASSIGN_OR_RETURN(
+        fault_config.max_retries,
+        NarrowFlag<int>("fault-max-retries", fault_max_retries));
   }
   if (flags.WasSet("fault-backoff")) {
     fault_config.retry_backoff = fault_backoff;
@@ -544,8 +562,11 @@ util::Status RunMain(int argc, char** argv) {
   config.sim.tier.disk_hit_cost = tier_disk_hit_cost;
   CASCACHE_RETURN_IF_ERROR(config.sim.tier.Validate());
   config.sim.sibling.enabled = sibling_probes;
-  config.sim.sibling.level = static_cast<int>(sibling_level);
-  config.sim.sibling.max_probes = static_cast<int>(sibling_max_probes);
+  CASCACHE_ASSIGN_OR_RETURN(config.sim.sibling.level,
+                            NarrowFlag<int>("sibling-level", sibling_level));
+  CASCACHE_ASSIGN_OR_RETURN(
+      config.sim.sibling.max_probes,
+      NarrowFlag<int>("sibling-max-probes", sibling_max_probes));
   config.sim.sibling.probe_bytes = sibling_probe_bytes;
   config.sim.sibling.probe_cost = sibling_probe_cost;
   CASCACHE_RETURN_IF_ERROR(config.sim.sibling.Validate());
@@ -553,11 +574,9 @@ util::Status RunMain(int argc, char** argv) {
   config.sim.contention.lookup_cost = service_lookup;
   config.sim.contention.store_cost = service_store;
   config.sim.contention.dcache_cost = service_dcache;
-  if (service_queue_cap < 0) {
-    return util::Status::InvalidArgument("--service-queue-cap must be >= 0");
-  }
-  config.sim.contention.node_queue_capacity =
-      static_cast<uint32_t>(service_queue_cap);
+  CASCACHE_ASSIGN_OR_RETURN(
+      config.sim.contention.node_queue_capacity,
+      NarrowFlag<uint32_t>("service-queue-cap", service_queue_cap));
   config.sim.contention.link_bandwidth = link_bandwidth;
   config.sim.contention.arrival_rate = arrival_rate;
   config.sim.contention.arrival_ramp = arrival_ramp;
@@ -565,9 +584,7 @@ util::Status RunMain(int argc, char** argv) {
   config.sim.contention.arrival_diurnal_period = arrival_diurnal_period;
   CASCACHE_RETURN_IF_ERROR(config.sim.contention.Validate());
 
-  // Trace in/out resolution: explicit flags beat the deprecated --trace
-  // alias beat the environment.
-  if (trace_in.empty()) trace_in = trace_path;
+  // Trace in/out resolution: explicit flags beat the environment.
   if (trace_in.empty()) {
     if (const char* env = std::getenv("CASCACHE_TRACE_IN");
         env != nullptr && env[0] != '\0') {
