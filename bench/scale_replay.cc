@@ -57,46 +57,28 @@ long PeakRssKb() {
   return -1;
 }
 
-util::StatusOr<schemes::SchemeSpec> ParseScheme(const std::string& name) {
-  schemes::SchemeSpec spec;
-  if (name == "lru") {
-    spec.kind = schemes::SchemeKind::kLru;
-  } else if (name == "modulo") {
-    spec.kind = schemes::SchemeKind::kModulo;
-  } else if (name == "lncr") {
-    spec.kind = schemes::SchemeKind::kLncr;
-  } else if (name == "coordinated") {
-    spec.kind = schemes::SchemeKind::kCoordinated;
-  } else {
-    return util::Status::InvalidArgument(
-        "unknown scheme '" + name +
-        "' (expected lru|modulo|lncr|coordinated)");
-  }
-  return spec;
-}
-
 util::Status RunMain(int argc, char** argv) {
+  sim::ExperimentConfig config;
+  config.workload.num_requests = 10'000'000;
+  config.jobs = 1;
+  std::string trace_file, schemes_text = "coordinated";
+  double cache_fraction = 0.01;
+  bool help = false;
   util::FlagParser flags;
-  uint64_t requests, objects, clients, servers, seed;
-  std::string trace_file, schemes_text;
-  double cache_fraction;
-  bool release, help;
-  flags.AddBool("help", false, "print this help", &help);
-  flags.AddUint64("requests", 10'000'000, "trace length", &requests);
-  flags.AddUint64("objects", 100'000, "object population (paper subtrace)",
-                  &objects);
-  flags.AddUint64("clients", 2'000, "client population", &clients);
-  flags.AddUint64("servers", 500, "origin server count", &servers);
-  flags.AddUint64("seed", 42, "workload seed", &seed);
-  flags.AddString("trace-file", "", "v2 trace path; generated if missing",
-                  &trace_file);
-  flags.AddString("schemes", "coordinated",
-                  "comma list of lru|modulo|lncr|coordinated", &schemes_text);
-  flags.AddDouble("cache", 0.01, "relative cache size", &cache_fraction);
-  flags.AddBool("release", false,
-                "advise-release consumed trace pages during replay "
-                "(O(1) residency mode)",
-                &release);
+  flags.Add("help", &help, "print this help");
+  flags.Add("requests", &config.workload.num_requests, "trace length");
+  flags.Add("objects", &config.workload.num_objects,
+            "object population (paper subtrace)");
+  flags.Add("clients", &config.workload.num_clients, "client population");
+  flags.Add("servers", &config.workload.num_servers, "origin server count");
+  flags.Add("seed", &config.workload.seed, "workload seed");
+  flags.Add("trace-file", &trace_file, "v2 trace path; generated if missing");
+  flags.Add("schemes", &schemes_text,
+            "comma list of lru|modulo|lncr|coordinated|gds|lfu|static");
+  flags.Add("cache", &cache_fraction, "relative cache size");
+  flags.Add("release", &config.release_trace_pages,
+            "advise-release consumed trace pages during replay (O(1) "
+            "residency mode)");
   CASCACHE_RETURN_IF_ERROR(flags.Parse(argc - 1, argv + 1));
   if (help) {
     std::fputs(flags.Usage("scale_replay").c_str(), stdout);
@@ -106,23 +88,12 @@ util::Status RunMain(int argc, char** argv) {
     return util::Status::InvalidArgument("--trace-file is required");
   }
 
-  sim::ExperimentConfig config;
-  config.workload.num_objects = static_cast<uint32_t>(objects);
-  config.workload.num_requests = requests;
-  config.workload.num_clients = static_cast<uint32_t>(clients);
-  config.workload.num_servers = static_cast<uint32_t>(servers);
-  config.workload.seed = seed;
   config.cache_fractions = {cache_fraction};
-  config.release_trace_pages = release;
-  config.jobs = 1;
-  std::string schemes_json;
-  for (size_t pos = 0; pos < schemes_text.size();) {
-    const size_t comma = schemes_text.find(',', pos);
-    const size_t end = comma == std::string::npos ? schemes_text.size() : comma;
-    CASCACHE_ASSIGN_OR_RETURN(const schemes::SchemeSpec spec,
-                              ParseScheme(schemes_text.substr(pos, end - pos)));
+  for (const std::string& name : util::SplitCommaList(schemes_text)) {
+    schemes::SchemeSpec spec;
+    CASCACHE_RETURN_IF_ERROR(
+        util::ParseChoice(name, schemes::kSchemeNames, &spec.kind));
     config.schemes.push_back(spec);
-    pos = end + 1;
   }
   if (config.schemes.empty()) {
     return util::Status::InvalidArgument("no schemes given");
@@ -133,7 +104,7 @@ util::Status RunMain(int argc, char** argv) {
   struct stat st;
   if (::stat(trace_file.c_str(), &st) != 0) {
     std::fprintf(stderr, "generating %" PRIu64 "-request trace %s ...\n",
-                 requests, trace_file.c_str());
+                 config.workload.num_requests, trace_file.c_str());
     CASCACHE_RETURN_IF_ERROR(
         trace::GenerateWorkloadToFile(config.workload, trace_file));
     if (::stat(trace_file.c_str(), &st) != 0) {
@@ -175,7 +146,7 @@ util::Status RunMain(int argc, char** argv) {
       "\"rss_before_kb\": %ld, \"peak_rss_kb\": %ld, "
       "\"scheme_requests_per_sec\": {%s}}\n",
       actual_requests, config.schemes.size(), cache_fraction,
-      release ? "true" : "false", trace_bytes, wall,
+      config.release_trace_pages ? "true" : "false", trace_bytes, wall,
       static_cast<double>(actual_requests) *
           static_cast<double>(results.size()) / wall,
       rss_before_kb, peak_rss_kb, per_scheme.c_str());

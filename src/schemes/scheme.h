@@ -3,6 +3,8 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/cache_set.h"
@@ -149,6 +151,14 @@ enum class SchemeKind {
   kGds,
   kLfu,
   kStatic,
+};
+
+/// Command-line names of the schemes, for util::ParseChoice.
+inline constexpr std::pair<std::string_view, SchemeKind> kSchemeNames[] = {
+    {"lru", SchemeKind::kLru},       {"modulo", SchemeKind::kModulo},
+    {"lncr", SchemeKind::kLncr},     {"coordinated", SchemeKind::kCoordinated},
+    {"gds", SchemeKind::kGds},       {"lfu", SchemeKind::kLfu},
+    {"static", SchemeKind::kStatic},
 };
 
 /// A scheme selection plus its parameters; used by the experiment runner

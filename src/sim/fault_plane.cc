@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <queue>
+#include <string_view>
 #include <utility>
+#include <variant>
+
+#include "util/flags.h"
 
 namespace cascache::sim {
 
@@ -44,9 +48,74 @@ constexpr uint64_t kDescentTag = 0x44;  // 'D'
 constexpr uint64_t kDiskTag = 0x4b;     // 'K' (disK; 'D' is taken)
 constexpr uint64_t kSiblingTag = 0x53;  // 'S'
 
+/// The fault keys, in --help order: one row names the key shared by the
+/// config file, CASCACHE_FAULT_<KEY> and --fault-<key>, the field it
+/// sets, and the flag's help.
+struct FaultKey {
+  std::string_view key;
+  std::variant<uint64_t FaultScheduleConfig::*, double FaultScheduleConfig::*,
+               int FaultScheduleConfig::*, bool FaultScheduleConfig::*>
+      field;
+  const char* help;
+};
+
+const FaultKey kFaultKeys[] = {
+    {"seed", &FaultScheduleConfig::seed, "seed of the fault streams"},
+    {"node_mtbf", &FaultScheduleConfig::node_crash_mtbf,
+     "mean seconds between node crashes (0 = none)"},
+    {"node_downtime", &FaultScheduleConfig::node_downtime,
+     "mean seconds a crashed node stays down"},
+    {"link_mtbf", &FaultScheduleConfig::link_mtbf,
+     "mean seconds between link outages (0 = none)"},
+    {"link_downtime", &FaultScheduleConfig::link_downtime,
+     "mean seconds a failed link stays down"},
+    {"crash_cuts_routing", &FaultScheduleConfig::crash_cuts_routing,
+     "crashed nodes also stop forwarding (requests detour)"},
+    {"ascent_loss", &FaultScheduleConfig::ascent_loss_prob,
+     "probability a hop's piggyback entry is lost"},
+    {"decision_loss", &FaultScheduleConfig::decision_loss_prob,
+     "probability a hop's placement decision is lost"},
+    {"timeout", &FaultScheduleConfig::request_timeout,
+     "seconds before an unreachable request retries"},
+    {"max_retries", &FaultScheduleConfig::max_retries,
+     "retries before a request is recorded as failed"},
+    {"backoff", &FaultScheduleConfig::retry_backoff,
+     "retry k backs off fault-backoff * 2^k seconds"},
+    {"disk_mtbf", &FaultScheduleConfig::disk_fail_mtbf,
+     "mean seconds between disk-tier failures (0 = none); a degraded node "
+     "serves from RAM only (tiered) or proxies (single-tier)"},
+    {"disk_downtime", &FaultScheduleConfig::disk_fail_downtime,
+     "mean seconds a failed disk tier stays degraded"},
+    {"sibling_loss", &FaultScheduleConfig::sibling_loss_prob,
+     "probability a sibling probe or its reply is lost"},
+};
+
+const FaultKey* FindFaultKey(std::string_view key) {
+  for (const FaultKey& entry : kFaultKeys) {
+    if (entry.key == key) return &entry;
+  }
+  return nullptr;
+}
+
+/// "node_mtbf" -> "fault-node-mtbf".
+std::string FaultFlagName(const FaultKey& entry) {
+  std::string name = "fault-" + std::string(entry.key);
+  std::replace(name.begin(), name.end(), '_', '-');
+  return name;
+}
+
 }  // namespace
 
 util::Status FaultScheduleConfig::Validate() const {
+  for (const FaultKey& entry : kFaultKeys) {
+    const auto* member =
+        std::get_if<double FaultScheduleConfig::*>(&entry.field);
+    if (member != nullptr && !std::isfinite(this->**member)) {
+      return util::Status::InvalidArgument("fault setting " +
+                                           std::string(entry.key) +
+                                           " must be finite");
+    }
+  }
   if (node_crash_mtbf < 0.0 || link_mtbf < 0.0) {
     return util::Status::InvalidArgument("fault mtbf must be >= 0");
   }
@@ -86,60 +155,18 @@ util::Status FaultScheduleConfig::Validate() const {
 util::Status ApplyFaultSetting(const std::string& key,
                                const std::string& value,
                                FaultScheduleConfig* config) {
-  const auto parse_double = [&](double* out) -> util::Status {
-    char* end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &end);
-    if (value.empty() || *end != '\0') {
-      return util::Status::InvalidArgument("bad number for fault setting " +
-                                           key + ": " + value);
-    }
-    *out = parsed;
-    return util::Status::Ok();
-  };
-  if (key == "seed") {
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-    if (value.empty() || *end != '\0' || value[0] == '-' || errno == ERANGE) {
-      return util::Status::InvalidArgument("bad seed: " + value);
-    }
-    config->seed = parsed;
-    return util::Status::Ok();
+  const FaultKey* entry = FindFaultKey(key);
+  if (entry == nullptr) {
+    return util::Status::InvalidArgument("unknown fault setting: " + key);
   }
-  if (key == "node_mtbf") return parse_double(&config->node_crash_mtbf);
-  if (key == "node_downtime") return parse_double(&config->node_downtime);
-  if (key == "link_mtbf") return parse_double(&config->link_mtbf);
-  if (key == "link_downtime") return parse_double(&config->link_downtime);
-  if (key == "crash_cuts_routing") {
-    if (value == "true" || value == "1" || value == "yes") {
-      config->crash_cuts_routing = true;
-    } else if (value == "false" || value == "0" || value == "no") {
-      config->crash_cuts_routing = false;
-    } else {
-      return util::Status::InvalidArgument("bad bool for crash_cuts_routing: " +
-                                           value);
-    }
-    return util::Status::Ok();
+  const util::Status status = std::visit(
+      [&](auto member) { return util::ParseValue(value, &(config->*member)); },
+      entry->field);
+  if (!status.ok()) {
+    return util::Status::InvalidArgument("fault setting " + key + ": " +
+                                         status.message());
   }
-  if (key == "ascent_loss") return parse_double(&config->ascent_loss_prob);
-  if (key == "decision_loss") return parse_double(&config->decision_loss_prob);
-  if (key == "timeout") return parse_double(&config->request_timeout);
-  if (key == "max_retries") {
-    char* end = nullptr;
-    errno = 0;
-    const long parsed = std::strtol(value.c_str(), &end, 10);
-    if (value.empty() || *end != '\0' || errno == ERANGE ||
-        !std::in_range<int>(parsed)) {
-      return util::Status::InvalidArgument("bad max_retries: " + value);
-    }
-    config->max_retries = static_cast<int>(parsed);
-    return util::Status::Ok();
-  }
-  if (key == "backoff") return parse_double(&config->retry_backoff);
-  if (key == "disk_mtbf") return parse_double(&config->disk_fail_mtbf);
-  if (key == "disk_downtime") return parse_double(&config->disk_fail_downtime);
-  if (key == "sibling_loss") return parse_double(&config->sibling_loss_prob);
-  return util::Status::InvalidArgument("unknown fault setting: " + key);
+  return util::Status::Ok();
 }
 
 util::Status LoadFaultConfigFile(const std::string& path,
@@ -184,21 +211,46 @@ util::Status LoadFaultConfigFile(const std::string& path,
 }
 
 util::Status ApplyFaultEnvOverrides(FaultScheduleConfig* config) {
-  static constexpr const char* kKeys[] = {
-      "seed",        "node_mtbf",   "node_downtime",      "link_mtbf",
-      "link_downtime", "crash_cuts_routing", "ascent_loss", "decision_loss",
-      "timeout",     "max_retries", "backoff",            "disk_mtbf",
-      "disk_downtime", "sibling_loss"};
-  for (const char* key : kKeys) {
+  for (const FaultKey& entry : kFaultKeys) {
     std::string env_name = "CASCACHE_FAULT_";
-    for (const char* p = key; *p != '\0'; ++p) {
-      env_name += static_cast<char>(std::toupper(*p));
+    for (const unsigned char c : entry.key) {
+      env_name += static_cast<char>(std::toupper(c));
     }
-    if (const char* value = std::getenv(env_name.c_str()); value != nullptr) {
-      CASCACHE_RETURN_IF_ERROR(ApplyFaultSetting(key, value, config));
+    const char* value = std::getenv(env_name.c_str());
+    if (value == nullptr) continue;
+    if (util::Status status =
+            ApplyFaultSetting(std::string(entry.key), value, config);
+        !status.ok()) {
+      return util::Status::InvalidArgument(env_name + ": " + status.message());
     }
   }
   return util::Status::Ok();
+}
+
+void FaultFlags::Register(util::FlagParser* flags) {
+  flags->Add("fault-config", &config_file_,
+             "fault schedule file (key=value lines; see DESIGN.md)");
+  for (const FaultKey& entry : kFaultKeys) {
+    std::visit(
+        [&](auto member) {
+          flags->Add(FaultFlagName(entry), &(values_.*member), entry.help);
+        },
+        entry.field);
+  }
+}
+
+util::Status FaultFlags::Resolve(const util::FlagParser& flags,
+                                 FaultScheduleConfig* config) const {
+  if (!config_file_.empty()) {
+    CASCACHE_RETURN_IF_ERROR(LoadFaultConfigFile(config_file_, config));
+  }
+  CASCACHE_RETURN_IF_ERROR(ApplyFaultEnvOverrides(config));
+  for (const FaultKey& entry : kFaultKeys) {
+    if (!flags.WasSet(FaultFlagName(entry))) continue;
+    std::visit([&](auto member) { config->*member = values_.*member; },
+               entry.field);
+  }
+  return config->Validate();
 }
 
 // --- OutageTrack -----------------------------------------------------------

@@ -11,6 +11,10 @@
 #include "util/random.h"
 #include "util/status.h"
 
+namespace cascache::util {
+class FlagParser;
+}  // namespace cascache::util
+
 namespace cascache::sim {
 
 /// Declarative fault schedule of one simulation run. Everything is driven
@@ -87,13 +91,16 @@ struct FaultScheduleConfig {
   }
 
   util::Status Validate() const;
+
+  bool operator==(const FaultScheduleConfig&) const = default;
 };
 
-/// Applies one `key=value` setting to a config; shared by the config-file
-/// loader, the CASCACHE_FAULT_* environment overrides and tests. Keys:
-/// seed, node_mtbf, node_downtime, link_mtbf, link_downtime,
-/// crash_cuts_routing, ascent_loss, decision_loss, timeout, max_retries,
-/// backoff, disk_mtbf, disk_downtime, sibling_loss.
+/// Applies one `key=value` setting to a config through the one value
+/// parser (util::ParseValue); shared by the config-file loader, the
+/// CASCACHE_FAULT_* environment overrides and tests. Keys: seed,
+/// node_mtbf, node_downtime, link_mtbf, link_downtime, crash_cuts_routing,
+/// ascent_loss, decision_loss, timeout, max_retries, backoff, disk_mtbf,
+/// disk_downtime, sibling_loss.
 util::Status ApplyFaultSetting(const std::string& key,
                                const std::string& value,
                                FaultScheduleConfig* config);
@@ -106,6 +113,30 @@ util::Status LoadFaultConfigFile(const std::string& path,
 /// Overrides config fields from CASCACHE_FAULT_* environment variables
 /// (CASCACHE_FAULT_NODE_MTBF, ..., uppercased key names above).
 util::Status ApplyFaultEnvOverrides(FaultScheduleConfig* config);
+
+/// The fault schedule's command-line surface: --fault-config plus one
+/// --fault-<key> flag per key above ('_' spelled '-'). Holds the flag
+/// values until Resolve layers them over the other sources, so it must
+/// outlive the parser it registers with.
+class FaultFlags {
+ public:
+  FaultFlags() = default;
+  // The registered flags point into this object.
+  FaultFlags(const FaultFlags&) = delete;
+  FaultFlags& operator=(const FaultFlags&) = delete;
+
+  void Register(util::FlagParser* flags);
+
+  /// Builds `config` from, lowest to highest precedence: its current
+  /// values, the --fault-config file, CASCACHE_FAULT_* variables and the
+  /// --fault-* flags given on the command line; then validates it.
+  util::Status Resolve(const util::FlagParser& flags,
+                       FaultScheduleConfig* config) const;
+
+ private:
+  std::string config_file_;
+  FaultScheduleConfig values_;
+};
 
 /// Deterministic fault-injection layer over one simulation run. Owned by
 /// the Simulator (one per cache plane, so parallel sweep cells fault

@@ -31,8 +31,11 @@ util::Status ValidateParams(const WorkloadParams& params) {
   if (params.num_clients == 0 || params.num_servers == 0) {
     return util::Status::InvalidArgument("need clients and servers");
   }
-  if (params.zipf_theta <= 0.0 || params.client_zipf_theta <= 0.0) {
-    return util::Status::InvalidArgument("Zipf exponents must be > 0");
+  if (!std::isfinite(params.zipf_theta) || params.zipf_theta <= 0.0 ||
+      !std::isfinite(params.client_zipf_theta) ||
+      params.client_zipf_theta <= 0.0) {
+    return util::Status::InvalidArgument(
+        "Zipf exponents must be finite and > 0");
   }
   if (params.request_rate <= 0.0) {
     return util::Status::InvalidArgument("request_rate must be > 0");

@@ -1,8 +1,20 @@
 #include "trace/workload_model.h"
 
+#include <cmath>
+
 namespace cascache::trace {
 
 util::Status ValidateWorkloadModel(const WorkloadModelParams& m) {
+  for (const double value :
+       {m.drift_half_life_s, m.flash_rate_per_hour, m.flash_peak_share,
+        m.flash_ramp_s, m.flash_decay_s, m.diurnal_amplitude,
+        m.diurnal_period_s, m.session_prob, m.session_mean_run,
+        m.regional_bias}) {
+    if (!std::isfinite(value)) {
+      return util::Status::InvalidArgument(
+          "workload model parameters must be finite");
+    }
+  }
   if (m.drift_mode != DriftMode::kNone && m.drift_half_life_s <= 0.0) {
     return util::Status::InvalidArgument("drift_half_life_s must be > 0");
   }

@@ -1,63 +1,65 @@
 #include "util/flags.h"
 
+#include <cmath>
 #include <cstdlib>
+#include <utility>
 
 namespace cascache::util {
 
-namespace {
+namespace flags_internal {
 
-bool ParseBoolText(const std::string& text, bool* out) {
+Status Malformed(std::string_view what, std::string_view text) {
+  std::string message = "expected ";
+  message.append(what).append(", got '").append(text).append("'");
+  return Status::InvalidArgument(std::move(message));
+}
+
+Status OutOfRange(std::string_view text, const std::string& min,
+                  const std::string& max) {
+  std::string message = "'";
+  message.append(text).append("' is out of range [").append(min);
+  message.append(", ").append(max).append("]");
+  return Status::InvalidArgument(std::move(message));
+}
+
+Status UnknownChoice(std::string_view text, const std::string& names) {
+  std::string message = "unknown value '";
+  message.append(text).append("' (expected ").append(names).append(")");
+  return Status::InvalidArgument(std::move(message));
+}
+
+}  // namespace flags_internal
+
+Status ParseValue(std::string_view text, std::string* out) {
+  *out = std::string(text);
+  return Status::Ok();
+}
+
+Status ParseValue(std::string_view text, bool* out) {
   if (text == "true" || text == "1" || text == "yes") {
     *out = true;
-    return true;
-  }
-  if (text == "false" || text == "0" || text == "no") {
+  } else if (text == "false" || text == "0" || text == "no") {
     *out = false;
-    return true;
+  } else {
+    return flags_internal::Malformed("a bool", text);
   }
-  return false;
+  return Status::Ok();
 }
 
-}  // namespace
-
-void FlagParser::AddString(const std::string& name,
-                           const std::string& default_value,
-                           const std::string& help, std::string* out) {
-  CASCACHE_CHECK(out != nullptr);
-  *out = default_value;
-  flags_.push_back({name, Type::kString, help, default_value, out});
-}
-
-void FlagParser::AddInt64(const std::string& name, int64_t default_value,
-                          const std::string& help, int64_t* out) {
-  CASCACHE_CHECK(out != nullptr);
-  *out = default_value;
-  flags_.push_back(
-      {name, Type::kInt64, help, std::to_string(default_value), out});
-}
-
-void FlagParser::AddUint64(const std::string& name, uint64_t default_value,
-                           const std::string& help, uint64_t* out) {
-  CASCACHE_CHECK(out != nullptr);
-  *out = default_value;
-  flags_.push_back(
-      {name, Type::kUint64, help, std::to_string(default_value), out});
-}
-
-void FlagParser::AddDouble(const std::string& name, double default_value,
-                           const std::string& help, double* out) {
-  CASCACHE_CHECK(out != nullptr);
-  *out = default_value;
-  flags_.push_back(
-      {name, Type::kDouble, help, std::to_string(default_value), out});
-}
-
-void FlagParser::AddBool(const std::string& name, bool default_value,
-                         const std::string& help, bool* out) {
-  CASCACHE_CHECK(out != nullptr);
-  *out = default_value;
-  flags_.push_back(
-      {name, Type::kBool, help, default_value ? "true" : "false", out});
+Status ParseValue(std::string_view text, double* out) {
+  // strtod needs a terminator; it also accepts the exponent and hex forms
+  // the flags have always taken.
+  const std::string copy(text);
+  char* end = nullptr;
+  const double parsed = std::strtod(copy.c_str(), &end);
+  if (copy.empty() || *end != '\0') {
+    return flags_internal::Malformed("a number", text);
+  }
+  if (!std::isfinite(parsed)) {
+    return flags_internal::Malformed("a finite number", text);
+  }
+  *out = parsed;
+  return Status::Ok();
 }
 
 FlagParser::Flag* FlagParser::Find(const std::string& name) {
@@ -77,56 +79,6 @@ const FlagParser::Flag* FlagParser::Find(const std::string& name) const {
 bool FlagParser::WasSet(const std::string& name) const {
   const Flag* flag = Find(name);
   return flag != nullptr && flag->parsed;
-}
-
-Status FlagParser::SetValue(const Flag& flag, const std::string& value) {
-  char* end = nullptr;
-  switch (flag.type) {
-    case Type::kString:
-      *static_cast<std::string*>(flag.out) = value;
-      return Status::Ok();
-    case Type::kInt64: {
-      const long long parsed = std::strtoll(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0') {
-        return Status::InvalidArgument("bad integer for --" + flag.name +
-                                       ": " + value);
-      }
-      *static_cast<int64_t*>(flag.out) = parsed;
-      return Status::Ok();
-    }
-    case Type::kUint64: {
-      if (value.empty() || value[0] == '-') {
-        return Status::InvalidArgument("bad unsigned for --" + flag.name +
-                                       ": " + value);
-      }
-      const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-      if (*end != '\0') {
-        return Status::InvalidArgument("bad unsigned for --" + flag.name +
-                                       ": " + value);
-      }
-      *static_cast<uint64_t*>(flag.out) = parsed;
-      return Status::Ok();
-    }
-    case Type::kDouble: {
-      const double parsed = std::strtod(value.c_str(), &end);
-      if (value.empty() || *end != '\0') {
-        return Status::InvalidArgument("bad number for --" + flag.name +
-                                       ": " + value);
-      }
-      *static_cast<double*>(flag.out) = parsed;
-      return Status::Ok();
-    }
-    case Type::kBool: {
-      bool parsed = false;
-      if (!ParseBoolText(value, &parsed)) {
-        return Status::InvalidArgument("bad bool for --" + flag.name + ": " +
-                                       value);
-      }
-      *static_cast<bool*>(flag.out) = parsed;
-      return Status::Ok();
-    }
-  }
-  return Status::Internal("unhandled flag type");
 }
 
 Status FlagParser::Parse(int argc, const char* const* argv) {
@@ -151,19 +103,27 @@ Status FlagParser::Parse(int argc, const char* const* argv) {
       return Status::InvalidArgument("unknown flag --" + name);
     }
     if (!has_value) {
-      if (flag->type == Type::kBool) {
-        // Bare boolean flag.
-        *static_cast<bool*>(flag->out) = true;
-        flag->parsed = true;
-        continue;
-      }
-      if (i + 1 >= argc) {
+      if (flag->is_bool) {
+        value = "true";  // Bare boolean flag.
+      } else if (i + 1 >= argc) {
         return Status::InvalidArgument("missing value for --" + name);
+      } else {
+        value = argv[++i];
       }
-      value = argv[++i];
     }
-    CASCACHE_RETURN_IF_ERROR(SetValue(*flag, value));
+    if (Status status = flag->set(value); !status.ok()) {
+      return Status::InvalidArgument("--" + name + ": " + status.message());
+    }
     flag->parsed = true;
+  }
+  for (Flag& flag : flags_) {
+    if (flag.parsed || flag.env.empty()) continue;
+    const char* value = std::getenv(flag.env.c_str());
+    if (value == nullptr || value[0] == '\0') continue;
+    if (Status status = flag.set(value); !status.ok()) {
+      return Status::InvalidArgument(flag.env + " (--" + flag.name +
+                                     "): " + status.message());
+    }
   }
   return Status::Ok();
 }
@@ -172,7 +132,9 @@ std::string FlagParser::Usage(const std::string& program) const {
   std::string out = "usage: " + program + " [flags]\n";
   for (const Flag& flag : flags_) {
     out += "  --" + flag.name + " (default: " + flag.default_text + ")\n      " +
-           flag.help + "\n";
+           flag.help;
+    if (!flag.env.empty()) out += " (env: " + flag.env + ")";
+    out += "\n";
   }
   return out;
 }

@@ -1,59 +1,159 @@
 #ifndef CASCACHE_UTIL_FLAGS_H_
 #define CASCACHE_UTIL_FLAGS_H_
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
+#include <functional>
+#include <limits>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/status.h"
 
 namespace cascache::util {
 
-/// Minimal command-line flag parser for the driver binaries. Supports
-/// `--name=value`, `--name value` and bare boolean `--name`. Unknown
-/// flags and malformed values are errors; positional arguments are
-/// collected in order.
+/// The one value parser behind command-line flags, environment variables
+/// and config-file keys. Numbers and booleans reject empty input and
+/// trailing junk; integers reject overflow, values their target type
+/// cannot hold and (for unsigned targets) a sign; doubles reject NaN and
+/// +-inf. Booleans accept true|1|yes and false|0|no. `*out` is left
+/// untouched on error.
+Status ParseValue(std::string_view text, std::string* out);
+Status ParseValue(std::string_view text, bool* out);
+Status ParseValue(std::string_view text, double* out);
+
+namespace flags_internal {
+/// "expected <what>, got '<text>'".
+Status Malformed(std::string_view what, std::string_view text);
+/// "'<text>' is out of range [<min>, <max>]".
+Status OutOfRange(std::string_view text, const std::string& min,
+                  const std::string& max);
+/// "unknown value '<text>' (expected <names>)".
+Status UnknownChoice(std::string_view text, const std::string& names);
+}  // namespace flags_internal
+
+template <typename T>
+  requires std::integral<T> && (!std::same_as<T, bool>)
+Status ParseValue(std::string_view text, T* out) {
+  T parsed{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, parsed);
+  if (ec == std::errc::result_out_of_range) {
+    return flags_internal::OutOfRange(
+        text, std::to_string(std::numeric_limits<T>::min()),
+        std::to_string(std::numeric_limits<T>::max()));
+  }
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    return flags_internal::Malformed(
+        std::is_signed_v<T> ? "an integer" : "an unsigned integer", text);
+  }
+  *out = parsed;
+  return Status::Ok();
+}
+
+/// A name -> value table for an enum-valued flag or list element.
+template <typename E>
+using Choices = std::span<const std::pair<std::string_view, E>>;
+
+/// Looks `text` up in `choices`; an unknown name is rejected with the
+/// list of valid ones.
+template <typename E>
+Status ParseChoice(std::string_view text,
+                   std::type_identity_t<Choices<E>> choices, E* out) {
+  std::string names;
+  for (const auto& [name, value] : choices) {
+    if (name == text) {
+      *out = value;
+      return Status::Ok();
+    }
+    if (!names.empty()) names += '|';
+    names += name;
+  }
+  return flags_internal::UnknownChoice(text, names);
+}
+
+/// Command-line flag parser for the tools and benches. Every flag is bound
+/// to the field it sets. Supports `--name=value`, `--name value` and bare
+/// boolean `--name`; unknown flags and malformed values are errors;
+/// positional arguments are collected in order. A flag may name an
+/// environment variable that supplies its value when the flag is not
+/// given on the command line.
 class FlagParser {
  public:
-  /// All Add* calls must happen before Parse. The pointees receive the
-  /// default immediately and the parsed value on success.
-  void AddString(const std::string& name, const std::string& default_value,
-                 const std::string& help, std::string* out);
-  void AddInt64(const std::string& name, int64_t default_value,
-                const std::string& help, int64_t* out);
-  void AddUint64(const std::string& name, uint64_t default_value,
-                 const std::string& help, uint64_t* out);
-  void AddDouble(const std::string& name, double default_value,
-                 const std::string& help, double* out);
-  void AddBool(const std::string& name, bool default_value,
-               const std::string& help, bool* out);
+  /// Binds --name to `field` (std::string, bool, an integer or double).
+  /// The field's current value is the default; Parse overwrites it only
+  /// when the flag (or its non-empty `env` variable) is given. All Add
+  /// calls must happen before Parse, and `field` must outlive the parser.
+  template <typename T>
+  void Add(const std::string& name, T* field, const std::string& help,
+           std::string env = "") {
+    CASCACHE_CHECK(field != nullptr);
+    flags_.push_back({name, help, std::move(env), FormatDefault(*field),
+                      std::is_same_v<T, bool>,
+                      [field](std::string_view text) {
+                        return ParseValue(text, field);
+                      }});
+  }
 
-  /// Parses argv (excluding argv[0]).
+  /// Binds an enum-valued --name to `field` through a name table, which
+  /// must outlive the parser. The default is the name of the field's
+  /// current value.
+  template <typename E>
+  void Add(const std::string& name, E* field,
+           std::type_identity_t<Choices<E>> choices, const std::string& help,
+           std::string env = "") {
+    CASCACHE_CHECK(field != nullptr);
+    std::string default_name;
+    for (const auto& [choice, value] : choices) {
+      if (value == *field) default_name = choice;
+    }
+    flags_.push_back({name, help, std::move(env), default_name, false,
+                      [field, choices](std::string_view text) {
+                        return ParseChoice<E>(text, choices, field);
+                      }});
+  }
+
+  /// Parses argv (excluding argv[0]), then fills every flag not given
+  /// from its environment variable, if set and non-empty.
   Status Parse(int argc, const char* const* argv);
 
   const std::vector<std::string>& positional() const { return positional_; }
 
   /// Whether the flag appeared on the last parsed command line (as
-  /// opposed to holding its default). Lets callers layer CLI values over
-  /// other configuration sources. False for unknown names.
+  /// opposed to holding its default or an environment value). Lets
+  /// callers layer CLI values over other configuration sources. False
+  /// for unknown names.
   bool WasSet(const std::string& name) const;
 
-  /// Help text listing every flag with its default and description.
+  /// Help text listing every flag with its default, description and
+  /// environment variable.
   std::string Usage(const std::string& program) const;
 
  private:
-  enum class Type { kString, kInt64, kUint64, kDouble, kBool };
-
   struct Flag {
     std::string name;
-    Type type;
     std::string help;
+    std::string env;
     std::string default_text;
-    void* out;
+    bool is_bool;
+    std::function<Status(std::string_view)> set;
     bool parsed = false;  ///< Seen on the last Parse'd command line.
   };
 
-  Status SetValue(const Flag& flag, const std::string& value);
+  static std::string FormatDefault(const std::string& value) { return value; }
+  static std::string FormatDefault(bool value) {
+    return value ? "true" : "false";
+  }
+  template <typename T>
+  static std::string FormatDefault(T value) {
+    return std::to_string(value);
+  }
+
   Flag* Find(const std::string& name);
   const Flag* Find(const std::string& name) const;
 

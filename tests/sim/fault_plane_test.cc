@@ -1,12 +1,15 @@
 #include "sim/fault_plane.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include "sim/simulator.h"
 #include "testing/scenario.h"
 #include "trace/synthetic.h"
+#include "util/flags.h"
 
 namespace cascache::sim {
 namespace {
@@ -173,6 +177,159 @@ TEST(FaultScheduleConfigTest, EnvOverridesApply) {
   unsetenv("CASCACHE_FAULT_NODE_MTBF");
   unsetenv("CASCACHE_FAULT_CRASH_CUTS_ROUTING");
   unsetenv("CASCACHE_FAULT_ASCENT_LOSS");
+}
+
+TEST(FaultScheduleConfigTest, ValidateRejectsNonFiniteValues) {
+  // An infinite MTBF would become a zero crash rate, which the
+  // exponential sampler CHECKs against.
+  for (double FaultScheduleConfig::*field :
+       {&FaultScheduleConfig::node_crash_mtbf, &FaultScheduleConfig::link_mtbf,
+        &FaultScheduleConfig::disk_fail_mtbf,
+        &FaultScheduleConfig::request_timeout}) {
+    FaultScheduleConfig config;
+    config.*field = std::numeric_limits<double>::infinity();
+    EXPECT_FALSE(config.Validate().ok());
+    config.*field = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_FALSE(config.Validate().ok());
+  }
+}
+
+/// Writes `lines` to a fresh fault config file and returns its path.
+std::string WriteFaultFile(const std::string& lines) {
+  const std::string path = ::testing::TempDir() + "/fault_keys_test.conf";
+  std::ofstream out(path, std::ios::trunc);
+  out << lines;
+  return path;
+}
+
+TEST(FaultScheduleConfigTest, RejectsNonFiniteAndOverflowFromFileAndEnv) {
+  const std::pair<const char*, const char*> kBad[] = {
+      {"node_mtbf", "inf"},
+      {"seed", "99999999999999999999"},
+      {"node_downtime", "nan"},
+  };
+  for (const auto& [key, value] : kBad) {
+    SCOPED_TRACE(std::string(key) + "=" + value);
+    FaultScheduleConfig config;
+    const std::string path =
+        WriteFaultFile(std::string(key) + "=" + value + "\n");
+    EXPECT_FALSE(LoadFaultConfigFile(path, &config).ok());
+    std::remove(path.c_str());
+
+    std::string env_name = "CASCACHE_FAULT_" + std::string(key);
+    std::transform(env_name.begin(), env_name.end(), env_name.begin(),
+                   [](unsigned char c) { return std::toupper(c); });
+    ASSERT_EQ(setenv(env_name.c_str(), value, 1), 0);
+    EXPECT_FALSE(ApplyFaultEnvOverrides(&config).ok());
+    unsetenv(env_name.c_str());
+    EXPECT_EQ(config, FaultScheduleConfig());
+  }
+}
+
+/// One non-default value per fault key, in file/env/flag spelling.
+struct FaultKeyCase {
+  const char* key;
+  const char* env;
+  const char* flag;
+  const char* value;
+};
+constexpr FaultKeyCase kEveryFaultKey[] = {
+    {"seed", "CASCACHE_FAULT_SEED", "--fault-seed", "99"},
+    {"node_mtbf", "CASCACHE_FAULT_NODE_MTBF", "--fault-node-mtbf", "12.5"},
+    {"node_downtime", "CASCACHE_FAULT_NODE_DOWNTIME", "--fault-node-downtime",
+     "3"},
+    {"link_mtbf", "CASCACHE_FAULT_LINK_MTBF", "--fault-link-mtbf", "7"},
+    {"link_downtime", "CASCACHE_FAULT_LINK_DOWNTIME", "--fault-link-downtime",
+     "2"},
+    {"crash_cuts_routing", "CASCACHE_FAULT_CRASH_CUTS_ROUTING",
+     "--fault-crash-cuts-routing", "yes"},
+    {"ascent_loss", "CASCACHE_FAULT_ASCENT_LOSS", "--fault-ascent-loss",
+     "0.25"},
+    {"decision_loss", "CASCACHE_FAULT_DECISION_LOSS", "--fault-decision-loss",
+     "0.5"},
+    {"timeout", "CASCACHE_FAULT_TIMEOUT", "--fault-timeout", "9"},
+    {"max_retries", "CASCACHE_FAULT_MAX_RETRIES", "--fault-max-retries", "5"},
+    {"backoff", "CASCACHE_FAULT_BACKOFF", "--fault-backoff", "0.75"},
+    {"disk_mtbf", "CASCACHE_FAULT_DISK_MTBF", "--fault-disk-mtbf", "80"},
+    {"disk_downtime", "CASCACHE_FAULT_DISK_DOWNTIME", "--fault-disk-downtime",
+     "15"},
+    {"sibling_loss", "CASCACHE_FAULT_SIBLING_LOSS", "--fault-sibling-loss",
+     "0.125"},
+};
+
+/// Resolves a schedule the way the CLI does: --fault-* flags over
+/// CASCACHE_FAULT_* over the --fault-config file over the defaults.
+util::Status ResolveFromFlags(std::vector<std::string> args,
+                              FaultScheduleConfig* config) {
+  util::FlagParser flags;
+  FaultFlags fault_flags;
+  fault_flags.Register(&flags);
+  std::vector<const char*> argv;
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
+  CASCACHE_RETURN_IF_ERROR(
+      flags.Parse(static_cast<int>(argv.size()), argv.data()));
+  return fault_flags.Resolve(flags, config);
+}
+
+TEST(FaultScheduleConfigTest, EveryKeyParsesIdenticallyFromFileEnvAndFlags) {
+  std::string lines;
+  std::vector<std::string> args;
+  for (const FaultKeyCase& c : kEveryFaultKey) {
+    lines += std::string(c.key) + " = " + c.value + "\n";
+    args.push_back(std::string(c.flag) + "=" + c.value);
+  }
+  FaultScheduleConfig from_file;
+  const std::string path = WriteFaultFile(lines);
+  ASSERT_TRUE(LoadFaultConfigFile(path, &from_file).ok());
+  std::remove(path.c_str());
+
+  FaultScheduleConfig from_flags;
+  ASSERT_TRUE(ResolveFromFlags(args, &from_flags).ok());
+
+  for (const FaultKeyCase& c : kEveryFaultKey) {
+    ASSERT_EQ(setenv(c.env, c.value, 1), 0);
+  }
+  FaultScheduleConfig from_env;
+  const util::Status env_status = ApplyFaultEnvOverrides(&from_env);
+  for (const FaultKeyCase& c : kEveryFaultKey) unsetenv(c.env);
+  ASSERT_TRUE(env_status.ok());
+
+  // Every key moved off its default, identically through all three.
+  const FaultScheduleConfig defaults;
+  for (const FaultKeyCase& c : kEveryFaultKey) {
+    FaultScheduleConfig one;
+    ASSERT_TRUE(ApplyFaultSetting(c.key, c.value, &one).ok()) << c.key;
+    EXPECT_NE(one, defaults) << c.key;
+  }
+  EXPECT_EQ(from_file.seed, 99u);
+  EXPECT_DOUBLE_EQ(from_file.sibling_loss_prob, 0.125);
+  EXPECT_EQ(from_file, from_flags);
+  EXPECT_EQ(from_file, from_env);
+}
+
+TEST(FaultScheduleConfigTest, FlagBeatsEnvBeatsFile) {
+  const std::string path = WriteFaultFile("node_mtbf=40\nnode_downtime=10\n");
+  ASSERT_EQ(setenv("CASCACHE_FAULT_NODE_MTBF", "50", 1), 0);
+  FaultScheduleConfig all_three;
+  const util::Status all_status = ResolveFromFlags(
+      {"--fault-config=" + path, "--fault-node-mtbf=60"}, &all_three);
+  FaultScheduleConfig file_and_env;
+  const util::Status two_status =
+      ResolveFromFlags({"--fault-config=" + path}, &file_and_env);
+  unsetenv("CASCACHE_FAULT_NODE_MTBF");
+  FaultScheduleConfig file_only;
+  const util::Status file_status =
+      ResolveFromFlags({"--fault-config=" + path}, &file_only);
+  std::remove(path.c_str());
+
+  ASSERT_TRUE(all_status.ok());
+  ASSERT_TRUE(two_status.ok());
+  ASSERT_TRUE(file_status.ok());
+  EXPECT_DOUBLE_EQ(all_three.node_crash_mtbf, 60.0);
+  EXPECT_DOUBLE_EQ(file_and_env.node_crash_mtbf, 50.0);
+  EXPECT_DOUBLE_EQ(file_only.node_crash_mtbf, 40.0);
+  // A flag not given keeps the file's value, not the flag's default.
+  EXPECT_DOUBLE_EQ(all_three.node_downtime, 10.0);
 }
 
 class FaultPlaneChainTest : public ::testing::Test {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -160,6 +161,20 @@ TEST(SyntheticTest, RejectsBadParameters) {
   params = SmallParams();
   params.num_clients = 0;
   EXPECT_FALSE(GenerateWorkload(params).ok());
+}
+
+TEST(SyntheticTest, RejectsNonFiniteZipfExponents) {
+  // NaN passes a plain `theta <= 0` test and would reach the Zipf
+  // sampler's positivity CHECK.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    WorkloadParams params = SmallParams();
+    params.zipf_theta = bad;
+    EXPECT_FALSE(GenerateWorkload(params).ok());
+    params = SmallParams();
+    params.client_zipf_theta = bad;
+    EXPECT_FALSE(GenerateWorkload(params).ok());
+  }
 }
 
 // The single emitter, with every workload-model component off, draws the

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -410,6 +411,23 @@ TEST(WorkloadModelValidationTest, RejectsBadKnobs) {
   params.model.regions = 2000;  // More regions than objects.
   params.model.regional_bias = 0.5;
   EXPECT_FALSE(GenerateWorkload(params).ok());
+}
+
+TEST(WorkloadModelValidationTest, RejectsNonFiniteKnobs) {
+  WorkloadModelParams model;
+  model.diurnal_amplitude = 0.5;
+  model.diurnal_period_s = std::nan("");
+  EXPECT_FALSE(ValidateWorkloadModel(model).ok());
+
+  // An infinite flash rate would make the flash-event process spin.
+  model = WorkloadModelParams();
+  model.flash_rate_per_hour = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(ValidateWorkloadModel(model).ok());
+
+  model = WorkloadModelParams();
+  model.drift_mode = DriftMode::kRotate;
+  model.drift_half_life_s = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(ValidateWorkloadModel(model).ok());
 }
 
 TEST(ProceduralCatalogTest, DeterministicAndBounded) {

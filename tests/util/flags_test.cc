@@ -2,19 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string_view>
+#include <utility>
+
 namespace cascache::util {
 namespace {
 
 TEST(FlagParserTest, DefaultsAppliedImmediately) {
   FlagParser parser;
-  std::string s;
-  int64_t i = 0;
-  double d = 0;
-  bool b = true;
-  parser.AddString("name", "fallback", "h", &s);
-  parser.AddInt64("count", 7, "h", &i);
-  parser.AddDouble("ratio", 0.5, "h", &d);
-  parser.AddBool("verbose", false, "h", &b);
+  std::string s = "fallback";
+  int64_t i = 7;
+  double d = 0.5;
+  bool b = false;
+  parser.Add("name", &s, "h");
+  parser.Add("count", &i, "h");
+  parser.Add("ratio", &d, "h");
+  parser.Add("verbose", &b, "h");
+  const char* argv[] = {"positional-only"};
+  ASSERT_TRUE(parser.Parse(1, argv).ok());
   EXPECT_EQ(s, "fallback");
   EXPECT_EQ(i, 7);
   EXPECT_DOUBLE_EQ(d, 0.5);
@@ -25,8 +31,8 @@ TEST(FlagParserTest, ParsesEqualsAndSpaceSyntax) {
   FlagParser parser;
   std::string s;
   int64_t i = 0;
-  parser.AddString("name", "", "h", &s);
-  parser.AddInt64("count", 0, "h", &i);
+  parser.Add("name", &s, "h");
+  parser.Add("count", &i, "h");
   const char* argv[] = {"--name=abc", "--count", "42"};
   ASSERT_TRUE(parser.Parse(3, argv).ok());
   EXPECT_EQ(s, "abc");
@@ -36,7 +42,7 @@ TEST(FlagParserTest, ParsesEqualsAndSpaceSyntax) {
 TEST(FlagParserTest, BareBooleanFlag) {
   FlagParser parser;
   bool b = false;
-  parser.AddBool("verbose", false, "h", &b);
+  parser.Add("verbose", &b, "h");
   const char* argv[] = {"--verbose"};
   ASSERT_TRUE(parser.Parse(1, argv).ok());
   EXPECT_TRUE(b);
@@ -45,7 +51,7 @@ TEST(FlagParserTest, BareBooleanFlag) {
 TEST(FlagParserTest, BooleanWithValue) {
   FlagParser parser;
   bool b = true;
-  parser.AddBool("verbose", true, "h", &b);
+  parser.Add("verbose", &b, "h");
   const char* argv[] = {"--verbose=false"};
   ASSERT_TRUE(parser.Parse(1, argv).ok());
   EXPECT_FALSE(b);
@@ -63,10 +69,10 @@ TEST(FlagParserTest, MalformedValuesFail) {
   uint64_t u = 0;
   double d = 0;
   bool b = false;
-  parser.AddInt64("i", 0, "h", &i);
-  parser.AddUint64("u", 0, "h", &u);
-  parser.AddDouble("d", 0, "h", &d);
-  parser.AddBool("b", false, "h", &b);
+  parser.Add("i", &i, "h");
+  parser.Add("u", &u, "h");
+  parser.Add("d", &d, "h");
+  parser.Add("b", &b, "h");
   {
     const char* argv[] = {"--i=abc"};
     EXPECT_FALSE(parser.Parse(1, argv).ok());
@@ -88,7 +94,7 @@ TEST(FlagParserTest, MalformedValuesFail) {
 TEST(FlagParserTest, MissingValueFails) {
   FlagParser parser;
   int64_t i = 0;
-  parser.AddInt64("count", 0, "h", &i);
+  parser.Add("count", &i, "h");
   const char* argv[] = {"--count"};
   EXPECT_FALSE(parser.Parse(1, argv).ok());
 }
@@ -96,7 +102,7 @@ TEST(FlagParserTest, MissingValueFails) {
 TEST(FlagParserTest, PositionalArgumentsCollected) {
   FlagParser parser;
   std::string s;
-  parser.AddString("name", "", "h", &s);
+  parser.Add("name", &s, "h");
   const char* argv[] = {"first", "--name=x", "second"};
   ASSERT_TRUE(parser.Parse(3, argv).ok());
   EXPECT_EQ(parser.positional(),
@@ -105,8 +111,8 @@ TEST(FlagParserTest, PositionalArgumentsCollected) {
 
 TEST(FlagParserTest, UsageListsFlags) {
   FlagParser parser;
-  double d = 0;
-  parser.AddDouble("ratio", 2.5, "the famous ratio", &d);
+  double d = 2.5;
+  parser.Add("ratio", &d, "the famous ratio");
   const std::string usage = parser.Usage("prog");
   EXPECT_NE(usage.find("--ratio"), std::string::npos);
   EXPECT_NE(usage.find("the famous ratio"), std::string::npos);
@@ -118,9 +124,9 @@ TEST(FlagParserTest, NegativeAndLargeNumbers) {
   int64_t i = 0;
   uint64_t u = 0;
   double d = 0;
-  parser.AddInt64("i", 0, "h", &i);
-  parser.AddUint64("u", 0, "h", &u);
-  parser.AddDouble("d", 0, "h", &d);
+  parser.Add("i", &i, "h");
+  parser.Add("u", &u, "h");
+  parser.Add("d", &d, "h");
   const char* argv[] = {"--i=-123", "--u=18446744073709551615", "--d=-2.5e3"};
   ASSERT_TRUE(parser.Parse(3, argv).ok());
   EXPECT_EQ(i, -123);
@@ -130,12 +136,12 @@ TEST(FlagParserTest, NegativeAndLargeNumbers) {
 
 TEST(FlagParserTest, WasSetTracksExplicitFlags) {
   FlagParser parser;
-  double d = 0;
+  double d = 1.0;
   bool b = false;
-  int64_t i = 0;
-  parser.AddDouble("rate", 1.0, "h", &d);
-  parser.AddBool("verbose", false, "h", &b);
-  parser.AddInt64("count", 5, "h", &i);
+  int64_t i = 5;
+  parser.Add("rate", &d, "h");
+  parser.Add("verbose", &b, "h");
+  parser.Add("count", &i, "h");
 
   const char* argv[] = {"--rate=2.5", "--verbose"};
   ASSERT_TRUE(parser.Parse(2, argv).ok());
@@ -152,6 +158,117 @@ TEST(FlagParserTest, WasSetTracksExplicitFlags) {
   ASSERT_TRUE(parser.Parse(1, none).ok());
   EXPECT_FALSE(parser.WasSet("rate"));
   EXPECT_FALSE(parser.WasSet("verbose"));
+}
+
+TEST(FlagParserTest, DefaultTakenFromField) {
+  FlagParser parser;
+  uint32_t objects = 20'000;
+  double theta = 0.8;
+  bool release = true;
+  std::string mode = "static";
+  parser.Add("objects", &objects, "h");
+  parser.Add("theta", &theta, "h");
+  parser.Add("release", &release, "h");
+  parser.Add("mode", &mode, "h");
+  const std::string usage = parser.Usage("prog");
+  EXPECT_NE(usage.find("--objects (default: 20000)"), std::string::npos);
+  EXPECT_NE(usage.find("--theta (default: 0.800000)"), std::string::npos);
+  EXPECT_NE(usage.find("--release (default: true)"), std::string::npos);
+  EXPECT_NE(usage.find("--mode (default: static)"), std::string::npos);
+}
+
+TEST(FlagParserTest, IntegerNarrowingRejected) {
+  FlagParser parser;
+  uint32_t objects = 1;
+  int radius = 4;
+  parser.Add("objects", &objects, "h");
+  parser.Add("radius", &radius, "h");
+  for (const char* arg :
+       {"--objects=4294967296", "--objects=-1", "--radius=2147483648",
+        "--radius=-2147483649", "--radius=99999999999999999999"}) {
+    const char* argv[] = {arg};
+    EXPECT_FALSE(parser.Parse(1, argv).ok()) << arg;
+  }
+  // Rejected values are never wrapped into the field.
+  EXPECT_EQ(objects, 1u);
+  EXPECT_EQ(radius, 4);
+  const char* argv[] = {"--objects=4294967295", "--radius=-2147483648"};
+  ASSERT_TRUE(parser.Parse(2, argv).ok());
+  EXPECT_EQ(objects, 4294967295u);
+  EXPECT_EQ(radius, -2147483648);
+}
+
+TEST(FlagParserTest, NonFiniteAndJunkRejected) {
+  FlagParser parser;
+  double d = 1.0;
+  uint64_t u = 7;
+  parser.Add("d", &d, "h");
+  parser.Add("u", &u, "h");
+  for (const char* arg : {"--d=nan", "--d=inf", "--d=-inf", "--d=1e999",
+                          "--d=", "--d=0.5x", "--u=18446744073709551616",
+                          "--u=", "--u=12 ", "--u=0x10"}) {
+    const char* argv[] = {arg};
+    EXPECT_FALSE(parser.Parse(1, argv).ok()) << arg;
+  }
+  EXPECT_DOUBLE_EQ(d, 1.0);
+  EXPECT_EQ(u, 7u);
+}
+
+enum class Shape { kCircle, kSquare };
+constexpr std::pair<std::string_view, Shape> kShapes[] = {
+    {"circle", Shape::kCircle}, {"square", Shape::kSquare}};
+
+TEST(FlagParserTest, EnumFlagUsesNameTable) {
+  FlagParser parser;
+  Shape shape = Shape::kSquare;
+  parser.Add("shape", &shape, kShapes, "h");
+  EXPECT_NE(parser.Usage("prog").find("--shape (default: square)"),
+            std::string::npos);
+  const char* ok[] = {"--shape=circle"};
+  ASSERT_TRUE(parser.Parse(1, ok).ok());
+  EXPECT_EQ(shape, Shape::kCircle);
+
+  const char* bad[] = {"--shape=triangle"};
+  const Status status = parser.Parse(1, bad);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("triangle"), std::string::npos);
+  EXPECT_NE(status.message().find("circle|square"), std::string::npos);
+  EXPECT_EQ(shape, Shape::kCircle);
+}
+
+TEST(FlagParserTest, EnvFallback) {
+  FlagParser parser;
+  std::string path = "default";
+  int64_t count = 1;
+  parser.Add("path", &path, "where", "CASCACHE_FLAGS_TEST_PATH");
+  parser.Add("count", &count, "h", "CASCACHE_FLAGS_TEST_COUNT");
+  EXPECT_NE(parser.Usage("prog").find("where (env: CASCACHE_FLAGS_TEST_PATH)"),
+            std::string::npos);
+  ASSERT_EQ(setenv("CASCACHE_FLAGS_TEST_PATH", "from-env", 1), 0);
+  ASSERT_EQ(setenv("CASCACHE_FLAGS_TEST_COUNT", "", 1), 0);
+  const char* argv[] = {"positional-only"};
+  ASSERT_TRUE(parser.Parse(1, argv).ok());
+  EXPECT_EQ(path, "from-env");
+  EXPECT_EQ(count, 1);  // An empty variable is ignored.
+  EXPECT_FALSE(parser.WasSet("path"));
+
+  // Env values go through the same value parser as flags.
+  ASSERT_EQ(setenv("CASCACHE_FLAGS_TEST_COUNT", "12x", 1), 0);
+  EXPECT_FALSE(parser.Parse(1, argv).ok());
+  unsetenv("CASCACHE_FLAGS_TEST_PATH");
+  unsetenv("CASCACHE_FLAGS_TEST_COUNT");
+}
+
+TEST(FlagParserTest, ExplicitFlagBeatsEnv) {
+  FlagParser parser;
+  std::string path;
+  parser.Add("path", &path, "h", "CASCACHE_FLAGS_TEST_PATH");
+  ASSERT_EQ(setenv("CASCACHE_FLAGS_TEST_PATH", "from-env", 1), 0);
+  const char* argv[] = {"--path=from-flag"};
+  ASSERT_TRUE(parser.Parse(1, argv).ok());
+  EXPECT_EQ(path, "from-flag");
+  EXPECT_TRUE(parser.WasSet("path"));
+  unsetenv("CASCACHE_FLAGS_TEST_PATH");
 }
 
 TEST(SplitCommaListTest, Basic) {
