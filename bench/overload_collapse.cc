@@ -1,4 +1,4 @@
-// Overload collapse (event engine, DESIGN.md §11): bounded node queues
+// Overload collapse (event-driven replay, DESIGN.md §11): bounded node queues
 // under an open-loop arrival sweep. Each cache charges a fixed lookup
 // service cost, so the chain saturates once the arrival rate passes
 // 1/lookup_cost; past that point the queues hit their bound and shed.

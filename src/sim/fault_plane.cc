@@ -413,14 +413,12 @@ bool FaultPlane::PathHealthy(const std::vector<topology::NodeId>& path,
   return true;
 }
 
-bool FaultPlane::ResolvePath(topology::NodeId from, trace::ServerId server,
-                             double t, std::vector<topology::NodeId>* path,
+bool FaultPlane::ResolvePath(const Route& route, double t,
+                             std::vector<topology::NodeId>* detour,
                              bool* rerouted) {
   *rerouted = false;
-  *path = network_->PathToServer(from, server);
-  if (!routing_faults_ || PathHealthy(*path, t)) return true;
-  const topology::NodeId root = network_->ServerAttach(server);
-  if (DetourPath(from, root, t, path)) {
+  if (!routing_faults_ || PathHealthy(route.nodes, t)) return true;
+  if (DetourPath(route.nodes.front(), route.nodes.back(), t, detour)) {
     *rerouted = true;
     return true;
   }

@@ -160,12 +160,13 @@ class FaultPlane {
   /// crash_cuts_routing). When false, ResolvePath never detours.
   bool routing_faults() const { return routing_faults_; }
 
-  /// Resolves the path from `from` to `server`'s attach node at time `t`:
-  /// the precomputed route when healthy, else a detour over the surviving
-  /// graph (`*rerouted` = true). Returns false when the attach node is
-  /// unreachable (the caller times out / retries).
-  bool ResolvePath(topology::NodeId from, trace::ServerId server, double t,
-                   std::vector<topology::NodeId>* path, bool* rerouted);
+  /// Resolves a table route (Network::ClientRoute) at time `t`: the route
+  /// itself when healthy (`*rerouted` = false, `*detour` untouched), else
+  /// a detour between its endpoints over the surviving graph, written to
+  /// `*detour` (`*rerouted` = true). Returns false when the attach node
+  /// is unreachable (the caller times out / retries).
+  bool ResolvePath(const Route& route, double t,
+                   std::vector<topology::NodeId>* detour, bool* rerouted);
 
   /// Whether the cache process at `v` is down at time `t`.
   bool NodeDown(topology::NodeId v, double t);

@@ -77,9 +77,9 @@ void MetricsCollector::FlushBlock(const BlockStats& acc) {
   disk_degraded_ += acc.disk_degraded;
 }
 
-void MetricsCollector::RecordBlock(const RequestMetrics* batch, size_t count) {
+void MetricsCollector::Record(const RequestMetrics& metrics) {
   BlockStats acc;
-  for (size_t i = 0; i < count; ++i) RecordInBlock(batch[i], &acc);
+  RecordInBlock(metrics, &acc);
   FlushBlock(acc);
 }
 

@@ -206,55 +206,16 @@ struct MetricsSummary {
 /// The simulator skips recording during the warm-up half of the trace.
 class MetricsCollector {
  public:
-  /// Folds one request into the aggregates. Inline: it runs once per
-  /// measured request, and its Welford updates overlap with the caller's
-  /// tail when the compiler can see through the call.
-  void Record(const RequestMetrics& metrics) {
-    ++requests_;
-    latency_.Add(metrics.latency);
-    response_ratio_.Add(metrics.latency /
-                        (static_cast<double>(metrics.size_bytes) /
-                         kBytesPerMb));
-    hops_.Add(static_cast<double>(metrics.hops));
-    traffic_.Add(static_cast<double>(metrics.size_bytes) *
-                 static_cast<double>(metrics.hops));
-    total_bytes_ += metrics.size_bytes;
-    if (metrics.cache_hit) {
-      ++hits_;
-      hit_bytes_ += metrics.size_bytes;
-    }
-    read_bytes_ += metrics.read_bytes;
-    write_bytes_ += metrics.write_bytes;
-    if (metrics.stale_hit) ++stale_hits_;
-    copies_expired_ += static_cast<uint64_t>(metrics.copies_expired);
-    copies_invalidated_ += static_cast<uint64_t>(metrics.copies_invalidated);
-    request_msg_bytes_ += metrics.request_msg_bytes;
-    response_msg_bytes_ += metrics.response_msg_bytes;
-    insertions_ += static_cast<uint64_t>(metrics.insertions);
-    retries_ += static_cast<uint64_t>(metrics.retries);
-    if (metrics.failed) ++failed_requests_;
-    if (metrics.rerouted) ++reroutes_;
-    crashes_applied_ += static_cast<uint64_t>(metrics.crashes_applied);
-    degraded_decisions_ += static_cast<uint64_t>(metrics.degraded);
-    if (metrics.shed) ++shed_requests_;
-    shed_placements_ += static_cast<uint64_t>(metrics.placements_shed);
-    queue_wait_sum_ += metrics.queue_wait;
-    if (metrics.ram_hit) ++ram_hits_;
-    if (metrics.disk_hit) ++disk_hits_;
-    promotions_ += static_cast<uint64_t>(metrics.promotions);
-    demotions_ += static_cast<uint64_t>(metrics.demotions);
-    sibling_probes_ += static_cast<uint64_t>(metrics.sibling_probes);
-    if (metrics.sibling_hit) ++sibling_hits_;
-    disk_degraded_ += static_cast<uint64_t>(metrics.disk_degraded);
-  }
+  /// Folds one request into the aggregates: a one-request block.
+  void Record(const RequestMetrics& metrics);
 
-  /// Block-accumulation state for the batched replay (ROADMAP item 1:
-  /// the per-request Record() call left ~18 read-modify-write member
-  /// updates per request as the remaining metrics cost). Integer-only by
-  /// design: integer addition is associative, so deferring these to one
+  /// Block-accumulation state for the batched replay: recording straight
+  /// into the collector left ~18 read-modify-write member updates per
+  /// request as the remaining metrics cost. Integer-only by design:
+  /// integer addition is associative, so deferring these to one
   /// FlushBlock() is bit-identical, while every order-sensitive float
   /// (the Welford stats, the queue-wait sum) must keep hitting the
-  /// collector per request in trace order. The Welford divisions
+  /// collector per request in recording order. The Welford divisions
   /// themselves cannot be batched without changing results — the golden
   /// CSV pins their per-request rounding — so batching recovers the
   /// bookkeeping around them, not the divisions.
@@ -288,10 +249,12 @@ class MetricsCollector {
   };
 
   /// Streams one request into an open block: the order-sensitive stats
-  /// update the collector directly (same operation sequence as Record()),
-  /// the integer counters accumulate in `acc` for a later FlushBlock().
-  /// RecordInBlock(m, &acc) ... FlushBlock(acc) == Record(m) ... exactly,
-  /// to the bit. Inline for the same reason Record() is.
+  /// update the collector directly, the integer counters accumulate in
+  /// `acc` for a later FlushBlock().
+  /// Splitting one request stream into blocks anywhere gives the same
+  /// aggregates, to the bit. Inline: it runs once per recorded request,
+  /// and its Welford updates overlap with the caller's tail when the
+  /// compiler can see through the call.
   void RecordInBlock(const RequestMetrics& metrics, BlockStats* acc) {
     ++acc->requests;
     latency_.Add(metrics.latency);
@@ -334,10 +297,6 @@ class MetricsCollector {
 
   /// Folds an accumulated block's integer totals into the aggregates.
   void FlushBlock(const BlockStats& acc);
-
-  /// Folds a contiguous block of requests at once: RecordInBlock over the
-  /// batch plus one FlushBlock. Bit-identical to `count` Record() calls.
-  void RecordBlock(const RequestMetrics* batch, size_t count);
 
   void Reset();
 

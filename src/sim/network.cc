@@ -1,7 +1,6 @@
 #include "sim/network.h"
 
-#include <unordered_set>
-
+#include "topology/routing.h"
 #include "util/random.h"
 
 namespace cascache::sim {
@@ -77,9 +76,6 @@ util::StatusOr<std::unique_ptr<Network>> Network::Build(
     }
   }
 
-  net->routing_ =
-      std::make_unique<topology::RoutingTable>(&net->graph_);
-
   // Random client and server placement, deterministic in placement_seed.
   util::Rng rng(params.placement_seed);
   const uint32_t num_servers = catalog->num_servers();
@@ -88,15 +84,34 @@ util::StatusOr<std::unique_ptr<Network>> Network::Build(
     net->server_attach_[s] = net->server_sites_[static_cast<size_t>(
         rng.NextUint64(net->server_sites_.size()))];
   }
-  // Clients are assigned lazily by hashing (client populations can be
-  // large and sparse); fix the per-network salt here.
-  net->client_attach_.clear();
 
-  // Precompute the distribution tree of every destination in use, so the
-  // routing table is read-only (and therefore shareable across worker
-  // threads) from here on.
-  for (topology::NodeId dest : net->server_attach_) {
-    net->routing_->Precompute(dest);
+  // Route table: one column per distinct server attach node (in first-use
+  // order), one row per client site. Every request's route is one of
+  // these, so the replay never walks a distribution tree.
+  const size_t n = static_cast<size_t>(net->graph_.num_nodes());
+  std::vector<int32_t> col_of(n, -1);
+  std::vector<topology::NodeId> columns;
+  net->server_col_.resize(num_servers);
+  for (uint32_t s = 0; s < num_servers; ++s) {
+    int32_t& col = col_of[static_cast<size_t>(net->server_attach_[s])];
+    if (col < 0) {
+      col = static_cast<int32_t>(columns.size());
+      columns.push_back(net->server_attach_[s]);
+    }
+    net->server_col_[s] = static_cast<uint32_t>(col);
+  }
+  topology::RoutingTable routing(&net->graph_);
+  net->route_cols_ = columns.size();
+  net->routes_.resize(net->client_sites_.size() * columns.size());
+  net->site_row_.assign(n, -1);
+  for (size_t row = 0; row < net->client_sites_.size(); ++row) {
+    const topology::NodeId site = net->client_sites_[row];
+    net->site_row_[static_cast<size_t>(site)] = static_cast<int32_t>(row);
+    for (size_t col = 0; col < columns.size(); ++col) {
+      Route& route = net->routes_[row * columns.size() + col];
+      route.nodes = routing.Path(site, columns[col]);
+      route.FillDelays(net->graph_);
+    }
   }
 
   return net;
@@ -117,25 +132,27 @@ topology::NodeId Network::ServerAttach(ServerId server) const {
   return server_attach_[server];
 }
 
-std::vector<topology::NodeId> Network::PathToServer(topology::NodeId from,
-                                                    ServerId server) const {
-  return routing().Path(from, ServerAttach(server));
+void Route::FillDelays(const topology::Graph& graph) {
+  delays.clear();
+  delay_prefix.clear();
+  double acc = 0.0;
+  delay_prefix.push_back(acc);
+  for (size_t i = 0; i + 1 < nodes.size(); ++i) {
+    delays.push_back(graph.EdgeDelay(nodes[i], nodes[i + 1]));
+    acc += delays.back();
+    delay_prefix.push_back(acc);
+  }
 }
 
 double Network::MeanClientServerHops() const {
-  // Average over distinct server attach points and all client sites.
-  std::unordered_set<topology::NodeId> server_nodes(server_attach_.begin(),
-                                                    server_attach_.end());
-  if (server_nodes.empty() || client_sites_.empty()) return 0.0;
+  // Average over every (client site, in-use server site) pair: exactly
+  // the route table.
+  if (routes_.empty()) return 0.0;
   double total = 0.0;
-  uint64_t pairs = 0;
-  for (topology::NodeId server_node : server_nodes) {
-    for (topology::NodeId client_node : client_sites_) {
-      total += routing().Hops(client_node, server_node);
-      ++pairs;
-    }
+  for (const Route& route : routes_) {
+    total += static_cast<double>(route.nodes.size() - 1);
   }
-  return total / static_cast<double>(pairs) + server_link_hops();
+  return total / static_cast<double>(routes_.size()) + server_link_hops();
 }
 
 }  // namespace cascache::sim

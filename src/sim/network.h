@@ -6,7 +6,6 @@
 
 #include "sim/cache_set.h"
 #include "sim/node.h"
-#include "topology/routing.h"
 #include "topology/tiers.h"
 #include "topology/tree.h"
 #include "trace/object_catalog.h"
@@ -33,9 +32,26 @@ struct NetworkParams {
   uint64_t placement_seed = 7;
 };
 
+/// One client→server route (paper §2, §3.2): the nodes from a client site
+/// to a server attach node along the server-rooted distribution tree,
+/// inclusive, with the per-link delays. Delays are request-invariant; link
+/// *costs* depend on the object size and stay per request.
+struct Route {
+  std::vector<topology::NodeId> nodes;
+  std::vector<double> delays;  ///< nodes.size() - 1 entries.
+  /// Running sums of `delays`, each entry one addition on the previous —
+  /// the order every latency is summed in: delay_prefix[i] == delays[0] +
+  /// ... + delays[i-1]; nodes.size() entries, delay_prefix[0] == 0.
+  std::vector<double> delay_prefix;
+
+  /// Recomputes `delays` and `delay_prefix` for `nodes` over `graph`
+  /// (reusing their storage).
+  void FillDelays(const topology::Graph& graph);
+};
+
 /// The simulated content-distribution network. After Build() the Network
-/// is immutable — graph, distribution trees (precomputed for every server
-/// attach node), client/server attach points, catalog — and any number of
+/// is immutable — graph, the route of every (client site, in-use server
+/// site) pair, client/server attach points, catalog — and any number of
 /// threads may query it concurrently. It holds no cache state: every run
 /// takes its own mutable plane from MakeCacheSet() and hands it to the
 /// Simulator, so concurrent runs over one Network never share a cache.
@@ -69,10 +85,19 @@ class Network {
   double server_link_delay() const { return server_link_delay_; }
   int server_link_hops() const { return server_link_delay_ > 0.0 ? 1 : 0; }
 
-  /// Nodes from `from` to the server's attach node along the distribution
-  /// tree, inclusive. Thread-safe: trees are precomputed at Build time.
-  std::vector<topology::NodeId> PathToServer(topology::NodeId from,
-                                             ServerId server) const;
+  /// The route from client site `requester` (a RequesterNode() value) to
+  /// `server`'s attach node, precomputed at Build time: one per pair of
+  /// client site and in-use server site, so every request of a run
+  /// shares its pair's route.
+  const Route& ClientRoute(topology::NodeId requester, ServerId server) const {
+    const int32_t row = site_row_[static_cast<size_t>(requester)];
+    CASCACHE_DCHECK(row >= 0);
+    return routes_[static_cast<size_t>(row) * route_cols_ +
+                   server_col_[server]];
+  }
+
+  /// Every precomputed route, client-site major.
+  const std::vector<Route>& routes() const { return routes_; }
 
   double LinkDelay(topology::NodeId u, topology::NodeId v) const {
     return graph_.EdgeDelay(u, v);
@@ -126,18 +151,22 @@ class Network {
  private:
   Network(NetworkParams params, const trace::ObjectCatalog* catalog);
 
-  const topology::RoutingTable& routing() const { return *routing_; }
-
   NetworkParams params_;
   const trace::ObjectCatalog* catalog_;
   topology::Graph graph_{0};
-  std::unique_ptr<topology::RoutingTable> routing_;
   /// Candidate attach nodes for clients and servers.
   std::vector<topology::NodeId> client_sites_;
   std::vector<topology::NodeId> server_sites_;
-  /// client -> attach node, server -> attach node (assigned randomly).
-  std::vector<topology::NodeId> client_attach_;
+  /// server -> attach node (assigned randomly; clients are hashed onto
+  /// client_sites_ by RequesterNode).
   std::vector<topology::NodeId> server_attach_;
+  /// Route table: routes_[site_row_[requester] * route_cols_ +
+  /// server_col_[server]]. site_row_ is -1 off the client sites;
+  /// server_col_ numbers the distinct server attach nodes.
+  std::vector<Route> routes_;
+  std::vector<int32_t> site_row_;
+  std::vector<uint32_t> server_col_;
+  size_t route_cols_ = 0;
   double server_link_delay_ = 0.0;
   double mean_object_size_ = 0.0;
   /// Per-node tree level (hierarchical only; empty for en-route).

@@ -10,10 +10,10 @@
 
 namespace cascache::sim {
 
-/// Contention knobs of the event-driven replay (DESIGN.md "Event engine &
-/// contention"). All zero by default, which keeps the simulator on the
+/// Contention knobs of the event-driven replay (DESIGN.md "Event-driven
+/// replay & contention"). All zero by default, which keeps the simulator on the
 /// analytic scheduling policy: latency is the closed-form sum of link
-/// delays and the event heap is never consulted. Setting any knob (or
+/// delays and every exchange is recorded as it ends. Setting any knob (or
 /// `enabled`) switches Run() to the event-driven policy, where nodes have
 /// per-operation service costs and bounded FIFO queues, links have finite
 /// bandwidth with FIFO transmission, and arrivals can be replayed

@@ -4,22 +4,22 @@
 #include <cstdint>
 #include <vector>
 
-#include "topology/graph.h"
+#include "sim/network.h"
 #include "trace/object_catalog.h"
 
 namespace cascache::sim {
 
 /// One replayed request, decoded out of the trace ahead of time: the
-/// catalog lookups (size, origin server) and attach-point resolution
-/// (requester hash, server attach) are hoisted into a tight decode loop so
-/// the per-request hot path starts from plain integers instead of chasing
-/// them one request at a time.
+/// catalog lookups (size, origin server) and the route lookup (requester
+/// hash, the Network's route for the requester/server pair) are hoisted
+/// into a tight decode loop so the per-request hot path starts from plain
+/// values instead of chasing them one request at a time. `time` is the
+/// arrival time: the trace timestamp, or under the queueing plane the
+/// arrival process's time for this request.
 struct DecodedRequest {
   trace::ObjectId object = 0;
   uint64_t size = 0;
-  trace::ServerId server = 0;
-  topology::NodeId requester = 0;
-  topology::NodeId attach = 0;
+  const Route* route = nullptr;
   double time = 0.0;
 };
 
@@ -28,14 +28,10 @@ struct DecodedRequest {
 /// not request-invariant lives here, so a replayed request performs no
 /// heap allocation in the steady state.
 struct RequestArena {
-  /// Route-resolution scratch for the fault plane (reroutes produce paths
-  /// that differ from the cached routes), laid out like a cached route:
-  /// delay_prefix[i] == link_delays[0] + ... + link_delays[i-1], summed
-  /// left to right per attempt. The unfaulted replay reads the
-  /// simulator's route cache instead and never touches these three.
-  std::vector<topology::NodeId> path;
-  std::vector<double> link_delays;
-  std::vector<double> delay_prefix;
+  /// Fault plane: the detour of a rerouted request (a link outage or a
+  /// crash cutting its table route), delays filled per request. Every
+  /// other request replays on its table route.
+  Route detour;
 
   /// Per-request link costs along the active path. Unlike delays these
   /// depend on the object size under the latency/weighted cost models, so

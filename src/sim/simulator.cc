@@ -8,13 +8,16 @@ namespace cascache::sim {
 
 namespace {
 
-/// Above this node count the dense (from x attach) route table is not
-/// worth its n^2 memory; routes resolve per request instead.
-constexpr int kRouteCacheMaxNodes = 512;
-
 /// Requests decoded per block in ReplayRange: large enough to amortize
 /// the loop split, small enough to stay resident in L1/L2.
 constexpr size_t kDecodeBlock = 1024;
+
+/// Requests per Run() chunk, after which view.on_consumed may release the
+/// consumed pages. A multiple of the decode block; the block
+/// accumulator's integer counters flush associatively, so chunked results
+/// are bit-identical to one whole-range ReplayRange per phase.
+constexpr size_t kReplayChunk = 2 * 1024 * 1024;
+static_assert(kReplayChunk % kDecodeBlock == 0);
 
 /// Above this catalog size the per-store dense id→slot arrays (and the
 /// memoized size-scale table) are replaced with residency-sized hashed
@@ -37,23 +40,6 @@ void EmitEvent(EventTrace* trace, const MessageContext& ctx,
   event.size_bytes = ctx.size;
   event.value = value;
   trace->Emit(event);
-}
-
-/// Per-link delays along `nodes` plus their left-to-right running sums:
-/// prefix[i] == delays[0] + ... + delays[i-1], each entry one addition on
-/// the previous, which is the order every latency is summed in.
-void FillLinkDelays(const Network& network,
-                    const std::vector<topology::NodeId>& nodes,
-                    std::vector<double>* delays, std::vector<double>* prefix) {
-  delays->clear();
-  prefix->clear();
-  double acc = 0.0;
-  prefix->push_back(acc);
-  for (size_t i = 0; i + 1 < nodes.size(); ++i) {
-    delays->push_back(network.LinkDelay(nodes[i], nodes[i + 1]));
-    acc += delays->back();
-    prefix->push_back(acc);
-  }
 }
 
 }  // namespace
@@ -100,8 +86,8 @@ Simulator::Simulator(const Network* network, CacheSet* caches,
   // The exchange context's invariant fields point at the simulator's
   // reused per-request buffers; the path/delay pointers are repointed at
   // the request's route by every hook-running Exchange.
-  ctx_.path = &arena_.path;
-  ctx_.link_delays = &arena_.link_delays;
+  ctx_.path = &arena_.detour.nodes;
+  ctx_.link_delays = &arena_.detour.delays;
   ctx_.link_costs = &arena_.link_costs;
   ctx_.server_link_delay = server_link_delay_;
   ctx_.caches = caches_;
@@ -116,10 +102,6 @@ Simulator::Simulator(const Network* network, CacheSet* caches,
     node_levels_[static_cast<size_t>(v)] = network->NodeLevel(v);
   }
   ctx_.telemetry.node_levels = node_levels_.data();
-  if (network->num_nodes() <= kRouteCacheMaxNodes) {
-    route_cache_.resize(static_cast<size_t>(network->num_nodes()) *
-                        static_cast<size_t>(network->num_nodes()));
-  }
   if (options.trace.enabled) {
     trace_ = std::make_unique<EventTrace>(options.trace);
   }
@@ -285,41 +267,31 @@ util::Status Simulator::Run(const trace::WorkloadView& view,
   // Forget fault streams and applied crash epochs so a repeated Run
   // replays the same chaotic schedule bit-identically.
   if (faults_ != nullptr) faults_->Reset();
-  engine_.Reset();
   if (queueing_ != nullptr) queueing_->Reset();
+  completions_.Clear();
+  arrival_clock_ = 0.0;
   step_index_ = 0;
 
   const size_t warmup_count = static_cast<size_t>(
       options_.warmup_fraction * static_cast<double>(view.requests.size()));
+  // The replay proceeds in bounded chunks so mapped sources can drop
+  // consumed pages (WorkloadView::on_consumed). Under the queueing plane
+  // the completion queue carries over chunk and phase boundaries, so a
+  // warm-up completion landing inside the measured window is drained in
+  // time order (and not recorded), and the end of the trace records what
+  // is still in flight.
+  const auto replay_phase = [&](size_t begin, size_t end, bool collect) {
+    for (size_t c = begin; c < end; c += kReplayChunk) {
+      const size_t chunk_end = std::min(end, c + kReplayChunk);
+      ReplayRange(view.requests, c, chunk_end, collect);
+      if (view.on_consumed) view.on_consumed(chunk_end);
+    }
+  };
   const Clock::time_point t_configured = Clock::now();
-  Clock::time_point t_warmed;
-  if (queueing_ != nullptr) {
-    // Event-driven policy: one heap-ordered loop spans warm-up and
-    // measurement (warm-up completions may land inside the measured
-    // window), so the phase split is not separately timed. The bounded
-    // lookahead window revisits arrivals out of order, so on_consumed
-    // page release does not apply here.
-    t_warmed = t_configured;
-    ReplayContended(view.requests, warmup_count);
-  } else {
-    // Analytic replay proceeds in bounded chunks so mapped sources can
-    // drop consumed pages (WorkloadView::on_consumed). Chunk bounds are
-    // multiples of the decode block and the block accumulator's integer
-    // counters flush associatively, so chunked results are bit-identical
-    // to one whole-range ReplayRange per phase.
-    constexpr size_t kReplayChunk = 2 * 1024 * 1024;
-    static_assert(kReplayChunk % kDecodeBlock == 0);
-    const auto replay_phase = [&](size_t begin, size_t end, bool collect) {
-      for (size_t c = begin; c < end; c += kReplayChunk) {
-        const size_t chunk_end = std::min(end, c + kReplayChunk);
-        ReplayRange(view.requests, c, chunk_end, collect);
-        if (view.on_consumed) view.on_consumed(chunk_end);
-      }
-    };
-    replay_phase(0, warmup_count, /*collect=*/false);
-    t_warmed = Clock::now();
-    replay_phase(warmup_count, view.requests.size(), /*collect=*/true);
-  }
+  replay_phase(0, warmup_count, /*collect=*/false);
+  const Clock::time_point t_warmed = Clock::now();
+  replay_phase(warmup_count, view.requests.size(), /*collect=*/true);
+  FlushCompletions();
   const Clock::time_point t_done = Clock::now();
   phase_times_.configure_seconds = seconds_between(t_start, t_configured);
   phase_times_.warmup_seconds = seconds_between(t_configured, t_warmed);
@@ -327,58 +299,14 @@ util::Status Simulator::Run(const trace::WorkloadView& view,
   return util::Status::Ok();
 }
 
-void Simulator::ReplayContended(trace::RequestSpan requests,
-                                size_t warmup_count) {
-  // Keep a bounded window of future arrivals on the heap: enough that
-  // completions interleave with every arrival that could precede them,
-  // without materializing the whole trace as events up front.
-  constexpr size_t kArrivalWindow = 1024;
-  const size_t total = requests.size();
-  size_t next = 0;
-  size_t arrivals_pending = 0;
-  arrival_clock_ = 0.0;
-  pending_.clear();
-  pending_free_.clear();
-  const auto schedule_arrivals = [&] {
-    while (next < total && arrivals_pending < kArrivalWindow) {
-      engine_.Schedule(EventKind::kArrival,
-                       NextArrivalTime(requests[next].time), next);
-      ++next;
-      ++arrivals_pending;
-    }
-  };
-  schedule_arrivals();
-  Event ev;
-  while (engine_.Pop(&ev)) {
-    if (ev.kind == EventKind::kArrival) {
-      --arrivals_pending;
-      DecodedRequest decoded = Decode(requests[ev.payload]);
-      decoded.time = ev.time;  // The clock's (possibly ramped) arrival time.
-      const bool collect = ev.payload >= warmup_count;
-      StepOutcome out;
-      // Contention is on, so SelectExchange() is always kFull here.
-      Exchange<ExchangeKind::kFull>(decoded, collect, nullptr, &out);
-      uint64_t slot;
-      if (!pending_free_.empty()) {
-        slot = pending_free_.back();
-        pending_free_.pop_back();
-      } else {
-        slot = pending_.size();
-        pending_.emplace_back();
-      }
-      pending_[slot].metrics = out.metrics;
-      pending_[slot].collect = collect;
-      engine_.Schedule(EventKind::kCompletion, out.completion_time, slot);
-      schedule_arrivals();
-    } else {
-      // Completion: the response reached the requester — record in
-      // delivery order, which is where contended runs differ from the
-      // analytic scan.
-      PendingCompletion& done = pending_[ev.payload];
-      if (done.collect) metrics_.Record(done.metrics);
-      pending_free_.push_back(ev.payload);
-    }
-  }
+void Simulator::FlushCompletions() {
+  if (completions_.empty()) return;
+  block_stats_ = {};
+  completions_.DrainAll(
+      [this](const CompletionQueue::Completion& done) {
+        RecordCompletion(done);
+      });
+  metrics_.FlushBlock(block_stats_);
 }
 
 double Simulator::NextArrivalTime(double trace_time) {
@@ -407,9 +335,8 @@ DecodedRequest Simulator::Decode(const trace::Request& request) {
   DecodedRequest decoded;
   decoded.object = request.object;
   decoded.size = catalog_->size(request.object);
-  decoded.server = catalog_->server(request.object);
-  decoded.requester = RequesterFor(request.client);
-  decoded.attach = network_->ServerAttach(decoded.server);
+  decoded.route = &network_->ClientRoute(RequesterFor(request.client),
+                                         catalog_->server(request.object));
   decoded.time = request.time;
   return decoded;
 }
@@ -425,12 +352,14 @@ Simulator::ExchangeKind Simulator::SelectExchange() const {
 
 void Simulator::ReplayRange(trace::RequestSpan requests, size_t begin,
                             size_t end, bool collect) {
-  // Collected exchanges stream into the open block: the order-sensitive
+  // Recorded exchanges stream into the open block: the order-sensitive
   // per-request arithmetic (Welford stats, queue-wait sum) hits the
-  // collector exactly as Record() would — bit-identical — while the
-  // integer counters accumulate in block_stats_ and write back once per
-  // range (MetricsCollector::FlushBlock) instead of once per request.
-  if (collect) block_stats_ = {};
+  // collector in recording order, while the integer counters accumulate
+  // in block_stats_ and write back once per range
+  // (MetricsCollector::FlushBlock) instead of once per request. The block
+  // is opened even when this range does not collect: under the queueing
+  // plane a drained completion may belong to an earlier, collecting range.
+  block_stats_ = {};
   switch (SelectExchange()) {
     case ExchangeKind::kLeanLru:
       ReplayBlocks<ExchangeKind::kLeanLru>(requests, begin, end, collect);
@@ -442,52 +371,44 @@ void Simulator::ReplayRange(trace::RequestSpan requests, size_t begin,
       ReplayBlocks<ExchangeKind::kFull>(requests, begin, end, collect);
       break;
   }
-  if (collect) metrics_.FlushBlock(block_stats_);
+  metrics_.FlushBlock(block_stats_);
 }
 
 template <Simulator::ExchangeKind kKind>
 void Simulator::ReplayBlocks(trace::RequestSpan requests, size_t begin,
                              size_t end, bool collect) {
-  // Decode-then-replay in blocks: the decode loop touches only the trace
-  // and the catalog's flat arrays (branch-free, prefetch-friendly), the
-  // replay loop only decoded integers. Ordering is exactly the trace
-  // order, so results are bit-identical to one-at-a-time Step() calls.
+  // Decode-then-replay in blocks: the decode loop touches only the trace,
+  // the catalog's flat arrays and the route table, the replay loop only
+  // decoded values. Exchanges run in trace order, so results are
+  // bit-identical to one-at-a-time Step() calls. Under the queueing plane
+  // the decode loop also stamps each request's arrival time (in trace
+  // order), and every completion due by an arrival is recorded before
+  // that arrival's exchange runs — completions first at equal times.
+  const bool queued =
+      kKind == ExchangeKind::kFull && queueing_ != nullptr;
+  // Software-pipelined replay: prefetch each request's per-hop probe
+  // entries a few requests ahead of its replay. The per-hop Contains
+  // chain is a string of dependent loads over ~MBs of node index tables;
+  // issuing them early overlaps the misses with the preceding requests'
+  // work. Skipped under fault injection (routes may detour).
+  const bool prefetch = faults_ == nullptr;
+  CacheNode* const nodes = caches_->nodes_data();
+  // Far enough ahead to cover a cache-miss round trip, near enough that
+  // the lines still sit in cache when the request replays.
+  constexpr size_t kPrefetchAhead = 16;
   std::vector<DecodedRequest>& batch = arena_.batch;
   for (size_t block = begin; block < end; block += kDecodeBlock) {
     const size_t block_end = std::min(end, block + kDecodeBlock);
     batch.clear();
     for (size_t i = block; i < block_end; ++i) {
       batch.push_back(Decode(requests[i]));
+      if (queued) batch.back().time = NextArrivalTime(batch.back().time);
     }
-    // Software-pipelined replay: resolve every request's route up front
-    // (RouteFor fills its dense cache slot lazily and is idempotent, so
-    // the early calls are invisible to results), then prefetch each
-    // request's per-hop probe entries a few requests ahead of its replay.
-    // The per-hop Contains chain is a string of dependent loads over ~MBs
-    // of node index tables; issuing them early overlaps the misses with
-    // the preceding requests' work. Skipped without the dense route table
-    // (fallback re-resolves every call) and under fault injection (routes
-    // may detour).
-    CacheNode* const nodes = caches_->nodes_data();
-    const bool pipeline = faults_ == nullptr && !route_cache_.empty();
-    if (pipeline) {
-      batch_routes_.clear();
-      for (const DecodedRequest& d : batch) {
-        batch_routes_.push_back(&RouteFor(d.requester, d.attach, d.server));
-      }
-    }
-    // Far enough ahead to cover a cache-miss round trip, near enough that
-    // the lines still sit in cache when the request replays.
-    constexpr size_t kPrefetchAhead = 16;
     for (size_t j = 0; j < batch.size(); ++j) {
-      if (!pipeline) {
-        Exchange<kKind>(batch[j], collect, nullptr, nullptr);
-        continue;
-      }
       const size_t p = j + kPrefetchAhead;
-      if (p < batch.size()) {
+      if (prefetch && p < batch.size()) {
         const DecodedRequest& ahead = batch[p];
-        for (topology::NodeId v : batch_routes_[p]->nodes) {
+        for (topology::NodeId v : ahead.route->nodes) {
           nodes[v].PrefetchProbe(ahead.object);
           // Under the plain-LRU rule a miss inserts (and usually evicts)
           // at every path node, so warm the victim entries too.
@@ -496,13 +417,20 @@ void Simulator::ReplayBlocks(trace::RequestSpan requests, size_t begin,
           }
         }
       }
-      Exchange<kKind>(batch[j], collect, batch_routes_[j], nullptr);
+      if (queued) {
+        completions_.DrainThrough(
+            batch[j].time, [this](const CompletionQueue::Completion& done) {
+              RecordCompletion(done);
+            });
+      }
+      Exchange<kKind>(batch[j], collect);
     }
   }
 }
 
 void Simulator::Step(const trace::Request& request, bool collect) {
   ReplayRange(trace::RequestSpan(&request, 1), 0, 1, collect);
+  FlushCompletions();
 }
 
 topology::NodeId Simulator::RequesterFor(trace::ClientId client) {
@@ -512,27 +440,6 @@ topology::NodeId Simulator::RequesterFor(trace::ClientId client) {
   topology::NodeId& slot = requester_cache_[static_cast<size_t>(client)];
   if (slot < 0) slot = network_->RequesterNode(client);
   return slot;
-}
-
-const Simulator::CachedRoute& Simulator::RouteFor(topology::NodeId from,
-                                                  topology::NodeId attach,
-                                                  trace::ServerId server) {
-  CachedRoute* route;
-  if (route_cache_.empty()) {
-    route = &fallback_route_;
-    route->filled = false;  // Always re-resolve without the dense table.
-  } else {
-    route = &route_cache_[static_cast<size_t>(from) *
-                              static_cast<size_t>(network_->num_nodes()) +
-                          static_cast<size_t>(attach)];
-  }
-  if (!route->filled) {
-    route->nodes = network_->PathToServer(from, server);
-    FillLinkDelays(*network_, route->nodes, &route->delays,
-                   &route->delay_prefix);
-    route->filled = true;
-  }
-  return *route;
 }
 
 bool Simulator::QueueAscentOp(MessageContext& ctx, size_t hop) {
@@ -734,8 +641,7 @@ void Simulator::ServeTier(MessageContext& ctx, topology::NodeId node_id,
 }
 
 template <Simulator::ExchangeKind kKind>
-void Simulator::Exchange(const DecodedRequest& request, bool collect,
-                         const CachedRoute* route_in, StepOutcome* outcome) {
+void Simulator::Exchange(const DecodedRequest& request, bool collect) {
   // Feature gates. Both lean instantiations fold every gate to a
   // compile-time false, which deletes that feature's code from their
   // body; the full one reads the simulator's per-run state. kLeanLru
@@ -751,7 +657,7 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect,
 
   const trace::ObjectId object = request.object;
   const uint64_t size = request.size;
-  const topology::NodeId requester = request.requester;
+  const topology::NodeId requester = request.route->nodes.front();
   const uint64_t request_index = step_index_++;
   NodeCounters* const counters =
       collect ? metrics_.node_counters_data() : nullptr;
@@ -759,55 +665,38 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect,
   RequestMetrics rm;
   rm.size_bytes = size;
 
-  // Anchor the run's clock at this request's arrival. Under the analytic
-  // policy this is the trace timestamp; under the event-driven one the
-  // heap already advanced the clock to the arrival event, so the Set is
-  // an identity. Every time consumer below — TTL expiry, retry backoff,
-  // fault-schedule evaluation, queueing — derives from this one instant.
-  if constexpr (kHooks) engine_.clock().Set(request.time);
+  // The request's arrival: the trace timestamp, or the arrival process's
+  // time under the queueing plane. Every time consumer below — TTL
+  // expiry, retry backoff, fault-schedule evaluation, queueing — derives
+  // from this one instant.
   double now = request.time;
 
-  // Path resolution. Without a fault plane the route comes from the dense
-  // (requester, attach) cache — resolved once, reused for every request
-  // on the pair; with one, an unroutable attempt (link outage / crash
-  // cutting the path) times out and retries with deterministic
-  // exponential backoff, so the attempt time `now` may trail the request
-  // time, and reroutes produce paths the cache must not serve.
+  // Path resolution. The route is the Network's table route for the
+  // (requester, server) pair. With a fault plane, an unroutable attempt
+  // (link outage / crash cutting the path) times out and retries with
+  // deterministic exponential backoff, so the attempt time `now` may
+  // trail the request time, and a reroute replaces the table route with
+  // a detour for this request.
+  const Route* route = request.route;
   bool reachable = true;
-  const std::vector<topology::NodeId>* route_nodes;
-  const std::vector<double>* route_delays;
-  const double* delay_prefix;
-  if (!faulted) {
-    const CachedRoute& route =
-        route_in != nullptr
-            ? *route_in
-            : RouteFor(requester, request.attach, request.server);
-    route_nodes = &route.nodes;
-    route_delays = &route.delays;
-    delay_prefix = route.delay_prefix.data();
-  } else {
+  if (faulted) {
     const FaultScheduleConfig& fc = faults_->config();
     int attempt = 0;
     for (;;) {
-      bool rerouted = false;
-      reachable = faults_->ResolvePath(requester, request.server, now,
-                                       &arena_.path, &rerouted);
-      if (reachable) {
-        rm.rerouted = rerouted;
-        break;
-      }
-      if (attempt >= fc.max_retries) break;
+      reachable = faults_->ResolvePath(*route, now, &arena_.detour.nodes,
+                                       &rm.rerouted);
+      if (reachable || attempt >= fc.max_retries) break;
       now += fc.request_timeout + std::ldexp(fc.retry_backoff, attempt);
       ++attempt;
       ++rm.retries;
     }
-    FillLinkDelays(*network_, arena_.path, &arena_.link_delays,
-                   &arena_.delay_prefix);
-    route_nodes = &arena_.path;
-    route_delays = &arena_.link_delays;
-    delay_prefix = arena_.delay_prefix.data();
+    if (rm.rerouted) {
+      arena_.detour.FillDelays(network_->graph());
+      route = &arena_.detour;
+    }
   }
-  const std::vector<topology::NodeId>& path = *route_nodes;
+  const std::vector<topology::NodeId>& path = route->nodes;
+  const double* const delay_prefix = route->delay_prefix.data();
   const size_t path_len = path.size();
   const double size_scale =
       object < size_scale_table_.size()
@@ -825,8 +714,8 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect,
           ? trace_.get()
           : nullptr;
   if constexpr (kHooks) {
-    ctx.path = route_nodes;
-    ctx.link_delays = route_delays;
+    ctx.path = &route->nodes;
+    ctx.link_delays = &route->delays;
     ctx.object = object;
     ctx.size = size;
     ctx.size_scale = size_scale;
@@ -859,7 +748,7 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect,
       EmitEvent(trace, ctx, TraceEventType::kRequestFailed, requester, level,
                 static_cast<double>(rm.retries));
     }
-    FinishRequest(rm, collect, request.time + rm.latency, outcome);
+    FinishRequest(rm, collect, request.time + rm.latency, queued);
     return;
   }
 
@@ -875,8 +764,8 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect,
             : cost_model_.LinkCost(server_link_delay_, size,
                                    mean_object_size_);
     arena_.link_costs.clear();
-    arena_.link_costs.reserve(route_delays->size());
-    for (double delay : *route_delays) {
+    arena_.link_costs.reserve(route->delays.size());
+    for (double delay : route->delays) {
       arena_.link_costs.push_back(
           cost_model_.LinkCost(delay, size, mean_object_size_));
     }
@@ -961,7 +850,7 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect,
       rm.hops = static_cast<int>(i);
       rm.latency = ctx.now - request.time;
       if (scheme_observes_ascent_) scheme_->OnAbort();
-      FinishRequest(rm, collect, ctx.now, outcome);
+      FinishRequest(rm, collect, ctx.now, queued);
       return;
     }
     bool servable = !down && node.Contains(object);
@@ -1050,7 +939,7 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect,
       // and two extra link delays on top of the ascent to the probing
       // hop. Sibling sets are nonempty only off the tree root, so the
       // parent (path[hit + 1]) always exists here.
-      base_delay += (*route_delays)[static_cast<size_t>(hit)] +
+      base_delay += route->delays[static_cast<size_t>(hit)] +
                     network_->LinkDelay(path[static_cast<size_t>(hit) + 1],
                                         ctx.response.sibling);
       hops = hit + 2;
@@ -1161,7 +1050,7 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect,
     }
   }
 
-  FinishRequest(rm, collect, attempt_start + rm.latency, outcome);
+  FinishRequest(rm, collect, attempt_start + rm.latency, queued);
 }
 
 void Simulator::DescendContention(int i) {

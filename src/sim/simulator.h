@@ -3,8 +3,8 @@
 
 #include "schemes/scheme.h"
 #include "sim/coherency.h"
+#include "sim/completion_queue.h"
 #include "sim/cost_model.h"
-#include "sim/event_engine.h"
 #include "sim/event_trace.h"
 #include "sim/fault_plane.h"
 #include "sim/message.h"
@@ -98,9 +98,9 @@ struct SimOptions {
   FaultScheduleConfig faults;
   /// Contention model (sim/queueing.h): node service costs + bounded
   /// queues, link bandwidth, open-loop arrivals. Inactive by default,
-  /// which keeps Run() on the analytic scheduling policy and the replay
-  /// bit-identical to a build without the event engine; any nonzero knob
-  /// switches Run() to the event-driven policy.
+  /// which keeps Run() on the analytic scheduling policy (no queueing
+  /// plane, no completion queue); any nonzero knob switches Run() to the
+  /// event-driven policy.
   ContentionParams contention;
   /// Two-tier nodes (RAM over disk). Inactive by default.
   TierParams tier;
@@ -118,25 +118,26 @@ struct RunPhaseTimes {
 };
 
 /// Trace-driven simulator: replays a request stream through the network
-/// under one caching scheme, computing the paper's metrics. Time is owned
-/// by one VirtualClock (sim/event_engine.h), driven by either of two
-/// scheduling policies:
+/// under one caching scheme, computing the paper's metrics. One replay
+/// loop decodes the trace in blocks — each request's size and its route
+/// from the Network's route table — and runs one exchange per request in
+/// arrival order, under either of two scheduling policies:
 ///
-///  - analytic (default, the paper's setting): the trace loop anchors the
-///    clock at each request's timestamp and latency is the closed-form
-///    sum of size-scaled link delays — requests never interact, so the
-///    event heap stays empty and the replay is a tight linear scan;
-///  - event-driven (any ContentionParams knob set): arrivals and request
-///    completions interleave on the EventEngine's time-ordered heap,
-///    nodes charge per-operation service through bounded FIFO queues that
-///    shed on overload (QueueingPlane), links serialize the descending
-///    object bodies at finite bandwidth, and arrivals can be generated
-///    open-loop on a rate ramp instead of read from the trace.
+///  - analytic (default, the paper's setting): a request arrives at its
+///    trace timestamp, latency is the closed-form sum of size-scaled link
+///    delays, requests never interact, and each exchange is recorded as
+///    soon as it ends;
+///  - event-driven (any ContentionParams knob set): nodes charge
+///    per-operation service through bounded FIFO queues that shed on
+///    overload (QueueingPlane), links serialize the descending object
+///    bodies at finite bandwidth, and arrivals can be generated open-loop
+///    on a rate ramp instead of read from the trace. An exchange is
+///    recorded at its completion: it waits on a CompletionQueue that the
+///    loop drains up to each arrival's time before running its exchange.
 ///
-/// Both policies run the same exchange core below; the analytic policy is
-/// the event-driven one with zero service demand everywhere, and a
-/// zero-cost event-driven run reproduces the analytic results (the
-/// equivalence tests pin this).
+/// Both policies run the same loop and exchange core; a zero-cost
+/// event-driven run reproduces the analytic results (the equivalence
+/// tests pin this).
 ///
 /// Each request is processed as an explicit two-phase message exchange
 /// (see sim/message.h): a RequestMessage ascends the distribution path
@@ -168,10 +169,10 @@ class Simulator {
   /// Span-based core of Run(): replays a borrowed request stream —
   /// in-RAM vector or read-only file mapping (trace/mapped_trace.h) —
   /// without copying it. `view.catalog` must be the catalog this
-  /// simulator's Network was built over. The analytic replay proceeds
-  /// in bounded chunks and invokes view.on_consumed (if set) after
-  /// each, so mapped sources can release consumed pages; results are
-  /// bit-identical to the unchunked replay.
+  /// simulator's Network was built over. The replay proceeds in bounded
+  /// chunks and invokes view.on_consumed (if set) after each, so mapped
+  /// sources can release consumed pages; results are bit-identical to
+  /// the unchunked replay.
   util::Status Run(const trace::WorkloadView& view,
                    uint64_t capacity_bytes_per_node);
 
@@ -180,17 +181,9 @@ class Simulator {
   /// and custom drivers; Run() is the normal entry point. NOTE: coherency
   /// tracking requires the update schedule, which Run() builds; direct
   /// Step() drivers that want coherency must call EnableCoherency first.
-  /// A one-request ReplayRange().
+  /// A one-request ReplayRange(); under the queueing plane it records
+  /// the request's completion before returning.
   void Step(const trace::Request& request, bool collect);
-
-  /// Replays requests [begin, end) of the trace, decoding them in blocks
-  /// ahead of the replay loop (catalog sizes, origin servers, attach
-  /// points). The span is seekable storage-agnostic — a heap vector and
-  /// an mmap'd request region replay through the same loop. Per-request
-  /// ordering and results are identical to calling Step() on each
-  /// request in sequence; Run() uses this for both phases.
-  void ReplayRange(trace::RequestSpan requests, size_t begin, size_t end,
-                   bool collect);
 
   /// Installs the update schedule for direct Step() drivers (Run() does
   /// this automatically from the workload catalog).
@@ -211,57 +204,30 @@ class Simulator {
   /// Phase breakdown of the last Run() (zeros before the first).
   const RunPhaseTimes& phase_times() const { return phase_times_; }
 
-  /// The run's time source. Both scheduling policies derive ctx.now —
-  /// and through it every TTL check, retry backoff and fault-schedule
-  /// evaluation — from this clock.
-  const VirtualClock& virtual_clock() const { return engine_.clock(); }
-
  private:
-  /// Exchange result when the event-driven replay needs the exchange
-  /// back instead of recording it: the metrics travel to the request's
-  /// completion event, where they are recorded in completion order.
-  struct StepOutcome {
-    RequestMetrics metrics;
-    double completion_time = 0.0;
-  };
-
-  /// An in-flight request between its arrival and completion events.
-  struct PendingCompletion {
-    RequestMetrics metrics;
-    bool collect = false;
-  };
-  /// A precomputed client-path: the node sequence from a requester to a
-  /// server attach node plus its per-link delays, resolved once and
-  /// reused for every request on that (requester, attach) pair. Delays
-  /// are request-invariant; link *costs* are size-dependent and stay
-  /// per-request (RequestArena::link_costs).
-  struct CachedRoute {
-    std::vector<topology::NodeId> nodes;
-    std::vector<double> delays;  ///< nodes.size() - 1 entries.
-    /// Running sums of `delays`, accumulated left to right in the exact
-    /// addition order of the historical per-request latency loop (so the
-    /// precomputed sums are bit-identical to summing on every request):
-    /// delay_prefix[i] == delays[0] + ... + delays[i-1]; nodes.size()
-    /// entries, delay_prefix[0] == 0.
-    std::vector<double> delay_prefix;
-    bool filled = false;
-  };
-
   /// The three instantiations of Exchange(). Lean = no fault plane, no
   /// queueing plane, no coherency schedule, no event trace, no tiers and
   /// no siblings: every feature gate folds to a compile-time false.
   ///  - kLeanLru: lean, and the scheme is plain_lru_replay(): the serve
   ///    and descent run the inlined plain-LRU rule, and the shared
-  ///    MessageContext and the clock are never touched;
+  ///    MessageContext is never touched;
   ///  - kLeanHooks: lean, any other scheme: the virtual hooks run;
   ///  - kFull: any feature on (plain LRU included): the hooks run and
   ///    every feature is tested per request.
   enum class ExchangeKind { kLeanLru, kLeanHooks, kFull };
 
   /// The instantiation this simulator's current state selects. Read once
-  /// per ReplayRange() (and so per Step()); ReplayContended() runs with
-  /// the queueing plane on and always takes kFull.
+  /// per ReplayRange() (and so per Step()).
   ExchangeKind SelectExchange() const;
+
+  /// Replays requests [begin, end) of the trace, decoding them in blocks
+  /// ahead of the replay loop. The span is storage-agnostic — a heap
+  /// vector and an mmap'd request region replay through the same loop.
+  /// Run() calls it per chunk of each phase, Step() on one request. The
+  /// block accumulator is opened and flushed here; under the queueing
+  /// plane completions still in flight at `end` stay queued.
+  void ReplayRange(trace::RequestSpan requests, size_t begin, size_t end,
+                   bool collect);
 
   /// ReplayRange's decode-then-replay block loop on one instantiation.
   template <ExchangeKind kKind>
@@ -269,47 +235,45 @@ class Simulator {
                     bool collect);
 
   /// One request/response exchange (paper §2.3-2.4), written once: route
-  /// resolution, the hop-by-hop ascent (coherency admission, tier serve,
-  /// sibling leg, the scheme's ascent hook), the latency, the serve and
-  /// the descent. `route`, when non-null, is the request's
-  /// already-resolved cached route (ReplayBlocks' pipelined prefetch
-  /// stage resolves it ahead); null means resolve here. Only meaningful
-  /// without a fault plane. `outcome`, when non-null, receives the
-  /// exchange instead of the metrics collector (event-driven replay).
+  /// resolution (the decoded table route, or a fault-plane detour), the
+  /// hop-by-hop ascent (coherency admission, tier serve, sibling leg, the
+  /// scheme's ascent hook), the latency, the serve and the descent.
   template <ExchangeKind kKind>
-  void Exchange(const DecodedRequest& request, bool collect,
-                const CachedRoute* route, StepOutcome* outcome);
+  void Exchange(const DecodedRequest& request, bool collect);
 
-  /// Catalog lookups and attach-point resolution for one trace request.
+  /// Catalog lookups and the route lookup for one trace request.
   DecodedRequest Decode(const trace::Request& request);
 
-  /// Terminal of every Exchange exit: hands the exchange to `outcome`
-  /// (event-driven replay) or streams it into the open block accumulator.
-  /// ReplayRange opens a block before collecting, so the collecting exit
+  /// Terminal of every Exchange exit: under the queueing plane (`queued`)
+  /// the exchange waits on the completion queue for its completion time;
+  /// otherwise it streams straight into the open block accumulator. The
+  /// lean exchanges pass a compile-time false, so their collecting exit
   /// is a single inline RecordInBlock — in the class body because an
   /// out-of-line call (or a second, fallback record body) here costs a
   /// measurable fraction of the kLeanLru request budget.
   void FinishRequest(const RequestMetrics& rm, bool collect,
-                     double completion_time, StepOutcome* outcome) {
-    if (outcome != nullptr) {
-      outcome->metrics = rm;
-      outcome->completion_time = completion_time;
+                     double completion_time, bool queued) {
+    if (queued) {
+      completions_.Push(completion_time, rm, collect);
       return;
     }
     if (collect) metrics_.RecordInBlock(rm, &block_stats_);
   }
 
-  /// Event-driven replay of the whole trace (Run() dispatches here when
-  /// contention is active): arrivals and completions interleave on the
-  /// engine's heap; requests before `warmup_count` replay with collection
-  /// off. One loop spans both phases so warm-up completions that land
-  /// inside the measured window drain in time order instead of being
-  /// force-drained at the phase boundary.
-  void ReplayContended(trace::RequestSpan requests, size_t warmup_count);
+  /// Records a drained completion into the open block (warm-up
+  /// completions are dropped).
+  void RecordCompletion(const CompletionQueue::Completion& done) {
+    if (done.collect) metrics_.RecordInBlock(done.metrics, &block_stats_);
+  }
 
-  /// Arrival time of the next open-loop request: the (monotonized) trace
-  /// timestamp by default, or the ramp process
+  /// Records every completion still queued, in order, in a block of its
+  /// own (end of Run() and of Step()). No-op when the queue is empty.
+  void FlushCompletions();
+
+  /// Arrival time of the next request under the queueing plane: the
+  /// (monotonized) trace timestamp by default, or the ramp process
   /// rate(t) = arrival_rate * (1 + arrival_ramp * t) when a rate is set.
+  /// Called once per request, in trace order.
   double NextArrivalTime(double trace_time);
 
   /// Event-driven descent charges for hop `i`: the object body's link
@@ -348,12 +312,6 @@ class Simulator {
   /// under way is never refused).
   void ServeTier(MessageContext& ctx, topology::NodeId node_id,
                  bool ram_only);
-
-  /// Route (path + delays) for a requester/attach pair: the dense cache
-  /// entry when enabled (filled on first use), else a per-request
-  /// resolution into fallback_route_.
-  const CachedRoute& RouteFor(topology::NodeId from, topology::NodeId attach,
-                              trace::ServerId server);
 
   /// Memoized Network::RequesterNode (same deterministic assignment,
   /// computed once per client).
@@ -405,31 +363,21 @@ class Simulator {
   /// Present iff options.contention.active(); nullptr keeps the analytic
   /// replay on the historical hot path (one pointer test per request).
   std::unique_ptr<QueueingPlane> queueing_;
-  /// The open block FinishRequest streams collected exchanges into: the
-  /// order-sensitive stats still land on the collector per request, the
-  /// integer counters accumulate here and flush once per replayed range.
-  /// The analytic drivers (ReplayRange, Step) zero it before collecting
-  /// and FlushBlock it after.
+  /// The open block recorded exchanges stream into: the order-sensitive
+  /// stats still land on the collector per request, the integer counters
+  /// accumulate here and flush once per replayed range. ReplayRange and
+  /// FlushCompletions zero it before recording and FlushBlock it after.
   MetricsCollector::BlockStats block_stats_;
   RunPhaseTimes phase_times_;
   /// Index of the next Step()'ed request: the trace position under Run()
   /// (reset there), a monotone counter for direct Step() drivers. Keys
   /// the deterministic trace sampler.
   uint64_t step_index_ = 0;
-  /// Per-block route pointers for ReplayRange's pipelined prefetch
-  /// (parallel to RequestArena::batch; dense-table entries are stable).
-  std::vector<const CachedRoute*> batch_routes_;
   /// Memoized size / mean-object-size ratio per ObjectId — the exact
   /// division the per-request path performed, computed once per object
   /// (Run() fills it from the catalog; empty for direct Step() drivers,
   /// which fall back to dividing inline).
   std::vector<double> size_scale_table_;
-  /// Dense (requester * num_nodes + attach) route cache, filled lazily
-  /// from the routing table. Empty (disabled) when num_nodes exceeds
-  /// kRouteCacheMaxNodes — the n^2 table would dominate memory — in which
-  /// case fallback_route_ is resolved per request.
-  std::vector<CachedRoute> route_cache_;
-  CachedRoute fallback_route_;
   /// Memoized Network::RequesterNode keyed by client id (-1 = unfilled):
   /// the hash assignment is deterministic per client, so the decode loop
   /// pays it once per client instead of once per request.
@@ -440,27 +388,19 @@ class Simulator {
   /// Reused exchange context of the hook-running exchanges; the invariant
   /// fields (cache plane, server link delay) are wired in the
   /// constructor. The path/delay pointers are repointed per request at
-  /// the cached route (or the arena's resolved path under the fault
-  /// plane).
+  /// the table route (or the arena's detour under the fault plane).
   MessageContext ctx_;
   // --- Event-driven replay state, declared last: the analytic hot path
   // --- never touches it (beyond the queueing_ gate above), so keeping it
   // --- out of the middle of the object leaves the hot members' cache-line
-  // --- packing as it was before the event engine landed.
-  /// The run's clock plus the event heap the contended replay schedules
-  /// on. Always present; under the analytic policy the heap stays empty
-  /// and only the clock is used.
-  EventEngine engine_;
+  // --- packing undisturbed.
+  /// Exchanged requests waiting for their completion time.
+  CompletionQueue completions_;
   /// Ascent service demand per visited node: lookup cost plus the d-cache
   /// probe cost for schemes that keep one (cached at construction).
   double ascent_op_cost_ = 0.0;
-  /// Open-loop arrival process state (ReplayContended / NextArrivalTime):
-  /// the last scheduled arrival time.
+  /// Arrival process state (NextArrivalTime): the last arrival time.
   double arrival_clock_ = 0.0;
-  /// In-flight exchanges keyed by completion-event payload (slot index),
-  /// with a free list so the pool stops growing at the peak concurrency.
-  std::vector<PendingCompletion> pending_;
-  std::vector<uint64_t> pending_free_;
 };
 
 }  // namespace cascache::sim

@@ -54,10 +54,10 @@ class MappedTrace {
   }
 
   /// Like View(), but wires WorkloadView::on_consumed to ReleaseUpTo so
-  /// a sequential analytic replay keeps resident memory O(1) in trace
-  /// length. Each call starts a new pass: the release high-water resets
-  /// to 0, so consecutive sweep cells replaying the same mapping each
-  /// release as they go. Released pages refault (from page cache or
+  /// a sequential replay keeps resident memory O(1) in trace length.
+  /// Each call starts a new pass: the release high-water resets to 0, so
+  /// consecutive sweep cells replaying the same mapping each release as
+  /// they go. Released pages refault (from page cache or
   /// disk) if touched again, so don't interleave passes.
   WorkloadView StreamingView();
 

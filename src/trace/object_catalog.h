@@ -179,11 +179,11 @@ using RequestSpan = std::span<const Request>;
 struct WorkloadView {
   const ObjectCatalog* catalog = nullptr;
   RequestSpan requests;
-  /// Optional: invoked by the analytic replay loop after each consumed
-  /// chunk with the index one past the last replayed request. Mapped
-  /// sources use it to advise-release consumed pages so resident memory
-  /// stays O(1) in trace length. Not invoked by the contention replay
-  /// (its lookahead window revisits arrivals out of order).
+  /// Optional: invoked by the replay loop after each consumed chunk with
+  /// the index one past the last replayed request. Mapped sources use it
+  /// to advise-release consumed pages so resident memory stays O(1) in
+  /// trace length. The replay never reads a request below that index
+  /// again, under either scheduling policy.
   std::function<void(size_t)> on_consumed;
 
   double Duration() const {

@@ -162,7 +162,7 @@ TEST(DegradedFaultTest, TieredNodeServesRamOnlyDuringDiskOutage) {
   ASSERT_FALSE(node->ram()->Contains(1));
 
   const double t_down = FindLoneLeafOutage(simulator.fault_plane(),
-                                           network->PathToServer(leaf, 0));
+                                           network->ClientRoute(leaf, 0).nodes);
   ASSERT_GE(t_down, 0.0);
 
   // RAM-resident object: served out of the RAM tier, zero extra hops.
@@ -202,7 +202,7 @@ TEST(DegradedFaultTest, UntieredNodeDegradesToProxyOnly) {
   const topology::NodeId leaf = network->RequesterNode(0);
   caches.node(leaf)->lru()->Insert(0, 100);
   const double t = FindLoneLeafOutage(simulator.fault_plane(),
-                                      network->PathToServer(leaf, 0));
+                                      network->ClientRoute(leaf, 0).nodes);
   ASSERT_GE(t, 0.0);
 
   simulator.Step(At(t, 0), /*collect=*/true);

@@ -466,7 +466,8 @@ TEST_F(FaultPlaneChainTest, ChainDetourIsImpossibleButEndpointsRoute) {
 
   // Find a time where some intermediate hop of the leaf's path is down.
   const topology::NodeId leaf = network_->RequesterNode(0);
-  std::vector<topology::NodeId> path = network_->PathToServer(leaf, 0);
+  const Route& route = network_->ClientRoute(leaf, 0);
+  const std::vector<topology::NodeId>& path = route.nodes;
   ASSERT_GE(path.size(), 3u);
   double cut_time = -1.0;
   for (int i = 1; i <= 4000; ++i) {
@@ -482,14 +483,16 @@ TEST_F(FaultPlaneChainTest, ChainDetourIsImpossibleButEndpointsRoute) {
   ASSERT_GE(cut_time, 0.0) << "schedule never cut the chain";
 
   bool rerouted = false;
-  std::vector<topology::NodeId> resolved;
-  EXPECT_FALSE(plane.ResolvePath(leaf, 0, cut_time, &resolved, &rerouted));
+  std::vector<topology::NodeId> detour;
+  EXPECT_FALSE(plane.ResolvePath(route, cut_time, &detour, &rerouted));
 
-  // From the attach node itself the path has no intermediates to cut.
-  const topology::NodeId root = network_->ServerAttach(0);
-  EXPECT_TRUE(plane.ResolvePath(root, 0, cut_time, &resolved, &rerouted));
+  // From the attach node itself the path has no intermediates to cut:
+  // the route resolves as it is, without a detour.
+  Route from_root;
+  from_root.nodes = {network_->ServerAttach(0)};
+  EXPECT_TRUE(plane.ResolvePath(from_root, cut_time, &detour, &rerouted));
   EXPECT_FALSE(rerouted);
-  EXPECT_EQ(resolved.front(), root);
+  EXPECT_TRUE(detour.empty());
 }
 
 TEST(FaultPlaneEnrouteTest, DetoursAvoidDownLinksDeterministically) {
@@ -515,20 +518,21 @@ TEST(FaultPlaneEnrouteTest, DetoursAvoidDownLinksDeterministically) {
   const topology::NodeId from = network->RequesterNode(0);
   const trace::ServerId server = workload_or->catalog.server(0);
   const topology::NodeId root = network->ServerAttach(server);
+  const Route& route = network->ClientRoute(from, server);
   int reroutes = 0;
   int failures = 0;
   for (int i = 0; i <= 2000; ++i) {
     const double t = 0.5 * i;
-    std::vector<topology::NodeId> path;
+    std::vector<topology::NodeId> detour;
     bool rerouted = false;
-    const bool ok = plane.ResolvePath(from, server, t, &path, &rerouted);
+    const bool ok = plane.ResolvePath(route, t, &detour, &rerouted);
 
     // Bit-identical against an independently materialized plane.
-    std::vector<topology::NodeId> path2;
+    std::vector<topology::NodeId> detour2;
     bool rerouted2 = false;
-    EXPECT_EQ(ok, replay.ResolvePath(from, server, t, &path2, &rerouted2));
+    EXPECT_EQ(ok, replay.ResolvePath(route, t, &detour2, &rerouted2));
     if (ok) {
-      EXPECT_EQ(path, path2);
+      EXPECT_EQ(detour, detour2);
       EXPECT_EQ(rerouted, rerouted2);
     }
 
@@ -536,6 +540,8 @@ TEST(FaultPlaneEnrouteTest, DetoursAvoidDownLinksDeterministically) {
       ++failures;
       continue;
     }
+    const std::vector<topology::NodeId>& path =
+        rerouted ? detour : route.nodes;
     EXPECT_EQ(path.front(), from);
     EXPECT_EQ(path.back(), root);
     // Every link of the resolved path exists and is up at t.

@@ -6,7 +6,8 @@
 // its `enroute_all` case through the mapping, so any divergence in the
 // zero-copy span plumbing (chunked replay, warm-up splits, page
 // release) shows up as a golden mismatch, not just an internal
-// inconsistency.
+// inconsistency. The event-driven replay streams through the same
+// chunked loop; it is checked against its own in-RAM replay.
 
 #include <cstdio>
 #include <fstream>
@@ -15,8 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include "schemes/coordinated_scheme.h"
 #include "sim/experiment.h"
 #include "testing/trace_v1_fixture.h"
+#include "trace/mapped_trace.h"
 #include "trace/trace_io.h"
 
 namespace cascache {
@@ -185,6 +188,62 @@ TEST_F(MappedReplayTest, V1TraceFallsBackToInRamLoad) {
   auto expected_or = (*generated_or)->RunAll();
   ASSERT_TRUE(expected_or.ok()) << expected_or.status();
   EXPECT_EQ(RowsFromResults(*results_or), RowsFromResults(*expected_or));
+}
+
+TEST_F(MappedReplayTest, EventDrivenStreamingReplayMatchesInRam) {
+  // Contention on, open-loop arrivals, node crashes: the completion queue
+  // carries in-flight requests across the chunk and phase boundaries
+  // where on_consumed releases pages.
+  sim::SimOptions options;
+  options.contention.lookup_cost = 0.004;
+  options.contention.store_cost = 0.001;
+  options.contention.node_queue_capacity = 16;
+  options.contention.link_bandwidth = 1e8;
+  options.contention.arrival_rate = 400.0;
+  options.faults.node_crash_mtbf = 30.0;
+  options.faults.node_downtime = 2.0;
+  const auto replay = [&options](const trace::WorkloadView& view) {
+    sim::NetworkParams params;
+    params.architecture = sim::Architecture::kHierarchical;
+    auto network_or = sim::Network::Build(params, view.catalog);
+    EXPECT_TRUE(network_or.ok()) << network_or.status();
+    sim::CacheSet caches = (*network_or)->MakeCacheSet();
+    schemes::CoordinatedScheme scheme;
+    sim::Simulator simulator(network_or->get(), &caches, &scheme, options);
+    const uint64_t capacity = static_cast<uint64_t>(
+        0.03 * static_cast<double>(view.catalog->total_bytes()));
+    EXPECT_TRUE(simulator.Run(view, capacity).ok());
+    return simulator.metrics().Summary();
+  };
+
+  auto workload_or = trace::GenerateWorkload(GoldenWorkloadParams());
+  ASSERT_TRUE(workload_or.ok()) << workload_or.status();
+  const sim::MetricsSummary in_ram = replay(workload_or->View());
+
+  auto mapped_or = trace::MappedTrace::Open(trace_path_);
+  ASSERT_TRUE(mapped_or.ok()) << mapped_or.status();
+  trace::WorkloadView streaming = (*mapped_or)->StreamingView();
+  std::vector<size_t> consumed;
+  streaming.on_consumed = [&consumed,
+                           release = streaming.on_consumed](size_t index) {
+    consumed.push_back(index);
+    release(index);
+  };
+  const sim::MetricsSummary mapped = replay(streaming);
+
+  // One chunk per phase at this size: the warm-up half, then the rest.
+  EXPECT_EQ(consumed, (std::vector<size_t>{6'000, 12'000}));
+  EXPECT_GT(in_ram.shed_requests, 0u);
+  EXPECT_GT(in_ram.crashes_applied, 0u);
+  std::vector<std::string> expected;
+  std::vector<std::string> actual;
+  AddSummaryRows(&expected, "event", in_ram);
+  AddSummaryRows(&actual, "event", mapped);
+  EXPECT_EQ(actual, expected);
+  EXPECT_EQ(mapped.shed_requests, in_ram.shed_requests);
+  EXPECT_EQ(mapped.served_requests, in_ram.served_requests);
+  EXPECT_EQ(mapped.crashes_applied, in_ram.crashes_applied);
+  EXPECT_EQ(FmtDouble(mapped.avg_queue_wait), FmtDouble(in_ram.avg_queue_wait));
 }
 
 }  // namespace

@@ -167,9 +167,11 @@ TEST(MetricsTest, ResetDropsNodeCounters) {
 }
 
 TEST(MetricsTest, RecordBlockMatchesSequentialRecordsBitExactly) {
-  // The hot-path batching in Simulator::ReplayRange flushes decoded
-  // blocks through RecordBlock; it must be indistinguishable — including
-  // in floating-point summation order — from per-request Record calls.
+  // The replay records one request stream into blocks whose bounds fall
+  // wherever a replayed range (a Run() chunk, a Step(), the completion
+  // flush at the end of an event-driven run) ends. Any split must give
+  // the one-block summary — including the floating-point summation
+  // order. Record() is the finest split: one request per block.
   std::vector<RequestMetrics> batch;
   for (int i = 0; i < 257; ++i) {
     RequestMetrics m = (i % 3 == 0)
@@ -184,31 +186,42 @@ TEST(MetricsTest, RecordBlockMatchesSequentialRecordsBitExactly) {
     batch.push_back(m);
   }
 
+  // Records batch[cuts[k], cuts[k+1]) as one flushed block each.
+  const auto record_split = [&batch](const std::vector<size_t>& cuts) {
+    MetricsCollector collector;
+    for (size_t k = 0; k + 1 < cuts.size(); ++k) {
+      MetricsCollector::BlockStats block;
+      for (size_t i = cuts[k]; i < cuts[k + 1]; ++i) {
+        collector.RecordInBlock(batch[i], &block);
+      }
+      collector.FlushBlock(block);
+    }
+    return collector.Summary();
+  };
+  const MetricsSummary b = record_split({0, batch.size()});
   MetricsCollector sequential;
   for (const RequestMetrics& m : batch) sequential.Record(m);
-  MetricsCollector blocked;
-  blocked.RecordBlock(batch.data(), batch.size());
-
-  const MetricsSummary a = sequential.Summary();
-  const MetricsSummary b = blocked.Summary();
-  EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
-  EXPECT_EQ(a.failed_requests, b.failed_requests);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.shed_requests, b.shed_requests);
-  EXPECT_EQ(a.shed_placements, b.shed_placements);
-  EXPECT_EQ(a.served_requests, b.served_requests);
-  EXPECT_EQ(a.total_bytes_requested, b.total_bytes_requested);
-  EXPECT_EQ(a.bytes_from_caches, b.bytes_from_caches);
-  EXPECT_EQ(a.bytes_written, b.bytes_written);
-  // Bit-exact, not merely close: the block path must keep the Welford
-  // update order of the sequential path.
-  EXPECT_EQ(a.avg_latency, b.avg_latency);
-  EXPECT_EQ(a.avg_hops, b.avg_hops);
-  EXPECT_EQ(a.avg_response_ratio, b.avg_response_ratio);
-  EXPECT_EQ(a.avg_traffic_byte_hops, b.avg_traffic_byte_hops);
-  EXPECT_EQ(a.avg_load_bytes, b.avg_load_bytes);
-  EXPECT_EQ(a.avg_queue_wait, b.avg_queue_wait);
+  for (const MetricsSummary& a :
+       {sequential.Summary(), record_split({0, 1, 65, 200, batch.size()})}) {
+    EXPECT_EQ(a.requests, b.requests);
+    EXPECT_EQ(a.cache_hits, b.cache_hits);
+    EXPECT_EQ(a.failed_requests, b.failed_requests);
+    EXPECT_EQ(a.retries, b.retries);
+    EXPECT_EQ(a.shed_requests, b.shed_requests);
+    EXPECT_EQ(a.shed_placements, b.shed_placements);
+    EXPECT_EQ(a.served_requests, b.served_requests);
+    EXPECT_EQ(a.total_bytes_requested, b.total_bytes_requested);
+    EXPECT_EQ(a.bytes_from_caches, b.bytes_from_caches);
+    EXPECT_EQ(a.bytes_written, b.bytes_written);
+    // Bit-exact, not merely close: every split keeps the Welford update
+    // order of the one-block path.
+    EXPECT_EQ(a.avg_latency, b.avg_latency);
+    EXPECT_EQ(a.avg_hops, b.avg_hops);
+    EXPECT_EQ(a.avg_response_ratio, b.avg_response_ratio);
+    EXPECT_EQ(a.avg_traffic_byte_hops, b.avg_traffic_byte_hops);
+    EXPECT_EQ(a.avg_load_bytes, b.avg_load_bytes);
+    EXPECT_EQ(a.avg_queue_wait, b.avg_queue_wait);
+  }
 }
 
 TEST(MetricsTest, ToStringMentionsKeyFields) {

@@ -1,8 +1,15 @@
 #include "sim/network.h"
 
+#include <set>
+#include <utility>
+
 #include <gtest/gtest.h>
 
+#include "schemes/lru_scheme.h"
+#include "sim/simulator.h"
 #include "testing/scenario.h"
+#include "topology/routing.h"
+#include "trace/synthetic.h"
 
 namespace cascache::sim {
 namespace {
@@ -90,7 +97,7 @@ TEST(NetworkTest, PathReachesServerAttach) {
   ASSERT_TRUE(net_or.ok());
   Network& net = **net_or;
   const topology::NodeId from = net.RequesterNode(0);
-  const auto path = net.PathToServer(from, 3);
+  const auto& path = net.ClientRoute(from, 3).nodes;
   ASSERT_FALSE(path.empty());
   EXPECT_EQ(path.front(), from);
   EXPECT_EQ(path.back(), net.ServerAttach(3));
@@ -140,9 +147,115 @@ TEST(NetworkTest, HierarchicalPathIsLeafToRoot) {
   ASSERT_TRUE(net_or.ok());
   Network& net = **net_or;
   const topology::NodeId leaf = net.RequesterNode(17);
-  const auto path = net.PathToServer(leaf, 0);
+  const auto& path = net.ClientRoute(leaf, 0).nodes;
   EXPECT_EQ(path.size(), 4u);  // Leaf, two internals, root.
   EXPECT_EQ(path.back(), 0);
+}
+
+/// Every table route equals the routing table's path between its
+/// endpoints, its delays are the graph's link delays, and its prefix is
+/// their left-to-right running sum, bit for bit. The table holds exactly
+/// one route per (client site, in-use server site) pair, and every
+/// (client, server) request resolves to the route between its attach
+/// points.
+void ExpectRouteTableMatchesRouting(const Network& net,
+                                   uint32_t num_servers) {
+  topology::RoutingTable routing(&net.graph());
+  std::set<topology::NodeId> sites;
+  std::set<topology::NodeId> attach_points;
+  std::set<std::pair<topology::NodeId, topology::NodeId>> pairs;
+  for (const Route& route : net.routes()) {
+    ASSERT_FALSE(route.nodes.empty());
+    const topology::NodeId from = route.nodes.front();
+    const topology::NodeId to = route.nodes.back();
+    sites.insert(from);
+    attach_points.insert(to);
+    pairs.insert({from, to});
+    EXPECT_EQ(route.nodes, routing.Path(from, to));
+    ASSERT_EQ(route.delays.size() + 1, route.nodes.size());
+    ASSERT_EQ(route.delay_prefix.size(), route.nodes.size());
+    double sum = 0.0;
+    EXPECT_EQ(route.delay_prefix[0], 0.0);
+    for (size_t i = 0; i + 1 < route.nodes.size(); ++i) {
+      EXPECT_EQ(route.delays[i],
+                net.LinkDelay(route.nodes[i], route.nodes[i + 1]));
+      sum += route.delays[i];
+      EXPECT_EQ(route.delay_prefix[i + 1], sum);
+    }
+  }
+  EXPECT_EQ(pairs.size(), net.routes().size());
+  EXPECT_EQ(net.routes().size(), sites.size() * attach_points.size());
+  for (trace::ClientId c = 0; c < 200; ++c) {
+    const topology::NodeId requester = net.RequesterNode(c);
+    for (trace::ServerId s = 0; s < num_servers; ++s) {
+      const Route& route = net.ClientRoute(requester, s);
+      EXPECT_EQ(route.nodes.front(), requester);
+      EXPECT_EQ(route.nodes.back(), net.ServerAttach(s));
+    }
+  }
+}
+
+TEST(NetworkTest, RouteTableMatchesRoutingOnTiers) {
+  const trace::ObjectCatalog catalog = SmallCatalog();
+  NetworkParams params;
+  params.architecture = Architecture::kEnRoute;
+  auto net_or = Network::Build(params, &catalog);
+  ASSERT_TRUE(net_or.ok());
+  ExpectRouteTableMatchesRouting(**net_or, catalog.num_servers());
+}
+
+TEST(NetworkTest, RouteTableMatchesRoutingOnDefaultTree) {
+  const trace::ObjectCatalog catalog = SmallCatalog();
+  NetworkParams params;
+  params.architecture = Architecture::kHierarchical;
+  auto net_or = Network::Build(params, &catalog);
+  ASSERT_TRUE(net_or.ok());
+  ASSERT_EQ((*net_or)->routes().size(), 27u);  // One per leaf.
+  ExpectRouteTableMatchesRouting(**net_or, catalog.num_servers());
+}
+
+/// A 1,365-node tree: depth 6, fanout 4.
+NetworkParams DeepTreeParams() {
+  NetworkParams params;
+  params.architecture = Architecture::kHierarchical;
+  params.tree.depth = 6;
+  params.tree.fanout = 4;
+  return params;
+}
+
+TEST(NetworkTest, RouteTableMatchesRoutingOnDeepTree) {
+  const trace::ObjectCatalog catalog = SmallCatalog();
+  auto net_or = Network::Build(DeepTreeParams(), &catalog);
+  ASSERT_TRUE(net_or.ok());
+  ASSERT_EQ((*net_or)->num_nodes(), 1365);
+  ASSERT_EQ((*net_or)->routes().size(), 1024u);  // One per leaf.
+  ExpectRouteTableMatchesRouting(**net_or, catalog.num_servers());
+}
+
+TEST(NetworkTest, DeepTreeReplayReconciles) {
+  trace::WorkloadParams wp;
+  wp.num_objects = 300;
+  wp.num_requests = 4'000;
+  wp.num_clients = 500;
+  wp.num_servers = 10;
+  auto workload_or = trace::GenerateWorkload(wp);
+  ASSERT_TRUE(workload_or.ok());
+  auto net_or = Network::Build(DeepTreeParams(), &workload_or->catalog);
+  ASSERT_TRUE(net_or.ok());
+  CacheSet caches = (*net_or)->MakeCacheSet();
+  schemes::LruScheme scheme;
+  SimOptions options;
+  // Link outages make some requests retry and fail on the tree, which
+  // has no detours.
+  options.faults.link_mtbf = 50.0;
+  options.faults.link_downtime = 5.0;
+  Simulator simulator(net_or->get(), &caches, &scheme, options);
+  ASSERT_TRUE(simulator.Run(*workload_or, 20'000).ok());
+  const MetricsSummary s = simulator.metrics().Summary();
+  EXPECT_EQ(s.requests, 2'000u);
+  EXPECT_EQ(s.requests, s.served_requests + s.failed_requests);
+  EXPECT_GT(s.cache_hits, 0u);
+  EXPECT_GT(s.retries, 0u);
 }
 
 TEST(ArchitectureNameTest, Names) {

@@ -8,11 +8,19 @@
 // simulator. Doubles are serialized with %.17g, which round-trips IEEE
 // doubles exactly, so a string match is a bit-exact match.
 //
+// A second golden, tests/data/event_golden.csv, pins the event-driven
+// replay the same way: contended cells (service costs, bounded queues,
+// finite links, open-loop and trace-timed arrivals) with tiers, siblings,
+// invalidation and an active fault schedule, plus one zero-cost cell with
+// contention forced on. Besides the analytic summary it pins the
+// contention, fault, tier and sibling aggregates and the per-node
+// counter totals.
+//
 // Regenerate (only when an *intentional* numeric change is made):
 //   CASCACHE_REGEN_GOLDEN=1 ./cascache_tests
 //     --gtest_filter=PipelineEquivalenceTest.*  (one command line)
-// and commit the updated tests/data/pipeline_golden.csv alongside the
-// change that explains it.
+// and commit the updated tests/data/*_golden.csv alongside the change
+// that explains it.
 
 #include <cstdio>
 #include <cstdlib>
@@ -31,8 +39,8 @@
 namespace cascache {
 namespace {
 
-std::string GoldenPath() {
-  return std::string(CASCACHE_TEST_DATA_DIR) + "/pipeline_golden.csv";
+std::string GoldenPath(const std::string& name) {
+  return std::string(CASCACHE_TEST_DATA_DIR) + "/" + name;
 }
 
 std::string FmtDouble(double v) {
@@ -100,12 +108,62 @@ trace::WorkloadParams SmallWorkload() {
   return w;
 }
 
+/// The event-driven replay's own aggregates (all zero in analytic runs)
+/// and the per-node counter totals, which are written at exchange time
+/// rather than at completion.
+void AddEventRows(std::vector<std::string>* rows, const std::string& case_name,
+                  const std::string& label, const sim::RunResult& r) {
+  const sim::MetricsSummary& m = r.metrics;
+  AddRow(rows, case_name, label, "served_requests",
+         std::to_string(m.served_requests));
+  AddRow(rows, case_name, label, "failed_requests",
+         std::to_string(m.failed_requests));
+  AddRow(rows, case_name, label, "shed_requests",
+         std::to_string(m.shed_requests));
+  AddRow(rows, case_name, label, "shed_placements",
+         std::to_string(m.shed_placements));
+  AddRow(rows, case_name, label, "avg_queue_wait",
+         FmtDouble(m.avg_queue_wait));
+  AddRow(rows, case_name, label, "avg_message_bytes",
+         FmtDouble(m.avg_message_bytes));
+  AddRow(rows, case_name, label, "retries", std::to_string(m.retries));
+  AddRow(rows, case_name, label, "reroutes", std::to_string(m.reroutes));
+  AddRow(rows, case_name, label, "crashes_applied",
+         std::to_string(m.crashes_applied));
+  AddRow(rows, case_name, label, "degraded_decisions",
+         std::to_string(m.degraded_decisions));
+  AddRow(rows, case_name, label, "ram_hits", std::to_string(m.ram_hits));
+  AddRow(rows, case_name, label, "disk_hits", std::to_string(m.disk_hits));
+  AddRow(rows, case_name, label, "promotions", std::to_string(m.promotions));
+  AddRow(rows, case_name, label, "sibling_probes",
+         std::to_string(m.sibling_probes));
+  AddRow(rows, case_name, label, "sibling_hits",
+         std::to_string(m.sibling_hits));
+  AddRow(rows, case_name, label, "disk_degraded",
+         std::to_string(m.disk_degraded));
+  sim::NodeCounters totals;
+  for (const sim::NodeUsage& u : r.per_node) totals += u.counters;
+  AddRow(rows, case_name, label, "node_hits", std::to_string(totals.hits));
+  AddRow(rows, case_name, label, "node_misses", std::to_string(totals.misses));
+  AddRow(rows, case_name, label, "node_placements",
+         std::to_string(totals.placements));
+  AddRow(rows, case_name, label, "node_evictions",
+         std::to_string(totals.evictions));
+  AddRow(rows, case_name, label, "node_sheds", std::to_string(totals.sheds));
+  AddRow(rows, case_name, label, "node_store_sheds",
+         std::to_string(totals.store_sheds));
+  AddRow(rows, case_name, label, "node_max_queue_depth",
+         std::to_string(totals.max_queue_depth));
+  AddRow(rows, case_name, label, "node_invalidations",
+         std::to_string(totals.invalidations));
+}
+
 /// Runs one sweep case through the ExperimentRunner (one worker, which
 /// runs the cells in order, each on a fresh cache plane) and appends its
-/// golden rows.
+/// golden rows; `event_rows` adds AddEventRows for every cell.
 void RunSweepCase(const std::string& case_name,
                   const sim::ExperimentConfig& config,
-                  std::vector<std::string>* rows) {
+                  std::vector<std::string>* rows, bool event_rows = false) {
   sim::ExperimentConfig cfg = config;
   cfg.jobs = 1;
   auto runner_or = sim::ExperimentRunner::Create(cfg);
@@ -117,6 +175,7 @@ void RunSweepCase(const std::string& case_name,
     std::snprintf(label, sizeof(label), "%s@%g", r.scheme.c_str(),
                   r.cache_fraction);
     AddSummaryRows(rows, case_name, label, r.metrics);
+    if (event_rows) AddEventRows(rows, case_name, label, r);
   }
 }
 
@@ -231,23 +290,111 @@ std::vector<std::string> ComputeRows() {
   return rows;
 }
 
-TEST(PipelineEquivalenceTest, MatchesPreRefactorGolden) {
-  std::vector<std::string> rows = ComputeRows();
+/// Event-driven cells: LRU and Coordinated under contention. Any drift in
+/// arrival timing, exchange order or completion-order recording changes
+/// at least one row.
+std::vector<std::string> ComputeEventRows() {
+  std::vector<std::string> rows;
+  std::vector<schemes::SchemeSpec> schemes(2);
+  schemes[0].kind = schemes::SchemeKind::kLru;
+  schemes[1].kind = schemes::SchemeKind::kCoordinated;
+
+  // Case 1: the hierarchical tree near the shedding knee, open-loop on a
+  // ramp, with every feature of the full exchange on.
+  {
+    sim::ExperimentConfig cfg;
+    cfg.network.architecture = sim::Architecture::kHierarchical;
+    cfg.workload = SmallWorkload();
+    cfg.cache_fractions = {0.01, 0.03};
+    cfg.schemes = schemes;
+    sim::ContentionParams& c = cfg.sim.contention;
+    c.lookup_cost = 0.002;
+    c.store_cost = 0.001;
+    c.dcache_cost = 0.0005;
+    c.node_queue_capacity = 16;
+    c.link_bandwidth = 1e8;
+    c.arrival_rate = 250.0;
+    c.arrival_ramp = 0.01;
+    cfg.sim.tier.ram_fraction = 0.1;
+    cfg.sim.tier.ram_hit_cost = 0.0001;
+    cfg.sim.tier.disk_hit_cost = 0.002;
+    cfg.sim.sibling.enabled = true;
+    cfg.sim.sibling.level = 0;
+    cfg.sim.sibling.probe_cost = 0.0002;
+    sim::FaultScheduleConfig& f = cfg.sim.faults;
+    f.node_crash_mtbf = 60.0;
+    f.node_downtime = 2.0;
+    f.link_mtbf = 400.0;
+    f.link_downtime = 0.5;
+    f.request_timeout = 0.05;
+    f.retry_backoff = 0.01;
+    f.ascent_loss_prob = 0.01;
+    f.decision_loss_prob = 0.01;
+    f.disk_fail_mtbf = 60.0;
+    f.disk_fail_downtime = 3.0;
+    f.sibling_loss_prob = 0.01;
+    cfg.sim.coherency.protocol = sim::CoherencyProtocol::kInvalidation;
+    cfg.sim.coherency.mutable_fraction = 0.2;
+    cfg.sim.coherency.mean_update_period = 60.0;
+    RunSweepCase("event_hier_chaos", cfg, &rows, /*event_rows=*/true);
+    if (::testing::Test::HasFatalFailure()) return rows;
+  }
+
+  // Case 2: trace-timed arrivals on the Tiers en-route graph, with link
+  // outages that force detours around the table routes.
+  {
+    sim::ExperimentConfig cfg;
+    cfg.network.architecture = sim::Architecture::kEnRoute;
+    cfg.workload = SmallWorkload();
+    cfg.cache_fractions = {0.03};
+    cfg.schemes = schemes;
+    sim::ContentionParams& c = cfg.sim.contention;
+    c.lookup_cost = 0.0005;
+    c.store_cost = 0.0005;
+    c.node_queue_capacity = 16;
+    c.link_bandwidth = 5e7;
+    cfg.sim.faults.link_mtbf = 1000.0;
+    cfg.sim.faults.link_downtime = 5.0;
+    RunSweepCase("event_enroute_trace_timed", cfg, &rows,
+                 /*event_rows=*/true);
+    if (::testing::Test::HasFatalFailure()) return rows;
+  }
+
+  // Case 3: contention forced on with every cost zero.
+  {
+    sim::ExperimentConfig cfg;
+    cfg.network.architecture = sim::Architecture::kHierarchical;
+    cfg.workload = SmallWorkload();
+    cfg.cache_fractions = {0.03};
+    cfg.schemes = schemes;
+    cfg.sim.contention.enabled = true;
+    RunSweepCase("event_zero_cost", cfg, &rows, /*event_rows=*/true);
+    if (::testing::Test::HasFatalFailure()) return rows;
+  }
+
+  return rows;
+}
+
+/// Compares `rows` with the golden file `name` line by line, or rewrites
+/// the file (and skips) under CASCACHE_REGEN_GOLDEN.
+void ExpectMatchesGolden(const std::string& name,
+                         const std::vector<std::string>& rows) {
   ASSERT_FALSE(rows.empty());
+  const std::string path = GoldenPath(name);
 
   if (std::getenv("CASCACHE_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(GoldenPath(), std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << GoldenPath();
+    std::ofstream out(path, std::ios::trunc);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
     for (const std::string& row : rows) out << row << "\n";
     out.close();
     ASSERT_TRUE(out.good());
-    GTEST_SKIP() << "regenerated " << GoldenPath() << " (" << rows.size()
+    GTEST_SKIP() << "regenerated " << path << " (" << rows.size()
                  << " rows)";
   }
 
-  std::ifstream in(GoldenPath());
+  std::ifstream in(path);
   ASSERT_TRUE(in.good())
-      << "missing golden file " << GoldenPath()
+      << "missing golden file " << path
       << " — run with CASCACHE_REGEN_GOLDEN=1 on a known-good build";
   std::vector<std::string> golden;
   for (std::string line; std::getline(in, line);) {
@@ -258,6 +405,18 @@ TEST(PipelineEquivalenceTest, MatchesPreRefactorGolden) {
   for (size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(golden[i], rows[i]) << "golden mismatch at row " << i;
   }
+}
+
+TEST(PipelineEquivalenceTest, MatchesPreRefactorGolden) {
+  const std::vector<std::string> rows = ComputeRows();
+  if (::testing::Test::HasFatalFailure()) return;
+  ExpectMatchesGolden("pipeline_golden.csv", rows);
+}
+
+TEST(PipelineEquivalenceTest, EventDrivenMatchesGolden) {
+  const std::vector<std::string> rows = ComputeEventRows();
+  if (::testing::Test::HasFatalFailure()) return;
+  ExpectMatchesGolden("event_golden.csv", rows);
 }
 
 }  // namespace
