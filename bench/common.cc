@@ -79,74 +79,6 @@ void MaybeExportCsv(const std::vector<sim::RunResult>& results) {
   }
 }
 
-/// One sweep's timing record for BENCH_sweep.json.
-struct SweepTiming {
-  size_t cells = 0;
-  int jobs = 1;
-  double total_wall_seconds = 0.0;
-  double cell_wall_p50 = 0.0;
-  double cell_wall_p95 = 0.0;
-  double requests_per_sec = 0.0;  ///< Aggregate replay throughput.
-  /// Phase breakdown summed over cells (the simulator's per-run timers).
-  double warmup_wall_seconds = 0.0;
-  double measure_wall_seconds = 0.0;
-  /// Replay throughput per scheme (requests replayed across the scheme's
-  /// cells / summed cell wall time), in sweep result order.
-  std::vector<std::pair<std::string, double>> scheme_requests_per_sec;
-};
-
-std::vector<SweepTiming>& SweepTimings() {
-  static std::vector<SweepTiming> timings;
-  return timings;
-}
-
-/// Rewrites the bench-timing JSON (default BENCH_sweep.json, overridable
-/// via CASCACHE_BENCH_JSON; empty disables) with every sweep this process
-/// has run, so the perf trajectory of the figure benches is trackable
-/// across PRs.
-void ExportSweepJson() {
-  const char* env = std::getenv("CASCACHE_BENCH_JSON");
-  const std::string path =
-      env == nullptr ? "BENCH_sweep.json" : std::string(env);
-  if (path.empty()) return;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fputs("[\n", f);
-  const std::vector<SweepTiming>& timings = SweepTimings();
-  for (size_t i = 0; i < timings.size(); ++i) {
-    const SweepTiming& t = timings[i];
-    std::fprintf(f,
-                 "  {\"sweep\": %zu, \"cells\": %zu, \"jobs\": %d, "
-                 "\"total_wall_seconds\": %.6g, \"cell_wall_p50\": %.6g, "
-                 "\"cell_wall_p95\": %.6g, \"requests_per_sec\": %.6g, "
-                 "\"warmup_wall_seconds\": %.6g, "
-                 "\"measure_wall_seconds\": %.6g, "
-                 "\"scheme_requests_per_sec\": {",
-                 i, t.cells, t.jobs, t.total_wall_seconds, t.cell_wall_p50,
-                 t.cell_wall_p95, t.requests_per_sec, t.warmup_wall_seconds,
-                 t.measure_wall_seconds);
-    for (size_t s = 0; s < t.scheme_requests_per_sec.size(); ++s) {
-      const auto& [scheme, rps] = t.scheme_requests_per_sec[s];
-      std::fprintf(f, "%s\"%s\": %.6g",
-                   s == 0 ? "" : ", ", scheme.c_str(), rps);
-    }
-    std::fprintf(f, "}}%s\n", i + 1 < timings.size() ? "," : "");
-  }
-  std::fputs("]\n", f);
-  std::fclose(f);
-}
-
-double Percentile(std::vector<double> sorted_values, double p) {
-  if (sorted_values.empty()) return 0.0;
-  const size_t index = std::min(
-      sorted_values.size() - 1,
-      static_cast<size_t>(p * static_cast<double>(sorted_values.size())));
-  return sorted_values[index];
-}
-
 }  // namespace
 
 std::vector<sim::RunResult> RunSweep(const sim::ExperimentConfig& config) {
@@ -168,50 +100,12 @@ std::vector<sim::RunResult> RunSweep(const sim::ExperimentConfig& config) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
-  SweepTiming timing;
-  timing.cells = results.size();
-  timing.jobs = jobs;
-  timing.total_wall_seconds = wall;
-  std::vector<double> cell_walls;
-  cell_walls.reserve(results.size());
-  uint64_t replayed = 0;
-  // Per-scheme replay totals, keyed by label in first-seen (sweep) order.
-  std::vector<std::string> scheme_order;
-  std::vector<double> scheme_requests;
-  std::vector<double> scheme_wall;
   for (const sim::RunResult& r : results) {
     std::fprintf(stderr, "  %-14s @ %6.2f%%  %.3fs (%.0f req/s)\n",
                  r.scheme.c_str(), r.cache_fraction * 100, r.wall_seconds,
                  r.requests_per_sec);
-    cell_walls.push_back(r.wall_seconds);
-    replayed += r.metrics.requests;
-    timing.warmup_wall_seconds += r.warmup_seconds;
-    timing.measure_wall_seconds += r.measure_seconds;
-    size_t s = 0;
-    while (s < scheme_order.size() && scheme_order[s] != r.scheme) ++s;
-    if (s == scheme_order.size()) {
-      scheme_order.push_back(r.scheme);
-      scheme_requests.push_back(0.0);
-      scheme_wall.push_back(0.0);
-    }
-    // Full replayed trace of the cell (warm-up included), recovered from
-    // the cell's own throughput accounting.
-    scheme_requests[s] += r.requests_per_sec * r.wall_seconds;
-    scheme_wall[s] += r.wall_seconds;
-  }
-  std::sort(cell_walls.begin(), cell_walls.end());
-  timing.cell_wall_p50 = Percentile(cell_walls, 0.50);
-  timing.cell_wall_p95 = Percentile(cell_walls, 0.95);
-  timing.requests_per_sec =
-      wall > 0.0 ? static_cast<double>(replayed) / wall : 0.0;
-  for (size_t s = 0; s < scheme_order.size(); ++s) {
-    timing.scheme_requests_per_sec.emplace_back(
-        scheme_order[s],
-        scheme_wall[s] > 0.0 ? scheme_requests[s] / scheme_wall[s] : 0.0);
   }
   std::fprintf(stderr, "  sweep done in %.3fs\n", wall);
-  SweepTimings().push_back(timing);
-  ExportSweepJson();
 
   MaybeExportCsv(results);
   return results;

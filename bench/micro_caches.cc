@@ -8,9 +8,6 @@
 #include "cache/dcache.h"
 #include "cache/flat_lru.h"
 #include "cache/ncl_cache.h"
-#include "schemes/scheme.h"
-#include "sim/simulator.h"
-#include "trace/synthetic.h"
 #include "util/random.h"
 
 namespace {
@@ -122,47 +119,5 @@ void BM_DCacheChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DCacheChurn)->Arg(1000)->Arg(100000);
-
-void BM_ReplayHotPath(benchmark::State& state) {
-  // The full Simulator::Step hot path — path lookup, per-hop admission,
-  // scheme handlers, metric recording — measured per replayed request.
-  // This is the loop the hop-by-hop message pipeline refactor must not
-  // slow down (<5% budget); LRU and Coordinated bracket the cheap and
-  // expensive scheme paths.
-  const auto kind = static_cast<cascache::schemes::SchemeKind>(
-      state.range(0));
-  cascache::trace::WorkloadParams wp;
-  wp.num_objects = 2000;
-  wp.num_requests = 50'000;
-  wp.num_clients = 200;
-  wp.num_servers = 40;
-  auto workload = *cascache::trace::GenerateWorkload(wp);
-  cascache::sim::NetworkParams np;
-  np.architecture = cascache::sim::Architecture::kHierarchical;
-  auto network = std::move(cascache::sim::Network::Build(np, &workload.catalog)).value();
-
-  cascache::schemes::SchemeSpec spec;
-  spec.kind = kind;
-  auto scheme = std::move(cascache::schemes::MakeScheme(spec)).value();
-  cascache::sim::SimOptions options;
-  options.warmup_fraction = 0.0;  // Measure every replayed request.
-  cascache::sim::CacheSet caches = network->MakeCacheSet();
-  cascache::sim::Simulator simulator(network.get(), &caches, scheme.get(),
-                                     options);
-  const uint64_t capacity = static_cast<uint64_t>(
-      0.03 * static_cast<double>(workload.catalog.total_bytes()));
-
-  for (auto _ : state) {
-    auto status = simulator.Run(workload, capacity);
-    if (!status.ok()) state.SkipWithError(status.ToString().c_str());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(workload.requests.size()));
-}
-BENCHMARK(BM_ReplayHotPath)
-    ->Arg(static_cast<int>(cascache::schemes::SchemeKind::kLru))
-    ->Arg(static_cast<int>(cascache::schemes::SchemeKind::kCoordinated))
-    ->ArgName("scheme")
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -13,7 +13,7 @@
 // If --trace-file is absent on disk it is stream-generated first
 // (GenerateWorkloadToFile, O(1) resident) and kept, so consecutive
 // invocations at the same scale reuse it. Emits one JSON record on
-// stdout for hand-merging into BENCH_sweep.json:
+// stdout:
 //
 //   {"bench": "scale_replay", "requests": ..., "wall_seconds": ...,
 //    "requests_per_sec": ..., "peak_rss_kb": ..., "rss_before_kb": ...,

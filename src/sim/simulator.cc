@@ -247,20 +247,6 @@ util::Status Simulator::Run(const trace::WorkloadView& view,
     }
     caches_->ConfigureWithCapacities(config, capacities);
   }
-  // Memoize each object's size/mean ratio: identical operands to the
-  // per-request division, so latencies are bit-identical. Skipped for
-  // huge catalogs (the table would be 8 bytes x num_objects); the replay
-  // fallback divides inline with the same operands.
-  if (!huge_catalog) {
-    size_scale_table_.resize(catalog_->num_objects());
-    for (trace::ObjectId o = 0; o < catalog_->num_objects(); ++o) {
-      size_scale_table_[o] =
-          static_cast<double>(catalog_->size(o)) / mean_object_size_;
-    }
-  } else {
-    size_scale_table_.clear();
-    size_scale_table_.shrink_to_fit();
-  }
   metrics_.Reset();
   metrics_.ResetNodes(network_->num_nodes());
   if (trace_ != nullptr) trace_->Clear();
@@ -698,10 +684,7 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect) {
   const std::vector<topology::NodeId>& path = route->nodes;
   const double* const delay_prefix = route->delay_prefix.data();
   const size_t path_len = path.size();
-  const double size_scale =
-      object < size_scale_table_.size()
-          ? size_scale_table_[object]
-          : static_cast<double>(size) / mean_object_size_;
+  const double size_scale = static_cast<double>(size) / mean_object_size_;
 
   // The hook instantiations hand the scheme handlers the exchange through
   // the reused context. Telemetry: per-node counters only while

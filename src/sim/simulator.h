@@ -109,8 +109,8 @@ struct SimOptions {
 };
 
 /// Wall-clock breakdown of the last Run(): cache (re)configuration +
-/// coherency setup, the warm-up replay, and the measured replay.
-/// Exported per sweep cell into BENCH_sweep.json.
+/// coherency setup, the warm-up replay, and the measured replay. Read
+/// per cell by ExperimentRunner and by the canonical benchmark.
 struct RunPhaseTimes {
   double configure_seconds = 0.0;
   double warmup_seconds = 0.0;
@@ -373,11 +373,6 @@ class Simulator {
   /// (reset there), a monotone counter for direct Step() drivers. Keys
   /// the deterministic trace sampler.
   uint64_t step_index_ = 0;
-  /// Memoized size / mean-object-size ratio per ObjectId — the exact
-  /// division the per-request path performed, computed once per object
-  /// (Run() fills it from the catalog; empty for direct Step() drivers,
-  /// which fall back to dividing inline).
-  std::vector<double> size_scale_table_;
   /// Memoized Network::RequesterNode keyed by client id (-1 = unfilled):
   /// the hash assignment is deterministic per client, so the decode loop
   /// pays it once per client instead of once per request.
