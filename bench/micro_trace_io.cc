@@ -1,7 +1,6 @@
-// Micro benchmark M4: trace IO throughput — how fast the streaming
-// reader yields requests and how fast the mmap overlay scans. The
-// buffered reader is the floor for every --trace-in replay that cannot
-// mmap (v1 traces); the mapped scan is the v2 replay's ingest cost.
+// Micro benchmark M4: trace IO throughput — how fast MappedTrace opens
+// a v2 trace and scans its overlaid request region, the ingest cost of
+// every --trace-in replay.
 
 #include <benchmark/benchmark.h>
 
@@ -30,26 +29,6 @@ const std::string& TracePath() {
   }();
   return *path;
 }
-
-void BM_TraceReaderNext(benchmark::State& state) {
-  for (auto _ : state) {
-    auto reader_or = trace::TraceReader::Open(TracePath());
-    CASCACHE_CHECK_OK(reader_or.status());
-    trace::Request req;
-    uint64_t n = 0;
-    for (;;) {
-      auto more_or = (*reader_or)->Next(&req);
-      CASCACHE_CHECK_OK(more_or.status());
-      if (!*more_or) break;
-      benchmark::DoNotOptimize(req);
-      ++n;
-    }
-    CASCACHE_CHECK(n == kRequests);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kRequests));
-}
-BENCHMARK(BM_TraceReaderNext);
 
 void BM_MappedTraceScan(benchmark::State& state) {
   for (auto _ : state) {

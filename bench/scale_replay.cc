@@ -1,14 +1,13 @@
 // scale_replay: paper-scale replay throughput and memory bench.
 //
 // Measures, for one trace scale per process invocation, the wall-clock
-// replay throughput and the process peak RSS when replaying a v2 trace
-// through the mmap path. One scale per process because VmHWM is
+// replay throughput and the process peak RSS when replaying a v2 or v3
+// trace through the mmap path. One scale per process because VmHWM is
 // monotone over the process lifetime — mixing scales in one run would
 // report only the largest.
 //
 //   scale_replay --requests=10000000 --trace-file=/tmp/t10m.cctr
-//   scale_replay --requests=100000000 --trace-file=/tmp/t100m.cctr \
-//       --release --schemes=coordinated
+//   scale_replay --requests=100000000 --trace-file=/tmp/t100m.cctr --release
 //
 // If --trace-file is absent on disk it is stream-generated first
 // (GenerateWorkloadToFile, O(1) resident) and kept, so consecutive
@@ -116,9 +115,9 @@ util::Status RunMain(int argc, char** argv) {
   CASCACHE_ASSIGN_OR_RETURN(
       std::unique_ptr<sim::ExperimentRunner> runner,
       sim::ExperimentRunner::CreateFromTrace(config, trace_file));
-  if (runner->mapped_trace() == nullptr) {
-    return util::Status::InvalidArgument("scale bench expects a v2 trace: " +
-                                         trace_file);
+  if (runner->mapped_trace()->version() == trace::kTraceVersion1) {
+    return util::Status::InvalidArgument(
+        "scale bench expects a v2 or v3 trace: " + trace_file);
   }
   const uint64_t actual_requests = runner->view().requests.size();
   const long rss_before_kb = PeakRssKb();

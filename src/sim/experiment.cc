@@ -8,7 +8,6 @@
 #include <map>
 #include <thread>
 
-#include "trace/trace_io.h"
 #include "util/csv.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -54,26 +53,12 @@ ExperimentRunner::CreateFromTrace(const ExperimentConfig& config,
                                   const std::string& trace_path) {
   CASCACHE_RETURN_IF_ERROR(ValidateSweepConfig(config));
   std::unique_ptr<ExperimentRunner> runner(new ExperimentRunner(config));
-  // Probe the format version through the streaming reader (it validates
-  // the header and catalog without touching the request region).
-  CASCACHE_ASSIGN_OR_RETURN(std::unique_ptr<trace::TraceReader> probe,
-                            trace::TraceReader::Open(trace_path));
-  const uint32_t version = probe->version();
-  probe.reset();
-  const trace::ObjectCatalog* catalog = nullptr;
-  if (version == trace::kTraceVersion2 || version == trace::kTraceVersion3) {
-    CASCACHE_ASSIGN_OR_RETURN(runner->mapped_,
-                              trace::MappedTrace::Open(trace_path));
-    catalog = &runner->mapped_->catalog();
-  } else {
-    // v1 request regions are unaligned, hence not mmap-able: load them
-    // the historical way.
-    CASCACHE_ASSIGN_OR_RETURN(runner->workload_,
-                              trace::ReadTrace(trace_path));
-    catalog = &runner->workload_.catalog;
-  }
-  CASCACHE_ASSIGN_OR_RETURN(runner->network_,
-                            Network::Build(config.network, catalog));
+  CASCACHE_ASSIGN_OR_RETURN(runner->mapped_,
+                            trace::MappedTrace::Open(trace_path));
+  CASCACHE_RETURN_IF_ERROR(runner->mapped_->Validate());
+  CASCACHE_ASSIGN_OR_RETURN(
+      runner->network_,
+      Network::Build(config.network, &runner->mapped_->catalog()));
   return runner;
 }
 

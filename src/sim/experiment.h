@@ -30,7 +30,8 @@ struct ExperimentConfig {
   /// resolves via the CASCACHE_JOBS environment variable, falling back to
   /// hardware_concurrency. Results are bit-identical for every value.
   int jobs = 0;
-  /// Only meaningful with CreateFromTrace over a mapped (v2) trace:
+  /// Only meaningful with CreateFromTrace over a v2 or v3 trace (a v1
+  /// trace's records are an owned copy, so there is nothing to release):
   /// advise-release consumed request pages during replay so resident
   /// memory stays O(1) in trace length. Forces sequential cells (jobs
   /// = 1) — concurrent cells at different trace offsets would refault
@@ -88,10 +89,11 @@ class ExperimentRunner {
 
   /// Builds the runner over a saved binary trace instead of generating
   /// the synthetic workload (config.workload is ignored except as
-  /// provenance). A v2 trace is memory-mapped — one shared read-only
-  /// mapping replayed in place by every parallel cell; a legacy v1
-  /// trace falls back to an in-RAM load (its request region is not
-  /// mmap-able).
+  /// provenance). The trace is opened through MappedTrace and validated
+  /// record by record before replay, so a corrupt file fails with
+  /// InvalidArgument. A v2/v3 trace is one shared read-only mapping
+  /// replayed in place by every parallel cell; a v1 trace's records are
+  /// copied out of its unaligned request region at open.
   static util::StatusOr<std::unique_ptr<ExperimentRunner>> CreateFromTrace(
       const ExperimentConfig& config, const std::string& trace_path);
 
@@ -110,16 +112,17 @@ class ExperimentRunner {
   util::StatusOr<RunResult> RunOne(const schemes::SchemeSpec& spec,
                                    double cache_fraction) const;
 
-  /// The generated workload. Empty under CreateFromTrace with a mapped
-  /// trace (requests stay on disk); use view() for replay-agnostic
-  /// access.
+  /// The generated workload. Empty under CreateFromTrace (the requests
+  /// live in the MappedTrace); use view() for replay-agnostic access.
   const trace::Workload& workload() const { return workload_; }
   /// Borrowed catalog + request span, regardless of backing storage
-  /// (generated vector, in-RAM v1 load, or shared v2 mapping).
+  /// (generated vector, or the MappedTrace: a shared v2/v3 mapping or a
+  /// v1 trace's owned copy).
   trace::WorkloadView view() const {
     return mapped_ != nullptr ? mapped_->View() : workload_.View();
   }
-  /// Non-null iff this runner replays a mapped v2 trace.
+  /// Non-null iff this runner was built by CreateFromTrace; its
+  /// version() tells the format.
   const trace::MappedTrace* mapped_trace() const { return mapped_.get(); }
   const Network* network() const { return network_.get(); }
   const ExperimentConfig& config() const { return config_; }

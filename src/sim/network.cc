@@ -117,16 +117,6 @@ util::StatusOr<std::unique_ptr<Network>> Network::Build(
   return net;
 }
 
-topology::NodeId Network::RequesterNode(ClientId client) const {
-  // Deterministic hash assignment (SplitMix64 of client ^ seed).
-  uint64_t z = (static_cast<uint64_t>(client) + 0x9E3779B97F4A7C15ULL) ^
-               params_.placement_seed;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  z = z ^ (z >> 31);
-  return client_sites_[z % client_sites_.size()];
-}
-
 topology::NodeId Network::ServerAttach(ServerId server) const {
   CASCACHE_CHECK(server < server_attach_.size());
   return server_attach_[server];

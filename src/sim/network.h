@@ -72,8 +72,17 @@ class Network {
 
   /// Node where a client's requests enter the cache network (its MAN node
   /// under en-route, its leaf cache under hierarchical). The client-to-
-  /// first-cache cost is excluded from the model per paper §2.
-  topology::NodeId RequesterNode(ClientId client) const;
+  /// first-cache cost is excluded from the model per paper §2. A
+  /// deterministic hash assignment (SplitMix64 of client ^ seed), cheap
+  /// enough for the decode loop to call per request.
+  topology::NodeId RequesterNode(ClientId client) const {
+    uint64_t z = (static_cast<uint64_t>(client) + 0x9E3779B97F4A7C15ULL) ^
+                 params_.placement_seed;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    z = z ^ (z >> 31);
+    return client_sites_[z % client_sites_.size()];
+  }
 
   /// Node a server attaches to (a MAN node under en-route; the root under
   /// hierarchical).

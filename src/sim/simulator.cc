@@ -321,8 +321,9 @@ DecodedRequest Simulator::Decode(const trace::Request& request) {
   DecodedRequest decoded;
   decoded.object = request.object;
   decoded.size = catalog_->size(request.object);
-  decoded.route = &network_->ClientRoute(RequesterFor(request.client),
-                                         catalog_->server(request.object));
+  decoded.route =
+      &network_->ClientRoute(network_->RequesterNode(request.client),
+                             catalog_->server(request.object));
   decoded.time = request.time;
   return decoded;
 }
@@ -417,15 +418,6 @@ void Simulator::ReplayBlocks(trace::RequestSpan requests, size_t begin,
 void Simulator::Step(const trace::Request& request, bool collect) {
   ReplayRange(trace::RequestSpan(&request, 1), 0, 1, collect);
   FlushCompletions();
-}
-
-topology::NodeId Simulator::RequesterFor(trace::ClientId client) {
-  if (static_cast<size_t>(client) >= requester_cache_.size()) {
-    requester_cache_.resize(static_cast<size_t>(client) + 1, -1);
-  }
-  topology::NodeId& slot = requester_cache_[static_cast<size_t>(client)];
-  if (slot < 0) slot = network_->RequesterNode(client);
-  return slot;
 }
 
 bool Simulator::QueueAscentOp(MessageContext& ctx, size_t hop) {

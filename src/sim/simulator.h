@@ -313,10 +313,6 @@ class Simulator {
   void ServeTier(MessageContext& ctx, topology::NodeId node_id,
                  bool ram_only);
 
-  /// Memoized Network::RequesterNode (same deterministic assignment,
-  /// computed once per client).
-  topology::NodeId RequesterFor(trace::ClientId client);
-
   const Network* network_;
   CacheSet* caches_;
   schemes::CachingScheme* scheme_;
@@ -373,10 +369,6 @@ class Simulator {
   /// (reset there), a monotone counter for direct Step() drivers. Keys
   /// the deterministic trace sampler.
   uint64_t step_index_ = 0;
-  /// Memoized Network::RequesterNode keyed by client id (-1 = unfilled):
-  /// the hash assignment is deterministic per client, so the decode loop
-  /// pays it once per client instead of once per request.
-  std::vector<topology::NodeId> requester_cache_;
   /// Per-request scratch (link costs, fault flags, decode blocks); reset,
   /// never reallocated, between requests.
   RequestArena arena_;

@@ -14,8 +14,8 @@ namespace cascache::trace {
 
 namespace {
 
-constexpr char kMagic[4] = {'C', 'C', 'T', 'R'};
-constexpr uint64_t kCatalogEntryBytes = 12;  // uint64 size + uint32 server
+/// Byte size of the v1 header: the v2 header without request_offset.
+constexpr uint64_t kV1HeaderBytes = kTraceV2HeaderBytes - sizeof(uint64_t);
 
 /// How much of the request region to fault in eagerly (MADV_WILLNEED):
 /// enough to hide the initial read latency without distorting the
@@ -50,7 +50,7 @@ util::StatusOr<std::unique_ptr<MappedTrace>> MappedTrace::Open(
     return util::Status::IoError("fstat failed: " + path);
   }
   const uint64_t file_bytes = static_cast<uint64_t>(st.st_size);
-  if (file_bytes < kTraceV2HeaderBytes) {
+  if (file_bytes < kV1HeaderBytes) {
     ::close(fd);
     return util::Status::IoError("truncated header: " + path);
   }
@@ -66,31 +66,36 @@ util::StatusOr<std::unique_ptr<MappedTrace>> MappedTrace::Open(
   trace->map_bytes_ = static_cast<size_t>(file_bytes);
 
   const unsigned char* base = static_cast<const unsigned char*>(map);
-  if (std::memcmp(base, kMagic, 4) != 0) {
+  if (std::memcmp(base, kTraceMagic, 4) != 0) {
     return util::Status::IoError("bad magic in trace file: " + path);
   }
   const uint32_t version = LoadUnaligned<uint32_t>(base + 4);
-  if (version == kTraceVersion1) {
-    return util::Status::InvalidArgument(
-        "trace is v1, which is not mmap-able (request region unaligned); "
-        "load it with ReadTrace or rewrite it as v2: " + path);
-  }
-  if (version != kTraceVersion2 && version != kTraceVersion3) {
+  if (version != kTraceVersion1 && version != kTraceVersion2 &&
+      version != kTraceVersion3) {
     return util::Status::InvalidArgument("unsupported trace version");
+  }
+  const bool v1 = version == kTraceVersion1;
+  const uint64_t header_bytes = v1 ? kV1HeaderBytes : kTraceV2HeaderBytes;
+  if (file_bytes < header_bytes) {
+    return util::Status::IoError("truncated header: " + path);
   }
   const uint32_t num_objects = LoadUnaligned<uint32_t>(base + 8);
   const uint32_t num_servers = LoadUnaligned<uint32_t>(base + 12);
   const uint64_t num_requests = LoadUnaligned<uint64_t>(base + 16);
-  const uint64_t request_offset = LoadUnaligned<uint64_t>(base + 24);
 
+  // v3 stores a 64-byte catalog model instead of per-object entries.
   const uint64_t catalog_bytes =
-      version == kTraceVersion3 ? sizeof(CatalogModel)
-                                : kCatalogEntryBytes * uint64_t{num_objects};
-  const uint64_t catalog_end = kTraceV2HeaderBytes + catalog_bytes;
+      version == kTraceVersion3
+          ? sizeof(CatalogModel)
+          : kTraceCatalogEntryBytes * uint64_t{num_objects};
+  const uint64_t catalog_end = header_bytes + catalog_bytes;
   if (file_bytes < catalog_end) {
     return util::Status::IoError("truncated catalog: " + path);
   }
-  if (request_offset % kTraceRequestAlign != 0) {
+  // v1 records follow the catalog directly; v2/v3 name their offset.
+  const uint64_t request_offset =
+      v1 ? catalog_end : LoadUnaligned<uint64_t>(base + 24);
+  if (!v1 && request_offset % kTraceRequestAlign != 0) {
     return util::Status::InvalidArgument(
         "request region not page-aligned: " + path);
   }
@@ -98,7 +103,9 @@ util::StatusOr<std::unique_ptr<MappedTrace>> MappedTrace::Open(
     return util::Status::InvalidArgument(
         "request region overlaps catalog: " + path);
   }
-  if (file_bytes < request_offset + sizeof(Request) * num_requests) {
+  // Divide rather than multiply, so a corrupt count cannot overflow.
+  if (request_offset > file_bytes ||
+      num_requests > (file_bytes - request_offset) / sizeof(Request)) {
     return util::Status::IoError(
         "trace file shorter than its header claims (truncated mapping): " +
         path);
@@ -115,8 +122,9 @@ util::StatusOr<std::unique_ptr<MappedTrace>> MappedTrace::Open(
     }
     trace->catalog_.BuildProcedural(model, num_objects, num_servers);
   } else {
-    const unsigned char* entry = base + kTraceV2HeaderBytes;
-    for (uint32_t i = 0; i < num_objects; ++i, entry += kCatalogEntryBytes) {
+    const unsigned char* entry = base + header_bytes;
+    for (uint32_t i = 0; i < num_objects;
+         ++i, entry += kTraceCatalogEntryBytes) {
       const uint64_t size = LoadUnaligned<uint64_t>(entry);
       const uint32_t server = LoadUnaligned<uint32_t>(entry + 8);
       if (size == 0) {
@@ -129,16 +137,26 @@ util::StatusOr<std::unique_ptr<MappedTrace>> MappedTrace::Open(
     }
   }
 
+  trace->version_ = version;
   trace->request_offset_ = request_offset;
   trace->num_requests_ = num_requests;
+  const size_t region_bytes =
+      static_cast<size_t>(sizeof(Request) * num_requests);
+  if (v1) {
+    // Unaligned region: copy the records out instead of overlaying them.
+    trace->owned_.resize(static_cast<size_t>(num_requests));
+    if (region_bytes > 0) {
+      std::memcpy(trace->owned_.data(), base + request_offset, region_bytes);
+    }
+    trace->requests_ = trace->owned_.data();
+    return trace;
+  }
   trace->requests_ =
       reinterpret_cast<const Request*>(base + request_offset);
 
   // Advisory only; failures are not actionable.
   unsigned char* region =
       static_cast<unsigned char*>(map) + request_offset;
-  const size_t region_bytes =
-      static_cast<size_t>(sizeof(Request) * num_requests);
   if (region_bytes > 0) {
     ::madvise(region, region_bytes, MADV_SEQUENTIAL);
     ::madvise(region, std::min(region_bytes, kWillNeedBytes), MADV_WILLNEED);
@@ -163,6 +181,7 @@ WorkloadView MappedTrace::StreamingView() {
 }
 
 void MappedTrace::ReleaseUpTo(size_t request_index) {
+  if (version_ == kTraceVersion1) return;  // Owned copy, nothing mapped.
   const uint64_t consumed_bytes =
       std::min<uint64_t>(request_index, num_requests_) * sizeof(Request);
   const size_t target = static_cast<size_t>(

@@ -6,27 +6,34 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "trace/object_catalog.h"
 #include "util/status.h"
 
 namespace cascache::trace {
 
-/// Read-only memory-mapped view of a v2 or v3 binary trace (trace_io.h);
-/// a v3 file's procedural catalog is regenerated from its 64-byte model
-/// block at open. The
-/// page-aligned request region is overlaid directly as a Request array
-/// — no per-request copies, no decode pass — and the single mapping is
-/// shared read-only by every parallel sweep cell. The kernel is advised
-/// of the sequential access pattern (MADV_SEQUENTIAL + MADV_WILLNEED),
-/// and consumed pages can be advised away (ReleaseUpTo) so a replay's
-/// resident set stays O(1) in trace length.
+/// Read-only memory-mapped view of a binary trace of any format version
+/// (trace_io.h) — the one trace reader: ReadTrace, SummarizeTrace and
+/// ExperimentRunner::CreateFromTrace all load through Open().
 ///
-/// v1 traces are not mmap-able: their request region starts at
-/// 24 + 12*num_objects, which is not 8-byte aligned in general, so
-/// overlaying doubles would be undefined behavior. Open() rejects them
-/// with InvalidArgument; load v1 via ReadTrace (or rewrite it as v2
-/// with ReadTrace + WriteTrace).
+/// A v2 or v3 file's page-aligned request region is overlaid directly
+/// as a Request array — no per-request copies, no decode pass — and the
+/// single mapping is shared read-only by every parallel sweep cell; a v3
+/// file's procedural catalog is regenerated from its 64-byte model block
+/// at open. The kernel is advised of the sequential access pattern
+/// (MADV_SEQUENTIAL + MADV_WILLNEED), and consumed pages can be advised
+/// away (ReleaseUpTo) so a replay's resident set stays O(1) in trace
+/// length.
+///
+/// A v1 file's request region starts at 24 + 12*num_objects, which is
+/// not 8-byte aligned in general, so overlaying doubles would be
+/// undefined behavior: Open() copies its records into an owned, aligned
+/// array instead, and ReleaseUpTo does nothing for it.
+///
+/// Open() checks the header, the catalog and the file length; the
+/// per-record checks are Validate()'s, which every load of an untrusted
+/// file runs before replaying it.
 class MappedTrace {
  public:
   static util::StatusOr<std::unique_ptr<MappedTrace>> Open(
@@ -39,6 +46,9 @@ class MappedTrace {
   const ObjectCatalog& catalog() const { return catalog_; }
   uint64_t num_requests() const { return num_requests_; }
   const std::string& path() const { return path_; }
+  /// Format version of the file (kTraceVersion1/2/3).
+  uint32_t version() const { return version_; }
+  uint64_t file_bytes() const { return map_bytes_; }
 
   /// The whole request stream, straight out of the mapping. Seekable by
   /// construction: subspans address warm-up/measure splits and sweep
@@ -63,14 +73,15 @@ class MappedTrace {
 
   /// Advises the kernel (MADV_DONTNEED) that all request pages below
   /// `request_index` are no longer needed, in multiples of
-  /// kReleaseGranularityBytes. Thread-safe; purely advisory.
+  /// kReleaseGranularityBytes. Thread-safe; purely advisory; a no-op for
+  /// a v1 trace, whose records live in an owned copy.
   void ReleaseUpTo(size_t request_index);
 
   /// One full streaming validation pass over the request region (object
-  /// ids in range, timestamps monotonically non-decreasing) — the check
-  /// ReadTrace performs eagerly. Releases pages as it scans so the pass
-  /// itself stays O(1) resident. Intended for ingest-time checking;
-  /// replay paths trust the mapping.
+  /// ids in range, timestamps monotonically non-decreasing). Releases
+  /// pages as it scans so the pass itself stays O(1) resident. Every load
+  /// path (ReadTrace, SummarizeTrace, CreateFromTrace) runs it once; the
+  /// replay itself then trusts the records.
   util::Status Validate();
 
   /// Release granularity: consumed pages are dropped in 16 MiB steps so
@@ -81,12 +92,15 @@ class MappedTrace {
   MappedTrace() = default;
 
   std::string path_;
+  uint32_t version_ = 0;
   ObjectCatalog catalog_;
   void* map_ = nullptr;
   size_t map_bytes_ = 0;
   uint64_t request_offset_ = 0;
   uint64_t num_requests_ = 0;
   const Request* requests_ = nullptr;
+  /// A v1 trace's records, copied out of the unaligned request region.
+  std::vector<Request> owned_;
 
   std::mutex release_mu_;
   size_t released_bytes_ = 0;  // Bytes of the request region already dropped.

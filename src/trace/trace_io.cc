@@ -4,25 +4,20 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <unordered_map>
 #include <utility>
 
+#include "trace/mapped_trace.h"
 #include "util/zipf.h"
 
 namespace cascache::trace {
 
 namespace {
 
-constexpr char kMagic[4] = {'C', 'C', 'T', 'R'};
-// Byte offset of the num_requests header field (both versions):
+// Byte offset of the num_requests header field (every version):
 // magic(4) + version(4) + num_objects(4) + num_servers(4).
 constexpr long kNumRequestsOffset = 16;
-constexpr uint64_t kTraceV1HeaderBytes = 24;
-constexpr uint64_t kCatalogEntryBytes = 12;  // uint64 size + uint32 server
-// TraceReader's block buffer: 16Ki records = 256 KiB.
-constexpr size_t kReaderBufferRecords = 16 * 1024;
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -36,98 +31,8 @@ bool WriteOne(std::FILE* f, const T& v) {
   return std::fwrite(&v, sizeof(T), 1, f) == 1;
 }
 
-template <typename T>
-bool ReadOne(std::FILE* f, T* v) {
-  return std::fread(v, sizeof(T), 1, f) == 1;
-}
-
 uint64_t AlignUp(uint64_t v, uint64_t align) {
   return (v + align - 1) / align * align;
-}
-
-/// Parsed common header of either format version. After
-/// ReadHeaderAndCatalog returns OK the stream is positioned at the
-/// first request record.
-struct ParsedHeader {
-  uint32_t version = 0;
-  uint32_t num_objects = 0;
-  uint32_t num_servers = 0;
-  uint64_t num_requests = 0;
-  uint64_t request_offset = 0;
-};
-
-util::Status ReadHeaderAndCatalog(std::FILE* f, const std::string& path,
-                                  ParsedHeader* h, ObjectCatalog* catalog) {
-  char magic[4];
-  if (std::fread(magic, 1, 4, f) != 4 ||
-      std::memcmp(magic, kMagic, 4) != 0) {
-    return util::Status::IoError("bad magic in trace file: " + path);
-  }
-  if (!ReadOne(f, &h->version) || !ReadOne(f, &h->num_objects) ||
-      !ReadOne(f, &h->num_servers) || !ReadOne(f, &h->num_requests)) {
-    return util::Status::IoError("truncated header: " + path);
-  }
-  if (h->version != kTraceVersion1 && h->version != kTraceVersion2 &&
-      h->version != kTraceVersion3) {
-    return util::Status::InvalidArgument("unsupported trace version");
-  }
-  // v3 stores a 64-byte catalog model instead of per-object entries.
-  const uint64_t catalog_bytes =
-      h->version == kTraceVersion3
-          ? sizeof(CatalogModel)
-          : kCatalogEntryBytes * static_cast<uint64_t>(h->num_objects);
-  const uint64_t catalog_end =
-      (h->version == kTraceVersion1 ? kTraceV1HeaderBytes
-                                    : kTraceV2HeaderBytes) +
-      catalog_bytes;
-  if (h->version != kTraceVersion1) {
-    if (!ReadOne(f, &h->request_offset)) {
-      return util::Status::IoError("truncated header: " + path);
-    }
-    if (h->request_offset % kTraceRequestAlign != 0) {
-      return util::Status::InvalidArgument(
-          "request region not page-aligned: " + path);
-    }
-    if (h->request_offset < catalog_end) {
-      return util::Status::InvalidArgument(
-          "request region overlaps catalog: " + path);
-    }
-  } else {
-    h->request_offset = catalog_end;
-  }
-
-  if (h->version == kTraceVersion3) {
-    CatalogModel model;
-    if (!ReadOne(f, &model)) {
-      return util::Status::IoError("truncated catalog model: " + path);
-    }
-    CASCACHE_RETURN_IF_ERROR(ValidateCatalogModel(model));
-    if (h->num_objects == 0 || h->num_servers == 0) {
-      return util::Status::InvalidArgument(
-          "v3 trace needs objects and servers: " + path);
-    }
-    catalog->BuildProcedural(model, h->num_objects, h->num_servers);
-  } else {
-    for (uint32_t i = 0; i < h->num_objects; ++i) {
-      uint64_t size = 0;
-      uint32_t server = 0;
-      if (!ReadOne(f, &size) || !ReadOne(f, &server)) {
-        return util::Status::IoError("truncated catalog: " + path);
-      }
-      if (size == 0) {
-        return util::Status::InvalidArgument("zero-size object in trace");
-      }
-      if (server >= h->num_servers) {
-        return util::Status::InvalidArgument("server id out of range");
-      }
-      catalog->Add(size, server);
-    }
-  }
-  if (h->version != kTraceVersion1 &&
-      fseeko(f, static_cast<off_t>(h->request_offset), SEEK_SET) != 0) {
-    return util::Status::IoError("seek to request region failed: " + path);
-  }
-  return util::Status::Ok();
 }
 
 /// Writes the v2/v3 header + catalog (or model block) + zero padding; on
@@ -142,10 +47,10 @@ util::Status WriteV2Preamble(std::FILE* f, const ObjectCatalog& catalog,
   const uint32_t num_servers = catalog.num_servers();
   const uint64_t catalog_bytes =
       catalog.procedural() ? sizeof(CatalogModel)
-                           : kCatalogEntryBytes * uint64_t{num_objects};
+                           : kTraceCatalogEntryBytes * uint64_t{num_objects};
   const uint64_t catalog_end = kTraceV2HeaderBytes + catalog_bytes;
   const uint64_t request_offset = AlignUp(catalog_end, kTraceRequestAlign);
-  if (std::fwrite(kMagic, 1, 4, f) != 4 || !WriteOne(f, version) ||
+  if (std::fwrite(kTraceMagic, 1, 4, f) != 4 || !WriteOne(f, version) ||
       !WriteOne(f, num_objects) || !WriteOne(f, num_servers) ||
       !WriteOne(f, num_requests) || !WriteOne(f, request_offset)) {
     return util::Status::IoError("short write: " + path);
@@ -175,34 +80,28 @@ util::Status WriteV2Preamble(std::FILE* f, const ObjectCatalog& catalog,
   return util::Status::Ok();
 }
 
+/// Whole-trace statistics from the access counts of the referenced
+/// objects (one entry per object requested at least once, any order).
 TraceStats StatsFromCounts(const ObjectCatalog& catalog,
-                           const std::vector<uint64_t>& counts,
+                           std::vector<double> referenced,
                            uint64_t num_requests, double duration_seconds,
                            uint64_t total_bytes_requested,
                            uint32_t num_clients_active) {
   TraceStats stats;
   stats.num_requests = num_requests;
   stats.num_objects = catalog.num_objects();
+  stats.num_objects_referenced = static_cast<uint32_t>(referenced.size());
   stats.duration_seconds = duration_seconds;
   stats.mean_object_size = catalog.mean_size();
   stats.total_bytes_requested = total_bytes_requested;
   stats.num_clients_active = num_clients_active;
 
-  std::vector<double> sorted_counts;
-  sorted_counts.reserve(counts.size());
-  for (uint64_t c : counts) {
-    if (c > 0) {
-      ++stats.num_objects_referenced;
-      sorted_counts.push_back(static_cast<double>(c));
-    }
-  }
-  std::sort(sorted_counts.rbegin(), sorted_counts.rend());
-  stats.estimated_zipf_theta = util::EstimateZipfTheta(sorted_counts);
-
-  if (!sorted_counts.empty() && stats.num_requests > 0) {
-    const size_t top = std::max<size_t>(1, sorted_counts.size() / 10);
+  std::sort(referenced.rbegin(), referenced.rend());
+  stats.estimated_zipf_theta = util::EstimateZipfTheta(referenced);
+  if (!referenced.empty() && stats.num_requests > 0) {
+    const size_t top = std::max<size_t>(1, referenced.size() / 10);
     double top_sum = 0.0;
-    for (size_t i = 0; i < top; ++i) top_sum += sorted_counts[i];
+    for (size_t i = 0; i < top; ++i) top_sum += referenced[i];
     stats.top10pct_request_share =
         top_sum / static_cast<double>(stats.num_requests);
   }
@@ -248,69 +147,22 @@ util::StatusOr<bool> ParseCsvRow(const char* line, uint64_t lineno,
 }  // namespace
 
 util::Status WriteTrace(const Workload& workload, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (f == nullptr) {
-    return util::Status::IoError("cannot open for write: " + path);
-  }
-  const uint64_t num_requests = workload.requests.size();
+  CASCACHE_ASSIGN_OR_RETURN(
+      std::unique_ptr<TraceWriter> writer,
+      TraceWriter::Create(path, workload.catalog, workload.requests.size()));
   CASCACHE_RETURN_IF_ERROR(
-      WriteV2Preamble(f.get(), workload.catalog, num_requests, path));
-  if (num_requests > 0 &&
-      std::fwrite(workload.requests.data(), sizeof(Request),
-                  workload.requests.size(),
-                  f.get()) != workload.requests.size()) {
-    return util::Status::IoError("short write: " + path);
-  }
-  if (std::fclose(f.release()) != 0) {
-    return util::Status::IoError("close failed: " + path);
-  }
-  return util::Status::Ok();
+      writer->Append(workload.requests.data(), workload.requests.size()));
+  return writer->Close();
 }
 
 util::StatusOr<Workload> ReadTrace(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) {
-    return util::Status::IoError("cannot open for read: " + path);
-  }
-  ParsedHeader h;
+  CASCACHE_ASSIGN_OR_RETURN(std::unique_ptr<MappedTrace> mapped,
+                            MappedTrace::Open(path));
+  CASCACHE_RETURN_IF_ERROR(mapped->Validate());
   Workload workload;
-  CASCACHE_RETURN_IF_ERROR(
-      ReadHeaderAndCatalog(f.get(), path, &h, &workload.catalog));
-
-  // Check the declared record count against the actual file size before
-  // allocating, so a corrupt header cannot trigger a huge allocation
-  // and truncation is reported deterministically.
-  if (fseeko(f.get(), 0, SEEK_END) != 0) {
-    return util::Status::IoError("seek failed: " + path);
-  }
-  const uint64_t file_bytes = static_cast<uint64_t>(ftello(f.get()));
-  if (file_bytes <
-      h.request_offset + sizeof(Request) * h.num_requests) {
-    return util::Status::IoError("truncated request stream: " + path);
-  }
-  if (fseeko(f.get(), static_cast<off_t>(h.request_offset), SEEK_SET) != 0) {
-    return util::Status::IoError("seek failed: " + path);
-  }
-
-  // Both versions store requests as contiguous 16-byte records matching
-  // the in-memory Request layout, so the stream is read in bulk.
-  workload.requests.resize(h.num_requests);
-  if (h.num_requests > 0 &&
-      std::fread(workload.requests.data(), sizeof(Request), h.num_requests,
-                 f.get()) != h.num_requests) {
-    return util::Status::IoError("truncated request stream: " + path);
-  }
-  double prev_time = -1.0;
-  for (const Request& req : workload.requests) {
-    if (req.object >= h.num_objects) {
-      return util::Status::InvalidArgument("object id out of range");
-    }
-    if (req.time < prev_time) {
-      return util::Status::InvalidArgument(
-          "request timestamps not sorted in trace");
-    }
-    prev_time = req.time;
-  }
+  workload.catalog = mapped->catalog();
+  const RequestSpan requests = mapped->requests();
+  workload.requests.assign(requests.begin(), requests.end());
   return workload;
 }
 
@@ -482,82 +334,25 @@ util::Status TraceWriter::Close() {
   return status;
 }
 
-TraceReader::~TraceReader() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-util::StatusOr<std::unique_ptr<TraceReader>> TraceReader::Open(
-    const std::string& path) {
-  std::unique_ptr<TraceReader> reader(new TraceReader());
-  reader->file_ = std::fopen(path.c_str(), "rb");
-  if (reader->file_ == nullptr) {
-    return util::Status::IoError("cannot open for read: " + path);
-  }
-  ParsedHeader h;
-  CASCACHE_RETURN_IF_ERROR(
-      ReadHeaderAndCatalog(reader->file_, path, &h, &reader->catalog_));
-  reader->version_ = h.version;
-  reader->num_requests_ = h.num_requests;
-  reader->buf_.resize(kReaderBufferRecords * sizeof(Request));
-  return reader;
-}
-
-util::Status TraceReader::Refill() {
-  const size_t tail = buf_len_ - buf_pos_;
-  if (tail > 0) {
-    std::memmove(buf_.data(), buf_.data() + buf_pos_, tail);
-  }
-  buf_pos_ = 0;
-  buf_len_ = tail;
-  // Never read past the declared request region (a v1 file could in
-  // principle carry trailing data).
-  const uint64_t remaining_bytes =
-      (num_requests_ - requests_read_) * sizeof(Request) - tail;
-  const size_t want = static_cast<size_t>(
-      std::min<uint64_t>(buf_.size() - buf_len_, remaining_bytes));
-  const size_t got = std::fread(buf_.data() + buf_len_, 1, want, file_);
-  buf_len_ += got;
-  return util::Status::Ok();
-}
-
-util::StatusOr<bool> TraceReader::Next(Request* request) {
-  CASCACHE_CHECK(request != nullptr);
-  if (requests_read_ >= num_requests_) return false;
-  if (buf_len_ - buf_pos_ < sizeof(Request)) {
-    CASCACHE_RETURN_IF_ERROR(Refill());
-    if (buf_len_ - buf_pos_ < sizeof(Request)) {
-      return util::Status::IoError("truncated request stream");
-    }
-  }
-  std::memcpy(request, buf_.data() + buf_pos_, sizeof(Request));
-  buf_pos_ += sizeof(Request);
-  if (request->object >= catalog_.num_objects()) {
-    return util::Status::InvalidArgument("object id out of range");
-  }
-  if (request->time < prev_time_) {
-    return util::Status::InvalidArgument(
-        "request timestamps not sorted in trace");
-  }
-  prev_time_ = request->time;
-  ++requests_read_;
-  return true;
-}
-
 TraceStats ComputeTraceStats(const Workload& workload) {
-  std::vector<uint64_t> counts = CountAccesses(workload);
+  std::vector<double> referenced;
+  for (uint64_t c : CountAccesses(workload)) {
+    if (c > 0) referenced.push_back(static_cast<double>(c));
+  }
   std::vector<bool> client_seen;
   uint64_t total_bytes = 0;
   for (const Request& req : workload.requests) {
     total_bytes += workload.catalog.size(req.object);
     if (req.client >= client_seen.size()) {
-      client_seen.resize(req.client + 1, false);
+      client_seen.resize(static_cast<size_t>(req.client) + 1, false);
     }
     client_seen[req.client] = true;
   }
   const uint32_t clients_active = static_cast<uint32_t>(
       std::count(client_seen.begin(), client_seen.end(), true));
-  return StatsFromCounts(workload.catalog, counts, workload.requests.size(),
-                         workload.Duration(), total_bytes, clients_active);
+  return StatsFromCounts(workload.catalog, std::move(referenced),
+                         workload.requests.size(), workload.Duration(),
+                         total_bytes, clients_active);
 }
 
 util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path) {
@@ -566,11 +361,20 @@ util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path) {
 
 util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path,
                                             const SummarizeOptions& options) {
-  CASCACHE_ASSIGN_OR_RETURN(std::unique_ptr<TraceReader> reader,
-                            TraceReader::Open(path));
+  CASCACHE_ASSIGN_OR_RETURN(std::unique_ptr<MappedTrace> mapped,
+                            MappedTrace::Open(path));
+  CASCACHE_RETURN_IF_ERROR(mapped->Validate());
   TraceSummary summary;
-  summary.format_version = reader->version();
-  const ObjectCatalog& catalog = reader->catalog();
+  summary.format_version = mapped->version();
+  summary.file_bytes = mapped->file_bytes();
+  const ObjectCatalog& catalog = mapped->catalog();
+  // A second sequential pass: it releases the pages it consumes, block
+  // by block, so the summary stays O(1) resident in trace length.
+  const WorkloadView view = mapped->StreamingView();
+  const RequestSpan requests = view.requests;
+  const uint64_t num_requests = requests.size();
+  constexpr size_t kReleaseBlock =
+      MappedTrace::kReleaseGranularityBytes / sizeof(Request);
 
   // Per-object access counts: dense vector up to 2^26 objects, hash map
   // over the referenced ids above (a 10^8-object dense vector would be
@@ -584,9 +388,7 @@ util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path,
   // Per-epoch Zipf slope: requests are split into `epochs` equal-count
   // windows; each window's counts are accumulated separately (bounded by
   // the window's request count) and reduced to a slope at the boundary.
-  const uint64_t declared_requests = reader->num_requests();
-  const uint32_t epochs =
-      declared_requests > 0 ? options.epochs : 0;
+  const uint32_t epochs = num_requests > 0 ? options.epochs : 0;
   std::unordered_map<ObjectId, uint64_t> window_counts;
   uint32_t current_epoch = 0;
   const auto flush_epoch = [&]() {
@@ -610,11 +412,8 @@ util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path,
   double prev_time = 0.0;
   bool first = true;
 
-  Request req;
-  uint64_t r = 0;
-  while (true) {
-    CASCACHE_ASSIGN_OR_RETURN(const bool more, reader->Next(&req));
-    if (!more) break;
+  for (uint64_t r = 0; r < num_requests; ++r) {
+    const Request& req = requests[r];
     if (dense_counts) {
       ++counts[req.object];
     } else {
@@ -622,7 +421,7 @@ util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path,
     }
     if (epochs > 0) {
       const uint32_t epoch = static_cast<uint32_t>(std::min<uint64_t>(
-          epochs - 1, r * epochs / declared_requests));
+          epochs - 1, r * epochs / num_requests));
       if (epoch != current_epoch) {
         flush_epoch();
         current_epoch = epoch;
@@ -631,7 +430,7 @@ util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path,
     }
     total_bytes += catalog.size(req.object);
     if (req.client >= client_seen.size()) {
-      client_seen.resize(req.client + 1, false);
+      client_seen.resize(static_cast<size_t>(req.client) + 1, false);
     }
     client_seen[req.client] = true;
     duration = req.time;
@@ -646,43 +445,13 @@ util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path,
     }
     prev_time = req.time;
     first = false;
-    ++r;
+    if ((r + 1) % kReleaseBlock == 0) view.on_consumed(r + 1);
   }
-  if (epochs > 0 && r > 0) flush_epoch();
+  view.on_consumed(num_requests);
+  if (epochs > 0) flush_epoch();
 
   const uint32_t clients_active = static_cast<uint32_t>(
       std::count(client_seen.begin(), client_seen.end(), true));
-  if (dense_counts) {
-    summary.stats =
-        StatsFromCounts(catalog, counts, reader->requests_read(), duration,
-                        total_bytes, clients_active);
-  } else {
-    // Sparse reduction: only referenced objects carry counts.
-    TraceStats stats;
-    stats.num_requests = reader->requests_read();
-    stats.num_objects = catalog.num_objects();
-    stats.duration_seconds = duration;
-    stats.mean_object_size = catalog.mean_size();
-    stats.total_bytes_requested = total_bytes;
-    stats.num_clients_active = clients_active;
-    stats.num_objects_referenced =
-        static_cast<uint32_t>(sparse_counts.size());
-    std::vector<double> sorted_counts;
-    sorted_counts.reserve(sparse_counts.size());
-    for (const auto& [id, c] : sparse_counts) {
-      sorted_counts.push_back(static_cast<double>(c));
-    }
-    std::sort(sorted_counts.rbegin(), sorted_counts.rend());
-    stats.estimated_zipf_theta = util::EstimateZipfTheta(sorted_counts);
-    if (!sorted_counts.empty() && stats.num_requests > 0) {
-      const size_t top = std::max<size_t>(1, sorted_counts.size() / 10);
-      double top_sum = 0.0;
-      for (size_t i = 0; i < top; ++i) top_sum += sorted_counts[i];
-      stats.top10pct_request_share =
-          top_sum / static_cast<double>(stats.num_requests);
-    }
-    summary.stats = stats;
-  }
   summary.interarrival_mean = gap_mean;
   summary.interarrival_stddev =
       gaps > 0 ? std::sqrt(gap_m2 / static_cast<double>(gaps)) : 0.0;
@@ -710,9 +479,9 @@ util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path,
     summary.size_max = sizes.empty() ? 0 : sizes.back();
   }
 
-  // Request-weighted size percentiles: walk (size, count) pairs in
-  // ascending size order accumulating request mass.
-  std::vector<std::pair<uint64_t, uint64_t>> weighted;  // (size, count)
+  // (size, count) of every referenced object: the whole-trace stats
+  // reduce its counts, the request-weighted size percentiles walk it.
+  std::vector<std::pair<uint64_t, uint64_t>> weighted;
   if (dense_counts) {
     for (ObjectId id = 0; id < catalog.num_objects(); ++id) {
       if (counts[id] > 0) weighted.emplace_back(catalog.size(id), counts[id]);
@@ -723,11 +492,25 @@ util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path,
       weighted.emplace_back(catalog.size(id), c);
     }
   }
+  // Free the per-object counts before copying them once more: they are
+  // the summary's largest allocation.
+  std::vector<uint64_t>().swap(counts);
+  std::unordered_map<ObjectId, uint64_t>().swap(sparse_counts);
+  std::vector<double> referenced;
+  referenced.reserve(weighted.size());
+  for (const auto& [size, count] : weighted) {
+    referenced.push_back(static_cast<double>(count));
+  }
+  summary.stats = StatsFromCounts(catalog, std::move(referenced),
+                                  num_requests, duration, total_bytes,
+                                  clients_active);
+
+  // Request-weighted size percentiles: walk the pairs in ascending size
+  // order accumulating request mass.
   std::sort(weighted.begin(), weighted.end());
-  const uint64_t total_requests = reader->requests_read();
   auto weighted_percentile = [&](double pct) -> uint64_t {
-    if (weighted.empty() || total_requests == 0) return 0;
-    const double threshold = pct / 100.0 * static_cast<double>(total_requests);
+    if (weighted.empty() || num_requests == 0) return 0;
+    const double threshold = pct / 100.0 * static_cast<double>(num_requests);
     uint64_t cum = 0;
     for (const auto& [size, count] : weighted) {
       cum += count;
@@ -738,12 +521,6 @@ util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path,
   summary.req_size_p50 = weighted_percentile(50.0);
   summary.req_size_p90 = weighted_percentile(90.0);
   summary.req_size_p99 = weighted_percentile(99.0);
-
-  // File size (informational).
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f != nullptr && fseeko(f.get(), 0, SEEK_END) == 0) {
-    summary.file_bytes = static_cast<uint64_t>(ftello(f.get()));
-  }
   return summary;
 }
 

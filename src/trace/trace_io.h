@@ -11,9 +11,11 @@
 
 namespace cascache::trace {
 
-/// Binary trace file IO (little-endian throughout). Three format versions:
+/// Binary trace file IO (little-endian throughout). Three format versions,
+/// all read by one parser, MappedTrace::Open (mapped_trace.h):
 ///
-/// v1 (legacy, read-only):
+/// v1 (legacy, read-only; its records are copied out on load, since the
+/// request region is unaligned):
 ///   magic "CCTR" | uint32 version=1 | uint32 num_objects |
 ///   uint32 num_servers | uint64 num_requests |
 ///   per object: uint64 size, uint32 server |
@@ -28,8 +30,8 @@ namespace cascache::trace {
 ///   request region starts page-aligned)
 ///   request region: num_requests fixed-width 16-byte records, each the
 ///   in-memory layout of trace::Request (double time, uint32 client,
-///   uint32 object) — MappedTrace (mapped_trace.h) overlays this region
-///   directly as a Request array.
+///   uint32 object) — MappedTrace overlays this region directly as a
+///   Request array.
 ///
 /// v3 (procedural catalog, mmap-able):
 ///   same 32-byte header as v2 with version=3, followed at byte 32 by a
@@ -43,6 +45,7 @@ namespace cascache::trace {
 /// Boeing-style log converted offline via ConvertCsvTrace) for the
 /// synthetic workload, and so paper-scale (22M+) traces replay without
 /// being materialized in RAM.
+constexpr char kTraceMagic[4] = {'C', 'C', 'T', 'R'};
 constexpr uint32_t kTraceVersion1 = 1;
 constexpr uint32_t kTraceVersion2 = 2;
 constexpr uint32_t kTraceVersion3 = 3;
@@ -50,14 +53,17 @@ constexpr uint32_t kTraceVersion3 = 3;
 constexpr uint64_t kTraceRequestAlign = 4096;
 /// Byte size of the fixed v2 header.
 constexpr uint64_t kTraceV2HeaderBytes = 32;
+/// Byte size of one materialized catalog entry (uint64 size, uint32 server).
+constexpr uint64_t kTraceCatalogEntryBytes = 12;
 
 /// Writes `workload` in the current format: v2, or v3 when the catalog
-/// is procedural (catalog.procedural()).
+/// is procedural (catalog.procedural()), through one TraceWriter.
 util::Status WriteTrace(const Workload& workload, const std::string& path);
 
-/// Reads a trace in any format version (v1, v2 or v3).
-/// Validates magic, version, bounds of every record (object/client ids,
-/// monotonically non-decreasing timestamps) and truncation.
+/// Reads a trace in any format version (v1, v2 or v3) into RAM:
+/// MappedTrace::Open (magic, version, header, catalog, truncation), then
+/// MappedTrace::Validate (object ids in range, timestamps monotonically
+/// non-decreasing), then a copy of the records.
 util::StatusOr<Workload> ReadTrace(const std::string& path);
 
 /// Writes the request stream as CSV ("time,client,object,size,server")
@@ -116,45 +122,6 @@ class TraceWriter {
   bool closed_ = false;
 };
 
-/// Streaming reader for trace files (any version): loads the catalog
-/// eagerly (it is small) and yields requests one at a time, so
-/// multi-gigabyte traces replay in constant memory. Performs the same
-/// validation as ReadTrace. Reads the request region through an
-/// internal 256 KiB block buffer.
-class TraceReader {
- public:
-  static util::StatusOr<std::unique_ptr<TraceReader>> Open(
-      const std::string& path);
-
-  TraceReader(const TraceReader&) = delete;
-  TraceReader& operator=(const TraceReader&) = delete;
-  ~TraceReader();
-
-  const ObjectCatalog& catalog() const { return catalog_; }
-  uint64_t num_requests() const { return num_requests_; }
-  uint64_t requests_read() const { return requests_read_; }
-  uint32_t version() const { return version_; }
-
-  /// Reads the next request into `request`. Returns true on success,
-  /// false at end of stream, or an error Status on corruption.
-  util::StatusOr<bool> Next(Request* request);
-
- private:
-  TraceReader() = default;
-
-  util::Status Refill();
-
-  std::FILE* file_ = nullptr;
-  ObjectCatalog catalog_;
-  uint32_t version_ = 0;
-  uint64_t num_requests_ = 0;
-  uint64_t requests_read_ = 0;
-  double prev_time_ = -1.0;
-  std::vector<unsigned char> buf_;
-  size_t buf_pos_ = 0;
-  size_t buf_len_ = 0;
-};
-
 /// Summary statistics of a workload, for trace inspection tools.
 struct TraceStats {
   uint64_t num_requests = 0;
@@ -172,8 +139,9 @@ struct TraceStats {
 
 TraceStats ComputeTraceStats(const Workload& workload);
 
-/// Extended, logstats-style summary of an on-disk trace, computed in
-/// one streaming pass. Memory is bounded: above 2^26 catalog objects the
+/// Extended, logstats-style summary of an on-disk trace: the mapped
+/// trace is validated, then summarized in one pass that releases pages
+/// as it goes. Memory is bounded: above 2^26 catalog objects the
 /// per-object access counts switch from a dense vector to a hash map
 /// keyed by the referenced ids only, so 10^8-object (v3) traces
 /// summarize within the scale-smoke RSS budget.

@@ -235,7 +235,9 @@ TEST(NclCacheDifferentialTest, MatchesReferenceUnderRandomOps) {
   }
   for (ObjectId id = 0; id < 150; ++id) {
     ASSERT_EQ(flat.Contains(id), ref.Contains(id)) << "id " << id;
-    if (ref.Contains(id)) ASSERT_EQ(flat.LossOf(id), ref.LossOf(id));
+    if (ref.Contains(id)) {
+      ASSERT_EQ(flat.LossOf(id), ref.LossOf(id));
+    }
   }
 }
 

@@ -9,7 +9,9 @@
 // inconsistency. The event-driven replay streams through the same
 // chunked loop; it is checked against its own in-RAM replay.
 
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -126,7 +128,34 @@ class MappedReplayTest : public ::testing::Test {
     ASSERT_FALSE(golden_.empty()) << "missing enroute_all golden rows";
   }
 
-  void TearDown() override { std::remove(trace_path_.c_str()); }
+  void TearDown() override {
+    std::remove(trace_path_.c_str());
+    for (const std::string& path : patched_paths_) std::remove(path.c_str());
+  }
+
+  /// Copies the trace with `value` written over one field of request
+  /// `index` (the field at byte `field_offset` of its record), as a
+  /// corrupt or hostile file would carry it. Returns the copy's path.
+  template <typename T>
+  std::string PatchRecord(size_t index, size_t field_offset, T value) {
+    std::string bytes;
+    {
+      std::ifstream in(trace_path_, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+    }
+    uint64_t request_offset = 0;
+    std::memcpy(&request_offset, bytes.data() + 24, sizeof(request_offset));
+    std::memcpy(bytes.data() + request_offset +
+                    index * sizeof(trace::Request) + field_offset,
+                &value, sizeof(value));
+    const std::string path =
+        trace_path_ + ".patched" + std::to_string(patched_paths_.size());
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    patched_paths_.push_back(path);
+    return path;
+  }
 
   void ExpectMatchesGolden(const std::vector<sim::RunResult>& results) {
     const std::vector<std::string> rows = RowsFromResults(results);
@@ -137,6 +166,7 @@ class MappedReplayTest : public ::testing::Test {
   }
 
   std::string trace_path_;
+  std::vector<std::string> patched_paths_;
   std::vector<std::string> golden_;
 };
 
@@ -172,14 +202,16 @@ TEST_F(MappedReplayTest, ParallelCellsShareOneMappingDeterministically) {
 }
 
 TEST_F(MappedReplayTest, V1TraceFallsBackToInRamLoad) {
-  // The checked-in v1 trace is not mmap-able; it loads in RAM and replays
-  // bit-identically to generating the same workload in RAM.
+  // The checked-in v1 trace is not mmap-able: MappedTrace copies its
+  // records into RAM, and the replay is bit-identical to generating the
+  // same workload in RAM.
   sim::ExperimentConfig cfg = EnrouteAllConfig();
   cfg.workload = testing::V1FixtureParams();
   auto runner_or =
       sim::ExperimentRunner::CreateFromTrace(cfg, testing::V1FixturePath());
   ASSERT_TRUE(runner_or.ok()) << runner_or.status();
-  EXPECT_EQ((*runner_or)->mapped_trace(), nullptr);
+  ASSERT_NE((*runner_or)->mapped_trace(), nullptr);
+  EXPECT_EQ((*runner_or)->mapped_trace()->version(), trace::kTraceVersion1);
   auto results_or = (*runner_or)->RunAll();
   ASSERT_TRUE(results_or.ok()) << results_or.status();
 
@@ -188,6 +220,42 @@ TEST_F(MappedReplayTest, V1TraceFallsBackToInRamLoad) {
   auto expected_or = (*generated_or)->RunAll();
   ASSERT_TRUE(expected_or.ok()) << expected_or.status();
   EXPECT_EQ(RowsFromResults(*results_or), RowsFromResults(*expected_or));
+}
+
+TEST_F(MappedReplayTest, CorruptRecordsFailWithInvalidArgument) {
+  // Record-level corruption lies past Open()'s header and catalog checks;
+  // CreateFromTrace must still refuse it instead of replaying it (an
+  // object id past the catalog used to index out of bounds).
+  const uint32_t num_objects = GoldenWorkloadParams().num_objects;
+  const std::vector<std::string> corrupt = {
+      PatchRecord(100, offsetof(trace::Request, object), num_objects),
+      PatchRecord(100, offsetof(trace::Request, object), 0x7fffff00u),
+      PatchRecord(100, offsetof(trace::Request, time), -1.0),
+  };
+  for (const std::string& path : corrupt) {
+    auto runner_or =
+        sim::ExperimentRunner::CreateFromTrace(EnrouteAllConfig(), path);
+    ASSERT_FALSE(runner_or.ok()) << path;
+    EXPECT_EQ(runner_or.status().code(), util::StatusCode::kInvalidArgument)
+        << runner_or.status();
+  }
+}
+
+TEST_F(MappedReplayTest, HugeClientIdReplaysWithoutPerClientState) {
+  // The format bounds no client id. Decode hashes the id to its client
+  // site on every request, so the largest id costs nothing extra (no
+  // table sized by the id).
+  const std::string path = PatchRecord(
+      7'000, offsetof(trace::Request, client), trace::ClientId{0xFFFFFFFFu});
+  sim::ExperimentConfig cfg = EnrouteAllConfig();
+  cfg.schemes.resize(1);
+  auto runner_or = sim::ExperimentRunner::CreateFromTrace(cfg, path);
+  ASSERT_TRUE(runner_or.ok()) << runner_or.status();
+  auto results_or = (*runner_or)->RunAll();
+  ASSERT_TRUE(results_or.ok()) << results_or.status();
+  for (const sim::RunResult& r : *results_or) {
+    EXPECT_EQ(r.metrics.requests, 6'000u) << r.scheme;
+  }
 }
 
 TEST_F(MappedReplayTest, EventDrivenStreamingReplayMatchesInRam) {

@@ -56,6 +56,7 @@ TEST_F(MappedTraceTest, MapMatchesBulkReadExactly) {
   auto mapped_or = MappedTrace::Open(path);
   ASSERT_TRUE(mapped_or.ok()) << mapped_or.status();
   const MappedTrace& mapped = **mapped_or;
+  EXPECT_EQ(mapped.version(), kTraceVersion2);
 
   ASSERT_EQ(mapped.num_requests(), original.requests.size());
   ASSERT_EQ(mapped.catalog().num_objects(), original.catalog.num_objects());
@@ -94,13 +95,31 @@ TEST_F(MappedTraceTest, RejectsMissingFile) {
   EXPECT_EQ(mapped_or.status().code(), util::StatusCode::kIoError);
 }
 
-TEST_F(MappedTraceTest, RejectsV1WithHelpfulMessage) {
+TEST_F(MappedTraceTest, OpensV1IntoOwnedRecords) {
+  auto original_or = GenerateWorkload(testing::V1FixtureParams());
+  ASSERT_TRUE(original_or.ok()) << original_or.status();
+  const Workload& original = *original_or;
   auto mapped_or = MappedTrace::Open(testing::V1FixturePath());
-  ASSERT_FALSE(mapped_or.ok());
-  EXPECT_EQ(mapped_or.status().code(), util::StatusCode::kInvalidArgument);
-  EXPECT_NE(mapped_or.status().message().find("not mmap-able"),
-            std::string::npos)
-      << mapped_or.status();
+  ASSERT_TRUE(mapped_or.ok()) << mapped_or.status();
+  MappedTrace& mapped = **mapped_or;
+  EXPECT_EQ(mapped.version(), kTraceVersion1);
+  EXPECT_TRUE(mapped.Validate().ok());
+
+  ASSERT_EQ(mapped.catalog().num_objects(), original.catalog.num_objects());
+  ASSERT_EQ(mapped.catalog().num_servers(), original.catalog.num_servers());
+  for (ObjectId id = 0; id < original.catalog.num_objects(); ++id) {
+    EXPECT_EQ(mapped.catalog().size(id), original.catalog.size(id));
+    EXPECT_EQ(mapped.catalog().server(id), original.catalog.server(id));
+  }
+  // The v1 region is unaligned in the file; the records are an aligned
+  // copy, and releasing them is a no-op that keeps them readable.
+  mapped.ReleaseUpTo(mapped.num_requests());
+  const RequestSpan span = mapped.requests();
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(span.data()) % alignof(Request), 0u);
+  ASSERT_EQ(span.size(), original.requests.size());
+  EXPECT_EQ(std::memcmp(span.data(), original.requests.data(),
+                        span.size() * sizeof(Request)),
+            0);
 }
 
 TEST_F(MappedTraceTest, RejectsBadMagic) {
@@ -125,6 +144,20 @@ TEST_F(MappedTraceTest, RejectsShortMapping) {
   EXPECT_NE(mapped_or.status().message().find("shorter than its header"),
             std::string::npos)
       << mapped_or.status();
+  std::remove(path.c_str());
+}
+
+TEST_F(MappedTraceTest, RejectsOverflowingRequestCount) {
+  const std::string path = WriteSmallV2("overflow.cctr");
+  std::string bytes = Slurp(path);
+  // 2^60 records of 16 bytes wrap a 64-bit byte count to 0, which must
+  // not pass for "the file is long enough".
+  const uint64_t huge_count = uint64_t{1} << 60;
+  std::memcpy(bytes.data() + 16, &huge_count, sizeof(huge_count));
+  Spit(path, bytes);
+  auto mapped_or = MappedTrace::Open(path);
+  ASSERT_FALSE(mapped_or.ok());
+  EXPECT_EQ(mapped_or.status().code(), util::StatusCode::kIoError);
   std::remove(path.c_str());
 }
 

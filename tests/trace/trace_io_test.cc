@@ -1,5 +1,6 @@
 #include "trace/trace_io.h"
 
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -74,16 +75,22 @@ TEST_F(TraceIoTest, ReadRejectsTruncatedFile) {
   const Workload original = SmallWorkload();
   const std::string path = TempPath("truncated.cctr");
   ASSERT_TRUE(WriteTrace(original, path).ok());
-  // Truncate to half.
+  std::string bytes;
   {
     std::ifstream in(path, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
   }
-  auto read_or = ReadTrace(path);
-  EXPECT_FALSE(read_or.ok());
+  // Cut to half, and cut mid-way through the last record.
+  for (const size_t keep : {bytes.size() / 2, bytes.size() - 7}) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(keep));
+    }
+    auto read_or = ReadTrace(path);
+    ASSERT_FALSE(read_or.ok()) << "kept " << keep << " bytes";
+    EXPECT_EQ(read_or.status().code(), util::StatusCode::kIoError);
+  }
   std::remove(path.c_str());
 }
 
@@ -117,72 +124,6 @@ TEST_F(TraceIoTest, StatsAreConsistent) {
   EXPECT_DOUBLE_EQ(stats.duration_seconds, workload.Duration());
 }
 
-TEST_F(TraceIoTest, StreamingReaderMatchesBulkRead) {
-  const Workload original = SmallWorkload();
-  const std::string path = TempPath("stream.cctr");
-  ASSERT_TRUE(WriteTrace(original, path).ok());
-
-  auto reader_or = TraceReader::Open(path);
-  ASSERT_TRUE(reader_or.ok()) << reader_or.status();
-  TraceReader& reader = **reader_or;
-  EXPECT_EQ(reader.num_requests(), original.requests.size());
-  EXPECT_EQ(reader.catalog().num_objects(), original.catalog.num_objects());
-  EXPECT_EQ(reader.catalog().total_bytes(), original.catalog.total_bytes());
-
-  Request req;
-  size_t i = 0;
-  for (;;) {
-    auto more_or = reader.Next(&req);
-    ASSERT_TRUE(more_or.ok());
-    if (!*more_or) break;
-    ASSERT_LT(i, original.requests.size());
-    EXPECT_DOUBLE_EQ(req.time, original.requests[i].time);
-    EXPECT_EQ(req.client, original.requests[i].client);
-    EXPECT_EQ(req.object, original.requests[i].object);
-    ++i;
-  }
-  EXPECT_EQ(i, original.requests.size());
-  EXPECT_EQ(reader.requests_read(), original.requests.size());
-  // Subsequent reads keep reporting end-of-stream.
-  auto again = reader.Next(&req);
-  ASSERT_TRUE(again.ok());
-  EXPECT_FALSE(*again);
-  std::remove(path.c_str());
-}
-
-TEST_F(TraceIoTest, StreamingReaderDetectsTruncation) {
-  const Workload original = SmallWorkload();
-  const std::string path = TempPath("stream_trunc.cctr");
-  ASSERT_TRUE(WriteTrace(original, path).ok());
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    // Keep the header+catalog plus a few requests, then cut mid-record.
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size() - 7));
-  }
-  auto reader_or = TraceReader::Open(path);
-  ASSERT_TRUE(reader_or.ok());
-  Request req;
-  util::Status error;
-  for (;;) {
-    auto more_or = (*reader_or)->Next(&req);
-    if (!more_or.ok()) {
-      error = more_or.status();
-      break;
-    }
-    ASSERT_TRUE(*more_or) << "should hit the truncation error before EOF";
-  }
-  EXPECT_EQ(error.code(), util::StatusCode::kIoError);
-  std::remove(path.c_str());
-}
-
-TEST_F(TraceIoTest, StreamingReaderRejectsMissingFile) {
-  EXPECT_FALSE(TraceReader::Open(TempPath("nope.cctr")).ok());
-}
-
 TEST_F(TraceIoTest, WritesVersion2WithAlignedRequestRegion) {
   const Workload original = SmallWorkload();
   const std::string path = TempPath("v2_layout.cctr");
@@ -210,10 +151,6 @@ TEST_F(TraceIoTest, V1TraceStillReadable) {
   const Workload& original = *original_or;
   const std::string path = testing::V1FixturePath();
 
-  auto reader_or = TraceReader::Open(path);
-  ASSERT_TRUE(reader_or.ok()) << reader_or.status();
-  EXPECT_EQ((*reader_or)->version(), kTraceVersion1);
-
   auto read_or = ReadTrace(path);
   ASSERT_TRUE(read_or.ok()) << read_or.status();
   ASSERT_EQ(read_or->requests.size(), original.requests.size());
@@ -228,21 +165,6 @@ TEST_F(TraceIoTest, V1TraceStillReadable) {
     EXPECT_EQ(read_or->requests[i].client, original.requests[i].client);
     EXPECT_EQ(read_or->requests[i].object, original.requests[i].object);
   }
-
-  // The streaming reader yields the same records.
-  Request req;
-  size_t i = 0;
-  for (;;) {
-    auto more_or = (*reader_or)->Next(&req);
-    ASSERT_TRUE(more_or.ok()) << more_or.status();
-    if (!*more_or) break;
-    ASSERT_LT(i, original.requests.size());
-    EXPECT_DOUBLE_EQ(req.time, original.requests[i].time);
-    EXPECT_EQ(req.client, original.requests[i].client);
-    EXPECT_EQ(req.object, original.requests[i].object);
-    ++i;
-  }
-  EXPECT_EQ(i, original.requests.size());
 }
 
 TEST_F(TraceIoTest, TraceWriterPatchesRequestCount) {
@@ -418,6 +340,8 @@ TEST_F(TraceIoTest, SummarizeTraceMatchesInMemoryStats) {
   EXPECT_DOUBLE_EQ(s.stats.duration_seconds, expected.duration_seconds);
   EXPECT_NEAR(s.stats.estimated_zipf_theta, expected.estimated_zipf_theta,
               1e-9);
+  EXPECT_DOUBLE_EQ(s.stats.top10pct_request_share,
+                   expected.top10pct_request_share);
 
   EXPECT_GE(s.size_p90, s.size_p50);
   EXPECT_GE(s.size_p99, s.size_p90);
@@ -425,6 +349,35 @@ TEST_F(TraceIoTest, SummarizeTraceMatchesInMemoryStats) {
   EXPECT_GE(s.req_size_p99, s.req_size_p50);
   EXPECT_GT(s.interarrival_mean, 0.0);
   EXPECT_GE(s.interarrival_max, s.interarrival_min);
+  std::remove(path.c_str());
+}
+
+TEST_F(TraceIoTest, ReadAndSummarizeRejectCorruptRecords) {
+  const Workload original = SmallWorkload();
+  const std::string path = TempPath("corrupt_record.cctr");
+  ASSERT_TRUE(WriteTrace(original, path).ok());
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  uint64_t request_offset = 0;
+  std::memcpy(&request_offset, bytes.data() + 24, sizeof(request_offset));
+  const uint32_t past_catalog = original.catalog.num_objects();
+  std::memcpy(bytes.data() + request_offset + 100 * sizeof(Request) +
+                  offsetof(Request, object),
+              &past_catalog, sizeof(past_catalog));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  auto read_or = ReadTrace(path);
+  ASSERT_FALSE(read_or.ok());
+  EXPECT_EQ(read_or.status().code(), util::StatusCode::kInvalidArgument);
+  auto summary_or = SummarizeTrace(path);
+  ASSERT_FALSE(summary_or.ok());
+  EXPECT_EQ(summary_or.status().code(), util::StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 

@@ -339,10 +339,11 @@ util::Status RunMain(int argc, char** argv) {
     CASCACHE_ASSIGN_OR_RETURN(
         runner, sim::ExperimentRunner::CreateFromTrace(config, trace_in));
     const trace::WorkloadView loaded = runner->view();
+    const uint32_t version = runner->mapped_trace()->version();
     const char* provenance =
-        runner->mapped_trace() == nullptr ? "v1, in RAM"
-        : loaded.catalog->procedural()    ? "v3, mmap, procedural catalog"
-                                          : "v2, mmap";
+        version == trace::kTraceVersion1   ? "v1, in RAM"
+        : version == trace::kTraceVersion3 ? "v3, mmap, procedural catalog"
+                                           : "v2, mmap";
     std::fprintf(stderr, "loaded trace %s: %zu requests, %u objects (%s)\n",
                  trace_in.c_str(), loaded.requests.size(),
                  loaded.catalog->num_objects(), provenance);

@@ -7,8 +7,9 @@
 // `convert` ingests the WriteTraceCsv column layout
 // (time,client,object,size,server — the shape a Boeing-style proxy log
 // reduces to) and writes a v2 trace that cascache_sim --trace-in can
-// memory-map. `summarize` streams the trace (any version, including
-// procedural-catalog v3) once in bounded memory and prints
+// memory-map. `summarize` maps the trace (any version, including
+// procedural-catalog v3), validates its records, then scans it once in
+// bounded memory and prints
 // cardinalities, the fitted Zipf slope — whole-trace and per epoch, so
 // popularity drift is visible as a windowed-vs-aggregate gap — size
 // percentiles and inter-arrival statistics, so a multi-gigabyte trace
