@@ -159,13 +159,12 @@ void CoordinatedScheme::OnDescend(sim::MessageContext& ctx, int hop) {
   sim::CacheNode* node = ctx.node(hop);
   if (std::find(selected_path_indices_.begin(), selected_path_indices_.end(),
                 hop) != selected_path_indices_.end()) {
-    if (node->InsertCost(ctx.object, ctx.size, ctx.response.penalty,
-                         ctx.now, &evicted_scratch_)) {
-      ctx.RecordPlacement(hop, evicted_scratch_);
-      ctx.response.penalty = 0.0;  // Downstream nodes now have a nearer copy.
-    } else {
-      ctx.RecordPlacementRejected(hop);
-    }
+    const bool inserted = node->InsertCost(
+        ctx.object, ctx.size, ctx.response.penalty, ctx.now,
+        &evicted_scratch_);
+    // The placement record carries the penalty the copy was admitted with.
+    ctx.RecordPlacement(hop, inserted, evicted_scratch_);
+    if (inserted) ctx.response.penalty = 0.0;  // Downstream has a nearer copy.
   } else {
     // Refresh the miss penalty of a known descriptor, or admit one into
     // the d-cache as the object passes through (paper §2.3-2.4).

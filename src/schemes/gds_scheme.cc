@@ -24,11 +24,7 @@ void GdsScheme::OnDescend(sim::MessageContext& ctx, int hop) {
   bool inserted = false;
   const std::vector<sim::ObjectId>& evicted = ctx.node(hop)->gds()->Insert(
       ctx.object, ctx.size, ctx.upstream_link_cost(hop), &inserted);
-  if (inserted) {
-    ctx.RecordPlacement(hop, evicted);
-  } else {
-    ctx.RecordPlacementRejected(hop);
-  }
+  ctx.RecordPlacement(hop, inserted, evicted);
 }
 
 void LfuScheme::OnServe(sim::MessageContext& ctx) {
@@ -48,11 +44,7 @@ void LfuScheme::OnDescend(sim::MessageContext& ctx, int hop) {
   bool inserted = false;
   const std::vector<sim::ObjectId>& evicted =
       ctx.node(hop)->lfu()->Insert(ctx.object, ctx.size, &inserted);
-  if (inserted) {
-    ctx.RecordPlacement(hop, evicted);
-  } else {
-    ctx.RecordPlacementRejected(hop);
-  }
+  ctx.RecordPlacement(hop, inserted, evicted);
 }
 
 }  // namespace cascache::schemes

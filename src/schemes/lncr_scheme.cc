@@ -41,13 +41,10 @@ void LncrScheme::OnDescend(sim::MessageContext& ctx, int hop) {
   // at the attach node). A lost decision (fault plane) skips the
   // placement; the object simply passes this hop uncached.
   if (ctx.response.decision_lost) return;
-  if (ctx.node(hop)->InsertCost(ctx.object, ctx.size,
-                                ctx.upstream_link_cost(hop), ctx.now,
-                                &evicted_scratch_)) {
-    ctx.RecordPlacement(hop, evicted_scratch_);
-  } else {
-    ctx.RecordPlacementRejected(hop);
-  }
+  const bool inserted = ctx.node(hop)->InsertCost(
+      ctx.object, ctx.size, ctx.upstream_link_cost(hop), ctx.now,
+      &evicted_scratch_);
+  ctx.RecordPlacement(hop, inserted, evicted_scratch_);
 }
 
 }  // namespace cascache::schemes

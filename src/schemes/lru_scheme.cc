@@ -23,11 +23,7 @@ void LruScheme::OnDescend(sim::MessageContext& ctx, int hop) {
   bool inserted = false;
   const std::vector<sim::ObjectId>& evicted =
       ctx.node(hop)->lru()->Insert(ctx.object, ctx.size, &inserted);
-  if (inserted) {
-    ctx.RecordPlacement(hop, evicted);
-  } else {
-    ctx.RecordPlacementRejected(hop);
-  }
+  ctx.RecordPlacement(hop, inserted, evicted);
 }
 
 }  // namespace cascache::schemes

@@ -65,8 +65,6 @@ void StaticScheme::Freeze(sim::MessageContext& ctx) {
   if (demand_.empty()) {
     demand_.resize(static_cast<size_t>(caches->num_nodes()));
   }
-  // Freeze only fills spare capacity, so no placement ever evicts.
-  const std::vector<ObjectId> no_evictions;
   for (topology::NodeId v = 0; v < caches->num_nodes(); ++v) {
     auto& seen = demand_[static_cast<size_t>(v)];
     std::vector<std::pair<ObjectId, Demand>> ranked(seen.begin(), seen.end());
@@ -81,12 +79,13 @@ void StaticScheme::Freeze(sim::MessageContext& ctx) {
                 return a.first < b.first;  // Deterministic tie-break.
               });
     cache::FlatLru* cache = caches->node(v)->lru();
+    // Freeze only fills spare capacity, so no placement ever evicts.
     for (const auto& [object, d] : ranked) {
       if (d.size > cache->capacity_bytes() - cache->used_bytes()) continue;
       bool inserted = false;
       cache->Insert(object, d.size, &inserted);
       CASCACHE_CHECK(inserted);
-      ctx.RecordPlacementAt(v, object, d.size, no_evictions);
+      ctx.RecordPlacementAt(v, object, d.size);
     }
     seen.clear();
   }

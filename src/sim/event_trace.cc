@@ -134,31 +134,6 @@ void EventTrace::AppendJsonFields(const TraceEvent& event, std::string* out) {
   AppendDouble("%.6g", event.value, out);
 }
 
-std::string EventTrace::ToJsonLine(const TraceEvent& event) {
-  std::string line = "{";
-  AppendJsonFields(event, &line);
-  line += "}";
-  return line;
-}
-
-util::Status EventTrace::WriteJsonl(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return util::Status::IoError("cannot open " + path);
-  }
-  bool ok = true;
-  for (const TraceEvent& event : Records()) {
-    const std::string line = ToJsonLine(event) + "\n";
-    if (std::fwrite(line.data(), 1, line.size(), file) != line.size()) {
-      ok = false;
-      break;
-    }
-  }
-  if (std::fclose(file) != 0) ok = false;
-  if (!ok) return util::Status::IoError("short write to " + path);
-  return util::Status::Ok();
-}
-
 void EventTrace::Clear() {
   ring_.clear();
   next_ = 0;

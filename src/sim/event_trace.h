@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "util/status.h"
-
 namespace cascache::sim {
 
 /// Knobs of the sampled structured event trace. Off by default: a
@@ -77,7 +75,7 @@ struct TraceEvent {
 
 /// Bounded sink for TraceEvent records: deterministic per-request
 /// sampling, a fixed-capacity ring holding the most recent records, and
-/// JSONL serialization. Single-threaded like the Simulator that feeds it
+/// the JSON fields of one record. Single-threaded like the Simulator that feeds it
 /// (each parallel sweep worker owns its own instance).
 class EventTrace {
  public:
@@ -101,14 +99,10 @@ class EventTrace {
   /// Snapshot of the ring, oldest record first.
   std::vector<TraceEvent> Records() const;
 
-  /// One JSONL line (no trailing newline) for a record.
-  static std::string ToJsonLine(const TraceEvent& event);
-  /// The line's fields without the enclosing braces, for callers that
-  /// prepend annotations (scheme, cache fraction) to each record.
+  /// A record's JSON fields without the enclosing braces, for writers
+  /// that prepend annotations (scheme, cache fraction) to each record
+  /// (sim::WriteTraceJsonl).
   static void AppendJsonFields(const TraceEvent& event, std::string* out);
-
-  /// Writes the ring as JSONL, oldest record first.
-  util::Status WriteJsonl(const std::string& path) const;
 
   void Clear();
 

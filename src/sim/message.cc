@@ -1,29 +1,24 @@
 #include "sim/message.h"
 
-#include <cstdio>
-
-#include "sim/event_trace.h"
-
 namespace cascache::sim {
 
-void MessageContext::EmitNodeEvent(TraceEventType type,
-                                   topology::NodeId node_id,
-                                   double value) const {
+void EmitNodeRecord(EventTrace* trace, const MessageContext& ctx,
+                    TraceEventType type, topology::NodeId node, double value) {
   TraceEvent event;
-  event.request_index = telemetry.request_index;
-  event.time = now;
+  event.request_index = ctx.telemetry.request_index;
+  event.time = ctx.now;
   event.type = type;
-  event.node = node_id;
-  event.level = NodeLevel(node_id);
-  event.object = object;
-  event.size_bytes = size;
+  event.node = node;
+  event.level = node < 0 ? -1 : ctx.NodeLevel(node);
+  event.object = ctx.object;
+  event.size_bytes = ctx.size;
   event.value = value;
-  telemetry.trace->Emit(event);
+  trace->Emit(event);
 }
 
 void MessageContext::EmitPlacementTrace(
     topology::NodeId node_id, trace::ObjectId object_id, uint64_t bytes,
-    const std::vector<trace::ObjectId>& evicted) const {
+    std::span<const trace::ObjectId> evicted) const {
   TraceEvent event;
   event.request_index = telemetry.request_index;
   event.time = now;
@@ -44,61 +39,6 @@ void MessageContext::EmitPlacementTrace(
   }
 }
 
-void MessageContext::EmitPlacementRejectedTrace(
-    topology::NodeId node_id) const {
-  EmitNodeEvent(TraceEventType::kPlacementRejected, node_id, 0.0);
-}
-
-void MessageContext::EmitDCacheHitTrace(topology::NodeId node_id) const {
-  EmitNodeEvent(TraceEventType::kDCacheHit, node_id, 0.0);
-}
-
-void MessageContext::EmitDegradedTrace(topology::NodeId node_id,
-                                       int hop) const {
-  EmitNodeEvent(TraceEventType::kFaultDegraded, node_id,
-                static_cast<double>(hop));
-}
-
-void MessageContext::EmitShedTrace(topology::NodeId node_id,
-                                   uint32_t depth) const {
-  EmitNodeEvent(TraceEventType::kShed, node_id, static_cast<double>(depth));
-}
-
-void MessageContext::EmitTierServeTrace(
-    topology::NodeId node_id, const CacheNode::TierServe& tier) const {
-  if (tier.promoted) {
-    EmitNodeEvent(TraceEventType::kPromotion, node_id,
-                  static_cast<double>(tier.demotions));
-  }
-  if (!tier.promoted && tier.demotions > 0) {
-    EmitDemotionTrace(node_id, tier.demotions);
-  }
-}
-
-void MessageContext::EmitDemotionTrace(topology::NodeId node_id,
-                                       int dropped) const {
-  EmitNodeEvent(TraceEventType::kDemotion, node_id,
-                static_cast<double>(dropped));
-}
-
-void MessageContext::EmitSiblingProbeTrace(topology::NodeId sibling,
-                                           int hop) const {
-  EmitNodeEvent(TraceEventType::kSiblingProbe, sibling,
-                static_cast<double>(hop));
-}
-
-void MessageContext::EmitSiblingServeTrace(topology::NodeId sibling,
-                                           int hop) const {
-  EmitNodeEvent(TraceEventType::kSiblingServe, sibling,
-                static_cast<double>(hop));
-}
-
-void MessageContext::EmitDiskDegradedTrace(topology::NodeId node_id,
-                                           int hop) const {
-  EmitNodeEvent(TraceEventType::kDiskDegraded, node_id,
-                static_cast<double>(hop));
-}
-
 void MessageContext::CommitStoreService(topology::NodeId node_id) {
   const double cost = contention->store_cost;
   if (cost <= 0.0) return;
@@ -108,29 +48,10 @@ void MessageContext::CommitStoreService(topology::NodeId node_id) {
   // this admission cannot refuse: the op only waits and serves.
   metrics->queue_wait += adm.wait;
   now += adm.wait + cost;
-  if (telemetry.node_counters != nullptr) {
-    NodeCounters& c = telemetry.node_counters[node_id];
-    if (adm.depth > c.max_queue_depth) c.max_queue_depth = adm.depth;
-  }
-  if (telemetry.trace != nullptr) {
-    EmitNodeEvent(TraceEventType::kQueueDepth, node_id,
-                  static_cast<double>(adm.depth));
-  }
-}
-
-std::string MessageContext::DebugString() const {
-  char buf[256];
-  std::snprintf(
-      buf, sizeof(buf),
-      "object=%llu size=%llu now=%.6f path_len=%zu hit_index=%d "
-      "req{hop=%d payload=%llu} resp{payload=%llu penalty=%.6g}",
-      static_cast<unsigned long long>(object),
-      static_cast<unsigned long long>(size), now,
-      path == nullptr ? 0 : path->size(), response.hit_index, request.hop,
-      static_cast<unsigned long long>(request.payload_bytes),
-      static_cast<unsigned long long>(response.payload_bytes),
-      response.penalty);
-  return buf;
+  RaiseQueueDepth(telemetry.node_counters, node_id, adm.depth);
+  Observe(nullptr, telemetry.trace, *this, nullptr, 0,
+          TraceEventType::kQueueDepth, node_id,
+          static_cast<double>(adm.depth));
 }
 
 }  // namespace cascache::sim

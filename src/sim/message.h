@@ -2,18 +2,16 @@
 #define CASCACHE_SIM_MESSAGE_H_
 
 #include <cstdint>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "sim/cache_set.h"
+#include "sim/event_trace.h"
 #include "sim/metrics.h"
 #include "sim/queueing.h"
 #include "trace/object_catalog.h"
 
 namespace cascache::sim {
-
-class EventTrace;
-enum class TraceEventType : uint8_t;
 
 /// Observability hooks of one exchange, wired by the simulator per
 /// request. Both sinks are null when off (warm-up phase, disabled trace,
@@ -177,27 +175,28 @@ struct MessageContext {
   }
 
   // --- Placement accounting (shared by every scheme). -------------------
-  // These fold the aggregate write accounting, the per-node counters and
-  // the trace emission into one call so the seven schemes cannot drift
-  // apart. The aggregate arithmetic is exactly the historical
+  // Each Record* call folds the aggregate accounting, the per-node
+  // counters and the trace record of one observation into one call, so
+  // the seven schemes and the simulator cannot drift apart; the per-node
+  // count and the record go through the Observe funnel below. The
+  // aggregate arithmetic is exactly the historical
   // `write_bytes += size; ++insertions;` pair — results stay
   // bit-identical to the pre-observability pipeline.
 
-  /// Records an accepted placement at path index `hop` plus the victims
-  /// the store pushed out to make room.
-  void RecordPlacement(int hop, const std::vector<trace::ObjectId>& evicted);
+  /// Records the outcome of a placement attempt at path index `hop`:
+  /// an accepted copy plus the victims the store pushed out to make room
+  /// (`inserted`), or a declined attempt (oversized object or copy
+  /// already present).
+  void RecordPlacement(int hop, bool inserted,
+                       const std::vector<trace::ObjectId>& evicted);
 
-  /// Same, for a node off the request path caching `object_id`
-  /// (STATIC's freeze fills every cache at once). Freeze fills are bulk
-  /// provisioning, not request-driven stores, so they charge no store
-  /// service under the event-driven replay.
+  /// Records an accepted placement at a node off the request path caching
+  /// `object_id` (STATIC's freeze fills spare capacity at every cache at
+  /// once, so nothing is evicted). Freeze fills are bulk provisioning,
+  /// not request-driven stores, so they charge no store service under the
+  /// event-driven replay.
   void RecordPlacementAt(topology::NodeId node_id, trace::ObjectId object_id,
-                         uint64_t bytes,
-                         const std::vector<trace::ObjectId>& evicted);
-
-  /// Records a placement attempt the store declined (oversized object or
-  /// copy already present).
-  void RecordPlacementRejected(int hop);
+                         uint64_t bytes);
 
   /// Records an ascent lookup that found the object's descriptor in the
   /// d-cache at path index `hop` (the object itself is not cached there,
@@ -241,27 +240,13 @@ struct MessageContext {
                : telemetry.node_levels[node_id];
   }
 
-  /// Human-readable dump for test failures and debugging.
-  std::string DebugString() const;
-
  private:
-  /// Trace-only slow path of the Record* helpers, out of line so the
+  /// Trace-only slow path of the placement records (a placement record
+  /// followed by one eviction record per victim), out of line so the
   /// untraced fast path stays a null check.
   void EmitPlacementTrace(topology::NodeId node_id, trace::ObjectId object_id,
                           uint64_t bytes,
-                          const std::vector<trace::ObjectId>& evicted) const;
-  void EmitNodeEvent(TraceEventType type, topology::NodeId node_id,
-                     double value) const;
-  void EmitPlacementRejectedTrace(topology::NodeId node_id) const;
-  void EmitDCacheHitTrace(topology::NodeId node_id) const;
-  void EmitDegradedTrace(topology::NodeId node_id, int hop) const;
-  void EmitShedTrace(topology::NodeId node_id, uint32_t depth) const;
-  void EmitTierServeTrace(topology::NodeId node_id,
-                          const CacheNode::TierServe& tier) const;
-  void EmitSiblingProbeTrace(topology::NodeId sibling, int hop) const;
-  void EmitSiblingServeTrace(topology::NodeId sibling, int hop) const;
-  void EmitDiskDegradedTrace(topology::NodeId node_id, int hop) const;
-  void EmitDemotionTrace(topology::NodeId node_id, int dropped) const;
+                          std::span<const trace::ObjectId> evicted) const;
 
   /// Event-driven replay: charges an accepted placement's store service
   /// at `node_id` — FIFO wait behind the node's backlog plus the store
@@ -270,14 +255,51 @@ struct MessageContext {
   void CommitStoreService(topology::NodeId node_id);
 };
 
-/// The sink-free core of every placement record: the aggregate write
+/// The one builder of node-scoped trace records: fills a TraceEvent with
+/// the exchange's request index, `now`, object and size plus `node`, its
+/// level and `value`, and emits it into `trace` (non-null). A negative
+/// `node` marks a record that is not node-scoped (the origin serve): its
+/// level is -1 too. Out of line: only sampled requests reach it.
+void EmitNodeRecord(EventTrace* trace, const MessageContext& ctx,
+                    TraceEventType type, topology::NodeId node, double value);
+
+/// The telemetry funnel: every node-scoped observation of an exchange —
+/// the simulator's and the schemes' alike — enters here. Adds `n` to
+/// `node`'s `field` while per-node counters are live (`counters` is null
+/// during warm-up; a null `field` is a record-only observation) and emits
+/// one record when the request is sampled (`trace` non-null). Callers
+/// pass their own counters/trace, so an exchange whose trace is a
+/// compile-time null compiles the record branch away.
+inline void Observe(NodeCounters* counters, EventTrace* trace,
+                    const MessageContext& ctx,
+                    uint64_t NodeCounters::*field, uint64_t n,
+                    TraceEventType type, topology::NodeId node,
+                    double value) {
+  if (field != nullptr && counters != nullptr) counters[node].*field += n;
+  if (trace != nullptr) EmitNodeRecord(trace, ctx, type, node, value);
+}
+
+/// Raises `node`'s max_queue_depth gauge to an admission's `depth`
+/// (no-op while counters are off).
+inline void RaiseQueueDepth(NodeCounters* counters, topology::NodeId node,
+                            uint32_t depth) {
+  if (counters != nullptr && depth > counters[node].max_queue_depth) {
+    counters[node].max_queue_depth = depth;
+  }
+}
+
+/// The sink-free core of every placement outcome: the aggregate write
 /// accounting plus the placing node's counters (`counters` is null while
 /// warming up). MessageContext::RecordPlacement{,At} wrap it with the
 /// trace and tier hooks; the simulator's inlined plain-LRU descent, which
 /// runs with neither, calls it directly.
 inline void CountPlacement(RequestMetrics* metrics, NodeCounters* counters,
                            topology::NodeId node_id, uint64_t bytes,
-                           size_t evicted) {
+                           bool inserted, size_t evicted) {
+  if (!inserted) {
+    if (counters != nullptr) ++counters[node_id].placements_rejected;
+    return;
+  }
   metrics->write_bytes += bytes;
   ++metrics->insertions;
   if (counters != nullptr) {
@@ -289,10 +311,15 @@ inline void CountPlacement(RequestMetrics* metrics, NodeCounters* counters,
 }
 
 inline void MessageContext::RecordPlacement(
-    int hop, const std::vector<trace::ObjectId>& evicted) {
+    int hop, bool inserted, const std::vector<trace::ObjectId>& evicted) {
   const topology::NodeId node_id = (*path)[static_cast<size_t>(hop)];
-  CountPlacement(metrics, telemetry.node_counters, node_id, size,
-                 evicted.size());
+  NodeCounters* const counters = telemetry.node_counters;
+  CountPlacement(metrics, counters, node_id, size, inserted, evicted.size());
+  if (!inserted) {
+    Observe(nullptr, telemetry.trace, *this, nullptr, 0,
+            TraceEventType::kPlacementRejected, node_id, 0.0);
+    return;
+  }
   if (telemetry.trace != nullptr) {
     EmitPlacementTrace(node_id, object, size, evicted);
   }
@@ -303,81 +330,43 @@ inline void MessageContext::RecordPlacement(
       const int dropped = node.DropRamCopies(evicted);
       if (dropped > 0) {
         metrics->demotions += dropped;
-        if (telemetry.node_counters != nullptr) {
-          telemetry.node_counters[node_id].demotions +=
-              static_cast<uint64_t>(dropped);
-        }
-        if (telemetry.trace != nullptr) EmitDemotionTrace(node_id, dropped);
+        Observe(counters, telemetry.trace, *this, &NodeCounters::demotions,
+                static_cast<uint64_t>(dropped), TraceEventType::kDemotion,
+                node_id, static_cast<double>(dropped));
       }
     }
   }
   if (queueing != nullptr) CommitStoreService(node_id);
 }
 
-inline void MessageContext::RecordPlacementAt(
-    topology::NodeId node_id, trace::ObjectId object_id, uint64_t bytes,
-    const std::vector<trace::ObjectId>& evicted) {
+inline void MessageContext::RecordPlacementAt(topology::NodeId node_id,
+                                              trace::ObjectId object_id,
+                                              uint64_t bytes) {
   CountPlacement(metrics, telemetry.node_counters, node_id, bytes,
-                 evicted.size());
+                 /*inserted=*/true, /*evicted=*/0);
   if (telemetry.trace != nullptr) {
-    EmitPlacementTrace(node_id, object_id, bytes, evicted);
-  }
-  if (tiered && !evicted.empty()) {
-    CacheNode& node = caches->nodes_data()[node_id];
-    if (node.tiered()) {
-      const int dropped = node.DropRamCopies(evicted);
-      if (dropped > 0) {
-        metrics->demotions += dropped;
-        if (telemetry.node_counters != nullptr) {
-          telemetry.node_counters[node_id].demotions +=
-              static_cast<uint64_t>(dropped);
-        }
-        if (telemetry.trace != nullptr) EmitDemotionTrace(node_id, dropped);
-      }
-    }
-  }
-}
-
-inline void MessageContext::RecordPlacementRejected(int hop) {
-  const topology::NodeId node_id = (*path)[static_cast<size_t>(hop)];
-  if (telemetry.node_counters != nullptr) {
-    ++telemetry.node_counters[node_id].placements_rejected;
-  }
-  if (telemetry.trace != nullptr) {
-    EmitPlacementRejectedTrace(node_id);
+    EmitPlacementTrace(node_id, object_id, bytes, {});
   }
 }
 
 inline void MessageContext::RecordDCacheHit(int hop) {
-  const topology::NodeId node_id = (*path)[static_cast<size_t>(hop)];
-  if (telemetry.node_counters != nullptr) {
-    ++telemetry.node_counters[node_id].dcache_hits;
-  }
-  if (telemetry.trace != nullptr) {
-    EmitDCacheHitTrace(node_id);
-  }
+  Observe(telemetry.node_counters, telemetry.trace, *this,
+          &NodeCounters::dcache_hits, 1, TraceEventType::kDCacheHit,
+          (*path)[static_cast<size_t>(hop)], 0.0);
 }
 
 inline void MessageContext::RecordDegraded(int hop) {
   ++metrics->degraded;
-  const topology::NodeId node_id = (*path)[static_cast<size_t>(hop)];
-  if (telemetry.node_counters != nullptr) {
-    ++telemetry.node_counters[node_id].degraded;
-  }
-  if (telemetry.trace != nullptr) {
-    EmitDegradedTrace(node_id, hop);
-  }
+  Observe(telemetry.node_counters, telemetry.trace, *this,
+          &NodeCounters::degraded, 1, TraceEventType::kFaultDegraded,
+          (*path)[static_cast<size_t>(hop)], static_cast<double>(hop));
 }
 
 inline void MessageContext::RecordStoreShed(int hop, uint32_t depth) {
   ++metrics->placements_shed;
-  const topology::NodeId node_id = (*path)[static_cast<size_t>(hop)];
-  if (telemetry.node_counters != nullptr) {
-    ++telemetry.node_counters[node_id].store_sheds;
-  }
-  if (telemetry.trace != nullptr) {
-    EmitShedTrace(node_id, depth);
-  }
+  Observe(telemetry.node_counters, telemetry.trace, *this,
+          &NodeCounters::store_sheds, 1, TraceEventType::kShed,
+          (*path)[static_cast<size_t>(hop)], static_cast<double>(depth));
 }
 
 inline void MessageContext::RecordTierServe(topology::NodeId node_id,
@@ -389,48 +378,53 @@ inline void MessageContext::RecordTierServe(topology::NodeId node_id,
   }
   metrics->promotions += tier.promoted ? 1 : 0;
   metrics->demotions += tier.demotions;
-  if (telemetry.node_counters != nullptr) {
-    NodeCounters& c = telemetry.node_counters[node_id];
-    if (tier.ram_hit) {
-      ++c.ram_hits;
-    } else {
-      ++c.disk_hits;
-    }
-    if (tier.promoted) ++c.promotions;
-    c.demotions += static_cast<uint64_t>(tier.demotions);
+  NodeCounters* const counters = telemetry.node_counters;
+  if (counters != nullptr) {
+    ++(tier.ram_hit ? counters[node_id].ram_hits
+                    : counters[node_id].disk_hits);
   }
-  if (telemetry.trace != nullptr) EmitTierServeTrace(node_id, tier);
+  const double demoted = static_cast<double>(tier.demotions);
+  if (tier.promoted) {
+    Observe(counters, telemetry.trace, *this, &NodeCounters::promotions, 1,
+            TraceEventType::kPromotion, node_id, demoted);
+  }
+  if (tier.demotions > 0) {
+    // A promotion's record already carries the RAM victims it pushed out.
+    Observe(counters, tier.promoted ? nullptr : telemetry.trace, *this,
+            &NodeCounters::demotions, static_cast<uint64_t>(tier.demotions),
+            TraceEventType::kDemotion, node_id, demoted);
+  }
 }
 
 inline void MessageContext::RecordSiblingProbe(int hop,
                                                topology::NodeId sibling) {
   ++metrics->sibling_probes;
+  // Counted at the probing node; the record names the probed sibling.
   if (telemetry.node_counters != nullptr) {
     ++telemetry.node_counters[(*path)[static_cast<size_t>(hop)]]
           .sibling_probes;
   }
-  if (telemetry.trace != nullptr) EmitSiblingProbeTrace(sibling, hop);
+  Observe(nullptr, telemetry.trace, *this, nullptr, 0,
+          TraceEventType::kSiblingProbe, sibling, static_cast<double>(hop));
 }
 
 inline void MessageContext::RecordSiblingServe(int hop,
                                                topology::NodeId sibling) {
   metrics->sibling_hit = true;
-  if (telemetry.node_counters != nullptr) {
-    NodeCounters& c = telemetry.node_counters[sibling];
-    ++c.hits;
-    ++c.sibling_serves;
-    c.bytes_served += size;
+  NodeCounters* const counters = telemetry.node_counters;
+  if (counters != nullptr) {
+    ++counters[sibling].hits;
+    counters[sibling].bytes_served += size;
   }
-  if (telemetry.trace != nullptr) EmitSiblingServeTrace(sibling, hop);
+  Observe(counters, telemetry.trace, *this, &NodeCounters::sibling_serves, 1,
+          TraceEventType::kSiblingServe, sibling, static_cast<double>(hop));
 }
 
 inline void MessageContext::RecordDiskDegraded(int hop) {
   ++metrics->disk_degraded;
-  const topology::NodeId node_id = (*path)[static_cast<size_t>(hop)];
-  if (telemetry.node_counters != nullptr) {
-    ++telemetry.node_counters[node_id].disk_degraded;
-  }
-  if (telemetry.trace != nullptr) EmitDiskDegradedTrace(node_id, hop);
+  Observe(telemetry.node_counters, telemetry.trace, *this,
+          &NodeCounters::disk_degraded, 1, TraceEventType::kDiskDegraded,
+          (*path)[static_cast<size_t>(hop)], static_cast<double>(hop));
 }
 
 }  // namespace cascache::sim

@@ -49,32 +49,33 @@ NodeCounters MetricsCollector::NodeTotals() const {
 }
 
 void MetricsCollector::FlushBlock(const BlockStats& acc) {
-  requests_ += acc.requests;
-  hits_ += acc.hits;
-  total_bytes_ += acc.total_bytes;
-  hit_bytes_ += acc.hit_bytes;
-  read_bytes_ += acc.read_bytes;
-  write_bytes_ += acc.write_bytes;
-  stale_hits_ += acc.stale_hits;
-  copies_expired_ += acc.copies_expired;
-  copies_invalidated_ += acc.copies_invalidated;
-  request_msg_bytes_ += acc.request_msg_bytes;
-  response_msg_bytes_ += acc.response_msg_bytes;
-  insertions_ += acc.insertions;
-  retries_ += acc.retries;
-  failed_requests_ += acc.failed;
-  reroutes_ += acc.reroutes;
-  crashes_applied_ += acc.crashes;
-  degraded_decisions_ += acc.degraded;
-  shed_requests_ += acc.shed_requests;
-  shed_placements_ += acc.shed_placements;
-  ram_hits_ += acc.ram_hits;
-  disk_hits_ += acc.disk_hits;
-  promotions_ += acc.promotions;
-  demotions_ += acc.demotions;
-  sibling_probes_ += acc.sibling_probes;
-  sibling_hits_ += acc.sibling_hits;
-  disk_degraded_ += acc.disk_degraded;
+  BlockStats& t = totals_;
+  t.requests += acc.requests;
+  t.hits += acc.hits;
+  t.total_bytes += acc.total_bytes;
+  t.hit_bytes += acc.hit_bytes;
+  t.read_bytes += acc.read_bytes;
+  t.write_bytes += acc.write_bytes;
+  t.stale_hits += acc.stale_hits;
+  t.copies_expired += acc.copies_expired;
+  t.copies_invalidated += acc.copies_invalidated;
+  t.request_msg_bytes += acc.request_msg_bytes;
+  t.response_msg_bytes += acc.response_msg_bytes;
+  t.insertions += acc.insertions;
+  t.retries += acc.retries;
+  t.failed += acc.failed;
+  t.reroutes += acc.reroutes;
+  t.crashes += acc.crashes;
+  t.degraded += acc.degraded;
+  t.shed_requests += acc.shed_requests;
+  t.shed_placements += acc.shed_placements;
+  t.ram_hits += acc.ram_hits;
+  t.disk_hits += acc.disk_hits;
+  t.promotions += acc.promotions;
+  t.demotions += acc.demotions;
+  t.sibling_probes += acc.sibling_probes;
+  t.sibling_hits += acc.sibling_hits;
+  t.disk_degraded += acc.disk_degraded;
 }
 
 void MetricsCollector::Record(const RequestMetrics& metrics) {
@@ -84,58 +85,59 @@ void MetricsCollector::Record(const RequestMetrics& metrics) {
 }
 
 MetricsSummary MetricsCollector::Summary() const {
+  const BlockStats& t = totals_;
   MetricsSummary s;
-  s.requests = requests_;
-  if (requests_ == 0) return s;
+  s.requests = t.requests;
+  if (t.requests == 0) return s;
+  const double requests = static_cast<double>(t.requests);
   s.avg_latency = latency_.mean();
   s.avg_response_ratio = response_ratio_.mean();
-  s.byte_hit_ratio =
-      total_bytes_ == 0
-          ? 0.0
-          : static_cast<double>(hit_bytes_) / static_cast<double>(total_bytes_);
-  s.hit_ratio = static_cast<double>(hits_) / static_cast<double>(requests_);
+  s.byte_hit_ratio = t.total_bytes == 0
+                         ? 0.0
+                         : static_cast<double>(t.hit_bytes) /
+                               static_cast<double>(t.total_bytes);
+  s.hit_ratio = static_cast<double>(t.hits) / requests;
   s.avg_traffic_byte_hops = traffic_.mean();
   s.avg_hops = hops_.mean();
-  const double total_load =
-      static_cast<double>(read_bytes_) + static_cast<double>(write_bytes_);
-  s.avg_load_bytes = total_load / static_cast<double>(requests_);
-  s.read_load_share =
-      total_load == 0.0 ? 0.0 : static_cast<double>(read_bytes_) / total_load;
-  s.avg_write_bytes =
-      static_cast<double>(write_bytes_) / static_cast<double>(requests_);
-  s.total_bytes_requested = total_bytes_;
-  s.bytes_from_caches = hit_bytes_;
-  s.stale_hit_ratio =
-      hits_ == 0 ? 0.0
-                 : static_cast<double>(stale_hits_) / static_cast<double>(hits_);
-  s.copies_expired = copies_expired_;
-  s.copies_invalidated = copies_invalidated_;
-  s.avg_request_msg_bytes = static_cast<double>(request_msg_bytes_) /
-                            static_cast<double>(requests_);
-  s.avg_response_msg_bytes = static_cast<double>(response_msg_bytes_) /
-                             static_cast<double>(requests_);
+  const double total_load = static_cast<double>(t.read_bytes) +
+                            static_cast<double>(t.write_bytes);
+  s.avg_load_bytes = total_load / requests;
+  s.read_load_share = total_load == 0.0
+                          ? 0.0
+                          : static_cast<double>(t.read_bytes) / total_load;
+  s.avg_write_bytes = static_cast<double>(t.write_bytes) / requests;
+  s.total_bytes_requested = t.total_bytes;
+  s.bytes_from_caches = t.hit_bytes;
+  s.stale_hit_ratio = t.hits == 0 ? 0.0
+                                  : static_cast<double>(t.stale_hits) /
+                                        static_cast<double>(t.hits);
+  s.copies_expired = t.copies_expired;
+  s.copies_invalidated = t.copies_invalidated;
+  s.avg_request_msg_bytes = static_cast<double>(t.request_msg_bytes) / requests;
+  s.avg_response_msg_bytes =
+      static_cast<double>(t.response_msg_bytes) / requests;
   s.avg_message_bytes = s.avg_request_msg_bytes + s.avg_response_msg_bytes;
-  s.cache_hits = hits_;
-  s.stale_hits = stale_hits_;
-  s.insertions = insertions_;
-  s.bytes_written = write_bytes_;
-  s.retries = retries_;
-  s.failed_requests = failed_requests_;
-  s.reroutes = reroutes_;
-  s.crashes_applied = crashes_applied_;
-  s.degraded_decisions = degraded_decisions_;
-  s.shed_requests = shed_requests_;
-  s.shed_placements = shed_placements_;
-  s.served_requests = requests_ - failed_requests_ - shed_requests_;
-  s.bytes_read = read_bytes_;
-  s.avg_queue_wait = queue_wait_sum_ / static_cast<double>(requests_);
-  s.ram_hits = ram_hits_;
-  s.disk_hits = disk_hits_;
-  s.promotions = promotions_;
-  s.demotions = demotions_;
-  s.sibling_probes = sibling_probes_;
-  s.sibling_hits = sibling_hits_;
-  s.disk_degraded = disk_degraded_;
+  s.cache_hits = t.hits;
+  s.stale_hits = t.stale_hits;
+  s.insertions = t.insertions;
+  s.bytes_written = t.write_bytes;
+  s.retries = t.retries;
+  s.failed_requests = t.failed;
+  s.reroutes = t.reroutes;
+  s.crashes_applied = t.crashes;
+  s.degraded_decisions = t.degraded;
+  s.shed_requests = t.shed_requests;
+  s.shed_placements = t.shed_placements;
+  s.served_requests = t.requests - t.failed - t.shed_requests;
+  s.bytes_read = t.read_bytes;
+  s.avg_queue_wait = queue_wait_sum_ / requests;
+  s.ram_hits = t.ram_hits;
+  s.disk_hits = t.disk_hits;
+  s.promotions = t.promotions;
+  s.demotions = t.demotions;
+  s.sibling_probes = t.sibling_probes;
+  s.sibling_hits = t.sibling_hits;
+  s.disk_degraded = t.disk_degraded;
   return s;
 }
 

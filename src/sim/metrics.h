@@ -302,9 +302,6 @@ class MetricsCollector {
 
   MetricsSummary Summary() const;
 
-  const util::RunningStat& latency_stat() const { return latency_; }
-  const util::RunningStat& hops_stat() const { return hops_; }
-
   // --- Per-node counters (observability layer) ----------------------------
 
   /// (Re)allocates zeroed per-node counters, indexed by NodeId. Call
@@ -331,33 +328,10 @@ class MetricsCollector {
   util::RunningStat response_ratio_;
   util::RunningStat hops_;
   util::RunningStat traffic_;
-  uint64_t requests_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t total_bytes_ = 0;
-  uint64_t hit_bytes_ = 0;
-  uint64_t read_bytes_ = 0;
-  uint64_t write_bytes_ = 0;
-  uint64_t stale_hits_ = 0;
-  uint64_t copies_expired_ = 0;
-  uint64_t copies_invalidated_ = 0;
-  uint64_t request_msg_bytes_ = 0;
-  uint64_t response_msg_bytes_ = 0;
-  uint64_t insertions_ = 0;
-  uint64_t retries_ = 0;
-  uint64_t failed_requests_ = 0;
-  uint64_t reroutes_ = 0;
-  uint64_t crashes_applied_ = 0;
-  uint64_t degraded_decisions_ = 0;
-  uint64_t shed_requests_ = 0;
-  uint64_t shed_placements_ = 0;
+  /// Integer totals of every flushed block: the one copy of the counts
+  /// Summary() reports.
+  BlockStats totals_;
   double queue_wait_sum_ = 0.0;
-  uint64_t ram_hits_ = 0;
-  uint64_t disk_hits_ = 0;
-  uint64_t promotions_ = 0;
-  uint64_t demotions_ = 0;
-  uint64_t sibling_probes_ = 0;
-  uint64_t sibling_hits_ = 0;
-  uint64_t disk_degraded_ = 0;
   std::vector<NodeCounters> node_counters_;
 };
 

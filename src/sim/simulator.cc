@@ -8,6 +8,17 @@ namespace cascache::sim {
 
 namespace {
 
+/// A request's timed-out attempts, counted and recorded at its requester
+/// (no record when it had none).
+void ObserveRetries(NodeCounters* counters, EventTrace* trace,
+                    const MessageContext& ctx, topology::NodeId requester,
+                    int retries) {
+  if (retries == 0) return;
+  Observe(counters, trace, ctx, &NodeCounters::retries,
+          static_cast<uint64_t>(retries), TraceEventType::kRetry, requester,
+          static_cast<double>(retries));
+}
+
 /// Requests decoded per block in ReplayRange: large enough to amortize
 /// the loop split, small enough to stay resident in L1/L2.
 constexpr size_t kDecodeBlock = 1024;
@@ -24,23 +35,6 @@ static_assert(kReplayChunk % kDecodeBlock == 0);
 /// structures; 2^24 objects keeps the dense path for every historical
 /// configuration.
 constexpr uint32_t kDenseIdLimit = 1u << 24;
-
-/// Fills the exchange-invariant record fields and emits. `trace` must be
-/// non-null; callers keep the disabled path to one pointer test.
-void EmitEvent(EventTrace* trace, const MessageContext& ctx,
-               TraceEventType type, int32_t node, int32_t level,
-               double value) {
-  TraceEvent event;
-  event.request_index = ctx.telemetry.request_index;
-  event.time = ctx.now;
-  event.type = type;
-  event.node = node;
-  event.level = level;
-  event.object = ctx.object;
-  event.size_bytes = ctx.size;
-  event.value = value;
-  trace->Emit(event);
-}
 
 }  // namespace
 
@@ -426,34 +420,21 @@ bool Simulator::QueueAscentOp(MessageContext& ctx, size_t hop) {
   // request — it ends here, at the refusing hop.
   const topology::NodeId node_id = (*ctx.path)[hop];
   NodeCounters* const counters = ctx.telemetry.node_counters;
-  EventTrace* const trace = ctx.telemetry.trace;
-  const int32_t level = node_levels_[static_cast<size_t>(node_id)];
   const QueueingPlane::Admission adm =
       queueing_->AdmitOp(node_id, ctx.now, ascent_op_cost_,
                          options_.contention.node_queue_capacity);
+  RaiseQueueDepth(counters, node_id, adm.depth);
   if (adm.shed) {
     ctx.response.shed = true;
-    if (counters != nullptr) {
-      ++counters[node_id].sheds;
-      if (adm.depth > counters[node_id].max_queue_depth) {
-        counters[node_id].max_queue_depth = adm.depth;
-      }
-    }
-    if (trace != nullptr) {
-      EmitEvent(trace, ctx, TraceEventType::kShed, node_id, level,
-                static_cast<double>(adm.depth));
-    }
+    Observe(counters, ctx.telemetry.trace, ctx, &NodeCounters::sheds, 1,
+            TraceEventType::kShed, node_id, static_cast<double>(adm.depth));
     return false;
   }
   ctx.metrics->queue_wait += adm.wait;
   ctx.now += adm.wait + ascent_op_cost_;
-  if (counters != nullptr && adm.depth > counters[node_id].max_queue_depth) {
-    counters[node_id].max_queue_depth = adm.depth;
-  }
-  if (trace != nullptr) {
-    EmitEvent(trace, ctx, TraceEventType::kQueueDepth, node_id, level,
-              static_cast<double>(adm.depth));
-  }
+  Observe(nullptr, ctx.telemetry.trace, ctx, nullptr, 0,
+          TraceEventType::kQueueDepth, node_id,
+          static_cast<double>(adm.depth));
   return true;
 }
 
@@ -463,7 +444,6 @@ bool Simulator::AdmitCopy(MessageContext& ctx, size_t hop,
   CacheNode* node = caches_->node(node_id);
   NodeCounters* const counters = ctx.telemetry.node_counters;
   EventTrace* const trace = ctx.telemetry.trace;
-  const int32_t level = node_levels_[static_cast<size_t>(node_id)];
   const CacheNode::CopyStamp* stamp = node->FindCopy(ctx.object);
   // Copies can only enter a cache through StampCopy'd insertions within
   // this run; treat a missing stamp (e.g. test-injected copy) as
@@ -475,31 +455,24 @@ bool Simulator::AdmitCopy(MessageContext& ctx, size_t hop,
       ctx.now - fetch_time > options_.coherency.ttl) {
     node->EraseObject(ctx.object);
     ++ctx.metrics->copies_expired;
-    if (counters != nullptr) ++counters[node_id].expirations;
-    if (trace != nullptr) {
-      EmitEvent(trace, ctx, TraceEventType::kExpired, node_id, level,
-                ctx.now - fetch_time);
-    }
+    Observe(counters, trace, ctx, &NodeCounters::expirations, 1,
+            TraceEventType::kExpired, node_id, ctx.now - fetch_time);
     return false;
   }
   const uint32_t current = updates_->VersionAt(ctx.object, ctx.now);
   if (protocol == CoherencyProtocol::kInvalidation && version < current) {
     node->EraseObject(ctx.object);
     ++ctx.metrics->copies_invalidated;
-    if (counters != nullptr) ++counters[node_id].invalidations;
-    if (trace != nullptr) {
-      EmitEvent(trace, ctx, TraceEventType::kInvalidated, node_id, level,
-                static_cast<double>(current - version));
-    }
+    Observe(counters, trace, ctx, &NodeCounters::invalidations, 1,
+            TraceEventType::kInvalidated, node_id,
+            static_cast<double>(current - version));
     return false;
   }
   if (version < current) {
     ctx.metrics->stale_hit = true;
-    if (counters != nullptr) ++counters[node_id].stale_serves;
-    if (trace != nullptr) {
-      EmitEvent(trace, ctx, TraceEventType::kStaleServe, node_id, level,
-                static_cast<double>(current - version));
-    }
+    Observe(counters, trace, ctx, &NodeCounters::stale_serves, 1,
+            TraceEventType::kStaleServe, node_id,
+            static_cast<double>(current - version));
   }
   *served_version = version;
   return true;
@@ -612,10 +585,7 @@ void Simulator::ServeTier(MessageContext& ctx, topology::NodeId node_id,
       queueing_->AdmitOp(node_id, ctx.now, cost, 0);
   ctx.metrics->queue_wait += adm.wait;
   ctx.now += adm.wait + cost;
-  NodeCounters* const counters = ctx.telemetry.node_counters;
-  if (counters != nullptr && adm.depth > counters[node_id].max_queue_depth) {
-    counters[node_id].max_queue_depth = adm.depth;
-  }
+  RaiseQueueDepth(ctx.telemetry.node_counters, node_id, adm.depth);
 }
 
 template <Simulator::ExchangeKind kKind>
@@ -711,18 +681,9 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect) {
     // hops) so requests == served + failed with nothing silently dropped.
     rm.failed = true;
     rm.latency = (now - request.time) + options_.faults.request_timeout;
-    if (counters != nullptr) {
-      counters[requester].retries += static_cast<uint64_t>(rm.retries);
-    }
-    if (trace != nullptr) {
-      const int32_t level = node_levels_[static_cast<size_t>(requester)];
-      if (rm.retries > 0) {
-        EmitEvent(trace, ctx, TraceEventType::kRetry, requester, level,
-                  static_cast<double>(rm.retries));
-      }
-      EmitEvent(trace, ctx, TraceEventType::kRequestFailed, requester, level,
-                static_cast<double>(rm.retries));
-    }
+    ObserveRetries(counters, trace, ctx, requester, rm.retries);
+    Observe(counters, trace, ctx, nullptr, 0, TraceEventType::kRequestFailed,
+            requester, static_cast<double>(rm.retries));
     FinishRequest(rm, collect, request.time + rm.latency, queued);
     return;
   }
@@ -762,39 +723,22 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect) {
           faults_->ApplyCrashRestarts(caches_->node(node_id), now);
       if (applied > 0) {
         rm.crashes_applied += applied;
-        if (counters != nullptr) {
-          counters[node_id].crashes += static_cast<uint64_t>(applied);
-        }
-        if (trace != nullptr) {
-          EmitEvent(trace, ctx, TraceEventType::kNodeCrash, node_id,
-                    node_levels_[static_cast<size_t>(node_id)],
-                    static_cast<double>(applied));
-        }
+        Observe(counters, trace, ctx, &NodeCounters::crashes,
+                static_cast<uint64_t>(applied), TraceEventType::kNodeCrash,
+                node_id, static_cast<double>(applied));
       }
       if (faults_->NodeDown(node_id, now)) arena_.node_down[i] = 1;
     }
-    if (counters != nullptr) {
-      counters[requester].retries += static_cast<uint64_t>(rm.retries);
-      if (rm.rerouted) ++counters[requester].reroutes;
-    }
-    if (trace != nullptr) {
-      const int32_t level = node_levels_[static_cast<size_t>(requester)];
-      if (rm.retries > 0) {
-        EmitEvent(trace, ctx, TraceEventType::kRetry, requester, level,
-                  static_cast<double>(rm.retries));
-      }
-      if (rm.rerouted) {
-        EmitEvent(trace, ctx, TraceEventType::kReroute, requester, level,
-                  static_cast<double>(path_len));
-      }
+    ObserveRetries(counters, trace, ctx, requester, rm.retries);
+    if (rm.rerouted) {
+      Observe(counters, trace, ctx, &NodeCounters::reroutes, 1,
+              TraceEventType::kReroute, requester,
+              static_cast<double>(path_len));
     }
   }
 
-  if (trace != nullptr) {
-    EmitEvent(trace, ctx, TraceEventType::kRequest, requester,
-              node_levels_[static_cast<size_t>(requester)],
-              static_cast<double>(path_len));
-  }
+  Observe(counters, trace, ctx, nullptr, 0, TraceEventType::kRequest,
+          requester, static_cast<double>(path_len));
 
   // --- Phase 1: the request message ascends to its serving point. -------
   // At each hop: coherency admission first — under a protocol, expired or
@@ -852,23 +796,13 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect) {
         ServeTier(ctx, node_id, ram_only);
       }
       hit = static_cast<int>(i);
-      if (counters != nullptr) {
-        ++counters[node_id].hits;
-        counters[node_id].bytes_served += size;
-      }
-      if (trace != nullptr) {
-        EmitEvent(trace, ctx, TraceEventType::kHit, node_id,
-                  node_levels_[static_cast<size_t>(node_id)],
-                  static_cast<double>(i));
-      }
+      if (counters != nullptr) counters[node_id].bytes_served += size;
+      Observe(counters, trace, ctx, &NodeCounters::hits, 1,
+              TraceEventType::kHit, node_id, static_cast<double>(i));
       break;
     }
-    if (counters != nullptr) ++counters[node_id].misses;
-    if (trace != nullptr) {
-      EmitEvent(trace, ctx, TraceEventType::kMiss, node_id,
-                node_levels_[static_cast<size_t>(node_id)],
-                static_cast<double>(i));
-    }
+    Observe(counters, trace, ctx, &NodeCounters::misses, 1,
+            TraceEventType::kMiss, node_id, static_cast<double>(i));
     // Sibling cooperation: a live hop that missed locally probes its
     // siblings before letting the request ascend. On a sibling serve the
     // exchange ends here — hit is this hop, the descent below it is
@@ -894,10 +828,10 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect) {
       ctx.request.piggyback_lost = false;
     }
   }
-  if (trace != nullptr && hit < 0) {
+  if (hit < 0) {
     // The origin serve is not node-scoped: node/level are -1.
-    EmitEvent(trace, ctx, TraceEventType::kOrigin, -1, -1,
-              static_cast<double>(path_len) - 1.0 + server_link_hops_);
+    Observe(counters, trace, ctx, nullptr, 0, TraceEventType::kOrigin, -1,
+            static_cast<double>(path_len) - 1.0 + server_link_hops_);
   }
 
   // Access latency and hops (paper cost model: link delay scaled by object
@@ -993,11 +927,7 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect) {
       bool inserted = false;
       const std::vector<trace::ObjectId>& evicted =
           nodes[node_id].lru()->InsertAbsent(object, size, &inserted);
-      if (inserted) {
-        CountPlacement(&rm, counters, node_id, size, evicted.size());
-      } else if (counters != nullptr) {
-        ++counters[node_id].placements_rejected;
-      }
+      CountPlacement(&rm, counters, node_id, size, inserted, evicted.size());
     }
   }
   // Contended exchanges pay their accrued waits on top of the analytic

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "trace/mapped_trace.h"
@@ -143,6 +144,18 @@ util::StatusOr<bool> ParseCsvRow(const char* line, uint64_t lineno,
   }
   return true;
 }
+
+/// Distinct client ids of a request stream, counted in memory bounded by
+/// the clients seen: the format bounds no client id, so a bitmap indexed
+/// by id would cost 512 MiB for one request from client 0xFFFFFFFF.
+class ClientCounter {
+ public:
+  void Add(uint32_t client) { seen_.insert(client); }
+  uint32_t count() const { return static_cast<uint32_t>(seen_.size()); }
+
+ private:
+  std::unordered_set<uint32_t> seen_;
+};
 
 }  // namespace
 
@@ -339,20 +352,15 @@ TraceStats ComputeTraceStats(const Workload& workload) {
   for (uint64_t c : CountAccesses(workload)) {
     if (c > 0) referenced.push_back(static_cast<double>(c));
   }
-  std::vector<bool> client_seen;
+  ClientCounter clients;
   uint64_t total_bytes = 0;
   for (const Request& req : workload.requests) {
     total_bytes += workload.catalog.size(req.object);
-    if (req.client >= client_seen.size()) {
-      client_seen.resize(static_cast<size_t>(req.client) + 1, false);
-    }
-    client_seen[req.client] = true;
+    clients.Add(req.client);
   }
-  const uint32_t clients_active = static_cast<uint32_t>(
-      std::count(client_seen.begin(), client_seen.end(), true));
   return StatsFromCounts(workload.catalog, std::move(referenced),
                          workload.requests.size(), workload.Duration(),
-                         total_bytes, clients_active);
+                         total_bytes, clients.count());
 }
 
 util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path) {
@@ -402,7 +410,7 @@ util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path,
     window_counts.clear();
   };
 
-  std::vector<bool> client_seen;
+  ClientCounter clients;
   uint64_t total_bytes = 0;
   double duration = 0.0;
   // Welford accumulation over inter-arrival gaps.
@@ -429,10 +437,7 @@ util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path,
       ++window_counts[req.object];
     }
     total_bytes += catalog.size(req.object);
-    if (req.client >= client_seen.size()) {
-      client_seen.resize(static_cast<size_t>(req.client) + 1, false);
-    }
-    client_seen[req.client] = true;
+    clients.Add(req.client);
     duration = req.time;
     if (!first) {
       const double gap = req.time - prev_time;
@@ -450,8 +455,7 @@ util::StatusOr<TraceSummary> SummarizeTrace(const std::string& path,
   view.on_consumed(num_requests);
   if (epochs > 0) flush_epoch();
 
-  const uint32_t clients_active = static_cast<uint32_t>(
-      std::count(client_seen.begin(), client_seen.end(), true));
+  const uint32_t clients_active = clients.count();
   summary.interarrival_mean = gap_mean;
   summary.interarrival_stddev =
       gaps > 0 ? std::sqrt(gap_m2 / static_cast<double>(gaps)) : 0.0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/experiment.h"
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -123,33 +125,37 @@ TEST(EventTraceTest, JsonLineGoldenShape) {
   e.object = 99;
   e.size_bytes = 2048;
   e.value = 0.25;
-  EXPECT_EQ(EventTrace::ToJsonLine(e),
-            "{\"req\":7,\"t\":1.500000,\"type\":\"placement\",\"node\":3,"
-            "\"level\":2,\"object\":99,\"size\":2048,\"value\":0.25}");
+  std::string fields = "prefix,";
+  EventTrace::AppendJsonFields(e, &fields);
+  EXPECT_EQ(fields,
+            "prefix,\"req\":7,\"t\":1.500000,\"type\":\"placement\",\"node\":3,"
+            "\"level\":2,\"object\":99,\"size\":2048,\"value\":0.25");
 }
 
 TEST(EventTraceTest, WriteJsonlRoundTrips) {
-  EventTraceOptions options;
-  options.ring_capacity = 8;
-  EventTrace trace(options);
-  trace.Emit(Event(1, TraceEventType::kRequest, 0));
-  trace.Emit(Event(1, TraceEventType::kMiss, 0));
+  RunResult cell;
+  cell.scheme = "LRU";
+  cell.cache_fraction = 0.5;
+  cell.trace_events = {Event(1, TraceEventType::kRequest, 0),
+                       Event(1, TraceEventType::kMiss, 0)};
   const std::string path =
       ::testing::TempDir() + "/event_trace_test_out.jsonl";
-  ASSERT_TRUE(trace.WriteJsonl(path).ok());
+  ASSERT_TRUE(WriteTraceJsonl({cell}, path).ok());
   std::ifstream in(path);
   std::string line;
   std::vector<std::string> lines;
   while (std::getline(in, line)) lines.push_back(line);
   ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[0].find("\"type\":\"request\""), std::string::npos);
+  EXPECT_EQ(lines[0],
+            "{\"scheme\":\"LRU\",\"cache_fraction\":0.5,\"req\":1,"
+            "\"t\":0.500000,\"type\":\"request\",\"node\":0,\"level\":1,"
+            "\"object\":42,\"size\":1000,\"value\":2}");
   EXPECT_NE(lines[1].find("\"type\":\"miss\""), std::string::npos);
   std::remove(path.c_str());
 }
 
 TEST(EventTraceTest, WriteJsonlBadPathFails) {
-  EventTrace trace(EventTraceOptions{});
-  EXPECT_FALSE(trace.WriteJsonl("/nonexistent-dir/trace.jsonl").ok());
+  EXPECT_FALSE(WriteTraceJsonl({}, "/nonexistent-dir/trace.jsonl").ok());
 }
 
 }  // namespace

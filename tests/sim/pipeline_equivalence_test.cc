@@ -16,15 +16,20 @@
 // contention, fault, tier and sibling aggregates and the per-node
 // counter totals.
 //
+// A third, tests/data/trace_golden.jsonl, pins the sampled event trace
+// record by record (content and order) over small cells that together
+// emit every TraceEventType.
+//
 // Regenerate (only when an *intentional* numeric change is made):
 //   CASCACHE_REGEN_GOLDEN=1 ./cascache_tests
 //     --gtest_filter=PipelineEquivalenceTest.*  (one command line)
-// and commit the updated tests/data/*_golden.csv alongside the change
+// and commit the updated tests/data/*_golden.* alongside the change
 // that explains it.
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -407,6 +412,165 @@ void ExpectMatchesGolden(const std::string& name,
   }
 }
 
+/// Sampled-trace cells: small enough that every record of every sampled
+/// request fits the golden, varied enough that every record type shows.
+trace::WorkloadParams TraceWorkload() {
+  trace::WorkloadParams w;
+  w.num_objects = 400;
+  w.num_requests = 1'500;
+  w.num_clients = 100;
+  w.num_servers = 20;
+  return w;
+}
+
+/// Runs one traced sweep case (one worker, cells in order) and appends
+/// every record of every cell as one JSON line annotated with the case
+/// and cell, in ring order (the ring never wraps here, so that is
+/// emission order).
+void RunTraceCase(const std::string& case_name,
+                  const sim::ExperimentConfig& config,
+                  std::vector<std::string>* rows,
+                  double sampling_rate) {
+  sim::ExperimentConfig cfg = config;
+  cfg.jobs = 1;
+  cfg.workload = TraceWorkload();
+  cfg.sim.trace.enabled = true;
+  cfg.sim.trace.sampling_rate = sampling_rate;
+  cfg.sim.trace.ring_capacity = 1 << 20;
+  auto runner_or = sim::ExperimentRunner::Create(cfg);
+  ASSERT_TRUE(runner_or.ok()) << runner_or.status().ToString();
+  auto results_or = (*runner_or)->RunAll();
+  ASSERT_TRUE(results_or.ok()) << results_or.status().ToString();
+  for (const sim::RunResult& r : *results_or) {
+    char label[64];
+    std::snprintf(label, sizeof(label), "%s@%g", r.scheme.c_str(),
+                  r.cache_fraction);
+    ASSERT_LT(r.trace_events.size(), cfg.sim.trace.ring_capacity);
+    for (const sim::TraceEvent& event : r.trace_events) {
+      std::string line =
+          "{\"case\":\"" + case_name + "\",\"cell\":\"" + label + "\",";
+      sim::EventTrace::AppendJsonFields(event, &line);
+      rows->push_back(line + "}");
+    }
+  }
+}
+
+/// First freeze point at or after `at_least` whose triggering request is
+/// sampled, so STATIC's freeze fill (one placement per frozen copy)
+/// lands in the trace. Freeze runs on the `k`-th served request, i.e.
+/// request index k - 1 when nothing fails or sheds.
+uint64_t SampledFreezePoint(uint64_t at_least, double sampling_rate) {
+  sim::EventTraceOptions opts;
+  opts.enabled = true;
+  opts.sampling_rate = sampling_rate;
+  const sim::EventTrace sampler(opts);
+  uint64_t k = at_least;
+  while (!sampler.SampleRequest(k - 1)) ++k;
+  return k;
+}
+
+/// Pins the sampled event trace record by record: content and order of
+/// every record type, over contention + tiers + siblings + faults, detours
+/// and the three coherency protocols, for LRU, Coordinated, LNC-R, GDS
+/// and STATIC.
+std::vector<std::string> ComputeTraceRows() {
+  std::vector<std::string> rows;
+
+  // Case 1: the contended, tiered, sibling-cooperating hierarchy under a
+  // dense fault schedule.
+  {
+    sim::ExperimentConfig cfg;
+    cfg.network.architecture = sim::Architecture::kHierarchical;
+    cfg.cache_fractions = {0.03};
+    cfg.schemes.resize(2);
+    cfg.schemes[0].kind = schemes::SchemeKind::kLru;
+    cfg.schemes[1].kind = schemes::SchemeKind::kCoordinated;
+    sim::ContentionParams& c = cfg.sim.contention;
+    c.lookup_cost = 0.002;
+    c.store_cost = 0.001;
+    c.dcache_cost = 0.0005;
+    c.node_queue_capacity = 8;
+    c.link_bandwidth = 1e8;
+    c.arrival_rate = 300.0;
+    c.arrival_ramp = 0.5;
+    cfg.sim.tier.ram_fraction = 0.5;
+    cfg.sim.tier.ram_hit_cost = 0.0001;
+    cfg.sim.tier.disk_hit_cost = 0.002;
+    cfg.sim.sibling.enabled = true;
+    cfg.sim.sibling.level = 0;
+    cfg.sim.sibling.probe_cost = 0.0002;
+    sim::FaultScheduleConfig& f = cfg.sim.faults;
+    f.node_crash_mtbf = 2.0;
+    f.node_downtime = 0.2;
+    f.link_mtbf = 40.0;
+    f.link_downtime = 1.0;
+    f.request_timeout = 0.05;
+    f.retry_backoff = 0.01;
+    f.ascent_loss_prob = 0.02;
+    f.decision_loss_prob = 0.02;
+    f.disk_fail_mtbf = 20.0;
+    f.disk_fail_downtime = 3.0;
+    f.sibling_loss_prob = 0.05;
+    RunTraceCase("trace_chaos", cfg, &rows, /*sampling_rate=*/0.04);
+    if (::testing::Test::HasFatalFailure()) return rows;
+  }
+
+  // Case 2: link outages on the en-route graph force detours; the small
+  // cache rejects the larger objects.
+  {
+    sim::ExperimentConfig cfg;
+    cfg.network.architecture = sim::Architecture::kEnRoute;
+    cfg.cache_fractions = {0.005};
+    cfg.schemes.resize(1);
+    cfg.schemes[0].kind = schemes::SchemeKind::kGds;
+    cfg.sim.faults.link_mtbf = 20.0;
+    cfg.sim.faults.link_downtime = 2.0;
+    RunTraceCase("trace_detour", cfg, &rows, /*sampling_rate=*/0.01);
+    if (::testing::Test::HasFatalFailure()) return rows;
+  }
+
+  // Cases 3-5: the coherency protocols under the analytic hierarchy, with
+  // every object mutable and updated every few seconds.
+  for (const auto& [name, protocol, ttl, first, second] :
+       {std::tuple<const char*, sim::CoherencyProtocol, double,
+                   schemes::SchemeKind, schemes::SchemeKind>{
+            "trace_ttl", sim::CoherencyProtocol::kTtl, 1.0,
+            schemes::SchemeKind::kLncr, schemes::SchemeKind::kGds},
+        {"trace_inval", sim::CoherencyProtocol::kInvalidation, 3600.0,
+         schemes::SchemeKind::kCoordinated, schemes::SchemeKind::kGds},
+        {"trace_stale", sim::CoherencyProtocol::kNone, 3600.0,
+         schemes::SchemeKind::kLru, schemes::SchemeKind::kCoordinated}}) {
+    sim::ExperimentConfig cfg;
+    cfg.network.architecture = sim::Architecture::kHierarchical;
+    cfg.sim.coherency.protocol = protocol;
+    cfg.sim.coherency.ttl = ttl;
+    cfg.sim.coherency.mutable_fraction = 1.0;
+    cfg.sim.coherency.mean_update_period = 3.0;
+    cfg.cache_fractions = {0.03};
+    cfg.schemes.resize(2);
+    cfg.schemes[0].kind = first;
+    cfg.schemes[1].kind = second;
+    RunTraceCase(name, cfg, &rows, /*sampling_rate=*/0.02);
+    if (::testing::Test::HasFatalFailure()) return rows;
+  }
+
+  // Case 6: STATIC's freeze fill on a sampled request, on a plane small
+  // enough to keep the fill to a few hundred records.
+  {
+    sim::ExperimentConfig cfg;
+    cfg.network.architecture = sim::Architecture::kHierarchical;
+    cfg.cache_fractions = {0.002};
+    cfg.schemes.resize(1);
+    cfg.schemes[0].kind = schemes::SchemeKind::kStatic;
+    cfg.schemes[0].static_freeze_requests =
+        SampledFreezePoint(750, /*sampling_rate=*/0.02);
+    RunTraceCase("trace_static", cfg, &rows, /*sampling_rate=*/0.02);
+    if (::testing::Test::HasFatalFailure()) return rows;
+  }
+
+  return rows;
+}
+
 TEST(PipelineEquivalenceTest, MatchesPreRefactorGolden) {
   const std::vector<std::string> rows = ComputeRows();
   if (::testing::Test::HasFatalFailure()) return;
@@ -417,6 +581,26 @@ TEST(PipelineEquivalenceTest, EventDrivenMatchesGolden) {
   const std::vector<std::string> rows = ComputeEventRows();
   if (::testing::Test::HasFatalFailure()) return;
   ExpectMatchesGolden("event_golden.csv", rows);
+}
+
+TEST(PipelineEquivalenceTest, TraceRecordsMatchGolden) {
+  const std::vector<std::string> rows = ComputeTraceRows();
+  if (::testing::Test::HasFatalFailure()) return;
+  std::set<std::string> types;
+  for (const std::string& row : rows) {
+    const size_t at = row.find("\"type\":\"");
+    ASSERT_NE(at, std::string::npos) << row;
+    const size_t begin = at + 8;
+    types.insert(row.substr(begin, row.find('"', begin) - begin));
+  }
+  for (int t = 0; t <= static_cast<int>(sim::TraceEventType::kDemotion);
+       ++t) {
+    EXPECT_TRUE(types.count(
+        sim::TraceEventTypeName(static_cast<sim::TraceEventType>(t))))
+        << "no " << sim::TraceEventTypeName(static_cast<sim::TraceEventType>(t))
+        << " record";
+  }
+  ExpectMatchesGolden("trace_golden.jsonl", rows);
 }
 
 }  // namespace

@@ -381,6 +381,24 @@ TEST_F(TraceIoTest, ReadAndSummarizeRejectCorruptRecords) {
   std::remove(path.c_str());
 }
 
+TEST_F(TraceIoTest, CountsClientsWithoutPerIdState) {
+  // Client ids are unbounded in the format: 0xFFFFFFFF must count as one
+  // client, not size per-id state by the largest id.
+  Workload workload = SmallWorkload();
+  for (size_t i = 0; i < workload.requests.size(); ++i) {
+    workload.requests[i].client = i % 3 == 0   ? 0u
+                                  : i % 3 == 1 ? 7u
+                                               : 0xFFFFFFFFu;
+  }
+  EXPECT_EQ(ComputeTraceStats(workload).num_clients_active, 3u);
+  const std::string path = TempPath("huge_client.cctr");
+  ASSERT_TRUE(WriteTrace(workload, path).ok());
+  auto summary_or = SummarizeTrace(path);
+  ASSERT_TRUE(summary_or.ok()) << summary_or.status();
+  EXPECT_EQ(summary_or->stats.num_clients_active, 3u);
+  std::remove(path.c_str());
+}
+
 TEST_F(TraceIoTest, EmptyWorkloadRoundTrip) {
   Workload workload;
   workload.catalog.Add(10, 0);
