@@ -5,14 +5,12 @@
 
 #include <benchmark/benchmark.h>
 
-#include "cache/dcache.h"
 #include "cache/flat_lru.h"
 #include "cache/ncl_cache.h"
 #include "util/random.h"
 
 namespace {
 
-using cascache::cache::DCache;
 using cascache::cache::FlatLru;
 using cascache::cache::NclCache;
 using cascache::cache::ObjectDescriptor;
@@ -82,7 +80,9 @@ void BM_NclPlanEviction(benchmark::State& state) {
   }
   const uint64_t need = static_cast<uint64_t>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.PlanEviction(need));
+    NclCache::EvictionPlan plan;  // Fresh per call: allocates its victims.
+    cache.PlanEvictionInto(need, &plan);
+    benchmark::DoNotOptimize(plan.cost_loss);
   }
 }
 BENCHMARK(BM_NclPlanEviction)->Arg(100)->Arg(1000)->Arg(10000);
@@ -106,16 +106,23 @@ void BM_NclPlanEvictionScratch(benchmark::State& state) {
 BENCHMARK(BM_NclPlanEvictionScratch)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_DCacheChurn(benchmark::State& state) {
+  // The NCL store's d-cache alone: admit unknown descriptors (LFU
+  // admission, victim pops) and overwrite + re-rank known ones.
   const int capacity = static_cast<int>(state.range(0));
-  DCache dcache(static_cast<size_t>(capacity));
+  NclCache cache(0, static_cast<size_t>(capacity));
   Rng rng(6);
   for (auto _ : state) {
     ObjectDescriptor desc;
     desc.size = 100;
     desc.frequency = rng.NextDouble(0.0, 10.0);
-    benchmark::DoNotOptimize(
-        dcache.Insert(static_cast<ObjectId>(rng.NextUint64(4 * capacity)),
-                      desc));
+    const ObjectId id = static_cast<ObjectId>(rng.NextUint64(4 * capacity));
+    const NclCache::Entry entry = cache.Find(id);
+    if (entry.known()) {
+      cache.DescriptorAt(entry) = desc;
+      cache.RefreshDescriptor(entry);
+    } else {
+      benchmark::DoNotOptimize(cache.AdmitDescriptor(id, desc));
+    }
   }
 }
 BENCHMARK(BM_DCacheChurn)->Arg(1000)->Arg(100000);

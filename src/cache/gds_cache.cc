@@ -6,27 +6,15 @@ namespace cascache::cache {
 
 GdsCache::GdsCache(uint64_t capacity_bytes) : capacity_(capacity_bytes) {}
 
-SlotId GdsCache::AllocSlot() {
-  if (!free_.empty()) {
-    const SlotId slot = free_.back();
-    free_.pop_back();
-    return slot;
-  }
-  const SlotId slot = static_cast<SlotId>(sizes_.size());
-  sizes_.push_back(0);
-  credits_.push_back(0.0);
-  return slot;
-}
-
 double GdsCache::CreditOf(ObjectId id) const {
   const SlotId slot = index_.Get(id);
   CASCACHE_CHECK_MSG(slot != kNoSlot, "object not cached");
-  return credits_[slot];
+  return slots_.at(slot).credit;
 }
 
-void GdsCache::SetCredit(ObjectId id, SlotId slot, double credit) {
-  order_.erase({credits_[slot], id});
-  credits_[slot] = credit;
+void GdsCache::SetCredit(ObjectId id, Slot& slot, double credit) {
+  order_.erase({slot.credit, id});
+  slot.credit = credit;
   order_.emplace(credit, id);
 }
 
@@ -36,9 +24,9 @@ const std::vector<ObjectId>& GdsCache::Insert(ObjectId id, uint64_t size,
   evicted_scratch_.clear();
   CASCACHE_CHECK(size > 0);
   CASCACHE_CHECK(cost >= 0.0);
-  if (const SlotId slot = index_.Get(id); slot != kNoSlot) {
-    SetCredit(id, slot,
-              inflation_ + cost / static_cast<double>(sizes_[slot]));
+  if (const SlotId slot_id = index_.Get(id); slot_id != kNoSlot) {
+    Slot& slot = slots_.at(slot_id);
+    SetCredit(id, slot, inflation_ + cost / static_cast<double>(slot.size));
     return evicted_scratch_;
   }
   if (size > capacity_) return evicted_scratch_;
@@ -51,18 +39,19 @@ const std::vector<ObjectId>& GdsCache::Insert(ObjectId id, uint64_t size,
     order_.erase(order_.begin());
     const SlotId victim_slot = index_.Get(victim);
     CASCACHE_DCHECK(victim_slot != kNoSlot);
-    used_ -= sizes_[victim_slot];
+    used_ -= slots_.at(victim_slot).size;
     index_.Erase(victim);
-    free_.push_back(victim_slot);
+    slots_.Free(victim_slot);
     --count_;
     evicted_scratch_.push_back(victim);
   }
 
-  const SlotId slot = AllocSlot();
-  sizes_[slot] = size;
-  credits_[slot] = inflation_ + cost / static_cast<double>(size);
-  order_.emplace(credits_[slot], id);
-  index_.Set(id, slot);
+  const SlotId slot_id = slots_.Alloc();
+  Slot& slot = slots_.at(slot_id);
+  slot.size = size;
+  slot.credit = inflation_ + cost / static_cast<double>(size);
+  order_.emplace(slot.credit, id);
+  index_.Set(id, slot_id);
   used_ += size;
   ++count_;
   if (inserted != nullptr) *inserted = true;
@@ -70,32 +59,29 @@ const std::vector<ObjectId>& GdsCache::Insert(ObjectId id, uint64_t size,
 }
 
 bool GdsCache::OnHit(ObjectId id, double cost) {
-  const SlotId slot = index_.Get(id);
-  if (slot == kNoSlot) return false;
-  SetCredit(id, slot, inflation_ + cost / static_cast<double>(sizes_[slot]));
+  const SlotId slot_id = index_.Get(id);
+  if (slot_id == kNoSlot) return false;
+  Slot& slot = slots_.at(slot_id);
+  SetCredit(id, slot, inflation_ + cost / static_cast<double>(slot.size));
   return true;
 }
 
 bool GdsCache::Erase(ObjectId id) {
-  const SlotId slot = index_.Get(id);
-  if (slot == kNoSlot) return false;
-  order_.erase({credits_[slot], id});
-  used_ -= sizes_[slot];
+  const SlotId slot_id = index_.Get(id);
+  if (slot_id == kNoSlot) return false;
+  const Slot& slot = slots_.at(slot_id);
+  order_.erase({slot.credit, id});
+  used_ -= slot.size;
   index_.Erase(id);
-  free_.push_back(slot);
+  slots_.Free(slot_id);
   --count_;
   return true;
 }
 
 void GdsCache::Clear() {
-  // Return every slot to the free list instead of shrinking the arrays
-  // (see FlatLru::Clear): a cleared store re-fills its old slots without
-  // regrowing.
-  free_.clear();
-  free_.reserve(sizes_.size());
-  for (SlotId slot = static_cast<SlotId>(sizes_.size()); slot-- > 0;) {
-    free_.push_back(slot);
-  }
+  // The pool keeps its chunks (see ChunkedSlotPool::Clear): a cleared
+  // store re-fills its old slots without regrowing.
+  slots_.Clear();
   index_.Clear();
   order_.clear();
   used_ = 0;

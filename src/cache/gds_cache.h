@@ -22,9 +22,9 @@ using trace::ObjectId;
 /// optimizes replacement only, so it serves as an extra comparator for
 /// the coordinated scheme.
 ///
-/// Entry storage is flat (size/credit struct-of-arrays slots behind a
-/// direct-index id→slot table); the ascending (H, id) std::set is kept so
-/// victim order stays bit-identical to the historical map-based store.
+/// Entries live in chunked-pool slots (size, credit) behind a direct-index
+/// id→slot table; the ascending (H, id) std::set is kept so victim order
+/// stays bit-identical to the historical map-based store.
 class GdsCache {
  public:
   explicit GdsCache(uint64_t capacity_bytes);
@@ -65,18 +65,19 @@ class GdsCache {
   double CreditOf(ObjectId id) const;
 
  private:
-  SlotId AllocSlot();
-  void SetCredit(ObjectId id, SlotId slot, double credit);
+  struct Slot {
+    uint64_t size;
+    double credit;  ///< H.
+  };
+
+  void SetCredit(ObjectId id, Slot& slot, double credit);
 
   uint64_t capacity_;
   uint64_t used_ = 0;
   size_t count_ = 0;
   double inflation_ = 0.0;  ///< L.
 
-  // Struct-of-arrays entry slots + direct id→slot index.
-  std::vector<uint64_t> sizes_;
-  std::vector<double> credits_;  ///< H values.
-  std::vector<SlotId> free_;
+  ChunkedSlotPool<Slot> slots_;
   SlotIndex index_;
   std::vector<ObjectId> evicted_scratch_;
 

@@ -18,10 +18,10 @@ using trace::ObjectId;
 /// eviction — the classic in-cache LFU the early web-caching studies
 /// (Williams et al., cited as [19]) evaluated against LRU.
 ///
-/// Sizes and counts live in struct-of-arrays slots behind a direct-index
-/// id→slot table; the eviction heap is keyed by slot (a slot→id array
-/// names the victim), so its position map spans resident objects, not
-/// the catalog.
+/// Entries live in chunked-pool slots (size, count, id) behind a
+/// direct-index id→slot table; the eviction heap is keyed by slot (the
+/// slot's id names the victim), so its position map spans resident
+/// objects, not the catalog.
 class LfuCache {
  public:
   explicit LfuCache(uint64_t capacity_bytes);
@@ -57,22 +57,22 @@ class LfuCache {
   uint64_t CountOf(ObjectId id) const;
 
  private:
-  SlotId AllocSlot();
+  struct Slot {
+    uint64_t size;
+    uint64_t count;
+    ObjectId id;
+  };
 
   uint64_t capacity_;
   uint64_t used_ = 0;
   size_t count_ = 0;
 
-  // Struct-of-arrays entry slots + direct id→slot index.
-  std::vector<uint64_t> sizes_;
-  std::vector<uint64_t> counts_;
-  std::vector<ObjectId> ids_;
-  std::vector<SlotId> free_;
+  ChunkedSlotPool<Slot> slots_;
   SlotIndex index_;
   std::vector<ObjectId> evicted_scratch_;
 
   /// Min-heap of slots on count: top is the LFU victim.
-  util::DenseIndexedMinHeap<SlotId> heap_;
+  util::IndexedMinHeap heap_;
 };
 
 }  // namespace cascache::cache

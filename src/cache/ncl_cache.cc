@@ -4,18 +4,16 @@
 
 namespace cascache::cache {
 
-NclCache::NclCache(uint64_t capacity_bytes) : capacity_(capacity_bytes) {}
+NclCache::NclCache(uint64_t capacity_bytes, size_t dcache_entries,
+                   DCachePolicy dcache_policy)
+    : capacity_(capacity_bytes),
+      dcache_capacity_(dcache_entries),
+      dcache_policy_(dcache_policy) {}
 
 double NclCache::LossOf(ObjectId id) const {
   const SlotId slot = index_.Get(id);
-  CASCACHE_CHECK_MSG(slot != kNoSlot, "object not cached");
+  CASCACHE_CHECK_MSG(slot < kDCacheTag, "object not cached");
   return slots_.at(slot).loss;
-}
-
-NclCache::EvictionPlan NclCache::PlanEviction(uint64_t need_bytes) const {
-  EvictionPlan plan;
-  PlanEvictionInto(need_bytes, &plan);
-  return plan;
 }
 
 void NclCache::PlanEvictionInto(uint64_t need_bytes,
@@ -29,7 +27,7 @@ void NclCache::PlanEvictionInto(uint64_t need_bytes,
   uint64_t to_free = need_bytes - free;
   for (const auto& [ncl, id] : order_) {
     const SlotId slot_id = index_.Get(id);
-    CASCACHE_DCHECK(slot_id != kNoSlot);
+    CASCACHE_DCHECK(slot_id < kDCacheTag);
     const Slot& slot = slots_.at(slot_id);
     plan->victims.push_back(id);
     plan->cost_loss += slot.loss;
@@ -43,72 +41,107 @@ void NclCache::PlanEvictionInto(uint64_t need_bytes,
   plan->feasible = false;
 }
 
+const std::vector<ObjectId>& NclCache::InsertAbsent(
+    ObjectId id, Entry entry, double loss, const ObjectDescriptor& desc) {
+  CASCACHE_DCHECK(!entry.cached() && entry.raw == index_.Get(id));
+  evicted_scratch_.clear();
+  if (entry.dcached()) {
+    // Promotion: the descriptor leaves the d-cache before any victim is
+    // demoted into it. The id's index entry is rewritten below.
+    const SlotId dslot = entry.raw & ~kDCacheTag;
+    CASCACHE_CHECK(dheap_.Erase(dslot));
+    dpool_.Free(dslot);
+    --dcount_;
+  }
+  PlanEvictionInto(desc.size, &insert_plan_);
+  CASCACHE_CHECK(insert_plan_.feasible);
+  for (ObjectId victim : insert_plan_.victims) {
+    Drop(victim, index_.Get(victim));
+    evicted_scratch_.push_back(victim);
+  }
+  const SlotId slot_id = slots_.Alloc();
+  CASCACHE_DCHECK(slot_id < kDCacheTag);
+  Slot& slot = slots_.at(slot_id);
+  slot.size = desc.size;
+  slot.loss = loss;
+  slot.order_pos =
+      order_.emplace(loss / static_cast<double>(desc.size), id).first;
+  slot.desc = desc;
+  index_.Set(id, slot_id);
+  used_ += desc.size;
+  ++count_;
+  return evicted_scratch_;
+}
+
 const std::vector<ObjectId>& NclCache::Insert(ObjectId id, uint64_t size,
                                               double loss, bool* inserted) {
   if (inserted != nullptr) *inserted = false;
   evicted_scratch_.clear();
-  evicted_slots_.clear();
   CASCACHE_CHECK(size > 0);
-  if (Contains(id)) {
-    UpdateLoss(id, loss);
+  const Entry entry = Find(id);
+  if (entry.cached()) {
+    UpdateLoss(entry, loss);
     return evicted_scratch_;
   }
   if (size > capacity_) return evicted_scratch_;
-
-  PlanEvictionInto(size, &insert_plan_);
-  CASCACHE_CHECK(insert_plan_.feasible);
-  for (ObjectId victim : insert_plan_.victims) {
-    evicted_slots_.push_back(index_.Get(victim));
-    CASCACHE_CHECK(Erase(victim));
-    evicted_scratch_.push_back(victim);
-  }
-  const SlotId slot_id = slots_.Alloc();
-  Slot& slot = slots_.at(slot_id);
-  slot.size = size;
-  slot.loss = loss;
-  slot.order_pos =
-      order_.emplace(loss / static_cast<double>(size), id).first;
-  index_.Set(id, slot_id);
-  used_ += size;
-  ++count_;
+  ObjectDescriptor desc = entry.known() ? DescriptorAt(entry)
+                                        : ObjectDescriptor();
+  desc.size = size;
   if (inserted != nullptr) *inserted = true;
-  return evicted_scratch_;
+  return InsertAbsent(id, entry, loss, desc);
 }
 
-bool NclCache::UpdateLoss(ObjectId id, double loss) {
-  const SlotId slot_id = index_.Get(id);
-  if (slot_id == kNoSlot) return false;
-  Slot& slot = slots_.at(slot_id);
+void NclCache::UpdateLoss(Entry entry, double loss) {
+  Slot& slot = slots_.at(entry.raw);
   slot.loss = loss;
   const double ncl = loss / static_cast<double>(slot.size);
-  if (ncl == slot.order_pos->first) return true;  // Same key, same order.
+  if (ncl == slot.order_pos->first) return;  // Same key, same order.
   // Re-key the node in place: no tree search, no free/allocate.
   Order::node_type node = order_.extract(slot.order_pos);
   node.value().first = ncl;
   slot.order_pos = order_.insert(std::move(node)).position;
+}
+
+bool NclCache::UpdateLoss(ObjectId id, double loss) {
+  const Entry entry = Find(id);
+  if (!entry.cached()) return false;
+  UpdateLoss(entry, loss);
   return true;
 }
 
 bool NclCache::Erase(ObjectId id) {
-  const SlotId slot_id = index_.Get(id);
-  if (slot_id == kNoSlot) return false;
-  const Slot& slot = slots_.at(slot_id);
-  order_.erase(slot.order_pos);
-  used_ -= slot.size;
-  index_.Erase(id);
-  slots_.Free(slot_id);
-  --count_;
+  const Entry entry = Find(id);
+  if (!entry.cached()) return false;
+  Drop(id, entry.raw);
   return true;
 }
 
+void NclCache::Drop(ObjectId id, SlotId slot_id) {
+  const Slot& slot = slots_.at(slot_id);
+  // Demote first: the d-cache's admission check runs while the object
+  // still occupies its slot, and the descriptor is read in place.
+  if (const SlotId dslot = DAdmit(id, slot.desc); dslot != kNoSlot) {
+    index_.Set(id, dslot | kDCacheTag);
+  } else {
+    index_.Erase(id);
+  }
+  order_.erase(slot.order_pos);
+  used_ -= slot.size;
+  slots_.Free(slot_id);
+  --count_;
+}
+
 void NclCache::Clear() {
-  // The pool keeps its chunks (see ChunkedSlotPool::Clear): a cleared
+  // The pools keep their chunks (see ChunkedSlotPool::Clear): a cleared
   // store re-fills its old slots without regrowing.
   slots_.Clear();
   index_.Clear();
   order_.clear();
   used_ = 0;
   count_ = 0;
+  dpool_.Clear();
+  dheap_.Clear();
+  dcount_ = 0;
 }
 
 std::vector<ObjectId> NclCache::IdsByNcl() const {
@@ -116,6 +149,48 @@ std::vector<ObjectId> NclCache::IdsByNcl() const {
   ids.reserve(order_.size());
   for (const auto& [ncl, id] : order_) ids.push_back(id);
   return ids;
+}
+
+ObjectDescriptor* NclCache::AdmitDescriptor(ObjectId id,
+                                            const ObjectDescriptor& desc) {
+  CASCACHE_DCHECK(!Find(id).known());
+  const SlotId dslot = DAdmit(id, desc);
+  if (dslot == kNoSlot) return nullptr;
+  index_.Set(id, dslot | kDCacheTag);
+  return &dpool_.at(dslot);
+}
+
+void NclCache::RefreshDescriptor(Entry entry) {
+  CASCACHE_DCHECK(entry.dcached());
+  const SlotId dslot = entry.raw & ~kDCacheTag;
+  dheap_.Update(dslot, PriorityOf(dpool_.at(dslot)));
+}
+
+SlotId NclCache::DAdmit(ObjectId id, const ObjectDescriptor& desc) {
+  if (dcache_capacity_ == 0) return kNoSlot;
+  if (dcount_ >= dcache_capacity_) {
+    // Admission: do not displace a higher-priority descriptor.
+    if (PriorityOf(desc) < dheap_.Top().second) return kNoSlot;
+    const SlotId victim = dheap_.Pop().first;
+    index_.Erase(dids_[victim]);
+    dpool_.Free(victim);
+    --dcount_;
+  }
+  const SlotId dslot = dpool_.Alloc();
+  CASCACHE_DCHECK((dslot | kDCacheTag) != kNoSlot);
+  if (dslot >= dids_.size()) dids_.resize(dpool_.slot_span());
+  dids_[dslot] = id;
+  dpool_.at(dslot) = desc;
+  dheap_.Push(dslot, PriorityOf(desc));
+  ++dcount_;
+  return dslot;
+}
+
+double NclCache::PriorityOf(const ObjectDescriptor& desc) const {
+  if (dcache_policy_ == DCachePolicy::kLfu) return desc.frequency;
+  // LRU: most recent access time (0 if never accessed); the heap evicts
+  // the minimum, i.e. the least recently accessed descriptor.
+  return desc.num_accesses == 0 ? 0.0 : desc.KthMostRecentAccess(1);
 }
 
 }  // namespace cascache::cache

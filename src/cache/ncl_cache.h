@@ -9,29 +9,45 @@
 #include "cache/descriptor.h"
 #include "cache/flat_store.h"
 #include "trace/object_catalog.h"
+#include "util/indexed_heap.h"
 
 namespace cascache::cache {
 
 using trace::ObjectId;
 
+/// Replacement policy for descriptors in the d-cache. The paper proposes
+/// "simple LFU replacement" (§2.4) but also notes the descriptors "can be
+/// organized into one or more LRU stacks" when frequencies come from a
+/// sliding window; both are supported.
+enum class DCachePolicy {
+  kLfu,  ///< Evict the lowest-frequency descriptor (paper default).
+  kLru,  ///< Evict the least-recently-accessed descriptor.
+};
+
 /// Cost-aware object store ordered by normalized cost loss, used by the
-/// LNC-R baseline and the coordinated scheme. Each cached object carries a
-/// cost loss f(O)·m(O) (the penalty of losing it); its *normalized* cost
-/// loss (NCL) is f(O)·m(O)/s(O) (paper §2.1). Victims are selected
-/// greedily in ascending NCL order until enough space is freed — the
-/// paper's knapsack heuristic.
+/// LNC-R baseline and the coordinated scheme, together with the d-cache
+/// of descriptors of hot objects it does not hold. Each cached object
+/// carries a cost loss f(O)·m(O) (the penalty of losing it); its
+/// *normalized* cost loss (NCL) is f(O)·m(O)/s(O) (paper §2.1). Victims
+/// are selected greedily in ascending NCL order until enough space is
+/// freed — the paper's knapsack heuristic.
 ///
-/// Each entry lives in one chunked-pool slot behind a direct-index id→slot
-/// table: its size, loss, its position in the NCL order and the cached
-/// object's descriptor (paper §2.3: the descriptor of a cached object is
-/// kept with it). So a cost-mode node reads one id index to learn whether
-/// an object is cached *and* where its descriptor is; chunk stability
-/// keeps descriptor pointers valid across later insertions. Insert and
-/// the standalone store leave a new slot's descriptor unspecified — the
-/// owner (sim::CacheNode) writes it.
+/// A node knows each object through exactly one descriptor (paper
+/// §2.3-2.4): kept with the object if it is cached, or in the d-cache if
+/// it is hot but not cached. So one direct-index id→slot table serves
+/// both: an entry is a cached slot, or a d-cache slot tagged with
+/// kDCacheTag (the top SlotId bit). Contains is one load and one compare,
+/// and every descriptor operation reads the index once.
 ///
-/// The ascending (NCL, id) order remains a std::set — the greedy scan
-/// needs non-destructive in-order traversal, and keeping the exact same
+/// A cached object lives in one chunked-pool slot: its size, loss, its
+/// position in the NCL order and its descriptor. A d-cache descriptor
+/// lives in a second pool of bare descriptors (they outnumber cached
+/// objects up to 3:1, so they do not pay for the NCL fields), ranked by a
+/// slot-keyed eviction heap with a slot→id array naming the victim. Chunk
+/// stability keeps descriptor pointers valid across later insertions.
+///
+/// The ascending (NCL, id) order is a std::set — the greedy scan needs
+/// non-destructive in-order traversal, and keeping the exact same
 /// comparator preserves bit-identical victim order. Each slot keeps its
 /// set iterator, so Erase and UpdateLoss never search the tree, and
 /// UpdateLoss re-keys the set node in place (extract + insert) instead of
@@ -55,55 +71,85 @@ class NclCache {
     }
   };
 
-  explicit NclCache(uint64_t capacity_bytes);
+  /// Tag bit of a d-cache slot in the id index.
+  static constexpr SlotId kDCacheTag = SlotId{1} << 31;
 
-  bool Contains(ObjectId id) const { return index_.Contains(id); }
+  /// An id's index entry, read once and handed back to the operations
+  /// below: unknown, a cached object's slot, or a d-cache slot.
+  struct Entry {
+    SlotId raw;
+    bool known() const { return raw != kNoSlot; }
+    bool cached() const { return raw < kDCacheTag; }
+    bool dcached() const { return known() && !cached(); }
+  };
+
+  /// `dcache_entries` is the d-cache capacity in descriptors; 0 disables
+  /// the d-cache.
+  explicit NclCache(uint64_t capacity_bytes, size_t dcache_entries = 0,
+                    DCachePolicy dcache_policy = DCachePolicy::kLfu);
+
+  bool Contains(ObjectId id) const { return index_.Get(id) < kDCacheTag; }
 
   /// Advisory cache-line prefetch of the Contains probe for `id` (see
   /// SlotIndex::Prefetch); used by the replay loop one request ahead.
   void PrefetchProbe(ObjectId id) const { index_.Prefetch(id); }
 
+  Entry Find(ObjectId id) const { return Entry{index_.Get(id)}; }
+
+  /// The descriptor behind a known entry. Stable until the object leaves
+  /// the store or moves between the cache and the d-cache.
+  ObjectDescriptor& DescriptorAt(Entry entry) {
+    return entry.cached() ? slots_.at(entry.raw).desc
+                          : dpool_.at(entry.raw & ~kDCacheTag);
+  }
+
+  /// The object's descriptor, cached or d-cached; nullptr if unknown.
+  ObjectDescriptor* FindDescriptor(ObjectId id) {
+    const Entry entry = Find(id);
+    return entry.known() ? &DescriptorAt(entry) : nullptr;
+  }
+
   /// Cost loss (f·m) currently recorded for a cached object.
   double LossOf(ObjectId id) const;
 
-  /// Descriptor slot of a cached object; nullptr if absent. Stable until
-  /// the object leaves the store.
-  ObjectDescriptor* FindDescriptor(ObjectId id) {
-    const SlotId slot = index_.Get(id);
-    return slot == kNoSlot ? nullptr : &slots_.at(slot).desc;
-  }
-
   /// Plans the greedy smallest-NCL-first eviction that frees at least
-  /// `need_bytes` beyond current free space; does not modify the cache.
-  /// If the cache already has `need_bytes` free, the plan is empty and
-  /// feasible.
-  EvictionPlan PlanEviction(uint64_t need_bytes) const;
-
-  /// Allocation-free variant for the hot path (coordinated placement
-  /// plans an eviction per candidate on every request ascent): fills a
-  /// caller-owned plan, reusing its victims buffer.
+  /// `need_bytes` beyond current free space, into a caller-owned plan
+  /// (reusing its victims buffer: coordinated placement plans an
+  /// eviction per candidate on every request ascent); does not modify
+  /// the cache. If the cache already has `need_bytes` free, the plan is
+  /// empty and feasible.
   void PlanEvictionInto(uint64_t need_bytes, EvictionPlan* plan) const;
 
-  /// Inserts an object, applying the greedy eviction as needed. Returns
-  /// the evicted ids (a reused internal scratch, valid until the next
-  /// Insert); `inserted` reports whether the object was stored (false if
-  /// it exceeds total capacity or is already present).
+  /// Stores an object that is not cached (`entry` is Find(id)) with
+  /// descriptor `desc`, of size desc.size <= capacity. A d-cached
+  /// descriptor leaves the d-cache first (the caller promotes it through
+  /// `desc`); then the greedy eviction runs and each victim's descriptor
+  /// is demoted to the d-cache, admission-checked, in eviction order.
+  /// Returns the evicted ids (a reused internal scratch, valid until the
+  /// next insertion).
+  const std::vector<ObjectId>& InsertAbsent(ObjectId id, Entry entry,
+                                            double loss,
+                                            const ObjectDescriptor& desc);
+
+  /// Store-level insertion: a cached object only has its loss updated;
+  /// otherwise the object is stored with the descriptor the d-cache held
+  /// for it, or a fresh one, sized `size`. `inserted` reports whether
+  /// the object was stored (false if it exceeds total capacity or is
+  /// already present).
   const std::vector<ObjectId>& Insert(ObjectId id, uint64_t size, double loss,
                                       bool* inserted = nullptr);
 
-  /// The descriptor the i-th victim of the last Insert carried. Its slot
-  /// is already free and the new object may reuse it, so this is valid
-  /// only until the new object's descriptor is written.
-  const ObjectDescriptor& EvictedDescriptor(size_t i) const {
-    return slots_.at(evicted_slots_[i]).desc;
-  }
-
-  /// Updates the cost loss (and hence NCL priority) of a cached object;
-  /// the order is only touched when the NCL value changes. No-op if
-  /// absent; returns presence.
+  /// Updates the cost loss (and hence NCL priority) of a cached entry;
+  /// the order is only touched when the NCL value changes.
+  void UpdateLoss(Entry entry, double loss);
+  /// UpdateLoss by id. No-op if not cached; returns presence.
   bool UpdateLoss(ObjectId id, double loss);
 
+  /// Drops a cached object, demoting its descriptor to the d-cache
+  /// (admission-checked) so its access history survives. Returns false
+  /// if the object was not cached; a d-cached descriptor stays.
   bool Erase(ObjectId id);
+  /// Drops every cached object and descriptor.
   void Clear();
 
   /// Selects the id-index storage mode (SlotIndex::SetSparse); the cache
@@ -132,6 +178,23 @@ class NclCache {
     }
   }
 
+  // --- d-cache (paper §2.4) -------------------------------------------------
+
+  /// Admits a descriptor for an object the store does not know. Returns
+  /// the stored descriptor, or nullptr when the d-cache is disabled or
+  /// full of descriptors that all rank above it (admission: a newcomer
+  /// below the current minimum does not displace it; under LRU the
+  /// newcomer's recency always admits it).
+  ObjectDescriptor* AdmitDescriptor(ObjectId id, const ObjectDescriptor& desc);
+
+  /// Re-ranks a d-cached entry from its descriptor's current state (call
+  /// after recording an access on it).
+  void RefreshDescriptor(Entry entry);
+
+  size_t dcache_size() const { return dcount_; }
+  size_t dcache_capacity() const { return dcache_capacity_; }
+  DCachePolicy dcache_policy() const { return dcache_policy_; }
+
  private:
   using Order = std::set<std::pair<double, ObjectId>>;
 
@@ -142,21 +205,38 @@ class NclCache {
     ObjectDescriptor desc;
   };
 
+  /// Removes the cached object in `slot`, demoting its descriptor.
+  void Drop(ObjectId id, SlotId slot);
+  /// Stores `desc` for `id` in the d-cache (evicting the minimum when
+  /// full); kNoSlot if disabled or rejected. Leaves `id`'s index entry
+  /// to the caller.
+  SlotId DAdmit(ObjectId id, const ObjectDescriptor& desc);
+  double PriorityOf(const ObjectDescriptor& desc) const;
+
   uint64_t capacity_;
   uint64_t used_ = 0;
   size_t count_ = 0;
-  /// Reused by Insert() so steady-state insertions do not allocate a
+  /// Reused by insertions so steady-state insertions do not allocate a
   /// fresh victims vector per call.
   EvictionPlan insert_plan_;
   std::vector<ObjectId> evicted_scratch_;
-  std::vector<SlotId> evicted_slots_;  ///< Parallel to evicted_scratch_.
 
   ChunkedSlotPool<Slot> slots_;
+  /// The one id index: cached slots and tagged d-cache slots.
   SlotIndex index_;
 
   /// Ascending (NCL, id) order; supports the greedy in-order scan that the
   /// heap alternative cannot provide without destructive pops.
   Order order_;
+
+  size_t dcache_capacity_;
+  DCachePolicy dcache_policy_;
+  size_t dcount_ = 0;
+  ChunkedSlotPool<ObjectDescriptor> dpool_;
+  /// d-cache slot → id of the descriptor in it (names the heap's victim).
+  std::vector<ObjectId> dids_;
+  /// Min-heap of d-cache slots on priority: the top is the victim.
+  util::IndexedMinHeap dheap_;
 };
 
 }  // namespace cascache::cache

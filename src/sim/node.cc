@@ -37,7 +37,6 @@ void CacheNode::Reset(const CacheNodeConfig& config) {
     if (ncl_ != nullptr) ncl_->Clear();
     if (gds_ != nullptr) gds_->Clear();
     if (lfu_ != nullptr) lfu_->Clear();
-    if (dcache_ != nullptr) dcache_->Clear();
     if (lru_ != nullptr || ncl_ != nullptr || gds_ != nullptr ||
         lfu_ != nullptr) {
       return;
@@ -49,7 +48,6 @@ void CacheNode::Reset(const CacheNodeConfig& config) {
   ncl_.reset();
   gds_.reset();
   lfu_.reset();
-  dcache_.reset();
   if (const uint64_t ram_capacity = config_.EffectiveRamCapacity();
       ram_capacity > 0) {
     ram_ = std::make_unique<cache::FlatLru>(ram_capacity);
@@ -69,13 +67,10 @@ void CacheNode::Reset(const CacheNodeConfig& config) {
       lfu_->SetSparse(config_.sparse_ids);
       break;
     case CacheMode::kCost:
-      ncl_ = std::make_unique<cache::NclCache>(config_.capacity_bytes);
+      ncl_ = std::make_unique<cache::NclCache>(config_.capacity_bytes,
+                                               config_.dcache_entries,
+                                               config_.dcache_policy);
       ncl_->SetSparse(config_.sparse_ids);
-      if (config_.dcache_entries > 0) {
-        dcache_ = std::make_unique<cache::DCache>(config_.dcache_entries,
-                                                  config_.dcache_policy);
-        dcache_->SetSparse(config_.sparse_ids);
-      }
       break;
   }
 }
@@ -101,12 +96,8 @@ bool CacheNode::EraseObject(ObjectId id) {
   if (lru_ != nullptr) return lru_->Erase(id);
   if (gds_ != nullptr) return gds_->Erase(id);
   if (lfu_ != nullptr) return lfu_->Erase(id);
-  const ObjectDescriptor* desc = ncl_->FindDescriptor(id);
-  if (desc == nullptr) return false;
-  // Demote the descriptor so the access history survives the drop.
-  if (dcache_ != nullptr) dcache_->Insert(id, *desc);
-  ncl_->Erase(id);
-  return true;
+  // The store demotes the descriptor so the access history survives.
+  return ncl_->Erase(id);
 }
 
 void CacheNode::StampCopy(ObjectId id, double fetch_time, uint32_t version) {
@@ -158,88 +149,87 @@ bool CacheNode::CheckInvariants() const {
     if (!included) return false;
   }
   if (ncl_ == nullptr) return true;
-  // The cached objects and their descriptors share NclCache slots, so
-  // they coincide by construction; check sizes and d-cache disjointness.
+  // The cached objects and their descriptors share NclCache slots, and
+  // one index entry per id keeps them apart from the d-cache, so only
+  // the sizes can disagree.
   bool ok = true;
-  ncl_->ForEach([&](ObjectId id, uint64_t size, const ObjectDescriptor& desc) {
-    if (dcache_ != nullptr && dcache_->Contains(id)) ok = false;
+  ncl_->ForEach([&](ObjectId, uint64_t size, const ObjectDescriptor& desc) {
     if (desc.size != size) ok = false;
   });
   return ok;
 }
 
 ObjectDescriptor* CacheNode::FindDescriptor(ObjectId id) {
-  if (ObjectDescriptor* desc = MainDescriptor(id); desc != nullptr) {
-    return desc;
-  }
-  if (dcache_ != nullptr) return dcache_->Find(id);
-  return nullptr;
+  const cache::NclCache::Entry entry = Find(id);
+  return entry.known() ? &ncl_->DescriptorAt(entry) : nullptr;
 }
 
-ObjectDescriptor* CacheNode::RecordAccess(ObjectId id, double now) {
-  if (ObjectDescriptor* desc = MainDescriptor(id); desc != nullptr) {
-    estimator_.OnAccess(desc, now);
-    RefreshLoss(id, desc, now);
-    return desc;
-  }
-  if (dcache_ == nullptr) return nullptr;
-  ObjectDescriptor* desc = dcache_->Find(id);
-  if (desc != nullptr) {
-    estimator_.OnAccess(desc, now);
-    dcache_->Refresh(id, *desc);
+ObjectDescriptor* CacheNode::Access(cache::NclCache::Entry entry,
+                                    double now) {
+  ObjectDescriptor* desc = &ncl_->DescriptorAt(entry);
+  estimator_.OnAccess(desc, now);
+  if (entry.cached()) {
+    RefreshLoss(entry, desc, now);
+  } else {
+    ncl_->RefreshDescriptor(entry);
   }
   return desc;
 }
 
+ObjectDescriptor* CacheNode::RecordAccess(ObjectId id, double now) {
+  const cache::NclCache::Entry entry = Find(id);
+  return entry.known() ? Access(entry, now) : nullptr;
+}
+
 bool CacheNode::RecordAccessOrAdmit(ObjectId id, uint64_t size, double now) {
-  if (RecordAccess(id, now) != nullptr) return true;
-  if (dcache_ != nullptr) AdmitNew(id, size, now);
+  const cache::NclCache::Entry entry = Find(id);
+  if (entry.known()) {
+    Access(entry, now);
+    return true;
+  }
+  if (ncl_ != nullptr) AdmitNew(id, size, now);
   return false;
 }
 
 ObjectDescriptor* CacheNode::AdmitDescriptor(ObjectId id, uint64_t size,
                                              double now) {
-  CASCACHE_CHECK(!DescriptorInMain(id));
-  if (dcache_ == nullptr) return nullptr;
-  if (ObjectDescriptor* existing = dcache_->Find(id); existing != nullptr) {
-    return existing;
-  }
-  return AdmitNew(id, size, now);
+  const cache::NclCache::Entry entry = Find(id);
+  CASCACHE_CHECK(!entry.cached());
+  if (entry.known()) return &ncl_->DescriptorAt(entry);
+  return ncl_ != nullptr ? AdmitNew(id, size, now) : nullptr;
 }
 
 ObjectDescriptor* CacheNode::AdmitNew(ObjectId id, uint64_t size,
                                       double now) {
+  if (ncl_->dcache_capacity() == 0) return nullptr;
   ObjectDescriptor desc;
   desc.size = size;
   estimator_.OnAccess(&desc, now);  // Record the access that brought it in.
-  return dcache_->Insert(id, desc);
+  return ncl_->AdmitDescriptor(id, desc);
+}
+
+void CacheNode::SetMissPenalty(cache::NclCache::Entry entry,
+                               double miss_penalty, double now) {
+  ObjectDescriptor* desc = &ncl_->DescriptorAt(entry);
+  desc->miss_penalty = miss_penalty;
+  if (entry.cached()) RefreshLoss(entry, desc, now);
 }
 
 void CacheNode::UpdateMissPenalty(ObjectId id, double miss_penalty,
                                   double now) {
-  ObjectDescriptor* desc = FindDescriptor(id);
-  if (desc == nullptr) return;
-  desc->miss_penalty = miss_penalty;
-  if (DescriptorInMain(id)) RefreshLoss(id, desc, now);
+  const cache::NclCache::Entry entry = Find(id);
+  if (entry.known()) SetMissPenalty(entry, miss_penalty, now);
 }
 
 void CacheNode::UpdateMissPenaltyOrAdmit(ObjectId id, uint64_t size,
                                          double miss_penalty, double now) {
-  if (ObjectDescriptor* desc = MainDescriptor(id); desc != nullptr) {
-    desc->miss_penalty = miss_penalty;
-    RefreshLoss(id, desc, now);
-    return;
+  const cache::NclCache::Entry entry = Find(id);
+  if (entry.known()) {
+    SetMissPenalty(entry, miss_penalty, now);
+  } else if (ncl_ != nullptr) {
+    ObjectDescriptor* desc = AdmitNew(id, size, now);
+    if (desc != nullptr) desc->miss_penalty = miss_penalty;
   }
-  if (dcache_ == nullptr) return;
-  ObjectDescriptor* desc = dcache_->Find(id);
-  if (desc == nullptr) desc = AdmitNew(id, size, now);
-  if (desc != nullptr) desc->miss_penalty = miss_penalty;
-}
-
-cache::NclCache::EvictionPlan CacheNode::PlanEvictionFor(
-    uint64_t size) const {
-  CASCACHE_CHECK(ncl_ != nullptr);
-  return ncl_->PlanEviction(size);
 }
 
 void CacheNode::PlanEvictionInto(uint64_t size,
@@ -252,57 +242,40 @@ bool CacheNode::InsertCost(ObjectId id, uint64_t size, double miss_penalty,
                            double now, std::vector<ObjectId>* evicted_out) {
   CASCACHE_CHECK(ncl_ != nullptr);
   if (evicted_out != nullptr) evicted_out->clear();
-  if (ncl_->Contains(id)) {
-    UpdateMissPenalty(id, miss_penalty, now);
+  const cache::NclCache::Entry entry = ncl_->Find(id);
+  if (entry.cached()) {
+    SetMissPenalty(entry, miss_penalty, now);
     return false;
   }
   if (size > config_.capacity_bytes) return false;
 
-  // Promote (or create) the descriptor, preserving access history.
-  ObjectDescriptor desc;
-  if (dcache_ != nullptr) {
-    if (ObjectDescriptor* existing = dcache_->Find(id); existing != nullptr) {
-      desc = *existing;
-      dcache_->Erase(id);
-    }
-  }
+  // Promote (or create) the descriptor, preserving access history; the
+  // store moves it out of the d-cache and demotes the victims' own.
+  ObjectDescriptor desc =
+      entry.known() ? ncl_->DescriptorAt(entry) : ObjectDescriptor();
   if (desc.num_accesses == 0) {
     estimator_.OnAccess(&desc, now);
   }
   desc.size = size;
   desc.miss_penalty = miss_penalty;
   const double frequency = estimator_.Estimate(&desc, now);
-  const double loss = frequency * miss_penalty;
-
-  bool inserted = false;
-  const std::vector<ObjectId>& evicted = ncl_->Insert(id, size, loss,
-                                                      &inserted);
-  CASCACHE_CHECK(inserted);
-
-  // Demote evicted objects' descriptors to the d-cache (their history is
-  // worth keeping; LFU admission may still reject cold ones). This must
-  // precede writing the new descriptor: the new object may have taken a
-  // victim's slot.
-  if (dcache_ != nullptr) {
-    for (size_t i = 0; i < evicted.size(); ++i) {
-      dcache_->Insert(evicted[i], ncl_->EvictedDescriptor(i));
-    }
-  }
-  *ncl_->FindDescriptor(id) = desc;
+  const std::vector<ObjectId>& evicted =
+      ncl_->InsertAbsent(id, entry, frequency * miss_penalty, desc);
   if (evicted_out != nullptr) *evicted_out = evicted;
   return true;
 }
 
 void CacheNode::RefreshLoss(ObjectId id, double now) {
   CASCACHE_CHECK(ncl_ != nullptr);
-  ObjectDescriptor* desc = ncl_->FindDescriptor(id);
-  CASCACHE_CHECK_MSG(desc != nullptr, "RefreshLoss on object not cached");
-  RefreshLoss(id, desc, now);
+  const cache::NclCache::Entry entry = ncl_->Find(id);
+  CASCACHE_CHECK_MSG(entry.cached(), "RefreshLoss on object not cached");
+  RefreshLoss(entry, &ncl_->DescriptorAt(entry), now);
 }
 
-void CacheNode::RefreshLoss(ObjectId id, ObjectDescriptor* desc, double now) {
+void CacheNode::RefreshLoss(cache::NclCache::Entry entry,
+                            ObjectDescriptor* desc, double now) {
   const double frequency = estimator_.Estimate(desc, now);
-  ncl_->UpdateLoss(id, frequency * desc->miss_penalty);
+  ncl_->UpdateLoss(entry, frequency * desc->miss_penalty);
 }
 
 }  // namespace cascache::sim

@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "cache/dcache.h"
 #include "cache/descriptor.h"
 #include "cache/flat_lru.h"
 #include "cache/flat_store.h"
@@ -61,10 +60,12 @@ struct CacheNodeConfig {
   }
 };
 
-/// A cache attached to one network node. Owns the object store, the
-/// descriptors of cached objects, and the d-cache holding descriptors of
-/// hot non-cached objects (paper §2.3-2.4). Schemes drive it through the
-/// mode-specific methods below; the simulator only queries Contains().
+/// A cache attached to one network node. Owns the object store and, in
+/// cost mode, every descriptor the node knows: those of cached objects and
+/// the d-cache holding descriptors of hot non-cached objects (paper
+/// §2.3-2.4), both behind the NclCache's one id index. Schemes drive it
+/// through the mode-specific methods below; the simulator only queries
+/// Contains().
 ///
 /// All stores are flat (struct-of-arrays slot pools + direct-index
 /// id→slot tables over the closed catalog); Reset() recycles pooled
@@ -167,7 +168,7 @@ class CacheNode {
 
   /// Structural invariants, used by tests and debug sweeps: byte usage
   /// within capacity; in cost mode, every cached object's descriptor
-  /// records its size and the cached set is disjoint from the d-cache.
+  /// records its size.
   bool CheckInvariants() const;
 
   uint64_t used_bytes() const;
@@ -202,11 +203,11 @@ class CacheNode {
 
   // --- Cost mode ----------------------------------------------------------
 
+  /// The cost-mode store, d-cache included.
   cache::NclCache* ncl() {
     CASCACHE_CHECK_MSG(ncl_ != nullptr, "node is not in cost mode");
     return ncl_.get();
   }
-  cache::DCache* dcache() { return dcache_.get(); }
 
   /// Descriptor of an object, whether cached (main, kept in the object's
   /// store slot) or tracked in the d-cache; nullptr if unknown at this
@@ -248,11 +249,8 @@ class CacheNode {
                                 double miss_penalty, double now);
 
   /// Greedy NCL eviction preview for inserting `size` bytes (paper §2.1's
-  /// l computation). Cost mode only.
-  cache::NclCache::EvictionPlan PlanEvictionFor(uint64_t size) const;
-
-  /// Allocation-free variant: fills a caller-owned plan, reusing its
-  /// victims buffer (hot path of the coordinated request ascent).
+  /// l computation), into a caller-owned plan reusing its victims buffer
+  /// (hot path of the coordinated request ascent). Cost mode only.
   void PlanEvictionInto(uint64_t size,
                         cache::NclCache::EvictionPlan* plan) const;
 
@@ -270,14 +268,23 @@ class CacheNode {
   void RefreshLoss(ObjectId id, double now);
 
  private:
-  /// Main descriptor of a cached object; nullptr if not cached here (or
-  /// not in cost mode).
-  ObjectDescriptor* MainDescriptor(ObjectId id) {
-    return ncl_ != nullptr ? ncl_->FindDescriptor(id) : nullptr;
+  /// The object's index entry in the cost-mode store; unknown outside
+  /// cost mode.
+  cache::NclCache::Entry Find(ObjectId id) const {
+    return ncl_ != nullptr ? ncl_->Find(id)
+                           : cache::NclCache::Entry{cache::kNoSlot};
   }
-  void RefreshLoss(ObjectId id, ObjectDescriptor* desc, double now);
-  /// Creates and inserts a d-cache descriptor for an object the node does
-  /// not know; the d-cache must exist. nullptr if admission rejects it.
+  /// Recomputes a cached entry's NCL priority from its descriptor.
+  void RefreshLoss(cache::NclCache::Entry entry, ObjectDescriptor* desc,
+                   double now);
+  /// Sets a known entry's miss penalty, refreshing a cached one's loss.
+  void SetMissPenalty(cache::NclCache::Entry entry, double miss_penalty,
+                      double now);
+  /// Records an access on a known entry's descriptor and re-ranks it.
+  ObjectDescriptor* Access(cache::NclCache::Entry entry, double now);
+  /// Admits a d-cache descriptor, with one access at `now`, for an object
+  /// the node does not know. nullptr if the d-cache is disabled or
+  /// admission rejects it.
   ObjectDescriptor* AdmitNew(ObjectId id, uint64_t size, double now);
 
   topology::NodeId id_;
@@ -287,13 +294,12 @@ class CacheNode {
   std::unique_ptr<cache::FlatLru> lru_;
   /// Inclusive RAM tier over the mode store (nullptr = untiered).
   std::unique_ptr<cache::FlatLru> ram_;
-  /// Cost-mode store; also holds the descriptors of the objects it
-  /// caches, in their slots (stable pointers, one id index).
+  /// Cost-mode store; also holds every descriptor the node knows, cached
+  /// objects' in their slots and the d-cache's (stable pointers, one id
+  /// index).
   std::unique_ptr<cache::NclCache> ncl_;
   std::unique_ptr<cache::GdsCache> gds_;
   std::unique_ptr<cache::LfuCache> lfu_;
-  /// Descriptors of hot objects not cached here (nullptr = disabled).
-  std::unique_ptr<cache::DCache> dcache_;
   /// Freshness stamps of cached copies (populated only when the simulator
   /// runs with coherency tracking). May contain leftover stamps for
   /// objects the store evicted internally; consumers must check

@@ -1,8 +1,8 @@
 // Differential tests for the flat cache plane: the production stores
-// (FlatLru over a struct-of-arrays slot pool, DCache over a pooled
-// descriptor table with a slot-keyed heap, NclCache with descriptors and
-// set positions in its slots) are driven through long random operation sequences in
-// lock-step with the historical node-based implementations kept as
+// (FlatLru over a struct-of-arrays slot pool, NclCache with descriptors and
+// set positions in its slots and its d-cache of pooled descriptors behind
+// the same id index) are driven through long random operation sequences
+// in lock-step with the historical node-based implementations kept as
 // oracles in tests/testing/ref_caches.h. Every observable — return
 // values, membership, byte accounting, eviction order, descriptor
 // contents — must match at every step.
@@ -12,7 +12,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cache/dcache.h"
 #include "cache/flat_lru.h"
 #include "cache/ncl_cache.h"
 #include "testing/ref_caches.h"
@@ -110,22 +109,36 @@ void AssertDescriptorsEqual(const ObjectDescriptor* a,
   ASSERT_EQ(a->num_accesses, b->num_accesses) << "step " << step;
 }
 
+/// The store's d-cache against RefDCache. The store's cached objects act
+/// as a parking lot outside the d-cache: a d-cached id is promoted into
+/// the cache (RefDCache::Erase) and a cached one demoted back
+/// (RefDCache::Insert of its descriptor), as the cost-mode node does. The
+/// byte capacity holds every object, so no eviction interferes.
 void RunDCacheDifferential(DCachePolicy policy) {
   Rng rng(policy == DCachePolicy::kLfu ? 11 : 13);
-  DCache flat(64, policy);
+  NclCache flat(1'000'000, 64, policy);
   RefDCache ref(64, policy);
   double now = 0.0;
   for (int step = 0; step < 60000; ++step) {
     now += 1.0;
     const ObjectId id = static_cast<ObjectId>(rng.NextUint64(300));
+    const NclCache::Entry entry = flat.Find(id);
     const double dice = rng.NextDouble(0.0, 1.0);
     if (dice < 0.6) {
       const ObjectDescriptor desc = RandomDescriptor(rng, now);
-      ObjectDescriptor* a = flat.Insert(id, desc);
-      ObjectDescriptor* b = ref.Insert(id, desc);
-      AssertDescriptorsEqual(a, b, step);
+      if (entry.dcached()) {
+        // Overwrite in place and re-rank, as RefDCache::Insert does.
+        ObjectDescriptor* a = &flat.DescriptorAt(entry);
+        *a = desc;
+        flat.RefreshDescriptor(entry);
+        AssertDescriptorsEqual(a, ref.Insert(id, desc), step);
+      } else if (!entry.known()) {
+        AssertDescriptorsEqual(flat.AdmitDescriptor(id, desc),
+                               ref.Insert(id, desc), step);
+      }
     } else if (dice < 0.75) {
-      ObjectDescriptor* a = flat.Find(id);
+      ObjectDescriptor* a = entry.dcached() ? &flat.DescriptorAt(entry)
+                                            : nullptr;
       ObjectDescriptor* b = ref.Find(id);
       AssertDescriptorsEqual(a, b, step);
       if (a != nullptr) {
@@ -135,20 +148,33 @@ void RunDCacheDifferential(DCachePolicy policy) {
         b->RecordAccess(now);
         a->frequency += 0.5;
         b->frequency += 0.5;
-        flat.Refresh(id, *a);
+        flat.RefreshDescriptor(entry);
         ref.Refresh(id, *b);
       }
     } else if (dice < 0.9) {
-      ASSERT_EQ(flat.Erase(id), ref.Erase(id)) << "step " << step;
+      if (entry.cached()) {
+        const ObjectDescriptor parked = flat.DescriptorAt(entry);
+        ASSERT_TRUE(flat.Erase(id));
+        ref.Insert(id, parked);
+      } else {
+        const uint64_t size =
+            entry.known() ? flat.DescriptorAt(entry).size : 1;
+        bool promoted = false;
+        if (entry.known()) flat.Insert(id, size, 1.0, &promoted);
+        ASSERT_EQ(promoted, ref.Erase(id)) << "step " << step;
+      }
     } else {
-      ASSERT_EQ(flat.Contains(id), ref.Contains(id)) << "step " << step;
+      ASSERT_EQ(flat.Find(id).dcached(), ref.Contains(id)) << "step " << step;
     }
-    ASSERT_EQ(flat.size(), ref.size()) << "step " << step;
+    ASSERT_EQ(flat.dcache_size(), ref.size()) << "step " << step;
   }
   // Final full-membership sweep.
   for (ObjectId id = 0; id < 300; ++id) {
-    ASSERT_EQ(flat.Contains(id), ref.Contains(id)) << "id " << id;
-    AssertDescriptorsEqual(flat.Find(id), ref.Find(id), -1);
+    const NclCache::Entry entry = flat.Find(id);
+    ASSERT_EQ(entry.dcached(), ref.Contains(id)) << "id " << id;
+    AssertDescriptorsEqual(entry.dcached() ? &flat.DescriptorAt(entry)
+                                           : nullptr,
+                           ref.Find(id), -1);
   }
 }
 
@@ -160,17 +186,22 @@ TEST(DCacheDifferentialTest, MatchesReferenceUnderLruPolicy) {
   RunDCacheDifferential(DCachePolicy::kLru);
 }
 
-// Zero-capacity and overwrite edge cases must agree too.
+// Zero-capacity edge cases must agree too: no admission, no demotion.
 TEST(DCacheDifferentialTest, ZeroCapacityRejectsEverywhere) {
-  DCache flat(0);
+  NclCache flat(1'000, 0);
   RefDCache ref(0);
   ObjectDescriptor desc;
   desc.size = 10;
   desc.frequency = 1.0;
-  EXPECT_EQ(flat.Insert(7, desc), nullptr);
+  EXPECT_EQ(flat.AdmitDescriptor(7, desc), nullptr);
   EXPECT_EQ(ref.Insert(7, desc), nullptr);
-  EXPECT_FALSE(flat.Contains(7));
+  EXPECT_FALSE(flat.Find(7).known());
   EXPECT_FALSE(ref.Contains(7));
+  flat.Insert(8, 10, 1.0);
+  EXPECT_TRUE(flat.Erase(8));
+  EXPECT_EQ(ref.Insert(8, desc), nullptr);
+  EXPECT_FALSE(flat.Find(8).known());
+  EXPECT_FALSE(ref.Contains(8));
 }
 
 // NCL store: random Insert / UpdateLoss / Erase / PlanEviction / Clear in

@@ -7,6 +7,12 @@
 namespace cascache::cache {
 namespace {
 
+NclCache::EvictionPlan Plan(const NclCache& cache, uint64_t need) {
+  NclCache::EvictionPlan plan;
+  cache.PlanEvictionInto(need, &plan);
+  return plan;
+}
+
 TEST(NclCacheTest, InsertAndLookup) {
   NclCache cache(100);
   bool inserted = false;
@@ -35,7 +41,7 @@ TEST(NclCacheTest, NclNormalizesBySize) {
   cache.Insert(2, 80, 40.0);  // NCL 0.5.
   // Need 90 free bytes: greedy takes object 1 (NCL 0.2) first, which
   // frees only 10, then object 2.
-  const auto plan = cache.PlanEviction(90);
+  const auto plan = Plan(cache, 90);
   ASSERT_TRUE(plan.feasible);
   ASSERT_EQ(plan.victims.size(), 2u);
   EXPECT_EQ(plan.victims[0], 1u);
@@ -46,7 +52,7 @@ TEST(NclCacheTest, NclNormalizesBySize) {
 TEST(NclCacheTest, PlanWithEnoughFreeSpaceIsEmpty) {
   NclCache cache(100);
   cache.Insert(1, 30, 5.0);
-  const auto plan = cache.PlanEviction(70);
+  const auto plan = Plan(cache, 70);
   EXPECT_TRUE(plan.feasible);
   EXPECT_TRUE(plan.victims.empty());
   EXPECT_DOUBLE_EQ(plan.cost_loss, 0.0);
@@ -56,7 +62,7 @@ TEST(NclCacheTest, PlanStopsAtSufficientBytes) {
   NclCache cache(100);
   cache.Insert(1, 50, 1.0);  // NCL 0.02 — cheapest.
   cache.Insert(2, 50, 9.0);  // NCL 0.18.
-  const auto plan = cache.PlanEviction(40);
+  const auto plan = Plan(cache, 40);
   ASSERT_TRUE(plan.feasible);
   ASSERT_EQ(plan.victims.size(), 1u);
   EXPECT_EQ(plan.victims[0], 1u);
@@ -66,7 +72,7 @@ TEST(NclCacheTest, PlanStopsAtSufficientBytes) {
 TEST(NclCacheTest, PlanInfeasibleWhenLargerThanCapacity) {
   NclCache cache(100);
   cache.Insert(1, 100, 5.0);
-  const auto plan = cache.PlanEviction(150);
+  const auto plan = Plan(cache, 150);
   EXPECT_FALSE(plan.feasible);
   EXPECT_EQ(plan.victims.size(), 1u);  // Tried everything.
 }
@@ -74,7 +80,7 @@ TEST(NclCacheTest, PlanInfeasibleWhenLargerThanCapacity) {
 TEST(NclCacheTest, PlanDoesNotMutate) {
   NclCache cache(100);
   cache.Insert(1, 60, 5.0);
-  (void)cache.PlanEviction(80);
+  (void)Plan(cache, 80);
   EXPECT_TRUE(cache.Contains(1));
   EXPECT_EQ(cache.used_bytes(), 60u);
 }
@@ -110,7 +116,7 @@ TEST(NclCacheTest, PlanEvictionIntoMatchesPlanEviction) {
   NclCache::EvictionPlan reused;
   for (int trial = 0; trial < 30; ++trial) {
     const uint64_t need = 1 + rng.NextUint64(2000);
-    const auto fresh = cache.PlanEviction(need);
+    const auto fresh = Plan(cache, need);
     cache.PlanEvictionInto(need, &reused);
     EXPECT_EQ(reused.feasible, fresh.feasible);
     EXPECT_EQ(reused.victims, fresh.victims);
@@ -144,7 +150,7 @@ TEST(NclCacheTest, UpdateLossReordersEviction) {
   cache.Insert(2, 50, 2.0);
   // Make object 2 the cheaper victim.
   EXPECT_TRUE(cache.UpdateLoss(2, 0.5));
-  const auto plan = cache.PlanEviction(10);
+  const auto plan = Plan(cache, 10);
   ASSERT_EQ(plan.victims.size(), 1u);
   EXPECT_EQ(plan.victims[0], 2u);
   EXPECT_FALSE(cache.UpdateLoss(99, 1.0));
@@ -181,7 +187,7 @@ TEST(NclCacheTest, RandomPlansAreGreedyPrefixes) {
   const std::vector<ObjectId> order = cache.IdsByNcl();
   for (int trial = 0; trial < 50; ++trial) {
     const uint64_t need = 1 + rng.NextUint64(2500);
-    const auto plan = cache.PlanEviction(need);
+    const auto plan = Plan(cache, need);
     // Victims must be a prefix of the NCL order.
     for (size_t i = 0; i < plan.victims.size(); ++i) {
       ASSERT_LT(i, order.size());

@@ -59,10 +59,10 @@ TEST_F(CoordinatedSchemeTest, FirstRequestOnlySeedsDescriptors) {
   EXPECT_EQ(scheme_.stats().dp_runs, 0u);
   // Miss penalties accumulate from the origin: root=1, node1=2, node2=3,
   // leaf=4 (unit links, size_scale 1, virtual server link 1).
-  EXPECT_DOUBLE_EQ(caches_.node(0)->dcache()->Find(0)->miss_penalty, 1.0);
-  EXPECT_DOUBLE_EQ(caches_.node(1)->dcache()->Find(0)->miss_penalty, 2.0);
-  EXPECT_DOUBLE_EQ(caches_.node(2)->dcache()->Find(0)->miss_penalty, 3.0);
-  EXPECT_DOUBLE_EQ(caches_.node(3)->dcache()->Find(0)->miss_penalty, 4.0);
+  EXPECT_DOUBLE_EQ(caches_.node(0)->FindDescriptor(0)->miss_penalty, 1.0);
+  EXPECT_DOUBLE_EQ(caches_.node(1)->FindDescriptor(0)->miss_penalty, 2.0);
+  EXPECT_DOUBLE_EQ(caches_.node(2)->FindDescriptor(0)->miss_penalty, 3.0);
+  EXPECT_DOUBLE_EQ(caches_.node(3)->FindDescriptor(0)->miss_penalty, 4.0);
 }
 
 TEST_F(CoordinatedSchemeTest, SecondRequestPlacesAtClientEdgeOnly) {
@@ -110,7 +110,8 @@ TEST_F(CoordinatedSchemeTest, InsertedCopyResetsDownstreamPenalty) {
   EXPECT_TRUE(caches_.node(3)->Contains(0));
   // Upstream d-cache descriptors saw the response pass: node2's miss
   // penalty is its distance to the origin copy (3 links).
-  EXPECT_DOUBLE_EQ(caches_.node(2)->dcache()->Find(0)->miss_penalty, 3.0);
+  EXPECT_TRUE(caches_.node(2)->ncl()->Find(0).dcached());
+  EXPECT_DOUBLE_EQ(caches_.node(2)->FindDescriptor(0)->miss_penalty, 3.0);
 }
 
 TEST_F(CoordinatedSchemeTest, HotObjectDisplacesColdUnderContention) {

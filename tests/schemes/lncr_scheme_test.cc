@@ -88,7 +88,8 @@ TEST_F(LncrSchemeTest, DCacheTracksNonCachedObjects) {
   simulator.Step(At(2.0, 1), false);  // Evicts object 0 everywhere.
   // Object 0's descriptor must survive in the leaf's d-cache (demoted on
   // eviction) with its access history.
-  const cache::ObjectDescriptor* desc = caches_.node(3)->dcache()->Find(0);
+  EXPECT_TRUE(caches_.node(3)->ncl()->Find(0).dcached());
+  const cache::ObjectDescriptor* desc = caches_.node(3)->FindDescriptor(0);
   ASSERT_NE(desc, nullptr);
   EXPECT_GE(desc->num_accesses, 1);
 }

@@ -87,8 +87,8 @@ TEST(CostModelIntegrationTest, HopCostsYieldHopPenalties) {
 
   // Under kHops, the descriptor miss penalties are hop distances to the
   // origin: root = 1, ..., leaf = 4 — independent of the delay growth.
-  EXPECT_DOUBLE_EQ(caches.node(0)->dcache()->Find(0)->miss_penalty, 1.0);
-  EXPECT_DOUBLE_EQ(caches.node(3)->dcache()->Find(0)->miss_penalty, 4.0);
+  EXPECT_DOUBLE_EQ(caches.node(0)->FindDescriptor(0)->miss_penalty, 1.0);
+  EXPECT_DOUBLE_EQ(caches.node(3)->FindDescriptor(0)->miss_penalty, 4.0);
 }
 
 TEST(CostModelIntegrationTest, LatencyCostsReflectDelayGrowth) {
@@ -106,9 +106,9 @@ TEST(CostModelIntegrationTest, LatencyCostsReflectDelayGrowth) {
   simulator.Step(At(1.0, 0), false);
 
   // Delays: server link 125, then 25, 5, 1 down the chain.
-  EXPECT_DOUBLE_EQ(caches.node(0)->dcache()->Find(0)->miss_penalty, 125.0);
-  EXPECT_DOUBLE_EQ(caches.node(1)->dcache()->Find(0)->miss_penalty, 150.0);
-  EXPECT_DOUBLE_EQ(caches.node(3)->dcache()->Find(0)->miss_penalty, 156.0);
+  EXPECT_DOUBLE_EQ(caches.node(0)->FindDescriptor(0)->miss_penalty, 125.0);
+  EXPECT_DOUBLE_EQ(caches.node(1)->FindDescriptor(0)->miss_penalty, 150.0);
+  EXPECT_DOUBLE_EQ(caches.node(3)->FindDescriptor(0)->miss_penalty, 156.0);
 }
 
 // The metrics stay physical regardless of the optimized cost: latency is

@@ -29,13 +29,13 @@ TEST(CacheNodeTest, LruModeBasics) {
   EXPECT_TRUE(node.Contains(1));
   EXPECT_EQ(node.used_bytes(), 100u);
   EXPECT_EQ(node.num_cached_objects(), 1u);
-  EXPECT_EQ(node.dcache(), nullptr);
+  EXPECT_EQ(node.FindDescriptor(1), nullptr);  // No descriptors.
 }
 
 TEST(CacheNodeTest, CostModeBasics) {
   CacheNode node(0, CostConfig());
   EXPECT_EQ(node.mode(), CacheMode::kCost);
-  EXPECT_NE(node.dcache(), nullptr);
+  EXPECT_EQ(node.ncl()->dcache_capacity(), 8u);
   EXPECT_FALSE(node.Contains(1));
   EXPECT_EQ(node.FindDescriptor(1), nullptr);
 }
@@ -81,7 +81,7 @@ TEST(CacheNodeTest, InsertCostPromotesDescriptorFromDCache) {
   ASSERT_TRUE(node.InsertCost(7, 100, /*miss_penalty=*/4.0, 3.0));
   EXPECT_TRUE(node.Contains(7));
   EXPECT_TRUE(node.DescriptorInMain(7));
-  EXPECT_FALSE(node.dcache()->Contains(7));  // Moved, not copied.
+  EXPECT_EQ(node.ncl()->dcache_size(), 0u);  // Moved, not copied.
   const ObjectDescriptor* desc = node.FindDescriptor(7);
   ASSERT_NE(desc, nullptr);
   EXPECT_DOUBLE_EQ(desc->miss_penalty, 4.0);
@@ -121,7 +121,8 @@ TEST(CacheNodeTest, EvictionDemotesDescriptorsToDCache) {
   EXPECT_TRUE(node.Contains(2));
   EXPECT_FALSE(node.DescriptorInMain(1));
   // Object 1's descriptor (with history) now lives in the d-cache.
-  const ObjectDescriptor* demoted = node.dcache()->Find(1);
+  EXPECT_TRUE(node.ncl()->Find(1).dcached());
+  const ObjectDescriptor* demoted = node.FindDescriptor(1);
   ASSERT_NE(demoted, nullptr);
   EXPECT_EQ(demoted->num_accesses, 2);
 }
@@ -130,7 +131,8 @@ TEST(CacheNodeTest, PlanEvictionMatchesNclState) {
   CacheNode node(0, CostConfig(100, 8));
   node.InsertCost(1, 40, 1.0, 1.0);   // Low loss -> first victim.
   node.InsertCost(2, 40, 100.0, 1.0);
-  const auto plan = node.PlanEvictionFor(40);
+  cache::NclCache::EvictionPlan plan;
+  node.PlanEvictionInto(40, &plan);
   ASSERT_TRUE(plan.feasible);
   ASSERT_EQ(plan.victims.size(), 1u);
   EXPECT_EQ(plan.victims[0], 1u);
@@ -172,7 +174,8 @@ TEST(CacheNodeTest, EraseObjectInCostModeDemotesDescriptor) {
   EXPECT_FALSE(node.Contains(1));
   EXPECT_FALSE(node.DescriptorInMain(1));
   // History survives in the d-cache.
-  const ObjectDescriptor* demoted = node.dcache()->Find(1);
+  EXPECT_TRUE(node.ncl()->Find(1).dcached());
+  const ObjectDescriptor* demoted = node.FindDescriptor(1);
   ASSERT_NE(demoted, nullptr);
   EXPECT_EQ(demoted->num_accesses, 2);
   EXPECT_TRUE(node.CheckInvariants());
@@ -215,9 +218,11 @@ TEST(CacheNodeTest, CheckInvariantsCatchesCorruption) {
   CacheNode node(0, CostConfig());
   ASSERT_TRUE(node.InsertCost(1, 100, 5.0, 1.0));
   EXPECT_TRUE(node.CheckInvariants());
-  // Bypass the CacheNode API to give a cached object a d-cache
-  // descriptor too, breaking disjointness.
-  node.dcache()->Insert(1, *node.FindDescriptor(1));
+  // Bypass the CacheNode API to make the cached object's descriptor
+  // disagree with the size its store slot accounts for. (A descriptor
+  // both cached and d-cached cannot be represented: one index entry per
+  // id.)
+  node.FindDescriptor(1)->size = 7;
   EXPECT_FALSE(node.CheckInvariants());
 }
 
@@ -285,11 +290,10 @@ TEST(CacheNodeTest, ResetReusesCostStoresInPlace) {
   }
   node.AdmitDescriptor(50, 10, 1.0);
   cache::NclCache* ncl_before = node.ncl();
-  cache::DCache* dcache_before = node.dcache();
 
   node.Reset(CostConfig());
   EXPECT_EQ(node.ncl(), ncl_before);
-  EXPECT_EQ(node.dcache(), dcache_before);
+  EXPECT_EQ(node.ncl()->dcache_size(), 0u);
   EXPECT_EQ(node.used_bytes(), 0u);
   for (ObjectId id = 0; id < 5; ++id) {
     EXPECT_FALSE(node.Contains(id)) << "stale entry for " << id;
@@ -311,7 +315,7 @@ TEST(CacheNodeTest, ResetRebuildsWhenShapeChanges) {
   EXPECT_FALSE(node.Contains(1));
   node.Reset(CostConfig());  // Different mode: full rebuild.
   EXPECT_EQ(node.mode(), CacheMode::kCost);
-  EXPECT_NE(node.dcache(), nullptr);
+  EXPECT_EQ(node.ncl()->dcache_capacity(), 8u);
   EXPECT_TRUE(node.CheckInvariants());
 }
 

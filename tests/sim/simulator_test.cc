@@ -226,7 +226,7 @@ TEST_F(SimulatorChainTest, RunConfiguresDCacheForCostSchemes) {
   workload.requests.push_back(At(1.0, 0));
   ASSERT_TRUE(simulator.Run(workload, 1000).ok());
   // capacity 1000 / mean 100 = 10 objects -> 30 descriptors.
-  EXPECT_EQ(caches_.node(0)->dcache()->capacity(), 30u);
+  EXPECT_EQ(caches_.node(0)->ncl()->dcache_capacity(), 30u);
 }
 
 }  // namespace

@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "cache/descriptor.h"
-#include "cache/dcache.h"
 #include "cache/flat_store.h"
+#include "cache/frequency.h"
 #include "cache/ncl_cache.h"
 #include "trace/object_catalog.h"
 #include "util/check.h"
@@ -177,8 +177,10 @@ class RefTieredCache {
 };
 
 /// Reference d-cache oracle: the historical `unordered_map` descriptor
-/// store + hash-indexed eviction heap, verbatim. The pooled production
-/// DCache must match it observably under both policies.
+/// store with an id-keyed eviction heap. The d-cache inside the
+/// production NclCache (pooled descriptors, slot-keyed heap, entries
+/// tagged in the store's one id index) must match it observably under
+/// both policies.
 class RefDCache {
  public:
   explicit RefDCache(size_t max_descriptors,
@@ -243,7 +245,7 @@ class RefDCache {
   size_t capacity_;
   cache::DCachePolicy policy_;
   std::unordered_map<ObjectId, cache::ObjectDescriptor> descriptors_;
-  util::IndexedMinHeap<ObjectId> heap_;
+  util::IndexedMinHeap heap_;  ///< Keyed by id.
 };
 
 /// Reference NCL store oracle: the historical NclCache, verbatim — size,
@@ -386,6 +388,145 @@ class RefNclCache {
   std::vector<cache::SlotId> free_;
   cache::SlotIndex index_;
   std::set<std::pair<double, ObjectId>> order_;
+};
+
+/// Reference cost-mode node oracle: the cost-mode orchestration of
+/// sim::CacheNode as it stood with a separate d-cache. A RefNclCache
+/// orders the cached objects, their descriptors sit in a hash map beside
+/// it, and a RefDCache holds the descriptors of hot non-cached objects;
+/// descriptors are copied between the two on promotion and demotion. The
+/// production node (one id index, the d-cache inside NclCache) must match
+/// it observably. A d-cache of capacity 0 stands for "no d-cache": it
+/// finds nothing and admits nothing.
+class RefCostNode {
+ public:
+  RefCostNode(uint64_t capacity_bytes, size_t dcache_entries,
+              cache::DCachePolicy dcache_policy,
+              const cache::FrequencyEstimatorParams& frequency = {})
+      : capacity_(capacity_bytes),
+        estimator_(frequency),
+        ncl_(capacity_bytes),
+        dcache_(dcache_entries, dcache_policy) {}
+
+  bool Contains(ObjectId id) const { return ncl_.Contains(id); }
+
+  cache::ObjectDescriptor* FindDescriptor(ObjectId id) {
+    if (auto it = main_.find(id); it != main_.end()) return &it->second;
+    return dcache_.Find(id);
+  }
+
+  cache::ObjectDescriptor* RecordAccess(ObjectId id, double now) {
+    if (auto it = main_.find(id); it != main_.end()) {
+      estimator_.OnAccess(&it->second, now);
+      RefreshLoss(id, &it->second, now);
+      return &it->second;
+    }
+    cache::ObjectDescriptor* desc = dcache_.Find(id);
+    if (desc != nullptr) {
+      estimator_.OnAccess(desc, now);
+      dcache_.Refresh(id, *desc);
+    }
+    return desc;
+  }
+
+  bool RecordAccessOrAdmit(ObjectId id, uint64_t size, double now) {
+    if (RecordAccess(id, now) != nullptr) return true;
+    AdmitNew(id, size, now);
+    return false;
+  }
+
+  cache::ObjectDescriptor* AdmitDescriptor(ObjectId id, uint64_t size,
+                                           double now) {
+    CASCACHE_CHECK(!Contains(id));
+    if (cache::ObjectDescriptor* existing = dcache_.Find(id)) return existing;
+    return AdmitNew(id, size, now);
+  }
+
+  void UpdateMissPenalty(ObjectId id, double miss_penalty, double now) {
+    cache::ObjectDescriptor* desc = FindDescriptor(id);
+    if (desc == nullptr) return;
+    desc->miss_penalty = miss_penalty;
+    if (Contains(id)) RefreshLoss(id, desc, now);
+  }
+
+  void UpdateMissPenaltyOrAdmit(ObjectId id, uint64_t size,
+                                double miss_penalty, double now) {
+    if (auto it = main_.find(id); it != main_.end()) {
+      it->second.miss_penalty = miss_penalty;
+      RefreshLoss(id, &it->second, now);
+      return;
+    }
+    cache::ObjectDescriptor* desc = dcache_.Find(id);
+    if (desc == nullptr) desc = AdmitNew(id, size, now);
+    if (desc != nullptr) desc->miss_penalty = miss_penalty;
+  }
+
+  bool InsertCost(ObjectId id, uint64_t size, double miss_penalty, double now,
+                  std::vector<ObjectId>* evicted_out) {
+    evicted_out->clear();
+    if (Contains(id)) {
+      UpdateMissPenalty(id, miss_penalty, now);
+      return false;
+    }
+    if (size > capacity_) return false;
+    // Promote (or create) the descriptor, preserving access history.
+    cache::ObjectDescriptor desc;
+    if (cache::ObjectDescriptor* existing = dcache_.Find(id)) {
+      desc = *existing;
+      dcache_.Erase(id);
+    }
+    if (desc.num_accesses == 0) estimator_.OnAccess(&desc, now);
+    desc.size = size;
+    desc.miss_penalty = miss_penalty;
+    const double loss = estimator_.Estimate(&desc, now) * miss_penalty;
+    bool inserted = false;
+    *evicted_out = ncl_.Insert(id, size, loss, &inserted);
+    CASCACHE_CHECK(inserted);
+    // Demote the victims' descriptors (admission may reject cold ones).
+    for (ObjectId victim : *evicted_out) {
+      dcache_.Insert(victim, main_.at(victim));
+      main_.erase(victim);
+    }
+    main_[id] = desc;
+    return true;
+  }
+
+  bool EraseObject(ObjectId id) {
+    auto it = main_.find(id);
+    if (it == main_.end()) return false;
+    dcache_.Insert(id, it->second);
+    main_.erase(it);
+    ncl_.Erase(id);
+    return true;
+  }
+
+  void Reset() {
+    ncl_.Clear();
+    main_.clear();
+    dcache_.Clear();
+  }
+
+  std::vector<ObjectId> IdsByNcl() const { return ncl_.IdsByNcl(); }
+  uint64_t used_bytes() const { return ncl_.used_bytes(); }
+  size_t dcache_size() const { return dcache_.size(); }
+
+ private:
+  cache::ObjectDescriptor* AdmitNew(ObjectId id, uint64_t size, double now) {
+    cache::ObjectDescriptor desc;
+    desc.size = size;
+    estimator_.OnAccess(&desc, now);
+    return dcache_.Insert(id, desc);
+  }
+
+  void RefreshLoss(ObjectId id, cache::ObjectDescriptor* desc, double now) {
+    ncl_.UpdateLoss(id, estimator_.Estimate(desc, now) * desc->miss_penalty);
+  }
+
+  uint64_t capacity_;
+  cache::FrequencyEstimator estimator_;
+  RefNclCache ncl_;
+  std::unordered_map<ObjectId, cache::ObjectDescriptor> main_;
+  RefDCache dcache_;
 };
 
 }  // namespace cascache::testing

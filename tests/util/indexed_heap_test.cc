@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,7 @@ namespace cascache::util {
 namespace {
 
 TEST(IndexedHeapTest, EmptyHeap) {
-  IndexedMinHeap<int> heap;
+  IndexedMinHeap heap;
   EXPECT_TRUE(heap.empty());
   EXPECT_EQ(heap.size(), 0u);
   EXPECT_FALSE(heap.Contains(1));
@@ -19,37 +20,37 @@ TEST(IndexedHeapTest, EmptyHeap) {
 }
 
 TEST(IndexedHeapTest, PushPopOrdersByPriority) {
-  IndexedMinHeap<int> heap;
+  IndexedMinHeap heap;
   heap.Push(10, 3.0);
   heap.Push(20, 1.0);
   heap.Push(30, 2.0);
-  EXPECT_EQ(heap.Pop().first, 20);
-  EXPECT_EQ(heap.Pop().first, 30);
-  EXPECT_EQ(heap.Pop().first, 10);
+  EXPECT_EQ(heap.Pop().first, 20u);
+  EXPECT_EQ(heap.Pop().first, 30u);
+  EXPECT_EQ(heap.Pop().first, 10u);
   EXPECT_TRUE(heap.empty());
 }
 
 TEST(IndexedHeapTest, TopDoesNotRemove) {
-  IndexedMinHeap<int> heap;
+  IndexedMinHeap heap;
   heap.Push(1, 5.0);
-  EXPECT_EQ(heap.Top().first, 1);
+  EXPECT_EQ(heap.Top().first, 1u);
   EXPECT_EQ(heap.size(), 1u);
 }
 
 TEST(IndexedHeapTest, UpdateMovesUpAndDown) {
-  IndexedMinHeap<int> heap;
+  IndexedMinHeap heap;
   heap.Push(1, 1.0);
   heap.Push(2, 2.0);
   heap.Push(3, 3.0);
   heap.Update(3, 0.5);  // 3 becomes the minimum.
-  EXPECT_EQ(heap.Top().first, 3);
+  EXPECT_EQ(heap.Top().first, 3u);
   heap.Update(3, 10.0);  // 3 sinks back down.
-  EXPECT_EQ(heap.Top().first, 1);
+  EXPECT_EQ(heap.Top().first, 1u);
   EXPECT_TRUE(heap.CheckInvariants());
 }
 
 TEST(IndexedHeapTest, UpsertInsertsOrUpdates) {
-  IndexedMinHeap<int> heap;
+  IndexedMinHeap heap;
   heap.Upsert(7, 2.0);
   EXPECT_TRUE(heap.Contains(7));
   heap.Upsert(7, 0.1);
@@ -58,19 +59,19 @@ TEST(IndexedHeapTest, UpsertInsertsOrUpdates) {
 }
 
 TEST(IndexedHeapTest, EraseByKey) {
-  IndexedMinHeap<int> heap;
-  for (int i = 0; i < 10; ++i) heap.Push(i, static_cast<double>(i));
+  IndexedMinHeap heap;
+  for (uint32_t i = 0; i < 10; ++i) heap.Push(i, static_cast<double>(i));
   EXPECT_TRUE(heap.Erase(0));   // Erase the min.
   EXPECT_TRUE(heap.Erase(9));   // Erase the max.
   EXPECT_TRUE(heap.Erase(5));   // Erase an interior key.
   EXPECT_FALSE(heap.Erase(5));  // Already gone.
   EXPECT_EQ(heap.size(), 7u);
-  EXPECT_EQ(heap.Top().first, 1);
+  EXPECT_EQ(heap.Top().first, 1u);
   EXPECT_TRUE(heap.CheckInvariants());
 }
 
 TEST(IndexedHeapTest, ClearEmpties) {
-  IndexedMinHeap<int> heap;
+  IndexedMinHeap heap;
   heap.Push(1, 1.0);
   heap.Clear();
   EXPECT_TRUE(heap.empty());
@@ -78,9 +79,9 @@ TEST(IndexedHeapTest, ClearEmpties) {
 }
 
 TEST(IndexedHeapTest, PopDrainsInSortedOrder) {
-  IndexedMinHeap<int> heap;
+  IndexedMinHeap heap;
   Rng rng(42);
-  for (int i = 0; i < 500; ++i) heap.Push(i, rng.NextDouble());
+  for (uint32_t i = 0; i < 500; ++i) heap.Push(i, rng.NextDouble());
   double prev = -1.0;
   while (!heap.empty()) {
     const auto [key, prio] = heap.Pop();
@@ -92,13 +93,13 @@ TEST(IndexedHeapTest, PopDrainsInSortedOrder) {
 // Property test: a long random op sequence keeps the heap consistent with
 // a reference std::set of (priority, key).
 TEST(IndexedHeapTest, RandomOpsMatchReference) {
-  IndexedMinHeap<uint64_t> heap;
-  std::set<std::pair<double, uint64_t>> reference;
-  std::unordered_map<uint64_t, double> prio_of;
+  IndexedMinHeap heap;
+  std::set<std::pair<double, uint32_t>> reference;
+  std::unordered_map<uint32_t, double> prio_of;
   Rng rng(7);
 
   for (int step = 0; step < 20000; ++step) {
-    const uint64_t key = rng.NextUint64(200);
+    const uint32_t key = static_cast<uint32_t>(rng.NextUint64(200));
     const int op = static_cast<int>(rng.NextUint64(4));
     const bool present = prio_of.count(key) > 0;
     switch (op) {
