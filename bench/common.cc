@@ -4,19 +4,36 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "util/flags.h"
 
 namespace cascache::bench {
 
 namespace {
 
+/// Catalog size of the paper configuration at scale 1.
+constexpr double kPaperObjects = 20'000;
+
+/// CASCACHE_BENCH_SCALE, or 1 when unset. Exits with a message on a value
+/// that is not a finite number > 0, or one that sizes the catalog beyond
+/// 32-bit object ids.
 double BenchScale() {
   const char* env = std::getenv("CASCACHE_BENCH_SCALE");
   if (env == nullptr) return 1.0;
-  const double scale = std::atof(env);
-  return scale > 0.0 ? scale : 1.0;
+  double scale = 0.0;
+  if (!util::ParseValue(env, &scale).ok() || !(scale > 0.0) ||
+      kPaperObjects * scale > std::numeric_limits<uint32_t>::max()) {
+    std::fprintf(stderr,
+                 "CASCACHE_BENCH_SCALE must be a finite number > 0 that "
+                 "keeps the catalog within 2^32 objects, got '%s'\n",
+                 env);
+    std::exit(2);
+  }
+  return scale;
 }
 
 }  // namespace
@@ -27,8 +44,8 @@ sim::ExperimentConfig PaperConfig(sim::Architecture arch) {
   config.network.architecture = arch;
   // Topology defaults already match the paper (Table 1 Tiers parameters;
   // depth-4 fanout-3 tree with d = 0.008 s, g = 5).
-  config.workload.num_objects =
-      static_cast<uint32_t>(20'000 * scale < 100 ? 100 : 20'000 * scale);
+  config.workload.num_objects = static_cast<uint32_t>(
+      std::max(100.0, kPaperObjects * scale));
   config.workload.num_requests = static_cast<uint64_t>(400'000 * scale);
   config.workload.num_clients = 1'000;
   config.workload.num_servers = 200;
@@ -88,8 +105,10 @@ std::vector<sim::RunResult> RunSweep(const sim::ExperimentConfig& config) {
 
   const size_t total =
       config.cache_fractions.size() * config.schemes.size();
-  const int jobs = std::min<int>(sim::ResolveJobs(config.jobs),
-                                 static_cast<int>(std::max<size_t>(1, total)));
+  auto jobs_or = sim::ResolveJobs(config.jobs);
+  CASCACHE_CHECK_OK(jobs_or.status());
+  const int jobs =
+      std::min<int>(*jobs_or, static_cast<int>(std::max<size_t>(1, total)));
   std::fprintf(stderr, "  running %zu cells on %d worker%s...\n", total, jobs,
                jobs == 1 ? "" : "s");
   const auto start = std::chrono::steady_clock::now();

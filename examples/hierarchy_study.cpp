@@ -50,7 +50,11 @@ int main(int argc, char** argv) {
   std::printf("hierarchical coordinated caching, depth=%d fanout=%d, "
               "2%% cache per node\n\n",
               depth, fanout);
-  std::printf("%s\n\n", simulator.metrics().Summary().ToString().c_str());
+  const sim::MetricsSummary summary = simulator.metrics().Summary();
+  std::printf("latency=%.4fs  byte-hit=%.4f  hit=%.4f  hops=%.3f  "
+              "load=%.4gB/req\n\n",
+              summary.avg_latency, summary.byte_hit_ratio, summary.hit_ratio,
+              summary.avg_hops, summary.avg_load_bytes);
 
   // Where do copies live? Aggregate cache occupancy per tree level.
   auto tree_or = topology::BuildTree(net_params.tree);

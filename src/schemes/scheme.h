@@ -27,7 +27,7 @@ using trace::ObjectId;
 /// top-down). Schemes update descriptors and decide placements and
 /// replacements from these hooks; the simulator accounts reads and
 /// latency itself, and schemes report the writes they perform through
-/// `ctx.metrics`.
+/// `ctx.RecordPlacement`.
 ///
 /// Handler contract, per request:
 ///  - OnAscend(ctx, hop) for hop = 0 .. top, ascending, at every cache

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "util/csv.h"
+#include "util/flags.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
@@ -69,7 +70,7 @@ trace::WorkloadView ExperimentRunner::ReplayView() const {
   return view();
 }
 
-int ResolveJobs(int requested) {
+util::StatusOr<int> ResolveJobs(int requested) {
   const unsigned hw_raw = std::thread::hardware_concurrency();
   const int hw = hw_raw > 0 ? static_cast<int>(hw_raw) : 1;
   int jobs = 0;
@@ -78,11 +79,12 @@ int ResolveJobs(int requested) {
     jobs = requested;
     source = "jobs";
   } else if (const char* env = std::getenv("CASCACHE_JOBS"); env != nullptr) {
-    const int env_jobs = std::atoi(env);
-    if (env_jobs >= 1) {
-      jobs = env_jobs;
-      source = "CASCACHE_JOBS";
+    if (!util::ParseValue(env, &jobs).ok() || jobs < 1) {
+      return util::Status::InvalidArgument(
+          "CASCACHE_JOBS must be an integer >= 1, got '" + std::string(env) +
+          "'");
     }
+    source = "CASCACHE_JOBS";
   }
   if (jobs == 0) return hw;  // Default: one worker per hardware thread.
   // Oversubscribing replay workers only adds scheduler churn (each cell is
@@ -165,9 +167,9 @@ util::StatusOr<std::vector<RunResult>> ExperimentRunner::RunAll() {
     }
   }
 
-  int jobs =
-      std::min<int>(ResolveJobs(config_.jobs),
-                    static_cast<int>(std::max<size_t>(1, cells.size())));
+  CASCACHE_ASSIGN_OR_RETURN(const int resolved, ResolveJobs(config_.jobs));
+  int jobs = std::min<int>(
+      resolved, static_cast<int>(std::max<size_t>(1, cells.size())));
   if (mapped_ != nullptr && config_.release_trace_pages && jobs > 1) {
     // Page release assumes one sequential consumer of the mapping;
     // concurrent cells at different offsets would refault each other's

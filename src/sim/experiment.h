@@ -43,9 +43,10 @@ struct ExperimentConfig {
 /// jobs field): `requested` itself if >= 1, else CASCACHE_JOBS, else
 /// hardware_concurrency. Forced values above hardware_concurrency are
 /// clamped to it (replay workers are CPU-bound; oversubscription only
-/// churns the scheduler) with a stderr notice. Exposed so benches can
+/// churns the scheduler) with a stderr notice. A CASCACHE_JOBS that is
+/// not an integer >= 1 is an InvalidArgument. Exposed so benches can
 /// report the value.
-int ResolveJobs(int requested);
+util::StatusOr<int> ResolveJobs(int requested);
 
 /// Per-node slice of one cell's replay (observability layer): the
 /// counters one cache accumulated over the measured phase, plus where in

@@ -18,8 +18,7 @@ namespace cascache::sim {
 /// unsampled request), so every emit point costs one null check on the
 /// hot path and nothing else.
 struct ExchangeTelemetry {
-  /// Per-node counter slots indexed by NodeId; null while warming up or
-  /// when the driver never allocated them.
+  /// Per-node counter slots indexed by NodeId; null while warming up.
   NodeCounters* node_counters = nullptr;
   /// Event sink for this request; null when disabled or unsampled.
   EventTrace* trace = nullptr;
@@ -48,6 +47,10 @@ struct RequestMessage {
   /// paper's no-state behavior (the node is excluded from the candidate
   /// set) and must not touch the node's cache state.
   bool piggyback_lost = false;
+  /// Sibling probes this request has sent so far, across hops: the
+  /// ordinal that keys the fault plane's sibling-loss stream, so losses
+  /// are query-order independent.
+  int sibling_probes = 0;
 };
 
 /// The response message descending from the serving node back to the
@@ -111,6 +114,8 @@ struct MessageContext {
 
   // --- Mutable exchange state. ------------------------------------------
   CacheSet* caches = nullptr;
+  /// The request's own record: queue waits and message bytes (every
+  /// node-scoped event is counted in telemetry.node_counters instead).
   RequestMetrics* metrics = nullptr;
   ExchangeTelemetry telemetry;
   RequestMessage request;
@@ -175,13 +180,11 @@ struct MessageContext {
   }
 
   // --- Placement accounting (shared by every scheme). -------------------
-  // Each Record* call folds the aggregate accounting, the per-node
-  // counters and the trace record of one observation into one call, so
-  // the seven schemes and the simulator cannot drift apart; the per-node
-  // count and the record go through the Observe funnel below. The
-  // aggregate arithmetic is exactly the historical
-  // `write_bytes += size; ++insertions;` pair — results stay
-  // bit-identical to the pre-observability pipeline.
+  // Each Record* call folds the per-node count and the trace record of
+  // one observation into one call, so the seven schemes and the
+  // simulator cannot drift apart; both go through the Observe funnel
+  // below. The node count is the only count: the aggregate totals are
+  // per-node sums (MetricsCollector::Summary).
 
   /// Records the outcome of a placement attempt at path index `hop`:
   /// an accepted copy plus the victims the store pushed out to make room
@@ -225,7 +228,7 @@ struct MessageContext {
 
   /// Records a sibling serve: `sibling` (probed from path index `hop`)
   /// held a servable copy and returned the object. Counted as a hit at
-  /// the sibling, so Σ per-node hits still equals aggregate cache hits.
+  /// the sibling, so the serve is one of the aggregate cache hits.
   void RecordSiblingServe(int hop, topology::NodeId sibling);
 
   /// Records a disk-outage degradation at path index `hop`: the tiered
@@ -288,33 +291,29 @@ inline void RaiseQueueDepth(NodeCounters* counters, topology::NodeId node,
   }
 }
 
-/// The sink-free core of every placement outcome: the aggregate write
-/// accounting plus the placing node's counters (`counters` is null while
-/// warming up). MessageContext::RecordPlacement{,At} wrap it with the
-/// trace and tier hooks; the simulator's inlined plain-LRU descent, which
-/// runs with neither, calls it directly.
-inline void CountPlacement(RequestMetrics* metrics, NodeCounters* counters,
-                           topology::NodeId node_id, uint64_t bytes,
-                           bool inserted, size_t evicted) {
+/// The sink-free core of every placement outcome: the placing node's
+/// counters (`counters` is null while warming up).
+/// MessageContext::RecordPlacement{,At} wrap it with the trace and tier
+/// hooks; the simulator's inlined plain-LRU descent, which runs with
+/// neither, calls it directly.
+inline void CountPlacement(NodeCounters* counters, topology::NodeId node_id,
+                           uint64_t bytes, bool inserted, size_t evicted) {
+  if (counters == nullptr) return;
+  NodeCounters& c = counters[node_id];
   if (!inserted) {
-    if (counters != nullptr) ++counters[node_id].placements_rejected;
+    ++c.placements_rejected;
     return;
   }
-  metrics->write_bytes += bytes;
-  ++metrics->insertions;
-  if (counters != nullptr) {
-    NodeCounters& c = counters[node_id];
-    ++c.placements;
-    c.evictions += evicted;
-    c.bytes_cached += bytes;
-  }
+  ++c.placements;
+  c.evictions += evicted;
+  c.bytes_cached += bytes;
 }
 
 inline void MessageContext::RecordPlacement(
     int hop, bool inserted, const std::vector<trace::ObjectId>& evicted) {
   const topology::NodeId node_id = (*path)[static_cast<size_t>(hop)];
   NodeCounters* const counters = telemetry.node_counters;
-  CountPlacement(metrics, counters, node_id, size, inserted, evicted.size());
+  CountPlacement(counters, node_id, size, inserted, evicted.size());
   if (!inserted) {
     Observe(nullptr, telemetry.trace, *this, nullptr, 0,
             TraceEventType::kPlacementRejected, node_id, 0.0);
@@ -329,7 +328,6 @@ inline void MessageContext::RecordPlacement(
     if (node.tiered()) {
       const int dropped = node.DropRamCopies(evicted);
       if (dropped > 0) {
-        metrics->demotions += dropped;
         Observe(counters, telemetry.trace, *this, &NodeCounters::demotions,
                 static_cast<uint64_t>(dropped), TraceEventType::kDemotion,
                 node_id, static_cast<double>(dropped));
@@ -342,8 +340,8 @@ inline void MessageContext::RecordPlacement(
 inline void MessageContext::RecordPlacementAt(topology::NodeId node_id,
                                               trace::ObjectId object_id,
                                               uint64_t bytes) {
-  CountPlacement(metrics, telemetry.node_counters, node_id, bytes,
-                 /*inserted=*/true, /*evicted=*/0);
+  CountPlacement(telemetry.node_counters, node_id, bytes, /*inserted=*/true,
+                 /*evicted=*/0);
   if (telemetry.trace != nullptr) {
     EmitPlacementTrace(node_id, object_id, bytes, {});
   }
@@ -356,14 +354,12 @@ inline void MessageContext::RecordDCacheHit(int hop) {
 }
 
 inline void MessageContext::RecordDegraded(int hop) {
-  ++metrics->degraded;
   Observe(telemetry.node_counters, telemetry.trace, *this,
           &NodeCounters::degraded, 1, TraceEventType::kFaultDegraded,
           (*path)[static_cast<size_t>(hop)], static_cast<double>(hop));
 }
 
 inline void MessageContext::RecordStoreShed(int hop, uint32_t depth) {
-  ++metrics->placements_shed;
   Observe(telemetry.node_counters, telemetry.trace, *this,
           &NodeCounters::store_sheds, 1, TraceEventType::kShed,
           (*path)[static_cast<size_t>(hop)], static_cast<double>(depth));
@@ -371,13 +367,6 @@ inline void MessageContext::RecordStoreShed(int hop, uint32_t depth) {
 
 inline void MessageContext::RecordTierServe(topology::NodeId node_id,
                                             const CacheNode::TierServe& tier) {
-  if (tier.ram_hit) {
-    metrics->ram_hit = true;
-  } else {
-    metrics->disk_hit = true;
-  }
-  metrics->promotions += tier.promoted ? 1 : 0;
-  metrics->demotions += tier.demotions;
   NodeCounters* const counters = telemetry.node_counters;
   if (counters != nullptr) {
     ++(tier.ram_hit ? counters[node_id].ram_hits
@@ -398,7 +387,6 @@ inline void MessageContext::RecordTierServe(topology::NodeId node_id,
 
 inline void MessageContext::RecordSiblingProbe(int hop,
                                                topology::NodeId sibling) {
-  ++metrics->sibling_probes;
   // Counted at the probing node; the record names the probed sibling.
   if (telemetry.node_counters != nullptr) {
     ++telemetry.node_counters[(*path)[static_cast<size_t>(hop)]]
@@ -410,7 +398,6 @@ inline void MessageContext::RecordSiblingProbe(int hop,
 
 inline void MessageContext::RecordSiblingServe(int hop,
                                                topology::NodeId sibling) {
-  metrics->sibling_hit = true;
   NodeCounters* const counters = telemetry.node_counters;
   if (counters != nullptr) {
     ++counters[sibling].hits;
@@ -421,7 +408,6 @@ inline void MessageContext::RecordSiblingServe(int hop,
 }
 
 inline void MessageContext::RecordDiskDegraded(int hop) {
-  ++metrics->disk_degraded;
   Observe(telemetry.node_counters, telemetry.trace, *this,
           &NodeCounters::disk_degraded, 1, TraceEventType::kDiskDegraded,
           (*path)[static_cast<size_t>(hop)], static_cast<double>(hop));

@@ -96,6 +96,10 @@ Simulator::Simulator(const Network* network, CacheSet* caches,
     node_levels_[static_cast<size_t>(v)] = network->NodeLevel(v);
   }
   ctx_.telemetry.node_levels = node_levels_.data();
+  // The per-node counters hold the run's only event counts, so they exist
+  // from construction on: direct Step() drivers count too. Run()
+  // reallocates them zeroed.
+  metrics_.ResetNodes(network->num_nodes());
   if (options.trace.enabled) {
     trace_ = std::make_unique<EventTrace>(options.trace);
   }
@@ -454,7 +458,6 @@ bool Simulator::AdmitCopy(MessageContext& ctx, size_t hop,
   if (protocol == CoherencyProtocol::kTtl &&
       ctx.now - fetch_time > options_.coherency.ttl) {
     node->EraseObject(ctx.object);
-    ++ctx.metrics->copies_expired;
     Observe(counters, trace, ctx, &NodeCounters::expirations, 1,
             TraceEventType::kExpired, node_id, ctx.now - fetch_time);
     return false;
@@ -462,14 +465,12 @@ bool Simulator::AdmitCopy(MessageContext& ctx, size_t hop,
   const uint32_t current = updates_->VersionAt(ctx.object, ctx.now);
   if (protocol == CoherencyProtocol::kInvalidation && version < current) {
     node->EraseObject(ctx.object);
-    ++ctx.metrics->copies_invalidated;
     Observe(counters, trace, ctx, &NodeCounters::invalidations, 1,
             TraceEventType::kInvalidated, node_id,
             static_cast<double>(current - version));
     return false;
   }
   if (version < current) {
-    ctx.metrics->stale_hit = true;
     Observe(counters, trace, ctx, &NodeCounters::stale_serves, 1,
             TraceEventType::kStaleServe, node_id,
             static_cast<double>(current - version));
@@ -494,10 +495,7 @@ bool Simulator::TrySiblings(MessageContext& ctx, size_t hop,
   int probes = 0;
   for (topology::NodeId sib : siblings) {
     if (sp.max_probes > 0 && probes >= sp.max_probes) break;
-    // The probe ordinal (count of probes this request already sent,
-    // across hops) keys the sibling-loss stream, so losses are
-    // query-order independent.
-    const int probe_ordinal = ctx.metrics->sibling_probes;
+    const int probe_ordinal = ctx.request.sibling_probes++;
     ++probes;
     ctx.RecordSiblingProbe(static_cast<int>(hop), sib);
     scheme_->OnSiblingProbe(ctx, static_cast<int>(hop), sib);
@@ -612,6 +610,10 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect) {
   CacheNode* const nodes = caches_->nodes_data();
   RequestMetrics rm;
   rm.size_bytes = size;
+  // Fault plane: timed-out attempts before the request resolved, and
+  // whether it took a detour around a failed link or node.
+  int retries = 0;
+  bool rerouted = false;
 
   // The request's arrival: the trace timestamp, or the arrival process's
   // time under the queueing plane. Every time consumer below — TTL
@@ -632,13 +634,13 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect) {
     int attempt = 0;
     for (;;) {
       reachable = faults_->ResolvePath(*route, now, &arena_.detour.nodes,
-                                       &rm.rerouted);
+                                       &rerouted);
       if (reachable || attempt >= fc.max_retries) break;
       now += fc.request_timeout + std::ldexp(fc.retry_backoff, attempt);
       ++attempt;
-      ++rm.retries;
+      ++retries;
     }
-    if (rm.rerouted) {
+    if (rerouted) {
       arena_.detour.FillDelays(network_->graph());
       route = &arena_.detour;
     }
@@ -650,9 +652,9 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect) {
 
   // The hook instantiations hand the scheme handlers the exchange through
   // the reused context. Telemetry: per-node counters only while
-  // collecting (they must mirror the aggregates' warm-up exclusion
-  // exactly); the trace keys its per-request sampling decision off the
-  // replay position.
+  // collecting (they are the aggregates' event counts, so they share the
+  // warm-up exclusion); the trace keys its per-request sampling decision
+  // off the replay position.
   MessageContext& ctx = ctx_;
   EventTrace* const trace =
       !kLean && trace_ != nullptr && trace_->SampleRequest(request_index)
@@ -681,9 +683,9 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect) {
     // hops) so requests == served + failed with nothing silently dropped.
     rm.failed = true;
     rm.latency = (now - request.time) + options_.faults.request_timeout;
-    ObserveRetries(counters, trace, ctx, requester, rm.retries);
+    ObserveRetries(counters, trace, ctx, requester, retries);
     Observe(counters, trace, ctx, nullptr, 0, TraceEventType::kRequestFailed,
-            requester, static_cast<double>(rm.retries));
+            requester, static_cast<double>(retries));
     FinishRequest(rm, collect, request.time + rm.latency, queued);
     return;
   }
@@ -712,8 +714,7 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect) {
     // Apply pending cold restarts along the path, then flag hops whose
     // cache process is still down at the attempt time. Crashes are
     // charged to the crashed node; retries and reroutes to the
-    // requester — the same localities NodeCounters reconciliation
-    // asserts against the aggregates.
+    // requester.
     arena_.node_down.assign(path_len, 0);
     arena_.disk_down.assign(path_len, 0);
     for (size_t i = 0; i < path_len; ++i) {
@@ -722,15 +723,14 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect) {
       const int applied =
           faults_->ApplyCrashRestarts(caches_->node(node_id), now);
       if (applied > 0) {
-        rm.crashes_applied += applied;
         Observe(counters, trace, ctx, &NodeCounters::crashes,
                 static_cast<uint64_t>(applied), TraceEventType::kNodeCrash,
                 node_id, static_cast<double>(applied));
       }
       if (faults_->NodeDown(node_id, now)) arena_.node_down[i] = 1;
     }
-    ObserveRetries(counters, trace, ctx, requester, rm.retries);
-    if (rm.rerouted) {
+    ObserveRetries(counters, trace, ctx, requester, retries);
+    if (rerouted) {
       Observe(counters, trace, ctx, &NodeCounters::reroutes, 1,
               TraceEventType::kReroute, requester,
               static_cast<double>(path_len));
@@ -765,7 +765,6 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect) {
     // retries).
     if (queued && !down && ascent_op_cost_ > 0.0 &&
         !QueueAscentOp(ctx, i)) {
-      rm.shed = true;
       rm.hops = static_cast<int>(i);
       rm.latency = ctx.now - request.time;
       if (scheme_observes_ascent_) scheme_->OnAbort();
@@ -853,8 +852,6 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect) {
                                         ctx.response.sibling);
       hops = hit + 2;
     }
-    rm.cache_hit = true;
-    rm.read_bytes = size;
   } else {
     base_delay = delay_prefix[path_len - 1] + server_link_delay_;
     hops = static_cast<int>(path_len) - 1 + server_link_hops_;
@@ -927,7 +924,7 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect) {
       bool inserted = false;
       const std::vector<trace::ObjectId>& evicted =
           nodes[node_id].lru()->InsertAbsent(object, size, &inserted);
-      CountPlacement(&rm, counters, node_id, size, inserted, evicted.size());
+      CountPlacement(counters, node_id, size, inserted, evicted.size());
     }
   }
   // Contended exchanges pay their accrued waits on top of the analytic

@@ -360,7 +360,7 @@ class Simulator {
   /// replay on the historical hot path (one pointer test per request).
   std::unique_ptr<QueueingPlane> queueing_;
   /// The open block recorded exchanges stream into: the order-sensitive
-  /// stats still land on the collector per request, the integer counters
+  /// stats still land on the collector per request, the integer totals
   /// accumulate here and flush once per replayed range. ReplayRange and
   /// FlushCompletions zero it before recording and FlushBlock it after.
   MetricsCollector::BlockStats block_stats_;

@@ -55,7 +55,6 @@ TEST_F(LruSchemeTest, CachesOnlyBelowHitPoint) {
   // (path index 2).
   caches_.node(3)->lru()->Erase(0);
   caches_.node(2)->lru()->Erase(0);
-  sim::RequestMetrics metrics;
   simulator.Step(At(2.0, 0), true);
   // Hit at node 1; nodes 3 and 2 repopulated; node 0 untouched.
   EXPECT_TRUE(caches_.node(3)->Contains(0));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <thread>
 
@@ -198,19 +199,45 @@ TEST(ExperimentTest, ParallelRunAllMatchesSequentialEnRoute) {
 TEST(ExperimentTest, ResolveJobsHonorsExplicitRequest) {
   const int hw = static_cast<int>(
       std::max(1u, std::thread::hardware_concurrency()));
-  EXPECT_EQ(ResolveJobs(1), 1);
-  EXPECT_EQ(ResolveJobs(7), std::min(7, hw));
+  EXPECT_EQ(*ResolveJobs(1), 1);
+  EXPECT_EQ(*ResolveJobs(7), std::min(7, hw));
   // 0 resolves from the environment / hardware; it is always >= 1.
-  EXPECT_GE(ResolveJobs(0), 1);
+  EXPECT_GE(*ResolveJobs(0), 1);
 }
 
 TEST(ExperimentTest, ResolveJobsClampsToHardwareConcurrency) {
   const int hw = static_cast<int>(
       std::max(1u, std::thread::hardware_concurrency()));
   // A forced value beyond the machine is clamped, never honored.
-  EXPECT_EQ(ResolveJobs(hw), hw);
-  EXPECT_EQ(ResolveJobs(hw + 13), hw);
-  EXPECT_EQ(ResolveJobs(100000), hw);
+  EXPECT_EQ(*ResolveJobs(hw), hw);
+  EXPECT_EQ(*ResolveJobs(hw + 13), hw);
+  EXPECT_EQ(*ResolveJobs(100000), hw);
+}
+
+TEST(ExperimentTest, ResolveJobsRejectsMalformedEnv) {
+  const char* saved = std::getenv("CASCACHE_JOBS");
+  const std::string original = saved != nullptr ? saved : "";
+  auto runner_or = ExperimentRunner::Create(SmallConfig());
+  ASSERT_TRUE(runner_or.ok()) << runner_or.status();
+  // Trailing junk, a worker count below 1, and a value beyond int.
+  for (const char* bad : {"4x", "0", "99999999999999999999"}) {
+    ASSERT_EQ(setenv("CASCACHE_JOBS", bad, 1), 0);
+    EXPECT_EQ(ResolveJobs(0).status().code(),
+              util::StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ((*runner_or)->RunAll().status().code(),
+              util::StatusCode::kInvalidArgument)
+        << bad;
+    // An explicit worker count never reads the variable.
+    EXPECT_EQ(*ResolveJobs(1), 1) << bad;
+  }
+  ASSERT_EQ(setenv("CASCACHE_JOBS", "1", 1), 0);
+  EXPECT_EQ(*ResolveJobs(0), 1);
+  if (saved != nullptr) {
+    setenv("CASCACHE_JOBS", original.c_str(), 1);
+  } else {
+    unsetenv("CASCACHE_JOBS");
+  }
 }
 
 TEST(ExperimentTest, DeterministicAcrossRunners) {
