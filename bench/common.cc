@@ -96,24 +96,32 @@ void MaybeExportCsv(const std::vector<sim::RunResult>& results) {
   }
 }
 
+/// Ends the bench with `status`'s message and exit status 1 unless it is
+/// OK.
+void ExitIfError(const util::Status& status) {
+  if (status.ok()) return;
+  std::fprintf(stderr, "sweep failed: %s\n", status.ToString().c_str());
+  std::exit(1);
+}
+
 }  // namespace
 
 std::vector<sim::RunResult> RunSweep(const sim::ExperimentConfig& config) {
   auto runner_or = sim::ExperimentRunner::Create(config);
-  CASCACHE_CHECK_OK(runner_or.status());
+  ExitIfError(runner_or.status());
   sim::ExperimentRunner& runner = **runner_or;
 
   const size_t total =
       config.cache_fractions.size() * config.schemes.size();
   auto jobs_or = sim::ResolveJobs(config.jobs);
-  CASCACHE_CHECK_OK(jobs_or.status());
+  ExitIfError(jobs_or.status());
   const int jobs =
       std::min<int>(*jobs_or, static_cast<int>(std::max<size_t>(1, total)));
   std::fprintf(stderr, "  running %zu cells on %d worker%s...\n", total, jobs,
                jobs == 1 ? "" : "s");
   const auto start = std::chrono::steady_clock::now();
   auto results_or = runner.RunAll();
-  CASCACHE_CHECK_OK(results_or.status());
+  ExitIfError(results_or.status());
   std::vector<sim::RunResult> results = std::move(results_or).value();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

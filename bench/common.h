@@ -22,7 +22,8 @@ std::vector<schemes::SchemeSpec> PaperSchemes(int modulo_radius = 4);
 /// Prints a figure banner.
 void PrintTitle(const std::string& id, const std::string& title);
 
-/// Runs the sweep with progress output on stderr; aborts on error.
+/// Runs the sweep with progress output on stderr; on error, prints it and
+/// exits with status 1.
 std::vector<sim::RunResult> RunSweep(const sim::ExperimentConfig& config);
 
 /// Metric extractor + display name.

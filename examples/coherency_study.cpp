@@ -8,19 +8,21 @@
 // Usage: coherency_study [mutable_fraction] [mean_update_period_seconds]
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "schemes/coordinated_scheme.h"
 #include "sim/simulator.h"
 #include "trace/synthetic.h"
+#include "util/flags.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
   using namespace cascache;
 
-  const double mutable_fraction = argc > 1 ? std::atof(argv[1]) : 0.2;
-  const double update_period = argc > 2 ? std::atof(argv[2]) : 600.0;
-  if (mutable_fraction < 0.0 || mutable_fraction > 1.0 ||
+  double mutable_fraction = 0.2;
+  double update_period = 600.0;
+  if ((argc > 1 && !util::ParseValue(argv[1], &mutable_fraction).ok()) ||
+      (argc > 2 && !util::ParseValue(argv[2], &update_period).ok()) ||
+      mutable_fraction < 0.0 || mutable_fraction > 1.0 ||
       update_period <= 0.0) {
     std::fprintf(stderr, "usage: %s [mutable in [0,1]] [period > 0]\n",
                  argv[0]);

@@ -8,19 +8,20 @@
 //   e.g. enroute_study 0.01 200000
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "schemes/coordinated_scheme.h"
 #include "sim/experiment.h"
+#include "util/flags.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
   using namespace cascache;
 
-  const double cache_fraction = argc > 1 ? std::atof(argv[1]) : 0.01;
-  const uint64_t num_requests =
-      argc > 2 ? static_cast<uint64_t>(std::atoll(argv[2])) : 200'000;
-  if (cache_fraction <= 0.0 || cache_fraction > 1.0 || num_requests == 0) {
+  double cache_fraction = 0.01;
+  uint64_t num_requests = 200'000;
+  if ((argc > 1 && !util::ParseValue(argv[1], &cache_fraction).ok()) ||
+      (argc > 2 && !util::ParseValue(argv[2], &num_requests).ok()) ||
+      cache_fraction <= 0.0 || cache_fraction > 1.0 || num_requests == 0) {
     std::fprintf(stderr,
                  "usage: %s [relative_cache_size (0,1]] [num_requests]\n",
                  argv[0]);

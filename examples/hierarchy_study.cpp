@@ -7,20 +7,22 @@
 // Usage: hierarchy_study [depth] [fanout]
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "schemes/coordinated_scheme.h"
 #include "sim/simulator.h"
 #include "topology/tree.h"
 #include "trace/synthetic.h"
+#include "util/flags.h"
 
 int main(int argc, char** argv) {
   using namespace cascache;
 
-  const int depth = argc > 1 ? std::atoi(argv[1]) : 4;
-  const int fanout = argc > 2 ? std::atoi(argv[2]) : 3;
-  if (depth < 2 || fanout < 1) {
+  int depth = 4;
+  int fanout = 3;
+  if ((argc > 1 && !util::ParseValue(argv[1], &depth).ok()) ||
+      (argc > 2 && !util::ParseValue(argv[2], &fanout).ok()) || depth < 2 ||
+      fanout < 1) {
     std::fprintf(stderr, "usage: %s [depth >= 2] [fanout >= 1]\n", argv[0]);
     return 1;
   }

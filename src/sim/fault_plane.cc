@@ -5,8 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
-#include <queue>
 #include <string_view>
 #include <utility>
 #include <variant>
@@ -427,52 +425,21 @@ bool FaultPlane::ResolvePath(const Route& route, double t,
 
 bool FaultPlane::DetourPath(topology::NodeId from, topology::NodeId root,
                             double t, std::vector<topology::NodeId>* path) {
-  // Dijkstra rooted at the server attach node over the surviving graph
-  // (the paper routes along server-rooted trees), so the detour path runs
-  // from -> ... -> root like the precomputed routes. Ties prefer the
-  // smaller parent id, matching BuildShortestPathTree's determinism.
-  const topology::Graph& graph = network_->graph();
-  const size_t n = static_cast<size_t>(graph.num_nodes());
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  detour_dist_.assign(n, kInf);
-  detour_parent_.assign(n, topology::kInvalidNode);
+  // The server-rooted tree over the surviving graph (the paper routes
+  // along server-rooted trees), so the detour runs from -> ... -> root
+  // like the table routes.
   const bool cut_nodes =
       config_.crash_cuts_routing && config_.node_crash_mtbf > 0.0;
-  const auto forwarding = [&](topology::NodeId v) {
-    return !cut_nodes || v == from || v == root || !NodeDown(v, t);
-  };
-  if (from == root) {
-    path->assign(1, root);
-    return true;
-  }
-
-  using Item = std::pair<double, topology::NodeId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> queue;
-  detour_dist_[static_cast<size_t>(root)] = 0.0;
-  queue.push({0.0, root});
-  while (!queue.empty()) {
-    const auto [dist, u] = queue.top();
-    queue.pop();
-    if (dist > detour_dist_[static_cast<size_t>(u)]) continue;
-    for (const topology::Edge& edge : graph.Neighbors(u)) {
-      const topology::NodeId v = edge.to;
-      if (!forwarding(v) || LinkDown(u, v, t)) continue;
-      const double next = dist + edge.delay;
-      double& best = detour_dist_[static_cast<size_t>(v)];
-      topology::NodeId& parent = detour_parent_[static_cast<size_t>(v)];
-      if (next < best || (next == best && u < parent)) {
-        best = next;
-        parent = u;
-        queue.push({next, v});
-      }
-    }
-  }
-  if (detour_dist_[static_cast<size_t>(from)] == kInf) return false;
-  path->clear();
-  for (topology::NodeId v = from; v != topology::kInvalidNode;
-       v = detour_parent_[static_cast<size_t>(v)]) {
-    path->push_back(v);
-  }
+  topology::BuildShortestPathTree(
+      network_->graph(), root,
+      [&](topology::NodeId u, topology::NodeId v) {
+        const bool forwarding =
+            !cut_nodes || v == from || v == root || !NodeDown(v, t);
+        return forwarding && !LinkDown(u, v, t);
+      },
+      &detour_tree_);
+  if (!detour_tree_.Reachable(from)) return false;
+  *path = detour_tree_.PathToRoot(from);
   return true;
 }
 

@@ -8,6 +8,7 @@
 
 #include "sim/network.h"
 #include "sim/node.h"
+#include "topology/shortest_path.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -254,9 +255,8 @@ class FaultPlane {
   std::unordered_map<uint64_t, OutageTrack> edge_tracks_;
   /// Crash epochs already applied to each node's cache.
   std::vector<uint64_t> applied_crash_epoch_;
-  /// Dijkstra scratch for DetourPath.
-  std::vector<double> detour_dist_;
-  std::vector<topology::NodeId> detour_parent_;
+  /// DetourPath's tree, reused across detours.
+  topology::ShortestPathTree detour_tree_;
 };
 
 }  // namespace cascache::sim

@@ -1,6 +1,6 @@
 #include "sim/network.h"
 
-#include "topology/routing.h"
+#include "topology/shortest_path.h"
 #include "util/random.h"
 
 namespace cascache::sim {
@@ -100,7 +100,13 @@ util::StatusOr<std::unique_ptr<Network>> Network::Build(
     }
     net->server_col_[s] = static_cast<uint32_t>(col);
   }
-  topology::RoutingTable routing(&net->graph_);
+  // One distribution tree per column, all built before any route so the
+  // route vectors are allocated together, row by row.
+  std::vector<topology::ShortestPathTree> trees;
+  trees.reserve(columns.size());
+  for (topology::NodeId root : columns) {
+    trees.push_back(topology::BuildShortestPathTree(net->graph_, root));
+  }
   net->route_cols_ = columns.size();
   net->routes_.resize(net->client_sites_.size() * columns.size());
   net->site_row_.assign(n, -1);
@@ -109,7 +115,7 @@ util::StatusOr<std::unique_ptr<Network>> Network::Build(
     net->site_row_[static_cast<size_t>(site)] = static_cast<int32_t>(row);
     for (size_t col = 0; col < columns.size(); ++col) {
       Route& route = net->routes_[row * columns.size() + col];
-      route.nodes = routing.Path(site, columns[col]);
+      route.nodes = trees[col].PathToRoot(site);
       route.FillDelays(net->graph_);
     }
   }

@@ -30,10 +30,9 @@ constexpr size_t kDecodeBlock = 1024;
 constexpr size_t kReplayChunk = 2 * 1024 * 1024;
 static_assert(kReplayChunk % kDecodeBlock == 0);
 
-/// Above this catalog size the per-store dense id→slot arrays (and the
-/// memoized size-scale table) are replaced with residency-sized hashed
-/// structures; 2^24 objects keeps the dense path for every historical
-/// configuration.
+/// Above this catalog size the per-store dense id→slot arrays are
+/// replaced with residency-sized hashed structures; 2^24 objects keeps the
+/// dense path for every historical configuration.
 constexpr uint32_t kDenseIdLimit = 1u << 24;
 
 }  // namespace

@@ -5,15 +5,20 @@
 
 namespace cascache::topology {
 
+namespace {
+
+const Edge* FindEdge(const std::vector<Edge>& edges, NodeId v) {
+  for (const Edge& e : edges) {
+    if (e.to == v) return &e;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 Graph::Graph(int num_nodes) {
   CASCACHE_CHECK(num_nodes >= 0);
   adjacency_.resize(static_cast<size_t>(num_nodes));
-}
-
-uint64_t Graph::EdgeKey(NodeId u, NodeId v) {
-  if (u > v) std::swap(u, v);
-  return (static_cast<uint64_t>(static_cast<uint32_t>(u)) << 32) |
-         static_cast<uint32_t>(v);
 }
 
 util::Status Graph::AddEdge(NodeId u, NodeId v, double delay) {
@@ -32,9 +37,7 @@ util::Status Graph::AddEdge(NodeId u, NodeId v, double delay) {
   }
   adjacency_[static_cast<size_t>(u)].push_back({v, delay});
   adjacency_[static_cast<size_t>(v)].push_back({u, delay});
-  edge_delay_[EdgeKey(u, v)] = delay;
   ++num_edges_;
-  total_delay_ += delay;
   return util::Status::Ok();
 }
 
@@ -45,13 +48,13 @@ const std::vector<Edge>& Graph::Neighbors(NodeId u) const {
 
 bool Graph::HasEdge(NodeId u, NodeId v) const {
   if (!IsValidNode(u) || !IsValidNode(v)) return false;
-  return edge_delay_.count(EdgeKey(u, v)) > 0;
+  return FindEdge(adjacency_[static_cast<size_t>(u)], v) != nullptr;
 }
 
 double Graph::EdgeDelay(NodeId u, NodeId v) const {
-  auto it = edge_delay_.find(EdgeKey(u, v));
-  CASCACHE_CHECK_MSG(it != edge_delay_.end(), "link does not exist");
-  return it->second;
+  const Edge* e = FindEdge(Neighbors(u), v);
+  CASCACHE_CHECK_MSG(e != nullptr, "link does not exist");
+  return e->delay;
 }
 
 bool Graph::IsConnected() const {

@@ -2,7 +2,6 @@
 #define CASCACHE_TOPOLOGY_GRAPH_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "util/status.h"
@@ -38,6 +37,8 @@ class Graph {
 
   const std::vector<Edge>& Neighbors(NodeId u) const;
 
+  /// Whether the link (u,v) exists: a scan of u's adjacency list (node
+  /// degrees are single digits in the default topologies).
   bool HasEdge(NodeId u, NodeId v) const;
 
   /// Delay of the link (u,v); the link must exist.
@@ -47,19 +48,9 @@ class Graph {
   /// single-node graphs are connected.
   bool IsConnected() const;
 
-  /// Sum and mean of all link delays (each undirected link counted once).
-  double TotalDelay() const { return total_delay_; }
-  double MeanDelay() const {
-    return num_edges_ == 0 ? 0.0 : total_delay_ / static_cast<double>(num_edges_);
-  }
-
  private:
-  static uint64_t EdgeKey(NodeId u, NodeId v);
-
   std::vector<std::vector<Edge>> adjacency_;
-  std::unordered_map<uint64_t, double> edge_delay_;
   size_t num_edges_ = 0;
-  double total_delay_ = 0.0;
 };
 
 }  // namespace cascache::topology

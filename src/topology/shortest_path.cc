@@ -27,10 +27,11 @@ std::vector<NodeId> ShortestPathTree::PathToRoot(NodeId from) const {
   return path;
 }
 
-ShortestPathTree BuildShortestPathTree(const Graph& graph, NodeId root) {
+void BuildShortestPathTree(const Graph& graph, NodeId root,
+                           const LinkFilter& usable, ShortestPathTree* out) {
   CASCACHE_CHECK(graph.IsValidNode(root));
+  ShortestPathTree& tree = *out;
   const size_t n = static_cast<size_t>(graph.num_nodes());
-  ShortestPathTree tree;
   tree.root = root;
   tree.dist.assign(n, kInf);
   tree.parent.assign(n, kInvalidNode);
@@ -50,7 +51,7 @@ ShortestPathTree BuildShortestPathTree(const Graph& graph, NodeId root) {
     done[static_cast<size_t>(u)] = true;
     for (const Edge& e : graph.Neighbors(u)) {
       const size_t v = static_cast<size_t>(e.to);
-      if (done[v]) continue;
+      if (done[v] || !usable(u, e.to)) continue;
       const double nd = d + e.delay;
       const bool better = nd < tree.dist[v];
       // Deterministic tie-break: equal distance, prefer the smaller parent.
@@ -64,6 +65,12 @@ ShortestPathTree BuildShortestPathTree(const Graph& graph, NodeId root) {
       }
     }
   }
+}
+
+ShortestPathTree BuildShortestPathTree(const Graph& graph, NodeId root) {
+  ShortestPathTree tree;
+  BuildShortestPathTree(
+      graph, root, [](NodeId, NodeId) { return true; }, &tree);
   return tree;
 }
 

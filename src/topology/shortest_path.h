@@ -1,6 +1,7 @@
 #ifndef CASCACHE_TOPOLOGY_SHORTEST_PATH_H_
 #define CASCACHE_TOPOLOGY_SHORTEST_PATH_H_
 
+#include <functional>
 #include <vector>
 
 #include "topology/graph.h"
@@ -28,9 +29,20 @@ struct ShortestPathTree {
   std::vector<NodeId> PathToRoot(NodeId from) const;
 };
 
-/// Runs Dijkstra from `root`. Ties are broken deterministically by node id
-/// (smaller parent id preferred) so generated topologies route identically
-/// across runs.
+/// Whether the link from settled node `u` to its neighbour `v` may carry
+/// traffic (requests travel v -> u, toward the root).
+using LinkFilter = std::function<bool(NodeId u, NodeId v)>;
+
+/// Runs Dijkstra from `root` over the links `usable` admits, writing the
+/// tree into `*out` and reusing its storage. Ties are broken
+/// deterministically by node id (smaller parent id preferred) and a
+/// settled node is never re-parented, so generated topologies route
+/// identically across runs. `usable` is asked only about links to nodes
+/// not yet settled.
+void BuildShortestPathTree(const Graph& graph, NodeId root,
+                           const LinkFilter& usable, ShortestPathTree* out);
+
+/// The tree over every link of `graph`.
 ShortestPathTree BuildShortestPathTree(const Graph& graph, NodeId root);
 
 /// All-pairs shortest-path delays via repeated Dijkstra; O(V·E log V).

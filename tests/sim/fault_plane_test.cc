@@ -194,9 +194,15 @@ TEST(FaultScheduleConfigTest, ValidateRejectsNonFiniteValues) {
   }
 }
 
-/// Writes `lines` to a fresh fault config file and returns its path.
+/// Writes `lines` to a fresh fault config file named after the running
+/// test and returns its path. One file per test: ctest runs each test in
+/// its own process, concurrently, so a shared name would let one test
+/// truncate or delete another's file.
 std::string WriteFaultFile(const std::string& lines) {
-  const std::string path = ::testing::TempDir() + "/fault_keys_test.conf";
+  const std::string path =
+      ::testing::TempDir() + "/fault_keys_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".conf";
   std::ofstream out(path, std::ios::trunc);
   out << lines;
   return path;
@@ -553,6 +559,79 @@ TEST(FaultPlaneEnrouteTest, DetoursAvoidDownLinksDeterministically) {
   }
   // The schedule is aggressive enough that detours actually happened.
   EXPECT_GT(reroutes, 0);
+}
+
+/// What ResolvePath returned over every route of the default en-route
+/// network at a fixed set of times: the reroute and failure counts and
+/// an FNV-1a digest of each outcome and detour path, in query order.
+struct DetourPin {
+  int reroutes = 0;
+  int failures = 0;
+  uint64_t digest = 0;
+  bool operator==(const DetourPin&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const DetourPin& pin) {
+  return os << "{" << pin.reroutes << ", " << pin.failures << ", 0x"
+            << std::hex << pin.digest << std::dec << "ULL}";
+}
+
+DetourPin ResolveEveryRoute(const FaultScheduleConfig& config) {
+  trace::WorkloadParams wp;
+  wp.num_objects = 200;
+  wp.num_requests = 100;
+  wp.num_clients = 50;
+  wp.num_servers = 12;
+  auto workload_or = trace::GenerateWorkload(wp);
+  CASCACHE_CHECK_OK(workload_or.status());
+  NetworkParams np;
+  np.architecture = Architecture::kEnRoute;
+  auto network_or = Network::Build(np, &workload_or->catalog);
+  CASCACHE_CHECK_OK(network_or.status());
+  FaultPlane plane(config, network_or->get());
+
+  DetourPin pin;
+  pin.digest = 0xcbf29ce484222325ULL;
+  const auto mix = [&pin](int64_t v) {
+    pin.digest = (pin.digest ^ static_cast<uint64_t>(v)) * 0x100000001b3ULL;
+  };
+  for (int k = 0; k < 40; ++k) {
+    const double t = 0.25 + 1.5 * k;
+    for (const Route& route : (*network_or)->routes()) {
+      std::vector<topology::NodeId> detour;
+      bool rerouted = false;
+      const bool ok = plane.ResolvePath(route, t, &detour, &rerouted);
+      mix(ok);
+      mix(rerouted);
+      if (!ok) ++pin.failures;
+      if (!rerouted) continue;
+      ++pin.reroutes;
+      mix(static_cast<int64_t>(detour.size()));
+      for (topology::NodeId v : detour) mix(v);
+    }
+  }
+  return pin;
+}
+
+/// Pins the detours themselves, not only their properties: the expected
+/// values were recorded by this test before the detour search moved onto
+/// the shared shortest-path routine, so any change in which detour is
+/// chosen (tie-breaks included) shows here.
+TEST(FaultPlaneEnrouteTest, DetourPathsArePinned) {
+  FaultScheduleConfig links;
+  links.link_mtbf = 50.0;
+  links.link_downtime = 5.0;
+  const DetourPin link_pin = ResolveEveryRoute(links);
+  EXPECT_GT(link_pin.reroutes, 0);
+  EXPECT_EQ(link_pin, (DetourPin{11268, 1169, 0xcb17032af7ea9915ULL}));
+
+  FaultScheduleConfig crashes = links;
+  crashes.node_crash_mtbf = 50.0;
+  crashes.node_downtime = 5.0;
+  crashes.crash_cuts_routing = true;
+  const DetourPin crash_pin = ResolveEveryRoute(crashes);
+  EXPECT_GT(crash_pin.reroutes, 0);
+  EXPECT_EQ(crash_pin, (DetourPin{10821, 5401, 0xe0419b7150d7c8e6ULL}));
 }
 
 /// %.17g round-trips IEEE doubles exactly: string equality is bit

@@ -8,7 +8,7 @@
 #include "schemes/lru_scheme.h"
 #include "sim/simulator.h"
 #include "testing/scenario.h"
-#include "topology/routing.h"
+#include "topology/shortest_path.h"
 #include "trace/synthetic.h"
 
 namespace cascache::sim {
@@ -152,15 +152,15 @@ TEST(NetworkTest, HierarchicalPathIsLeafToRoot) {
   EXPECT_EQ(path.back(), 0);
 }
 
-/// Every table route equals the routing table's path between its
-/// endpoints, its delays are the graph's link delays, and its prefix is
-/// their left-to-right running sum, bit for bit. The table holds exactly
+/// Every table route equals the path between its endpoints along the
+/// shortest-path tree rooted at its server attach node, its delays are
+/// the graph's link delays, and its prefix is their left-to-right running
+/// sum, bit for bit. The table holds exactly
 /// one route per (client site, in-use server site) pair, and every
 /// (client, server) request resolves to the route between its attach
 /// points.
 void ExpectRouteTableMatchesRouting(const Network& net,
                                    uint32_t num_servers) {
-  topology::RoutingTable routing(&net.graph());
   std::set<topology::NodeId> sites;
   std::set<topology::NodeId> attach_points;
   std::set<std::pair<topology::NodeId, topology::NodeId>> pairs;
@@ -171,7 +171,9 @@ void ExpectRouteTableMatchesRouting(const Network& net,
     sites.insert(from);
     attach_points.insert(to);
     pairs.insert({from, to});
-    EXPECT_EQ(route.nodes, routing.Path(from, to));
+    const topology::ShortestPathTree tree =
+        topology::BuildShortestPathTree(net.graph(), to);
+    EXPECT_EQ(route.nodes, tree.PathToRoot(from));
     ASSERT_EQ(route.delays.size() + 1, route.nodes.size());
     ASSERT_EQ(route.delay_prefix.size(), route.nodes.size());
     double sum = 0.0;

@@ -69,11 +69,19 @@ TEST(GraphTest, ConnectivityDetection) {
 }
 
 TEST(GraphTest, DelayAccounting) {
-  Graph g(3);
+  // Each link's delay is found from either endpoint among several
+  // neighbours; absent links are absent from both ends.
+  Graph g(4);
   ASSERT_TRUE(g.AddEdge(0, 1, 1.0).ok());
   ASSERT_TRUE(g.AddEdge(1, 2, 3.0).ok());
-  EXPECT_DOUBLE_EQ(g.TotalDelay(), 4.0);
-  EXPECT_DOUBLE_EQ(g.MeanDelay(), 2.0);
+  ASSERT_TRUE(g.AddEdge(3, 1, 0.5).ok());
+  EXPECT_EQ(g.num_edges(), 3u);
+  EXPECT_DOUBLE_EQ(g.EdgeDelay(1, 0), 1.0);
+  EXPECT_DOUBLE_EQ(g.EdgeDelay(1, 2), 3.0);
+  EXPECT_DOUBLE_EQ(g.EdgeDelay(2, 1), 3.0);
+  EXPECT_DOUBLE_EQ(g.EdgeDelay(1, 3), 0.5);
+  EXPECT_FALSE(g.HasEdge(0, 2));
+  EXPECT_FALSE(g.HasEdge(3, 0));
 }
 
 }  // namespace

@@ -71,6 +71,41 @@ TEST(ShortestPathTest, DeterministicTieBreaking) {
   EXPECT_EQ(a.parent[3], 1);
 }
 
+TEST(ShortestPathTest, FilterCutsLinksAndTreeIsReused) {
+  // Two routes from 3 to 0: 3-1-0 (delay 2) and 3-2-0 (delay 4).
+  Graph g(4);
+  ASSERT_TRUE(g.AddEdge(0, 1, 1.0).ok());
+  ASSERT_TRUE(g.AddEdge(1, 3, 1.0).ok());
+  ASSERT_TRUE(g.AddEdge(0, 2, 2.0).ok());
+  ASSERT_TRUE(g.AddEdge(2, 3, 2.0).ok());
+  const auto all = [](NodeId, NodeId) { return true; };
+  ShortestPathTree tree;
+  BuildShortestPathTree(g, 0, all, &tree);
+  EXPECT_EQ(tree.PathToRoot(3), (std::vector<NodeId>{3, 1, 0}));
+
+  // Cutting link 1-3 (asked in either direction) detours 3 through 2.
+  const auto cut = [](NodeId u, NodeId v) {
+    return !((u == 1 && v == 3) || (u == 3 && v == 1));
+  };
+  BuildShortestPathTree(g, 0, cut, &tree);
+  EXPECT_EQ(tree.PathToRoot(3), (std::vector<NodeId>{3, 2, 0}));
+  EXPECT_DOUBLE_EQ(tree.dist[3], 4.0);
+  EXPECT_EQ(tree.hops[3], 2);
+
+  // A node no usable link reaches is unreachable.
+  BuildShortestPathTree(
+      g, 0, [](NodeId, NodeId v) { return v != 3; }, &tree);
+  EXPECT_FALSE(tree.Reachable(3));
+  EXPECT_EQ(tree.parent[3], kInvalidNode);
+  EXPECT_EQ(tree.hops[3], -1);
+
+  // Reusing the tree for another root leaves nothing of the last build.
+  BuildShortestPathTree(g, 3, all, &tree);
+  EXPECT_EQ(tree.root, 3);
+  EXPECT_EQ(tree.PathToRoot(0), (std::vector<NodeId>{0, 1, 3}));
+  EXPECT_EQ(tree.parent[3], kInvalidNode);
+}
+
 // Property test: Dijkstra distances on random graphs match a
 // Floyd-Warshall oracle.
 class DijkstraVsFloydWarshall : public ::testing::TestWithParam<uint64_t> {};
