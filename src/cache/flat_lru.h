@@ -148,9 +148,9 @@ class FlatLru {
 
   void Clear();
 
-  /// Selects the id-index storage mode (SlotIndex::SetSparse, for huge
-  /// sparse catalogs); the cache must be empty.
-  void SetSparse(bool sparse) { index_.SetSparse(sparse); }
+  /// Sizes the id index for the catalog's id count (SlotIndex::SetIdCount);
+  /// the cache must be empty.
+  void SetIdCount(uint64_t num_ids) { index_.SetIdCount(num_ids); }
 
   uint64_t capacity_bytes() const { return capacity_; }
   uint64_t used_bytes() const { return used_; }

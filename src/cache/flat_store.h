@@ -16,23 +16,28 @@ namespace cascache::cache {
 using SlotId = uint32_t;
 inline constexpr SlotId kNoSlot = UINT32_MAX;
 
+/// Above this many catalog ids the per-store dense id→slot arrays are
+/// replaced with residency-sized hashed tables (see SlotIndex); 2^24 ids
+/// keeps the dense path for every historical configuration.
+inline constexpr uint64_t kDenseIdLimit = uint64_t{1} << 24;
+
 /// Direct-index id→slot table over the closed object catalog (ObjectId is
 /// a dense uint32_t, see trace/object_catalog.h). Replaces the per-store
 /// `std::unordered_map<ObjectId, ...>`: a lookup is one bounds check and
 /// one array load instead of a hash, a probe chain and a pointer chase.
-/// The table grows lazily to the largest id seen, so stores never need
-/// the catalog size up front.
+/// The table grows lazily to the largest id seen, geometrically but never
+/// past the catalog's id count (SetIdCount) when it is known.
 ///
-/// Sparse mode (SetSparse): above ~2^24 catalog objects the direct table
-/// stops being an optimization — it grows to the largest id *referenced*,
+/// Sparse mode: above kDenseIdLimit catalog ids the direct table stops
+/// being an optimization — it grows to the largest id *referenced*,
 /// and with hundreds of store instances across the cache plane the dense
 /// waste alone would blow the scale-smoke RSS budget at 10^8 objects. In
 /// sparse mode the same API runs over an open-addressing table of packed
 /// (id, slot) entries (Fibonacci hashing, linear probing, backward-shift
 /// deletion), sized by *resident* objects instead of the id space. The
-/// dense fast path keeps exactly one predictable branch; the mode is
-/// fixed while the index is empty, so a store's stream of operations is
-/// wholly one mode or the other.
+/// dense fast path keeps exactly one predictable branch; SetIdCount picks
+/// the mode from the id count while the index is empty, so a store's
+/// stream of operations is wholly one mode or the other.
 class SlotIndex {
  public:
   SlotId Get(trace::ObjectId id) const {
@@ -49,10 +54,11 @@ class SlotIndex {
     }
     if (id >= slots_.size()) {
       // Geometric growth keeps amortized cost O(1) for ids arriving in
-      // ascending order; new entries start empty.
-      const size_t target =
-          std::max<size_t>(static_cast<size_t>(id) + 1, slots_.size() * 2);
-      slots_.resize(target, kNoSlot);
+      // ascending order, capped at the id count (id + 1 is the floor, so
+      // an id beyond the count still fits); new entries start empty.
+      size_t target = slots_.size() * 2;
+      if (id_count_ != 0) target = std::min<uint64_t>(target, id_count_);
+      slots_.resize(std::max<size_t>(target, size_t{id} + 1), kNoSlot);
     }
     slots_[id] = slot;
   }
@@ -91,11 +97,15 @@ class SlotIndex {
     }
   }
 
-  /// Selects dense (default) or sparse storage. Only legal while the
-  /// index holds no mappings — stores wire it through right after
-  /// construction or Clear(), before any Set.
-  void SetSparse(bool sparse) {
+  /// Sizes the index for ids in [0, num_ids): sparse storage above
+  /// kDenseIdLimit, else dense storage that grows no wider than num_ids.
+  /// 0 (the default) is an unknown count: dense and uncapped. Only legal
+  /// while the index holds no mappings — stores wire it through right
+  /// after construction or Clear(), before any Set.
+  void SetIdCount(uint64_t num_ids) {
     CASCACHE_CHECK(slots_.empty() && sparse_count_ == 0);
+    id_count_ = num_ids;
+    const bool sparse = num_ids > kDenseIdLimit;
     if (sparse_ == sparse) return;
     sparse_ = sparse;
     buckets_.clear();
@@ -198,6 +208,7 @@ class SlotIndex {
   }
 
   std::vector<SlotId> slots_;
+  uint64_t id_count_ = 0;  ///< Catalog ids; 0 = unknown.
 
   bool sparse_ = false;
   std::vector<uint64_t> buckets_;  ///< Power-of-two size; kEmptyBucket = free.
@@ -316,11 +327,11 @@ class FlatIdMap {
     count_ = 0;
   }
 
-  /// Forwards the id-index storage mode (see SlotIndex::SetSparse); the
-  /// map must be empty.
-  void SetSparse(bool sparse) {
+  /// Sizes the id index for the catalog's id count (see
+  /// SlotIndex::SetIdCount); the map must be empty.
+  void SetIdCount(uint64_t num_ids) {
     CASCACHE_CHECK(count_ == 0);
-    index_.SetSparse(sparse);
+    index_.SetIdCount(num_ids);
   }
 
   size_t size() const { return count_; }

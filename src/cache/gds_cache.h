@@ -2,12 +2,12 @@
 #define CASCACHE_CACHE_GDS_CACHE_H_
 
 #include <cstdint>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "cache/flat_store.h"
 #include "trace/object_catalog.h"
+#include "util/indexed_heap.h"
 
 namespace cascache::cache {
 
@@ -22,9 +22,11 @@ using trace::ObjectId;
 /// optimizes replacement only, so it serves as an extra comparator for
 /// the coordinated scheme.
 ///
-/// Entries live in chunked-pool slots (size, credit) behind a direct-index
-/// id→slot table; the ascending (H, id) std::set is kept so victim order
-/// stays bit-identical to the historical map-based store.
+/// Entries live in chunked-pool slots (their sizes) behind a direct-index
+/// id→slot table, ranked by a slot-keyed util::IndexedMinHeap on (H, id).
+/// Ids are unique, so that is a total order: Pop yields exactly the victim
+/// sequence of an ordered set over the same pairs, and the heap's copy of
+/// H is the one credit the store keeps.
 class GdsCache {
  public:
   explicit GdsCache(uint64_t capacity_bytes);
@@ -50,9 +52,9 @@ class GdsCache {
   bool Erase(ObjectId id);
   void Clear();
 
-  /// Selects the id-index storage mode (SlotIndex::SetSparse); the cache
-  /// must be empty.
-  void SetSparse(bool sparse) { index_.SetSparse(sparse); }
+  /// Sizes the id index for the catalog's id count (SlotIndex::SetIdCount);
+  /// the cache must be empty.
+  void SetIdCount(uint64_t num_ids) { index_.SetIdCount(num_ids); }
 
   uint64_t capacity_bytes() const { return capacity_; }
   uint64_t used_bytes() const { return used_; }
@@ -65,23 +67,21 @@ class GdsCache {
   double CreditOf(ObjectId id) const;
 
  private:
-  struct Slot {
-    uint64_t size;
-    double credit;  ///< H.
-  };
-
-  void SetCredit(ObjectId id, Slot& slot, double credit);
+  /// Refreshes the credit of the cached `id` in `slot`, as on a hit:
+  /// H = L + cost/size.
+  void Refresh(ObjectId id, SlotId slot, double cost);
 
   uint64_t capacity_;
   uint64_t used_ = 0;
   size_t count_ = 0;
   double inflation_ = 0.0;  ///< L.
 
-  ChunkedSlotPool<Slot> slots_;
+  ChunkedSlotPool<uint64_t> sizes_;
   SlotIndex index_;
   std::vector<ObjectId> evicted_scratch_;
 
-  std::set<std::pair<double, ObjectId>> order_;  ///< Ascending (H, id).
+  /// Cached slots on ascending (H, id): the top is the victim.
+  util::IndexedMinHeap<std::pair<double, ObjectId>> order_;
 };
 
 }  // namespace cascache::cache

@@ -45,9 +45,9 @@ class LfuCache {
   bool Erase(ObjectId id);
   void Clear();
 
-  /// Selects sparse id-index storage for huge sparse catalogs (see
-  /// SlotIndex::SetSparse); the cache must be empty.
-  void SetSparse(bool sparse) { index_.SetSparse(sparse); }
+  /// Sizes the id index for the catalog's id count (SlotIndex::SetIdCount);
+  /// the cache must be empty.
+  void SetIdCount(uint64_t num_ids) { index_.SetIdCount(num_ids); }
 
   uint64_t capacity_bytes() const { return capacity_; }
   uint64_t used_bytes() const { return used_; }
@@ -72,7 +72,7 @@ class LfuCache {
   std::vector<ObjectId> evicted_scratch_;
 
   /// Min-heap of slots on count: top is the LFU victim.
-  util::IndexedMinHeap heap_;
+  util::IndexedMinHeap<> heap_;
 };
 
 }  // namespace cascache::cache

@@ -24,21 +24,16 @@ void NclCache::PlanEvictionInto(uint64_t need_bytes,
     plan->feasible = true;
     return;
   }
-  uint64_t to_free = need_bytes - free;
-  for (const auto& [ncl, id] : order_) {
-    const SlotId slot_id = index_.Get(id);
-    CASCACHE_DCHECK(slot_id < kDCacheTag);
-    const Slot& slot = slots_.at(slot_id);
-    plan->victims.push_back(id);
+  const uint64_t to_free = need_bytes - free;
+  // Stays false if even evicting everything is not enough.
+  order_.VisitAscending(&frontier_, [&](const auto& entry) {
+    const Slot& slot = slots_.at(entry.first);
+    plan->victims.push_back(entry.second.second);
     plan->cost_loss += slot.loss;
     plan->freed_bytes += slot.size;
-    if (plan->freed_bytes >= to_free) {
-      plan->feasible = true;
-      return;
-    }
-  }
-  // Even evicting everything is not enough.
-  plan->feasible = false;
+    plan->feasible = plan->freed_bytes >= to_free;
+    return !plan->feasible;
+  });
 }
 
 const std::vector<ObjectId>& NclCache::InsertAbsent(
@@ -64,9 +59,8 @@ const std::vector<ObjectId>& NclCache::InsertAbsent(
   Slot& slot = slots_.at(slot_id);
   slot.size = desc.size;
   slot.loss = loss;
-  slot.order_pos =
-      order_.emplace(loss / static_cast<double>(desc.size), id).first;
   slot.desc = desc;
+  order_.Push(slot_id, {loss / static_cast<double>(desc.size), id});
   index_.Set(id, slot_id);
   used_ += desc.size;
   ++count_;
@@ -93,13 +87,13 @@ const std::vector<ObjectId>& NclCache::Insert(ObjectId id, uint64_t size,
 
 void NclCache::UpdateLoss(Entry entry, double loss) {
   Slot& slot = slots_.at(entry.raw);
+  const double size = static_cast<double>(slot.size);
+  const double ncl = loss / size;
+  // The order's key holds an NCL equal to slot.loss / size.
+  const bool same_key = ncl == slot.loss / size;
   slot.loss = loss;
-  const double ncl = loss / static_cast<double>(slot.size);
-  if (ncl == slot.order_pos->first) return;  // Same key, same order.
-  // Re-key the node in place: no tree search, no free/allocate.
-  Order::node_type node = order_.extract(slot.order_pos);
-  node.value().first = ncl;
-  slot.order_pos = order_.insert(std::move(node)).position;
+  if (same_key) return;  // Same key, same order.
+  order_.Update(entry.raw, {ncl, order_.PriorityOf(entry.raw).second});
 }
 
 bool NclCache::UpdateLoss(ObjectId id, double loss) {
@@ -125,7 +119,7 @@ void NclCache::Drop(ObjectId id, SlotId slot_id) {
   } else {
     index_.Erase(id);
   }
-  order_.erase(slot.order_pos);
+  order_.Erase(slot_id);
   used_ -= slot.size;
   slots_.Free(slot_id);
   --count_;
@@ -136,7 +130,7 @@ void NclCache::Clear() {
   // store re-fills its old slots without regrowing.
   slots_.Clear();
   index_.Clear();
-  order_.clear();
+  order_.Clear();
   used_ = 0;
   count_ = 0;
   dpool_.Clear();
@@ -147,7 +141,10 @@ void NclCache::Clear() {
 std::vector<ObjectId> NclCache::IdsByNcl() const {
   std::vector<ObjectId> ids;
   ids.reserve(order_.size());
-  for (const auto& [ncl, id] : order_) ids.push_back(id);
+  order_.VisitAscending(&frontier_, [&](const auto& entry) {
+    ids.push_back(entry.second.second);
+    return true;
+  });
   return ids;
 }
 

@@ -2,7 +2,6 @@
 #define CASCACHE_CACHE_NCL_CACHE_H_
 
 #include <cstdint>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -39,19 +38,19 @@ enum class DCachePolicy {
 /// kDCacheTag (the top SlotId bit). Contains is one load and one compare,
 /// and every descriptor operation reads the index once.
 ///
-/// A cached object lives in one chunked-pool slot: its size, loss, its
-/// position in the NCL order and its descriptor. A d-cache descriptor
-/// lives in a second pool of bare descriptors (they outnumber cached
-/// objects up to 3:1, so they do not pay for the NCL fields), ranked by a
-/// slot-keyed eviction heap with a slot→id array naming the victim. Chunk
-/// stability keeps descriptor pointers valid across later insertions.
+/// A cached object lives in one chunked-pool slot: its size, loss and
+/// descriptor. A d-cache descriptor lives in a second pool of bare
+/// descriptors (they outnumber cached objects up to 3:1, so they do not
+/// pay for the NCL fields), ranked by a slot-keyed eviction heap with a
+/// slot→id array naming the victim. Chunk stability keeps descriptor
+/// pointers valid across later insertions.
 ///
-/// The ascending (NCL, id) order is a std::set — the greedy scan needs
-/// non-destructive in-order traversal, and keeping the exact same
-/// comparator preserves bit-identical victim order. Each slot keeps its
-/// set iterator, so Erase and UpdateLoss never search the tree, and
-/// UpdateLoss re-keys the set node in place (extract + insert) instead of
-/// freeing and allocating one.
+/// The ascending NCL order is a slot-keyed util::IndexedMinHeap on
+/// (NCL, id). Ids are unique, so that is a total order: the greedy plan
+/// walks it best-first (VisitAscending) and reads each victim's id from
+/// its key, and the victims come in exactly the order of an ordered set
+/// over the same pairs. Erase and UpdateLoss reach the entry by slot, and no
+/// operation allocates once the heap's arrays are warm.
 class NclCache {
  public:
   /// Greedy eviction preview: which objects would be purged to free
@@ -152,9 +151,9 @@ class NclCache {
   /// Drops every cached object and descriptor.
   void Clear();
 
-  /// Selects the id-index storage mode (SlotIndex::SetSparse); the cache
-  /// must be empty.
-  void SetSparse(bool sparse) { index_.SetSparse(sparse); }
+  /// Sizes the id index for the catalog's id count (SlotIndex::SetIdCount);
+  /// the cache must be empty.
+  void SetIdCount(uint64_t num_ids) { index_.SetIdCount(num_ids); }
 
   uint64_t capacity_bytes() const { return capacity_; }
   uint64_t used_bytes() const { return used_; }
@@ -167,14 +166,14 @@ class NclCache {
   /// Ids of all cached objects in ascending NCL order (test/debug helper).
   std::vector<ObjectId> IdsByNcl() const;
 
-  /// Visits every cached object in ascending NCL order; `fn` takes
+  /// Visits every cached object, in no particular order; `fn` takes
   /// (ObjectId, uint64_t size, const ObjectDescriptor&). Invariant checks
   /// only — the hot path never iterates.
   template <typename Fn>
   void ForEach(Fn fn) const {
-    for (const auto& [ncl, id] : order_) {
-      const Slot& slot = slots_.at(index_.Get(id));
-      fn(id, slot.size, slot.desc);
+    for (const auto& [slot_id, key] : order_.entries()) {
+      const Slot& slot = slots_.at(slot_id);
+      fn(key.second, slot.size, slot.desc);
     }
   }
 
@@ -196,12 +195,9 @@ class NclCache {
   DCachePolicy dcache_policy() const { return dcache_policy_; }
 
  private:
-  using Order = std::set<std::pair<double, ObjectId>>;
-
   struct Slot {
     uint64_t size;
     double loss;  ///< f·m
-    Order::iterator order_pos;  ///< This entry's (NCL, id) node.
     ObjectDescriptor desc;
   };
 
@@ -225,9 +221,10 @@ class NclCache {
   /// The one id index: cached slots and tagged d-cache slots.
   SlotIndex index_;
 
-  /// Ascending (NCL, id) order; supports the greedy in-order scan that the
-  /// heap alternative cannot provide without destructive pops.
-  Order order_;
+  /// Cached slots on ascending (NCL, id): the greedy eviction order.
+  util::IndexedMinHeap<std::pair<double, ObjectId>> order_;
+  /// Scratch of the greedy walk (VisitAscending's frontier).
+  mutable std::vector<size_t> frontier_;
 
   size_t dcache_capacity_;
   DCachePolicy dcache_policy_;
@@ -236,7 +233,7 @@ class NclCache {
   /// d-cache slot → id of the descriptor in it (names the heap's victim).
   std::vector<ObjectId> dids_;
   /// Min-heap of d-cache slots on priority: the top is the victim.
-  util::IndexedMinHeap dheap_;
+  util::IndexedMinHeap<> dheap_;
 };
 
 }  // namespace cascache::cache

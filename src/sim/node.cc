@@ -11,7 +11,7 @@ namespace {
 bool SameStoreShape(const CacheNodeConfig& a, const CacheNodeConfig& b) {
   return a.mode == b.mode && a.capacity_bytes == b.capacity_bytes &&
          a.dcache_entries == b.dcache_entries &&
-         a.dcache_policy == b.dcache_policy && a.sparse_ids == b.sparse_ids &&
+         a.dcache_policy == b.dcache_policy && a.catalog_ids == b.catalog_ids &&
          a.EffectiveRamCapacity() == b.EffectiveRamCapacity();
 }
 
@@ -27,7 +27,7 @@ void CacheNode::Reset(const CacheNodeConfig& config) {
   config_ = config;
   estimator_ = cache::FrequencyEstimator(config.frequency);
   copy_stamps_.Clear();
-  copy_stamps_.SetSparse(config_.sparse_ids);
+  copy_stamps_.SetIdCount(config_.catalog_ids);
   if (reuse) {
     // Same store shape (the common case: crash cold-restarts re-apply the
     // active config): recycle the pooled slots and index tables in place
@@ -51,26 +51,26 @@ void CacheNode::Reset(const CacheNodeConfig& config) {
   if (const uint64_t ram_capacity = config_.EffectiveRamCapacity();
       ram_capacity > 0) {
     ram_ = std::make_unique<cache::FlatLru>(ram_capacity);
-    ram_->SetSparse(config_.sparse_ids);
+    ram_->SetIdCount(config_.catalog_ids);
   }
   switch (config_.mode) {
     case CacheMode::kLru:
       lru_ = std::make_unique<cache::FlatLru>(config_.capacity_bytes);
-      lru_->SetSparse(config_.sparse_ids);
+      lru_->SetIdCount(config_.catalog_ids);
       break;
     case CacheMode::kGds:
       gds_ = std::make_unique<cache::GdsCache>(config_.capacity_bytes);
-      gds_->SetSparse(config_.sparse_ids);
+      gds_->SetIdCount(config_.catalog_ids);
       break;
     case CacheMode::kLfu:
       lfu_ = std::make_unique<cache::LfuCache>(config_.capacity_bytes);
-      lfu_->SetSparse(config_.sparse_ids);
+      lfu_->SetIdCount(config_.catalog_ids);
       break;
     case CacheMode::kCost:
       ncl_ = std::make_unique<cache::NclCache>(config_.capacity_bytes,
                                                config_.dcache_entries,
                                                config_.dcache_policy);
-      ncl_->SetSparse(config_.sparse_ids);
+      ncl_->SetIdCount(config_.catalog_ids);
       break;
   }
 }

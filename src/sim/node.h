@@ -33,11 +33,13 @@ struct CacheNodeConfig {
   size_t dcache_entries = 0;
   /// d-cache replacement (paper §2.4 default: LFU).
   cache::DCachePolicy dcache_policy = cache::DCachePolicy::kLfu;
-  /// Use hashed (sparse) id→slot index tables instead of direct-index
-  /// arrays. Required for huge procedural catalogs (e.g. 10^8 objects)
-  /// where a dense table per store would dwarf the cached data; the
-  /// simulator sets this from the catalog size.
-  bool sparse_ids = false;
+  /// The catalog's id count, which sizes every id→slot index
+  /// (cache::SlotIndex::SetIdCount): hashed tables for huge procedural
+  /// catalogs (e.g. 10^8 objects), where a dense table per store would
+  /// dwarf the cached data, else dense tables no wider than the catalog.
+  /// 0 = unknown (dense, grown to the largest id seen). The simulator
+  /// sets it from the catalog.
+  uint64_t catalog_ids = 0;
   /// Two-tier node (Traffic Server's RAM-cache-over-disk design): a small
   /// fast RAM tier in front of the mode store, sized as this fraction of
   /// `capacity_bytes`. 0 disables the tier (single-store node, today's

@@ -30,11 +30,6 @@ constexpr size_t kDecodeBlock = 1024;
 constexpr size_t kReplayChunk = 2 * 1024 * 1024;
 static_assert(kReplayChunk % kDecodeBlock == 0);
 
-/// Above this catalog size the per-store dense id→slot arrays are
-/// replaced with residency-sized hashed structures; 2^24 objects keeps the
-/// dense path for every historical configuration.
-constexpr uint32_t kDenseIdLimit = 1u << 24;
-
 }  // namespace
 
 util::Status TierParams::Validate() const {
@@ -203,11 +198,10 @@ util::Status Simulator::Run(const trace::WorkloadView& view,
   // it every hit/miss decision — is exactly the untiered store's.
   config.ram_fraction = options_.tier.ram_fraction;
   config.ram_capacity_bytes = options_.tier.ram_capacity_bytes;
-  // Huge (procedural) catalogs: dense per-store id→slot arrays would cost
-  // 4 bytes x num_objects x num_stores; switch every store to hashed
-  // indexes sized by residency instead.
-  const bool huge_catalog = catalog_->num_objects() > kDenseIdLimit;
-  config.sparse_ids = huge_catalog;
+  // Every store's id→slot index is sized from the catalog: dense and no
+  // wider than it, or, for huge (procedural) catalogs, hashed and sized
+  // by residency (SlotIndex::SetIdCount).
+  config.catalog_ids = catalog_->num_objects();
   if (scheme_->uses_dcache()) {
     const double avg_objects =
         static_cast<double>(capacity_bytes_per_node) / mean_object_size_;

@@ -12,20 +12,29 @@
 namespace cascache::util {
 
 /// Binary min-heap over (key, priority) pairs with O(log n) priority update
-/// and erase by key. This backs the LFU d-cache (paper §2.4) and the
-/// in-cache LFU store.
+/// and erase by key. This is the one eviction order of the stores: the
+/// NCL store (paper §2.1) and the GreedyDual-Size store rank their cached
+/// objects in it, and the LFU d-cache (paper §2.4) and the in-cache LFU
+/// store their entries.
 ///
 /// Keys are unique small dense uint32 values — the stores key their heaps
 /// by pool SlotId, not ObjectId, so the direct-index key→position table
 /// spans the store's capacity (resident entries), never the catalog. The
 /// table grows lazily to the largest key seen; Clear is O(1) (it re-grows
-/// on demand, retaining capacity). Priorities are doubles; ties are broken
-/// arbitrarily (but deterministically: the sift order depends only on the
-/// priorities and the operation sequence, never on the keys, so what a key
-/// names does not change victims).
+/// on demand, retaining capacity).
+///
+/// `Priority` is any type ordered by `<` (double by default). Ties are
+/// broken arbitrarily but deterministically: the sift order depends only
+/// on the priorities and the operation sequence, never on the keys, so
+/// what a key names does not change victims. A store that needs an exact
+/// victim order makes its priorities a total order — (NCL, id) and
+/// (H, id) pairs, ids being unique within a store — so Pop and
+/// VisitAscending yield the ascending sequence of a std::set over them.
+template <typename Priority = double>
 class IndexedMinHeap {
  public:
   using Key = uint32_t;
+  using Entry = std::pair<Key, Priority>;
 
   bool empty() const { return entries_.empty(); }
   size_t size() const { return entries_.size(); }
@@ -33,14 +42,14 @@ class IndexedMinHeap {
   bool Contains(Key key) const { return Lookup(key) != kNpos; }
 
   /// Priority of an existing key. The key must be present.
-  double PriorityOf(Key key) const {
+  const Priority& PriorityOf(Key key) const {
     const size_t i = Lookup(key);
     CASCACHE_CHECK(i != kNpos);
     return entries_[i].second;
   }
 
   /// Inserts a new key. The key must not already be present.
-  void Push(Key key, double priority) {
+  void Push(Key key, const Priority& priority) {
     CASCACHE_CHECK_MSG(!Contains(key), "duplicate key in IndexedMinHeap");
     entries_.emplace_back(key, priority);
     SetPos(key, entries_.size() - 1);
@@ -48,34 +57,34 @@ class IndexedMinHeap {
   }
 
   /// The minimum-priority entry. Heap must be non-empty.
-  const std::pair<Key, double>& Top() const {
+  const Entry& Top() const {
     CASCACHE_CHECK(!entries_.empty());
     return entries_[0];
   }
 
   /// Removes and returns the minimum-priority entry.
-  std::pair<Key, double> Pop() {
+  Entry Pop() {
     CASCACHE_CHECK(!entries_.empty());
-    std::pair<Key, double> top = entries_[0];
+    Entry top = entries_[0];
     RemoveAt(0);
     return top;
   }
 
   /// Changes the priority of an existing key.
-  void Update(Key key, double priority) {
+  void Update(Key key, const Priority& priority) {
     const size_t i = Lookup(key);
     CASCACHE_CHECK(i != kNpos);
-    const double old = entries_[i].second;
+    const Priority old = entries_[i].second;
     entries_[i].second = priority;
     if (priority < old) {
       SiftUp(i);
-    } else if (priority > old) {
+    } else if (old < priority) {
       SiftDown(i);
     }
   }
 
   /// Inserts the key or updates its priority if already present.
-  void Upsert(Key key, double priority) {
+  void Upsert(Key key, const Priority& priority) {
     if (Contains(key)) {
       Update(key, priority);
     } else {
@@ -97,8 +106,32 @@ class IndexedMinHeap {
   }
 
   /// Unordered view of all entries (heap order, not priority order).
-  const std::vector<std::pair<Key, double>>& entries() const {
-    return entries_;
+  const std::vector<Entry>& entries() const { return entries_; }
+
+  /// Visits entries in ascending priority order, without modifying the
+  /// heap, until `fn(const Entry&)` returns false. A best-first walk over
+  /// the heap array: `frontier` (caller-owned scratch, so a warm walk
+  /// never allocates) holds the positions whose parents were visited,
+  /// ordered as a min-heap on priority; by the heap property its minimum
+  /// is the next entry in order. Visiting k entries costs O(k log k).
+  template <typename Fn>
+  void VisitAscending(std::vector<size_t>* frontier, Fn fn) const {
+    const auto later = [this](size_t a, size_t b) {
+      return entries_[b].second < entries_[a].second;
+    };
+    frontier->clear();
+    if (!entries_.empty()) frontier->push_back(0);
+    while (!frontier->empty()) {
+      std::pop_heap(frontier->begin(), frontier->end(), later);
+      const size_t i = frontier->back();
+      frontier->pop_back();
+      if (!fn(entries_[i])) return;
+      for (size_t child = 2 * i + 1;
+           child <= 2 * i + 2 && child < entries_.size(); ++child) {
+        frontier->push_back(child);
+        std::push_heap(frontier->begin(), frontier->end(), later);
+      }
+    }
   }
 
   /// Verifies the heap property and index map; used by tests.
@@ -180,7 +213,7 @@ class IndexedMinHeap {
     }
   }
 
-  std::vector<std::pair<Key, double>> entries_;
+  std::vector<Entry> entries_;
   std::vector<size_t> pos_;  ///< key → heap position (kNpos = absent).
 };
 

@@ -1,7 +1,7 @@
 // Differential tests for the flat cache plane: the production stores
-// (FlatLru over a struct-of-arrays slot pool, NclCache with descriptors and
-// set positions in its slots and its d-cache of pooled descriptors behind
-// the same id index) are driven through long random operation sequences
+// (FlatLru over a struct-of-arrays slot pool, NclCache with descriptors in
+// its slots and its d-cache of pooled descriptors behind the same id
+// index, GdsCache) are driven through long random operation sequences
 // in lock-step with the historical node-based implementations kept as
 // oracles in tests/testing/ref_caches.h. Every observable — return
 // values, membership, byte accounting, eviction order, descriptor
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "cache/flat_lru.h"
+#include "cache/gds_cache.h"
 #include "cache/ncl_cache.h"
 #include "testing/ref_caches.h"
 #include "util/random.h"
@@ -21,6 +22,7 @@ namespace cascache::cache {
 namespace {
 
 using cascache::testing::RefDCache;
+using cascache::testing::RefGdsCache;
 using cascache::testing::RefLruCache;
 using cascache::testing::RefNclCache;
 using trace::ObjectId;
@@ -268,6 +270,60 @@ TEST(NclCacheDifferentialTest, MatchesReferenceUnderRandomOps) {
     ASSERT_EQ(flat.Contains(id), ref.Contains(id)) << "id " << id;
     if (ref.Contains(id)) {
       ASSERT_EQ(flat.LossOf(id), ref.LossOf(id));
+    }
+  }
+}
+
+// GreedyDual-Size store: random Insert / OnHit / Erase / Clear in
+// lock-step with the historical std::set store. Sizes and costs are
+// powers of two from small sets, so credits H = L + cost/size are exact
+// binary fractions and many ids share an H: the (H, id) tie-break decides
+// the eviction order.
+TEST(GdsCacheDifferentialTest, MatchesReferenceUnderRandomOps) {
+  Rng rng(19990621);
+  constexpr uint64_t kCapacity = 1024;
+  constexpr ObjectId kIds = 100;
+  GdsCache flat(kCapacity);
+  RefGdsCache ref(kCapacity);
+  const uint64_t kSizes[] = {16, 32, 64, 128, 2 * kCapacity};
+  const double kCosts[] = {0.0, 1.0, 2.0, 4.0, 8.0};
+  std::vector<uint64_t> sizes(kIds);
+  for (uint64_t& size : sizes) size = kSizes[rng.NextUint64(5)];
+  for (int step = 0; step < 100000; ++step) {
+    const ObjectId id = static_cast<ObjectId>(rng.NextUint64(kIds));
+    const double cost = kCosts[rng.NextUint64(5)];
+    const double dice = rng.NextDouble(0.0, 1.0);
+    if (dice < 0.5) {
+      bool flat_inserted = false;
+      bool ref_inserted = false;
+      const std::vector<ObjectId>& flat_evicted =
+          flat.Insert(id, sizes[id], cost, &flat_inserted);
+      const std::vector<ObjectId>& ref_evicted =
+          ref.Insert(id, sizes[id], cost, &ref_inserted);
+      ASSERT_EQ(flat_inserted, ref_inserted) << "step " << step;
+      ASSERT_EQ(flat_evicted, ref_evicted) << "step " << step;
+    } else if (dice < 0.85) {
+      ASSERT_EQ(flat.OnHit(id, cost), ref.OnHit(id, cost)) << "step " << step;
+    } else if (dice < 0.998) {
+      ASSERT_EQ(flat.Erase(id), ref.Erase(id)) << "step " << step;
+    } else {
+      flat.Clear();
+      ref.Clear();
+    }
+    ASSERT_EQ(flat.Contains(id), ref.Contains(id)) << "step " << step;
+    if (ref.Contains(id)) {
+      ASSERT_EQ(flat.CreditOf(id), ref.CreditOf(id)) << "step " << step;
+    }
+    ASSERT_EQ(flat.inflation(), ref.inflation()) << "step " << step;
+    ASSERT_EQ(flat.used_bytes(), ref.used_bytes()) << "step " << step;
+    ASSERT_EQ(flat.num_objects(), ref.num_objects()) << "step " << step;
+    if (step % 1000 == 0) {
+      for (ObjectId k = 0; k < kIds; ++k) {
+        ASSERT_EQ(flat.Contains(k), ref.Contains(k)) << "id " << k;
+        if (ref.Contains(k)) {
+          ASSERT_EQ(flat.CreditOf(k), ref.CreditOf(k)) << "id " << k;
+        }
+      }
     }
   }
 }

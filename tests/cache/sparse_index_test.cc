@@ -14,9 +14,12 @@
 namespace cascache::cache {
 namespace {
 
+/// The whole 32-bit id space: far above kDenseIdLimit, so sparse.
+constexpr uint64_t kAllIds = uint64_t{1} << 32;
+
 TEST(SparseSlotIndexTest, InsertLookupErase) {
   SlotIndex index;
-  index.SetSparse(true);
+  index.SetIdCount(kAllIds);
   EXPECT_TRUE(index.sparse());
   EXPECT_EQ(index.Get(7), kNoSlot);
 
@@ -38,7 +41,7 @@ TEST(SparseSlotIndexTest, InsertLookupErase) {
 
 TEST(SparseSlotIndexTest, MatchesDenseReferenceUnderRandomChurn) {
   SlotIndex sparse;
-  sparse.SetSparse(true);
+  sparse.SetIdCount(kAllIds);
   std::unordered_map<trace::ObjectId, SlotId> reference;
   util::Rng rng(17);
 
@@ -65,7 +68,7 @@ TEST(SparseSlotIndexTest, MatchesDenseReferenceUnderRandomChurn) {
 
 TEST(SparseSlotIndexTest, GrowsPastInitialCapacity) {
   SlotIndex index;
-  index.SetSparse(true);
+  index.SetIdCount(kAllIds);
   const size_t n = 100'000;  // >> kInitialBuckets; several doublings.
   for (size_t i = 0; i < n; ++i) {
     index.Set(static_cast<trace::ObjectId>(i * 1000 + 3),
@@ -81,7 +84,7 @@ TEST(SparseSlotIndexTest, GrowsPastInitialCapacity) {
 
 TEST(SparseSlotIndexTest, ClearKeepsSparseMode) {
   SlotIndex index;
-  index.SetSparse(true);
+  index.SetIdCount(kAllIds);
   index.Set(1'000'000, 9);
   index.Clear();
   EXPECT_TRUE(index.sparse());
@@ -97,6 +100,35 @@ TEST(SparseSlotIndexTest, DenseModeUnchangedByDefault) {
   EXPECT_EQ(index.Get(3), 7u);
   // Dense span tracks the largest id seen.
   EXPECT_GE(index.span(), 4u);
+}
+
+// A dense index sized for a catalog grows geometrically but never spans
+// more ids than the catalog has, whatever order the ids arrive in.
+TEST(SlotIndexTest, DenseSpanNeverExceedsIdCount) {
+  util::Rng rng(100'000);
+  for (const uint64_t count : {1u, 7u, 1'000u, 100'000u}) {
+    SCOPED_TRACE(count);
+    SlotIndex ascending;
+    ascending.SetIdCount(count);
+    SlotIndex random;
+    random.SetIdCount(count);
+    for (uint64_t i = 0; i < count; ++i) {
+      ascending.Set(static_cast<trace::ObjectId>(i), static_cast<SlotId>(i));
+      ASSERT_LE(ascending.span(), count);
+      random.Set(static_cast<trace::ObjectId>(rng.NextUint64(count)), 0);
+      ASSERT_LE(random.span(), count);
+    }
+    EXPECT_FALSE(ascending.sparse());
+    EXPECT_EQ(ascending.span(), count);
+    EXPECT_EQ(ascending.Get(static_cast<trace::ObjectId>(count - 1)),
+              static_cast<SlotId>(count - 1));
+  }
+  // An id beyond the count still fits: id + 1 is the floor.
+  SlotIndex index;
+  index.SetIdCount(10);
+  index.Set(25, 3);
+  EXPECT_EQ(index.Get(25), 3u);
+  EXPECT_EQ(index.span(), 26u);
 }
 
 }  // namespace

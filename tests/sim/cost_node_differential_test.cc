@@ -56,7 +56,7 @@ void RunCostNodeDifferential(cache::DCachePolicy policy, size_t dcache_entries,
   config.capacity_bytes = kCapacity;
   config.dcache_entries = dcache_entries;
   config.dcache_policy = policy;
-  config.sparse_ids = sparse;
+  config.catalog_ids = sparse ? uint64_t{1} << 32 : kIds;
   config.frequency.aging_interval = 40.0;  // Exercise the lazy refresh.
   CacheNode node(0, config);
   RefCostNode ref(kCapacity, dcache_entries, policy, config.frequency);

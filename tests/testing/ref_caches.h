@@ -245,14 +245,14 @@ class RefDCache {
   size_t capacity_;
   cache::DCachePolicy policy_;
   std::unordered_map<ObjectId, cache::ObjectDescriptor> descriptors_;
-  util::IndexedMinHeap heap_;  ///< Keyed by id.
+  util::IndexedMinHeap<> heap_;  ///< Keyed by id.
 };
 
 /// Reference NCL store oracle: the historical NclCache, verbatim — size,
 /// loss and NCL in struct-of-arrays slots behind their own id→slot index,
 /// and the (NCL, id) std::set reordered by erase + emplace on every loss
-/// update. The production NclCache (descriptors in its slots, per-slot
-/// set iterators, in-place re-keying) must match it observably.
+/// update. The production NclCache (descriptors in its slots, a
+/// slot-keyed (NCL, id) heap walked best-first) must match it observably.
 class RefNclCache {
  public:
   using EvictionPlan = cache::NclCache::EvictionPlan;
@@ -527,6 +527,121 @@ class RefCostNode {
   RefNclCache ncl_;
   std::unordered_map<ObjectId, cache::ObjectDescriptor> main_;
   RefDCache dcache_;
+};
+
+/// Reference GreedyDual-Size oracle: the historical GdsCache, verbatim —
+/// (size, credit) in chunked-pool slots behind an id→slot index, and the
+/// ascending (H, id) std::set re-keyed by erase + emplace on every credit
+/// refresh. The production GdsCache (slot-keyed heap on (H, id)) must
+/// match it observably: eviction order, inflation and every credit.
+class RefGdsCache {
+ public:
+  explicit RefGdsCache(uint64_t capacity_bytes) : capacity_(capacity_bytes) {}
+
+  bool Contains(ObjectId id) const { return index_.Contains(id); }
+
+  const std::vector<ObjectId>& Insert(ObjectId id, uint64_t size, double cost,
+                                      bool* inserted = nullptr) {
+    if (inserted != nullptr) *inserted = false;
+    evicted_scratch_.clear();
+    CASCACHE_CHECK(size > 0);
+    CASCACHE_CHECK(cost >= 0.0);
+    if (const cache::SlotId slot_id = index_.Get(id);
+        slot_id != cache::kNoSlot) {
+      Slot& slot = slots_.at(slot_id);
+      SetCredit(id, slot, inflation_ + cost / static_cast<double>(slot.size));
+      return evicted_scratch_;
+    }
+    if (size > capacity_) return evicted_scratch_;
+
+    while (used_ + size > capacity_) {
+      CASCACHE_CHECK(!order_.empty());
+      const auto [credit, victim] = *order_.begin();
+      // Advance the inflation value to the evicted credit (the GDS rule).
+      inflation_ = credit;
+      order_.erase(order_.begin());
+      const cache::SlotId victim_slot = index_.Get(victim);
+      CASCACHE_DCHECK(victim_slot != cache::kNoSlot);
+      used_ -= slots_.at(victim_slot).size;
+      index_.Erase(victim);
+      slots_.Free(victim_slot);
+      --count_;
+      evicted_scratch_.push_back(victim);
+    }
+
+    const cache::SlotId slot_id = slots_.Alloc();
+    Slot& slot = slots_.at(slot_id);
+    slot.size = size;
+    slot.credit = inflation_ + cost / static_cast<double>(size);
+    order_.emplace(slot.credit, id);
+    index_.Set(id, slot_id);
+    used_ += size;
+    ++count_;
+    if (inserted != nullptr) *inserted = true;
+    return evicted_scratch_;
+  }
+
+  bool OnHit(ObjectId id, double cost) {
+    const cache::SlotId slot_id = index_.Get(id);
+    if (slot_id == cache::kNoSlot) return false;
+    Slot& slot = slots_.at(slot_id);
+    SetCredit(id, slot, inflation_ + cost / static_cast<double>(slot.size));
+    return true;
+  }
+
+  bool Erase(ObjectId id) {
+    const cache::SlotId slot_id = index_.Get(id);
+    if (slot_id == cache::kNoSlot) return false;
+    const Slot& slot = slots_.at(slot_id);
+    order_.erase({slot.credit, id});
+    used_ -= slot.size;
+    index_.Erase(id);
+    slots_.Free(slot_id);
+    --count_;
+    return true;
+  }
+
+  void Clear() {
+    slots_.Clear();
+    index_.Clear();
+    order_.clear();
+    used_ = 0;
+    count_ = 0;
+    inflation_ = 0.0;
+  }
+
+  uint64_t used_bytes() const { return used_; }
+  size_t num_objects() const { return count_; }
+  double inflation() const { return inflation_; }
+
+  double CreditOf(ObjectId id) const {
+    const cache::SlotId slot = index_.Get(id);
+    CASCACHE_CHECK_MSG(slot != cache::kNoSlot, "object not cached");
+    return slots_.at(slot).credit;
+  }
+
+ private:
+  struct Slot {
+    uint64_t size;
+    double credit;  ///< H.
+  };
+
+  void SetCredit(ObjectId id, Slot& slot, double credit) {
+    order_.erase({slot.credit, id});
+    slot.credit = credit;
+    order_.emplace(credit, id);
+  }
+
+  uint64_t capacity_;
+  uint64_t used_ = 0;
+  size_t count_ = 0;
+  double inflation_ = 0.0;  ///< L.
+
+  cache::ChunkedSlotPool<Slot> slots_;
+  cache::SlotIndex index_;
+  std::vector<ObjectId> evicted_scratch_;
+
+  std::set<std::pair<double, ObjectId>> order_;  ///< Ascending (H, id).
 };
 
 }  // namespace cascache::testing

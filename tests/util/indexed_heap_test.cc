@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <set>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -145,6 +147,101 @@ TEST(IndexedHeapTest, RandomOpsMatchReference) {
     }
   }
   EXPECT_TRUE(heap.CheckInvariants());
+}
+
+// Pair priorities as the NCL and GDS stores use them: (value, id) with
+// few distinct values, so the id decides most comparisons. Ids are
+// unique, which makes the priorities a total order.
+using PairPriority = std::pair<double, uint32_t>;
+using PairHeap = IndexedMinHeap<PairPriority>;
+
+/// Builds a heap of up to `max_keys` keys by random Push / Update / Erase
+/// churn; key k always carries id k ^ 0x5a5a.
+PairHeap RandomPairHeap(Rng& rng, uint32_t max_keys) {
+  const double kValues[] = {0.0, 0.5, 1.0, 1.5};
+  auto priority = [&](uint32_t key) {
+    return PairPriority{kValues[rng.NextUint64(4)], key ^ 0x5a5au};
+  };
+  PairHeap heap;
+  for (int step = 0; step < 3 * static_cast<int>(max_keys); ++step) {
+    const uint32_t key = static_cast<uint32_t>(rng.NextUint64(max_keys));
+    const double dice = rng.NextDouble(0.0, 1.0);
+    if (dice < 0.6) {
+      heap.Upsert(key, priority(key));
+    } else if (dice < 0.8) {
+      heap.Erase(key);
+    } else if (!heap.empty()) {
+      heap.Pop();
+    }
+  }
+  return heap;
+}
+
+std::vector<PairPriority> SortedPriorities(const PairHeap& heap) {
+  std::vector<PairPriority> sorted;
+  for (const auto& [key, priority] : heap.entries()) sorted.push_back(priority);
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
+}
+
+TEST(IndexedHeapTest, VisitAscendingMatchesSortOrderAndLeavesHeapAlone) {
+  Rng rng(2003);
+  std::vector<size_t> frontier;  // Reused across walks, as the stores do.
+  for (int trial = 0; trial < 200; ++trial) {
+    const PairHeap heap =
+        RandomPairHeap(rng, 1 + static_cast<uint32_t>(rng.NextUint64(300)));
+    const std::vector<PairHeap::Entry> before = heap.entries();
+    std::vector<PairPriority> visited;
+    heap.VisitAscending(&frontier, [&](const PairHeap::Entry& entry) {
+      EXPECT_EQ(heap.PriorityOf(entry.first), entry.second);
+      visited.push_back(entry.second);
+      return true;
+    });
+    ASSERT_EQ(visited, SortedPriorities(heap)) << "trial " << trial;
+    ASSERT_EQ(heap.entries(), before) << "trial " << trial;
+    ASSERT_TRUE(heap.CheckInvariants()) << "trial " << trial;
+  }
+}
+
+TEST(IndexedHeapTest, VisitAscendingStopsWhenAsked) {
+  Rng rng(2004);
+  std::vector<size_t> frontier;
+  for (int trial = 0; trial < 200; ++trial) {
+    const PairHeap heap =
+        RandomPairHeap(rng, 1 + static_cast<uint32_t>(rng.NextUint64(300)));
+    const std::vector<PairPriority> sorted = SortedPriorities(heap);
+    const size_t stop_after = rng.NextUint64(sorted.size() + 1);
+    std::vector<PairPriority> visited;
+    heap.VisitAscending(&frontier, [&](const PairHeap::Entry& entry) {
+      visited.push_back(entry.second);
+      return visited.size() < stop_after;
+    });
+    // The callback runs once even when it stops at the first entry.
+    const size_t expected =
+        sorted.empty() ? 0 : std::max<size_t>(1, stop_after);
+    ASSERT_EQ(visited.size(), expected) << "trial " << trial;
+    ASSERT_TRUE(std::equal(visited.begin(), visited.end(), sorted.begin()))
+        << "trial " << trial;
+  }
+}
+
+TEST(IndexedHeapTest, PairPopOrderMatchesOrderedSet) {
+  Rng rng(2005);
+  for (int trial = 0; trial < 50; ++trial) {
+    PairHeap heap =
+        RandomPairHeap(rng, 1 + static_cast<uint32_t>(rng.NextUint64(300)));
+    std::set<PairPriority> reference;
+    for (const auto& [key, priority] : heap.entries()) {
+      reference.insert(priority);
+    }
+    ASSERT_EQ(reference.size(), heap.size());
+    for (const PairPriority& want : reference) {
+      const PairHeap::Entry got = heap.Pop();
+      ASSERT_EQ(got.second, want) << "trial " << trial;
+      ASSERT_EQ(got.first, want.second ^ 0x5a5au) << "trial " << trial;
+    }
+    EXPECT_TRUE(heap.empty());
+  }
 }
 
 }  // namespace
