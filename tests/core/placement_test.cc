@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -265,6 +267,167 @@ TEST(PlacementDpTest, LargePathRuns) {
   const PlacementResult result = SolvePlacementDP(input);
   EXPECT_GE(result.gain, 0.0);
   EXPECT_NEAR(EvaluatePlacement(input, result.selected), result.gain, 1e-6);
+}
+
+// ---------------------------------------------------------------------------
+// Theorem 2 truncation: the Coordinated ascent stops a hop's greedy
+// eviction walk at the first partial cost loss above f_eff·M_i, where
+// f_eff is the frequency the DP sees after its monotone clamp and M_i is
+// the hop's link-cost distance to the origin, summed top-down. The DP
+// must then return the same selection and a bit-identical gain.
+// ---------------------------------------------------------------------------
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Sum of the victims' losses in walk order, stopping at the first partial
+// sum above `limit` (kInf: the whole walk).
+double WalkLoss(const std::vector<double>& victims, double limit) {
+  double loss = 0.0;
+  for (double victim : victims) {
+    loss += victim;
+    if (loss > limit) break;
+  }
+  return loss;
+}
+
+// One request on a path of `costs.size() + 1` caches (hop 0 requests):
+// the serving point is the origin (`hit` < 0) or the cache at `hit`.
+// m_i is accumulated as the serving node does, M_i as the ascent does,
+// and the candidates' victims come from `victims_of(k, limit)`.
+struct TruncatedInputs {
+  PlacementInput full;
+  PlacementInput truncated;
+  int truncated_hops = 0;
+};
+
+template <typename VictimsOf>
+TruncatedInputs BuildTruncatedInputs(const std::vector<double>& costs,
+                                     double server_link_cost, int hit,
+                                     const std::vector<bool>& candidate,
+                                     const std::vector<double>& own_f,
+                                     VictimsOf victims_of) {
+  const int top = static_cast<int>(costs.size());
+  const bool origin = hit < 0;
+  const int highest = origin ? top : hit - 1;
+  TruncatedInputs out;
+  std::vector<double> m_bound;
+  double cum = origin ? server_link_cost : 0.0;
+  for (int i = highest; i >= 0; --i) {
+    if (i != highest || !origin) cum += costs[static_cast<size_t>(i)];
+    if (!candidate[static_cast<size_t>(i)]) continue;
+    double bound = server_link_cost;
+    for (int j = top - 1; j >= i; --j) bound += costs[static_cast<size_t>(j)];
+    out.full.f.push_back(own_f[static_cast<size_t>(i)]);
+    out.full.m.push_back(cum);
+    m_bound.push_back(bound);
+  }
+  for (size_t i = out.full.f.size(); i >= 2; --i) {
+    out.full.f[i - 2] = std::max(out.full.f[i - 2], out.full.f[i - 1]);
+  }
+  out.truncated = out.full;
+  for (size_t k = 0; k < out.full.f.size(); ++k) {
+    const double limit = out.full.f[k] * m_bound[k];
+    const std::vector<double> victims = victims_of(k, limit);
+    out.full.l.push_back(WalkLoss(victims, kInf));
+    out.truncated.l.push_back(WalkLoss(victims, limit));
+    if (out.truncated.l.back() != out.full.l.back()) ++out.truncated_hops;
+  }
+  return out;
+}
+
+void ExpectSameDecision(const TruncatedInputs& inputs) {
+  ASSERT_TRUE(ValidatePlacementInput(inputs.full).ok());
+  ASSERT_TRUE(ValidatePlacementInput(inputs.truncated).ok());
+  const PlacementResult full = SolvePlacementDP(inputs.full);
+  const PlacementResult truncated = SolvePlacementDP(inputs.truncated);
+  EXPECT_EQ(truncated.selected, full.selected);
+  EXPECT_EQ(truncated.gain, full.gain);  // Bit for bit.
+}
+
+TEST(PlacementPropertyTest, TruncatedLossesKeepTheDecision) {
+  util::Rng rng(2024);
+  const double kCosts[] = {0.0, 0.1, 0.25, 1.0, 3.0};
+  const double kFrequencies[] = {0.0, 0.5, 1.0, 1.0, 2.0};
+  int truncated_hops = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const size_t len = 1 + static_cast<size_t>(rng.NextUint64(10));
+    std::vector<double> costs(len - 1);
+    for (double& c : costs) {
+      c = rng.NextBool(0.3) ? kCosts[rng.NextUint64(5)]
+                            : rng.NextDouble(0.0, 4.0);
+    }
+    const double server = rng.NextBool(0.3) ? 0.0 : rng.NextDouble(0.0, 5.0);
+    const int hit = len == 1 || rng.NextBool(0.5)
+                        ? -1
+                        : 1 + static_cast<int>(rng.NextUint64(len - 1));
+    std::vector<bool> candidate(len);
+    std::vector<double> own_f(len);
+    for (size_t i = 0; i < len; ++i) {
+      candidate[i] = rng.NextBool(0.7);
+      own_f[i] = rng.NextBool(0.4) ? kFrequencies[rng.NextUint64(5)]
+                                   : rng.NextDouble(0.0, 10.0);
+    }
+    const TruncatedInputs inputs = BuildTruncatedInputs(
+        costs, server, hit, candidate, own_f, [&](size_t, double limit) {
+          // Victims around the bound: a walk ends below it, on it or
+          // past it, and some victims cost nothing.
+          std::vector<double> victims(1 + rng.NextUint64(6));
+          for (double& v : victims) {
+            v = rng.NextBool(0.1) ? 0.0
+                                  : rng.NextDouble(0.0, 0.8 * limit + 1.0);
+          }
+          return victims;
+        });
+    truncated_hops += inputs.truncated_hops;
+    ExpectSameDecision(inputs);
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "trial " << trial;
+    }
+  }
+  // The walks did stop early, often.
+  EXPECT_GT(truncated_hops, 2000);
+}
+
+TEST(PlacementPropertyTest, TruncationEdgeCases) {
+  // Origin-served, so every m_i equals its bound M_i. The top hop's walk
+  // crosses f·M by one ulp and stops there; the hop below is worth
+  // placing.
+  const std::vector<double> costs = {1.0, 2.0};
+  const std::vector<bool> all = {true, true, true};
+  const std::vector<double> f = {3.0, 2.0, 1.5};
+  auto one_ulp_above = [](size_t, double limit) {
+    return std::vector<double>{std::nextafter(limit, kInf), 7.0};
+  };
+  TruncatedInputs inputs =
+      BuildTruncatedInputs(costs, 0.5, -1, all, f, one_ulp_above);
+  EXPECT_EQ(inputs.truncated.m, inputs.full.m);
+  EXPECT_EQ(inputs.truncated_hops, 3);
+  ExpectSameDecision(inputs);
+
+  // A walk whose partial sum lands exactly on f·M is not cut there: the
+  // loss equals the hop's benefit, which the DP may still weigh.
+  auto exactly_on = [](size_t, double limit) {
+    return std::vector<double>{limit, 0.0, 1.0};
+  };
+  inputs = BuildTruncatedInputs(costs, 0.5, -1, all, f, exactly_on);
+  EXPECT_EQ(inputs.truncated_hops, 0);
+  ExpectSameDecision(inputs);
+
+  // A cache hit two hops up: m_i runs below M_i, and the walks cross the
+  // looser bound by one ulp.
+  inputs = BuildTruncatedInputs({0.1, 0.2, 0.3}, 0.7, 2, {true, true, true, true},
+                                {1.0, 1.0, 1.0, 1.0}, one_ulp_above);
+  EXPECT_EQ(inputs.truncated_hops, 2);
+  ExpectSameDecision(inputs);
+
+  // Zero-cost links: the bound is 0, so the first costly victim ends the
+  // walk.
+  inputs = BuildTruncatedInputs({0.0, 0.0}, 0.0, -1, all, f,
+                                [](size_t, double) {
+                                  return std::vector<double>{0.0, 1e-300, 4.0};
+                                });
+  EXPECT_EQ(inputs.truncated_hops, 3);
+  ExpectSameDecision(inputs);
 }
 
 }  // namespace

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "sim/network.h"
 #include "sim/simulator.h"
 #include "testing/scenario.h"
+#include "trace/synthetic.h"
 
 namespace cascache::schemes {
 namespace {
@@ -200,6 +204,76 @@ TEST_F(CoordinatedSchemeTest, NoDCacheMeansNoCandidatesButStillWorks) {
   }
   EXPECT_EQ(scheme_.stats().dp_runs, 0u);
   EXPECT_DOUBLE_EQ(simulator.metrics().Summary().byte_hit_ratio, 0.0);
+}
+
+// Every protocol statistic of a fixed en-route run, pinned exactly. The
+// ascent computes l_i only for descriptor hops and may stop a walk once
+// Theorem 2 rules the hop out; none of this may move a decision, a
+// candidate count or a piggybacked byte.
+struct PinnedStats {
+  double cache_fraction;
+  uint64_t requests;
+  uint64_t dp_runs;
+  uint64_t candidates;
+  uint64_t placements;
+  uint64_t excluded_no_descriptor;
+  uint64_t piggyback_bytes;
+  double total_gain;
+  std::vector<uint64_t> k_histogram;  ///< Buckets 0.. (the rest are 0).
+};
+
+TEST(CoordinatedStatsPinTest, EnRouteRunMatchesRecordedStats) {
+  trace::WorkloadParams params;
+  params.num_objects = 2'000;
+  params.num_requests = 40'000;
+  params.num_clients = 100;
+  params.num_servers = 40;
+  auto workload_or = trace::GenerateWorkload(params);
+  ASSERT_TRUE(workload_or.ok()) << workload_or.status().ToString();
+  const trace::Workload workload = std::move(workload_or).value();
+  auto network_or = sim::Network::Build(sim::NetworkParams(),
+                                        &workload.catalog);
+  ASSERT_TRUE(network_or.ok()) << network_or.status().ToString();
+  const std::unique_ptr<sim::Network> network = std::move(network_or).value();
+
+  // Recorded on the unbounded, ungated ascent (every hop walked its
+  // whole plan).
+  const PinnedStats kPinned[] = {
+      {0.001, 40000, 2406, 3941, 1051, 399196, 888507, 0x1.c6da014fbc9fdp+6,
+       {37594, 1749, 375, 107, 49, 40, 21, 18, 16, 8, 9, 4, 1, 4, 3, 0, 1, 1}},
+      {0.01, 40000, 10302, 17560, 5915, 297772, 1104343, 0x1.b4f52522cf49p+8,
+       {29698, 6892, 1928, 741, 323, 129, 71, 61, 36, 30, 26, 14, 9, 7,
+        5, 4, 7, 7, 0, 0, 1, 3, 4, 2, 1, 0, 1}},
+      {0.1, 40000, 20346, 68086, 16944, 108244, 2113579, 0x1.0e3bac1d41f23p+9,
+       {19654, 7415, 4343, 2519, 1705, 998, 733, 596, 439, 300, 254, 195,
+        163, 149, 114, 98, 75, 57, 45, 27, 24, 23, 28, 14, 16, 8, 5, 1, 1,
+        0, 1}},
+  };
+  for (const PinnedStats& want : kPinned) {
+    SCOPED_TRACE(want.cache_fraction);
+    CoordinatedScheme scheme;
+    sim::CacheSet caches = network->MakeCacheSet();
+    Simulator simulator(network.get(), &caches, &scheme);
+    const uint64_t capacity = static_cast<uint64_t>(
+        want.cache_fraction *
+        static_cast<double>(workload.catalog.total_bytes()));
+    ASSERT_TRUE(simulator.Run(workload, capacity).ok());
+    const CoordinatedScheme::Stats& got = scheme.stats();
+    EXPECT_EQ(got.requests, want.requests);
+    EXPECT_EQ(got.dp_runs, want.dp_runs);
+    EXPECT_EQ(got.candidates, want.candidates);
+    EXPECT_EQ(got.placements, want.placements);
+    EXPECT_EQ(got.excluded_no_descriptor, want.excluded_no_descriptor);
+    EXPECT_EQ(got.piggyback_bytes, want.piggyback_bytes);
+    EXPECT_EQ(got.total_gain, want.total_gain);  // Bit for bit.
+    for (int k = 0; k < CoordinatedScheme::Stats::kMaxTrackedCandidates;
+         ++k) {
+      const uint64_t bucket = static_cast<size_t>(k) < want.k_histogram.size()
+                                  ? want.k_histogram[static_cast<size_t>(k)]
+                                  : 0;
+      EXPECT_EQ(got.k_histogram[k], bucket) << "k = " << k;
+    }
+  }
 }
 
 }  // namespace

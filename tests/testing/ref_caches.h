@@ -1,6 +1,8 @@
 #ifndef CASCACHE_TESTS_TESTING_REF_CACHES_H_
 #define CASCACHE_TESTS_TESTING_REF_CACHES_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <set>
@@ -174,6 +176,200 @@ class RefTieredCache {
  private:
   RefLruCache disk_;
   RefLruCache ram_;
+};
+
+/// Reference heap oracle: the historical swap-sift util::IndexedMinHeap,
+/// verbatim — every sift level swaps two entries and rewrites both
+/// key→position entries. The production heap writes the moving entry
+/// once, at its final position; it must leave exactly the same array
+/// arrangement after every operation, because ties among equal
+/// priorities (fresh d-cache descriptors all sit at f = 1.0) are broken
+/// by that arrangement.
+template <typename Priority = double>
+class RefIndexedMinHeap {
+ public:
+  using Key = uint32_t;
+  using Entry = std::pair<Key, Priority>;
+
+  bool empty() const { return entries_.empty(); }
+  size_t size() const { return entries_.size(); }
+
+  bool Contains(Key key) const { return Lookup(key) != kNpos; }
+
+  /// Priority of an existing key. The key must be present.
+  const Priority& PriorityOf(Key key) const {
+    const size_t i = Lookup(key);
+    CASCACHE_CHECK(i != kNpos);
+    return entries_[i].second;
+  }
+
+  /// Inserts a new key. The key must not already be present.
+  void Push(Key key, const Priority& priority) {
+    CASCACHE_CHECK_MSG(!Contains(key), "duplicate key in RefIndexedMinHeap");
+    entries_.emplace_back(key, priority);
+    SetPos(key, entries_.size() - 1);
+    SiftUp(entries_.size() - 1);
+  }
+
+  /// The minimum-priority entry. Heap must be non-empty.
+  const Entry& Top() const {
+    CASCACHE_CHECK(!entries_.empty());
+    return entries_[0];
+  }
+
+  /// Removes and returns the minimum-priority entry.
+  Entry Pop() {
+    CASCACHE_CHECK(!entries_.empty());
+    Entry top = entries_[0];
+    RemoveAt(0);
+    return top;
+  }
+
+  /// Changes the priority of an existing key.
+  void Update(Key key, const Priority& priority) {
+    const size_t i = Lookup(key);
+    CASCACHE_CHECK(i != kNpos);
+    const Priority old = entries_[i].second;
+    entries_[i].second = priority;
+    if (priority < old) {
+      SiftUp(i);
+    } else if (old < priority) {
+      SiftDown(i);
+    }
+  }
+
+  /// Inserts the key or updates its priority if already present.
+  void Upsert(Key key, const Priority& priority) {
+    if (Contains(key)) {
+      Update(key, priority);
+    } else {
+      Push(key, priority);
+    }
+  }
+
+  /// Removes a key; returns false if it was not present.
+  bool Erase(Key key) {
+    const size_t i = Lookup(key);
+    if (i == kNpos) return false;
+    RemoveAt(i);
+    return true;
+  }
+
+  void Clear() {
+    entries_.clear();
+    pos_.clear();
+  }
+
+  /// Unordered view of all entries (heap order, not priority order).
+  const std::vector<Entry>& entries() const { return entries_; }
+
+  /// Visits entries in ascending priority order, without modifying the
+  /// heap, until `fn(const Entry&)` returns false. A best-first walk over
+  /// the heap array: `frontier` (caller-owned scratch, so a warm walk
+  /// never allocates) holds the positions whose parents were visited,
+  /// ordered as a min-heap on priority; by the heap property its minimum
+  /// is the next entry in order. Visiting k entries costs O(k log k).
+  template <typename Fn>
+  void VisitAscending(std::vector<size_t>* frontier, Fn fn) const {
+    const auto later = [this](size_t a, size_t b) {
+      return entries_[b].second < entries_[a].second;
+    };
+    frontier->clear();
+    if (!entries_.empty()) frontier->push_back(0);
+    while (!frontier->empty()) {
+      std::pop_heap(frontier->begin(), frontier->end(), later);
+      const size_t i = frontier->back();
+      frontier->pop_back();
+      if (!fn(entries_[i])) return;
+      for (size_t child = 2 * i + 1;
+           child <= 2 * i + 2 && child < entries_.size(); ++child) {
+        frontier->push_back(child);
+        std::push_heap(frontier->begin(), frontier->end(), later);
+      }
+    }
+  }
+
+  /// Verifies the heap property and index map; used by tests.
+  bool CheckInvariants() const {
+    if (static_cast<size_t>(std::count_if(
+            pos_.begin(), pos_.end(),
+            [](size_t pos) { return pos != kNpos; })) != entries_.size()) {
+      return false;
+    }
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      if (Lookup(entries_[i].first) != i) return false;
+      const size_t l = 2 * i + 1, r = 2 * i + 2;
+      if (l < entries_.size() && entries_[l].second < entries_[i].second)
+        return false;
+      if (r < entries_.size() && entries_[r].second < entries_[i].second)
+        return false;
+    }
+    return true;
+  }
+
+ private:
+  static constexpr size_t kNpos = static_cast<size_t>(-1);
+
+  size_t Lookup(Key key) const {
+    return key < pos_.size() ? pos_[key] : kNpos;
+  }
+
+  void SetPos(Key key, size_t pos) {
+    if (key >= pos_.size()) {
+      const size_t target =
+          std::max<size_t>(static_cast<size_t>(key) + 1, pos_.size() * 2);
+      pos_.resize(target, kNpos);
+    }
+    pos_[key] = pos;
+  }
+
+  void SiftUp(size_t i) {
+    while (i > 0) {
+      const size_t parent = (i - 1) / 2;
+      if (entries_[parent].second <= entries_[i].second) break;
+      SwapEntries(i, parent);
+      i = parent;
+    }
+  }
+
+  void SiftDown(size_t i) {
+    const size_t n = entries_.size();
+    for (;;) {
+      const size_t l = 2 * i + 1, r = 2 * i + 2;
+      size_t smallest = i;
+      if (l < n && entries_[l].second < entries_[smallest].second)
+        smallest = l;
+      if (r < n && entries_[r].second < entries_[smallest].second)
+        smallest = r;
+      if (smallest == i) break;
+      SwapEntries(i, smallest);
+      i = smallest;
+    }
+  }
+
+  void SwapEntries(size_t a, size_t b) {
+    std::swap(entries_[a], entries_[b]);
+    SetPos(entries_[a].first, a);
+    SetPos(entries_[b].first, b);
+  }
+
+  void RemoveAt(size_t i) {
+    const size_t last = entries_.size() - 1;
+    pos_[entries_[i].first] = kNpos;
+    if (i != last) {
+      entries_[i] = entries_[last];
+      SetPos(entries_[i].first, i);
+      entries_.pop_back();
+      // The moved element may need to go either direction.
+      SiftDown(i);
+      SiftUp(i);
+    } else {
+      entries_.pop_back();
+    }
+  }
+
+  std::vector<Entry> entries_;
+  std::vector<size_t> pos_;  ///< key → heap position (kNpos = absent).
 };
 
 /// Reference d-cache oracle: the historical `unordered_map` descriptor

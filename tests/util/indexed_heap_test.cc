@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/ref_caches.h"
 #include "util/random.h"
 
 namespace cascache::util {
@@ -242,6 +243,56 @@ TEST(IndexedHeapTest, PairPopOrderMatchesOrderedSet) {
     }
     EXPECT_TRUE(heap.empty());
   }
+}
+
+// The arrangement pin: after every operation the heap array equals the
+// historical swap-sift heap's, entry for entry. Priorities are drawn from
+// a handful of values, so most comparisons are ties and the arrangement,
+// not the order, decides which equal-priority entry surfaces first.
+template <typename Priority, typename MakePriority>
+void ExpectSwapSiftArrangement(uint64_t seed, MakePriority make_priority) {
+  Rng rng(seed);
+  IndexedMinHeap<Priority> heap;
+  cascache::testing::RefIndexedMinHeap<Priority> reference;
+  for (int step = 0; step < 20000; ++step) {
+    const uint32_t key = static_cast<uint32_t>(rng.NextUint64(200));
+    const Priority priority = make_priority(rng, key);
+    const double dice = rng.NextDouble(0.0, 1.0);
+    if (dice < 0.3) {
+      if (!reference.Contains(key)) {
+        heap.Push(key, priority);
+        reference.Push(key, priority);
+      }
+    } else if (dice < 0.45) {
+      if (!reference.empty()) {
+        ASSERT_EQ(heap.Pop(), reference.Pop());
+      }
+    } else if (dice < 0.65) {
+      if (reference.Contains(key)) {
+        heap.Update(key, priority);
+        reference.Update(key, priority);
+      }
+    } else if (dice < 0.85) {
+      heap.Upsert(key, priority);
+      reference.Upsert(key, priority);
+    } else {
+      ASSERT_EQ(heap.Erase(key), reference.Erase(key));
+    }
+    ASSERT_EQ(heap.entries(), reference.entries()) << "step " << step;
+  }
+  EXPECT_TRUE(heap.CheckInvariants());
+}
+
+TEST(IndexedHeapTest, ArrangementMatchesSwapSiftReference) {
+  const double kValues[] = {0.0, 1.0, 1.0, 1.0, 2.0, 3.5};
+  ExpectSwapSiftArrangement<double>(2006, [&](Rng& rng, uint32_t) {
+    return kValues[rng.NextUint64(6)];
+  });
+  // (value, id) pairs as the NCL and GDS stores key them; the ids here
+  // repeat across keys, so equal pairs occur too.
+  ExpectSwapSiftArrangement<PairPriority>(2007, [&](Rng& rng, uint32_t key) {
+    return PairPriority{kValues[rng.NextUint64(6)], key % 7};
+  });
 }
 
 }  // namespace
