@@ -81,7 +81,7 @@ void BM_NclPlanEviction(benchmark::State& state) {
   const uint64_t need = static_cast<uint64_t>(state.range(0));
   for (auto _ : state) {
     NclCache::EvictionPlan plan;  // Fresh per call: allocates its victims.
-    cache.PlanEvictionInto(need, &plan);
+    cache.PlanEvictionInto(need, NclCache::kNoLossLimit, &plan);
     benchmark::DoNotOptimize(plan.cost_loss);
   }
 }
@@ -99,7 +99,7 @@ void BM_NclPlanEvictionScratch(benchmark::State& state) {
   const uint64_t need = static_cast<uint64_t>(state.range(0));
   NclCache::EvictionPlan plan;
   for (auto _ : state) {
-    cache.PlanEvictionInto(need, &plan);
+    cache.PlanEvictionInto(need, NclCache::kNoLossLimit, &plan);
     benchmark::DoNotOptimize(plan.cost_loss);
   }
 }

@@ -16,7 +16,7 @@ double NclCache::LossOf(ObjectId id) const {
   return slots_.at(slot).loss;
 }
 
-void NclCache::PlanEvictionInto(uint64_t need_bytes,
+void NclCache::PlanEvictionInto(uint64_t need_bytes, double loss_limit,
                                 EvictionPlan* plan) const {
   plan->Clear();
   const uint64_t free = capacity_ - used_;
@@ -32,7 +32,7 @@ void NclCache::PlanEvictionInto(uint64_t need_bytes,
     plan->cost_loss += slot.loss;
     plan->freed_bytes += slot.size;
     plan->feasible = plan->freed_bytes >= to_free;
-    return !plan->feasible;
+    return !plan->feasible && !(plan->cost_loss > loss_limit);
   });
 }
 
@@ -48,7 +48,7 @@ const std::vector<ObjectId>& NclCache::InsertAbsent(
     dpool_.Free(dslot);
     --dcount_;
   }
-  PlanEvictionInto(desc.size, &insert_plan_);
+  PlanEvictionInto(desc.size, kNoLossLimit, &insert_plan_);
   CASCACHE_CHECK(insert_plan_.feasible);
   for (ObjectId victim : insert_plan_.victims) {
     Drop(victim, index_.Get(victim));

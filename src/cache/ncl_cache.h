@@ -2,6 +2,7 @@
 #define CASCACHE_CACHE_NCL_CACHE_H_
 
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -95,6 +96,29 @@ class NclCache {
 
   Entry Find(ObjectId id) const { return Entry{index_.Get(id)}; }
 
+  /// Second-stage advisory prefetch for `id`, issued after PrefetchProbe
+  /// has made its index entry resident: reads the entry and pulls in the
+  /// lines the next operation on the id writes. A cached object's slot
+  /// and NCL-heap position; a d-cached descriptor and its d-heap
+  /// position; for an unknown id with a full d-cache, the admission
+  /// victim's id, descriptor and heap position. No state changes.
+  void PrefetchEntry(ObjectId id) const {
+    const Entry entry = Find(id);
+    if (entry.cached()) {
+      __builtin_prefetch(&slots_.at(entry.raw), 1, 1);
+      order_.PrefetchPosition(entry.raw);
+    } else if (entry.known()) {
+      const SlotId dslot = entry.raw & ~kDCacheTag;
+      __builtin_prefetch(&dpool_.at(dslot), 1, 1);
+      dheap_.PrefetchPosition(dslot);
+    } else if (dcount_ != 0 && dcount_ >= dcache_capacity_) {
+      const SlotId victim = dheap_.Top().first;
+      __builtin_prefetch(&dids_[victim], 0, 1);
+      __builtin_prefetch(&dpool_.at(victim), 1, 1);
+      dheap_.PrefetchPosition(victim);
+    }
+  }
+
   /// The descriptor behind a known entry. Stable until the object leaves
   /// the store or moves between the cache and the d-cache.
   ObjectDescriptor& DescriptorAt(Entry entry) {
@@ -111,13 +135,21 @@ class NclCache {
   /// Cost loss (f·m) currently recorded for a cached object.
   double LossOf(ObjectId id) const;
 
+  /// A loss limit that never stops the walk.
+  static constexpr double kNoLossLimit =
+      std::numeric_limits<double>::infinity();
+
   /// Plans the greedy smallest-NCL-first eviction that frees at least
   /// `need_bytes` beyond current free space, into a caller-owned plan
   /// (reusing its victims buffer: coordinated placement plans an
   /// eviction per candidate on every request ascent); does not modify
   /// the cache. If the cache already has `need_bytes` free, the plan is
-  /// empty and feasible.
-  void PlanEvictionInto(uint64_t need_bytes, EvictionPlan* plan) const;
+  /// empty and feasible. The walk also stops once `cost_loss` exceeds
+  /// `loss_limit` (the ascent's Theorem-2 bound; kNoLossLimit to plan the
+  /// whole eviction): the plan then holds the victims and loss so far
+  /// and is not feasible.
+  void PlanEvictionInto(uint64_t need_bytes, double loss_limit,
+                        EvictionPlan* plan) const;
 
   /// Stores an object that is not cached (`entry` is Find(id)) with
   /// descriptor `desc`, of size desc.size <= capacity. A d-cached

@@ -17,7 +17,13 @@ namespace cascache::schemes {
 /// from its sliding-window estimator, m_i the accumulated link cost from
 /// the serving node, l_i the cost loss of the greedy NCL eviction that
 /// would make room. Nodes without a descriptor for the object tag
-/// themselves out of the candidate set (§2.4).
+/// themselves out of the candidate set (§2.4) and plan no eviction: l_i
+/// is computed for descriptor hops only. Their walk stops once the loss
+/// exceeds f_eff·M_i (Theorem 2, with f_eff the hop's f after the DP's
+/// monotone clamp and M_i its link-cost distance to the origin, an upper
+/// bound on m_i), so a piggybacked l_i may be a truncated lower bound on
+/// the full loss; such a hop can never be selected, and the DP's result
+/// is bit-identical to the one over full losses (DESIGN.md §6).
 ///
 /// Decision (OnServe): the serving node solves the n-optimization problem
 /// with the O(n²) dynamic program and sends the selected cache set
@@ -93,6 +99,12 @@ class CoordinatedScheme : public CachingScheme {
     bool feasible = false;
     double cost_loss = 0.0;
   };
+
+  /// l_i of a descriptor hop that can hold the object: the greedy NCL
+  /// eviction loss, its walk stopped once Theorem 2 rules the hop out
+  /// (the loss then exceeds f_eff·M_i and is a lower bound).
+  double BoundedLoss(const sim::MessageContext& ctx, int hop,
+                     double frequency);
 
   Stats stats_;
   /// Piggybacked hop records of the in-flight request, indexed by path

@@ -232,10 +232,10 @@ void CacheNode::UpdateMissPenaltyOrAdmit(ObjectId id, uint64_t size,
   }
 }
 
-void CacheNode::PlanEvictionInto(uint64_t size,
+void CacheNode::PlanEvictionInto(uint64_t size, double loss_limit,
                                  cache::NclCache::EvictionPlan* plan) const {
   CASCACHE_CHECK(ncl_ != nullptr);
-  ncl_->PlanEvictionInto(size, plan);
+  ncl_->PlanEvictionInto(size, loss_limit, plan);
 }
 
 bool CacheNode::InsertCost(ObjectId id, uint64_t size, double miss_penalty,

@@ -110,6 +110,13 @@ class CacheNode {
     }
   }
 
+  /// Second-stage advisory prefetch, after PrefetchProbe's line has
+  /// arrived: the cost-mode store's entry-dependent lines for `id` (see
+  /// NclCache::PrefetchEntry); no-op in the other modes.
+  void PrefetchEntry(ObjectId id) const {
+    if (ncl_ != nullptr) ncl_->PrefetchEntry(id);
+  }
+
   /// Advisory prefetch of the LRU store's eviction-victim entries (see
   /// FlatLru::PrefetchVictim); no-op outside LRU mode.
   void PrefetchLruVictim() const {
@@ -252,8 +259,10 @@ class CacheNode {
 
   /// Greedy NCL eviction preview for inserting `size` bytes (paper §2.1's
   /// l computation), into a caller-owned plan reusing its victims buffer
-  /// (hot path of the coordinated request ascent). Cost mode only.
-  void PlanEvictionInto(uint64_t size,
+  /// (hot path of the coordinated request ascent), stopping once the
+  /// loss exceeds `loss_limit` (NclCache::PlanEvictionInto). Cost mode
+  /// only.
+  void PlanEvictionInto(uint64_t size, double loss_limit,
                         cache::NclCache::EvictionPlan* plan) const;
 
   /// Inserts an object into the cost-mode store with the given miss

@@ -257,11 +257,16 @@ util::Status Simulator::Run(const trace::WorkloadView& view,
   // warm-up completion landing inside the measured window is drained in
   // time order (and not recorded), and the end of the trace records what
   // is still in flight.
+  // Chunks end at absolute multiples of kReplayChunk, so every release
+  // point after the phase boundary falls on the same grid whatever the
+  // warm-up length.
   const auto replay_phase = [&](size_t begin, size_t end, bool collect) {
-    for (size_t c = begin; c < end; c += kReplayChunk) {
-      const size_t chunk_end = std::min(end, c + kReplayChunk);
+    for (size_t c = begin; c < end;) {
+      const size_t chunk_end =
+          std::min(end, (c / kReplayChunk + 1) * kReplayChunk);
       ReplayRange(view.requests, c, chunk_end, collect);
       if (view.on_consumed) view.on_consumed(chunk_end);
+      c = chunk_end;
     }
   };
   const Clock::time_point t_configured = Clock::now();
@@ -374,6 +379,10 @@ void Simulator::ReplayBlocks(trace::RequestSpan requests, size_t begin,
   // Far enough ahead to cover a cache-miss round trip, near enough that
   // the lines still sit in cache when the request replays.
   constexpr size_t kPrefetchAhead = 16;
+  // Second stage, for the hook exchanges: by this distance the first
+  // stage's index entries have arrived, so each node can read its entry
+  // and request the slot and heap lines the scheme's hooks will write.
+  constexpr size_t kEntryPrefetchAhead = 4;
   std::vector<DecodedRequest>& batch = arena_.batch;
   for (size_t block = begin; block < end; block += kDecodeBlock) {
     const size_t block_end = std::min(end, block + kDecodeBlock);
@@ -392,6 +401,15 @@ void Simulator::ReplayBlocks(trace::RequestSpan requests, size_t begin,
           // at every path node, so warm the victim entries too.
           if constexpr (kKind == ExchangeKind::kLeanLru) {
             nodes[v].PrefetchLruVictim();
+          }
+        }
+      }
+      if constexpr (kKind != ExchangeKind::kLeanLru) {
+        const size_t q = j + kEntryPrefetchAhead;
+        if (prefetch && q < batch.size()) {
+          const DecodedRequest& near = batch[q];
+          for (topology::NodeId v : near.route->nodes) {
+            nodes[v].PrefetchEntry(near.object);
           }
         }
       }

@@ -23,6 +23,12 @@ namespace cascache::util {
 /// table grows lazily to the largest key seen; Clear is O(1) (it re-grows
 /// on demand, retaining capacity).
 ///
+/// Sifts are copy-free: the moving entry is written once, at its final
+/// position, while each entry it passes moves one level. The comparisons
+/// are those of a swap-per-level sift (a parent keeps its place on a tie;
+/// the left child wins a tie with the right), so the array arrangement
+/// after every operation is the swap sift's. Positions are 32-bit.
+///
 /// `Priority` is any type ordered by `<` (double by default). Ties are
 /// broken arbitrarily but deterministically: the sift order depends only
 /// on the priorities and the operation sequence, never on the keys, so
@@ -105,6 +111,12 @@ class IndexedMinHeap {
     pos_.clear();
   }
 
+  /// Advisory cache-line prefetch (write intent) of the key's position
+  /// entry, which Update and Erase read first; no state changes.
+  void PrefetchPosition(Key key) const {
+    if (key < pos_.size()) __builtin_prefetch(&pos_[key], 1, 1);
+  }
+
   /// Unordered view of all entries (heap order, not priority order).
   const std::vector<Entry>& entries() const { return entries_; }
 
@@ -138,7 +150,7 @@ class IndexedMinHeap {
   bool CheckInvariants() const {
     if (static_cast<size_t>(std::count_if(
             pos_.begin(), pos_.end(),
-            [](size_t pos) { return pos != kNpos; })) != entries_.size()) {
+            [](uint32_t pos) { return pos != kNpos; })) != entries_.size()) {
       return false;
     }
     for (size_t i = 0; i < entries_.size(); ++i) {
@@ -153,9 +165,9 @@ class IndexedMinHeap {
   }
 
  private:
-  static constexpr size_t kNpos = static_cast<size_t>(-1);
+  static constexpr uint32_t kNpos = UINT32_MAX;
 
-  size_t Lookup(Key key) const {
+  uint32_t Lookup(Key key) const {
     return key < pos_.size() ? pos_[key] : kNpos;
   }
 
@@ -165,56 +177,69 @@ class IndexedMinHeap {
           std::max<size_t>(static_cast<size_t>(key) + 1, pos_.size() * 2);
       pos_.resize(target, kNpos);
     }
-    pos_[key] = pos;
+    pos_[key] = static_cast<uint32_t>(pos);
   }
 
+  /// Places `entry` at position `i`, recording its position.
+  void Place(size_t i, Entry&& entry) {
+    pos_[entry.first] = static_cast<uint32_t>(i);
+    entries_[i] = std::move(entry);
+  }
+
+  /// Moves the entry at `i` up past every parent it ranks strictly below,
+  /// writing it once at its final position: the swap-per-level sift's
+  /// comparisons, and so its arrangement.
   void SiftUp(size_t i) {
+    Entry moving = std::move(entries_[i]);
     while (i > 0) {
       const size_t parent = (i - 1) / 2;
-      if (entries_[parent].second <= entries_[i].second) break;
-      SwapEntries(i, parent);
+      if (entries_[parent].second <= moving.second) break;
+      Place(i, std::move(entries_[parent]));
       i = parent;
     }
+    Place(i, std::move(moving));
   }
 
+  /// Moves the entry at `i` down below every smaller child, as SiftUp
+  /// does: the left child wins ties with the right one, and the moving
+  /// entry wins ties with both.
   void SiftDown(size_t i) {
     const size_t n = entries_.size();
+    Entry moving = std::move(entries_[i]);
     for (;;) {
       const size_t l = 2 * i + 1, r = 2 * i + 2;
-      size_t smallest = i;
-      if (l < n && entries_[l].second < entries_[smallest].second)
-        smallest = l;
-      if (r < n && entries_[r].second < entries_[smallest].second)
-        smallest = r;
+      if (l >= n) break;
+      size_t smallest = entries_[l].second < moving.second ? l : i;
+      const Priority& best =
+          smallest == l ? entries_[l].second : moving.second;
+      if (r < n && entries_[r].second < best) smallest = r;
       if (smallest == i) break;
-      SwapEntries(i, smallest);
+      Place(i, std::move(entries_[smallest]));
       i = smallest;
     }
-  }
-
-  void SwapEntries(size_t a, size_t b) {
-    std::swap(entries_[a], entries_[b]);
-    SetPos(entries_[a].first, a);
-    SetPos(entries_[b].first, b);
+    Place(i, std::move(moving));
   }
 
   void RemoveAt(size_t i) {
     const size_t last = entries_.size() - 1;
     pos_[entries_[i].first] = kNpos;
     if (i != last) {
-      entries_[i] = entries_[last];
-      SetPos(entries_[i].first, i);
+      entries_[i] = std::move(entries_[last]);
       entries_.pop_back();
-      // The moved element may need to go either direction.
-      SiftDown(i);
-      SiftUp(i);
+      // The moved entry goes up if it ranks below the parent, else down;
+      // it can do only one of the two.
+      if (i > 0 && entries_[i].second < entries_[(i - 1) / 2].second) {
+        SiftUp(i);
+      } else {
+        SiftDown(i);
+      }
     } else {
       entries_.pop_back();
     }
   }
 
   std::vector<Entry> entries_;
-  std::vector<size_t> pos_;  ///< key → heap position (kNpos = absent).
+  std::vector<uint32_t> pos_;  ///< key → heap position (kNpos = absent).
 };
 
 }  // namespace cascache::util

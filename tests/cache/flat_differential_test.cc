@@ -250,7 +250,7 @@ TEST(NclCacheDifferentialTest, MatchesReferenceUnderRandomOps) {
       ASSERT_EQ(flat.Erase(id), ref.Erase(id)) << "step " << step;
     } else if (dice < 0.998) {
       const uint64_t need = 1 + rng.NextUint64(kCapacity + kCapacity / 4);
-      flat.PlanEvictionInto(need, &flat_plan);
+      flat.PlanEvictionInto(need, cache::NclCache::kNoLossLimit, &flat_plan);
       ref.PlanEvictionInto(need, &ref_plan);
       ASSERT_EQ(flat_plan.victims, ref_plan.victims) << "step " << step;
       // Same summation order, so bit-identical, not merely close.

@@ -1,5 +1,7 @@
 #include "cache/ncl_cache.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "util/random.h"
@@ -9,7 +11,7 @@ namespace {
 
 NclCache::EvictionPlan Plan(const NclCache& cache, uint64_t need) {
   NclCache::EvictionPlan plan;
-  cache.PlanEvictionInto(need, &plan);
+  cache.PlanEvictionInto(need, NclCache::kNoLossLimit, &plan);
   return plan;
 }
 
@@ -90,7 +92,7 @@ TEST(NclCacheTest, PlanEvictionIntoReusesBuffer) {
   cache.Insert(1, 40, 4.0);   // NCL 0.1
   cache.Insert(2, 40, 20.0);  // NCL 0.5
   NclCache::EvictionPlan plan;
-  cache.PlanEvictionInto(90, &plan);
+  cache.PlanEvictionInto(90, NclCache::kNoLossLimit, &plan);
   ASSERT_TRUE(plan.feasible);
   ASSERT_EQ(plan.victims.size(), 2u);
   EXPECT_EQ(plan.victims[0], 1u);
@@ -100,7 +102,7 @@ TEST(NclCacheTest, PlanEvictionIntoReusesBuffer) {
 
   // The same plan object must be fully reset by the next call — no stale
   // victims, loss, or feasibility carried over.
-  cache.PlanEvictionInto(10, &plan);
+  cache.PlanEvictionInto(10, NclCache::kNoLossLimit, &plan);
   EXPECT_TRUE(plan.feasible);
   EXPECT_TRUE(plan.victims.empty());
   EXPECT_DOUBLE_EQ(plan.cost_loss, 0.0);
@@ -117,11 +119,42 @@ TEST(NclCacheTest, PlanEvictionIntoMatchesPlanEviction) {
   for (int trial = 0; trial < 30; ++trial) {
     const uint64_t need = 1 + rng.NextUint64(2000);
     const auto fresh = Plan(cache, need);
-    cache.PlanEvictionInto(need, &reused);
+    cache.PlanEvictionInto(need, NclCache::kNoLossLimit, &reused);
     EXPECT_EQ(reused.feasible, fresh.feasible);
     EXPECT_EQ(reused.victims, fresh.victims);
     EXPECT_DOUBLE_EQ(reused.cost_loss, fresh.cost_loss);
     EXPECT_EQ(reused.freed_bytes, fresh.freed_bytes);
+  }
+}
+
+TEST(NclCacheTest, PlanStopsOnceLossExceedsLimit) {
+  util::Rng rng(12);
+  NclCache cache(1500);
+  for (ObjectId id = 0; id < 40; ++id) {
+    cache.Insert(id, 1 + rng.NextUint64(100), rng.NextDouble(0.0, 8.0));
+  }
+  NclCache::EvictionPlan bounded;
+  for (int trial = 0; trial < 200; ++trial) {
+    const uint64_t need = 1 + rng.NextUint64(1500);
+    const auto full = Plan(cache, need);
+    const double limit = rng.NextDouble(0.0, full.cost_loss + 1.0);
+    cache.PlanEvictionInto(need, limit, &bounded);
+    // The bounded walk is the full walk up to the first victim whose
+    // running loss passes the limit.
+    size_t expected = 0;
+    double loss = 0.0;
+    while (expected < full.victims.size()) {
+      loss += cache.LossOf(full.victims[expected++]);
+      if (loss > limit) break;
+    }
+    ASSERT_EQ(bounded.victims.size(), expected) << "trial " << trial;
+    EXPECT_TRUE(std::equal(bounded.victims.begin(), bounded.victims.end(),
+                           full.victims.begin()));
+    EXPECT_EQ(bounded.cost_loss, loss);
+    EXPECT_EQ(bounded.feasible, expected == full.victims.size());
+    if (!bounded.feasible) {
+      EXPECT_GT(bounded.cost_loss, limit);
+    }
   }
 }
 

@@ -132,7 +132,7 @@ TEST(CacheNodeTest, PlanEvictionMatchesNclState) {
   node.InsertCost(1, 40, 1.0, 1.0);   // Low loss -> first victim.
   node.InsertCost(2, 40, 100.0, 1.0);
   cache::NclCache::EvictionPlan plan;
-  node.PlanEvictionInto(40, &plan);
+  node.PlanEvictionInto(40, cache::NclCache::kNoLossLimit, &plan);
   ASSERT_TRUE(plan.feasible);
   ASSERT_EQ(plan.victims.size(), 1u);
   EXPECT_EQ(plan.victims[0], 1u);
