@@ -50,6 +50,16 @@ class FlatLru {
     __builtin_prefetch(&next_[tail_], 0, 1);
   }
 
+  /// Second-stage advisory prefetch, once PrefetchProbe's line has
+  /// arrived: the list links a Touch of `id` rewrites; nothing for an
+  /// absent id.
+  void PrefetchLinks(ObjectId id) const {
+    const SlotId slot = index_.Get(id);
+    if (slot == kNoSlot) return;
+    __builtin_prefetch(&prev_[slot], 1, 1);
+    __builtin_prefetch(&next_[slot], 1, 1);
+  }
+
   // Touch/Insert/Erase are inline: they are the per-placement work of the
   // replay hot loop (millions of calls per simulated run), and inlining
   // them into the scheme handlers removes the whole call chain.

@@ -293,6 +293,9 @@ class FlatIdMap {
 
   bool Contains(trace::ObjectId id) const { return index_.Contains(id); }
 
+  /// Advisory prefetch of the id's index entry (SlotIndex::Prefetch).
+  void Prefetch(trace::ObjectId id) const { index_.Prefetch(id); }
+
   /// Returns the value slot for `id`, creating it if absent. The slot's
   /// previous contents are unspecified when newly created; assign it.
   T& InsertOrAssign(trace::ObjectId id) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string_view>
 #include <utility>
 #include <variant>
@@ -262,7 +263,7 @@ FaultPlane::OutageTrack::OutageTrack(uint64_t seed, double mtbf,
   }
 }
 
-size_t FaultPlane::OutageTrack::CoverIndex(double t) {
+size_t FaultPlane::OutageTrack::Seek(double t) {
   // Generate [down-start, down-end) pairs until the last boundary passes
   // `t`. The pairs are a fixed stream of the track's RNG, so queries in
   // any time order observe the same process.
@@ -273,20 +274,22 @@ size_t FaultPlane::OutageTrack::CoverIndex(double t) {
     boundaries_.push_back(start);
     boundaries_.push_back(end);
   }
-  return static_cast<size_t>(
-      std::upper_bound(boundaries_.begin(), boundaries_.end(), t) -
-      boundaries_.begin());
-}
-
-bool FaultPlane::OutageTrack::IsDown(double t) {
-  if (!enabled_) return false;
-  // Odd cover index: t sits inside a [down-start, down-end) interval.
-  return CoverIndex(t) % 2 == 1;
-}
-
-uint64_t FaultPlane::OutageTrack::CrashEpoch(double t) {
-  if (!enabled_) return 0;
-  return (CoverIndex(t) + 1) / 2;
+  if (t >= hi_) {
+    // Forward, the replay's direction: walk the cursor up.
+    while (boundaries_[cursor_] <= t) ++cursor_;
+  } else {
+    // Backward, behind an earlier query: t < lo_, so the answer lies among
+    // the boundaries below the cursor.
+    cursor_ = static_cast<size_t>(
+        std::upper_bound(boundaries_.begin(),
+                         boundaries_.begin() + static_cast<ptrdiff_t>(cursor_),
+                         t) -
+        boundaries_.begin());
+  }
+  lo_ = cursor_ == 0 ? -std::numeric_limits<double>::infinity()
+                     : boundaries_[cursor_ - 1];
+  hi_ = boundaries_[cursor_];
+  return cursor_;
 }
 
 // --- FaultPlane ------------------------------------------------------------
@@ -302,59 +305,36 @@ FaultPlane::FaultPlane(const FaultScheduleConfig& config,
 }
 
 void FaultPlane::Reset() {
-  const size_t n = static_cast<size_t>(network_->num_nodes());
-  node_tracks_.assign(n, OutageTrack());
-  node_track_ready_.assign(n, false);
-  disk_tracks_.assign(n, OutageTrack());
-  disk_track_ready_.assign(n, false);
-  edge_tracks_.clear();
+  const topology::Graph& graph = network_->graph();
+  const size_t n = static_cast<size_t>(graph.num_nodes());
+  node_tracks_.clear();
+  disk_tracks_.clear();
+  for (topology::NodeId v = 0; v < graph.num_nodes(); ++v) {
+    const uint64_t id = static_cast<uint64_t>(v);
+    node_tracks_.emplace_back(MixSeed(config_.seed, kNodeTag, id),
+                              config_.node_crash_mtbf, config_.node_downtime);
+    disk_tracks_.emplace_back(MixSeed(config_.seed, kDiskTag, id),
+                              config_.disk_fail_mtbf,
+                              config_.disk_fail_downtime);
+  }
+  link_tracks_.assign(graph.num_edges(), OutageTrack());
+  for (topology::NodeId u = 0; u < graph.num_nodes(); ++u) {
+    for (const topology::Edge& e : graph.Neighbors(u)) {
+      if (u > e.to) continue;
+      link_tracks_[e.id] =
+          OutageTrack(MixSeed(config_.seed, kEdgeTag, EdgeKey(u, e.to)),
+                      config_.link_mtbf, config_.link_downtime);
+    }
+  }
   applied_crash_epoch_.assign(n, 0);
 }
 
-FaultPlane::OutageTrack& FaultPlane::NodeTrack(topology::NodeId v) {
-  const size_t i = static_cast<size_t>(v);
-  if (!node_track_ready_[i]) {
-    node_tracks_[i] =
-        OutageTrack(MixSeed(config_.seed, kNodeTag, static_cast<uint64_t>(v)),
-                    config_.node_crash_mtbf, config_.node_downtime);
-    node_track_ready_[i] = true;
-  }
-  return node_tracks_[i];
-}
-
-FaultPlane::OutageTrack& FaultPlane::DiskTrack(topology::NodeId v) {
-  const size_t i = static_cast<size_t>(v);
-  if (!disk_track_ready_[i]) {
-    disk_tracks_[i] =
-        OutageTrack(MixSeed(config_.seed, kDiskTag, static_cast<uint64_t>(v)),
-                    config_.disk_fail_mtbf, config_.disk_fail_downtime);
-    disk_track_ready_[i] = true;
-  }
-  return disk_tracks_[i];
-}
-
-FaultPlane::OutageTrack& FaultPlane::EdgeTrack(topology::NodeId u,
-                                               topology::NodeId v) {
-  const uint64_t key = EdgeKey(u, v);
-  auto it = edge_tracks_.find(key);
-  if (it == edge_tracks_.end()) {
-    it = edge_tracks_
-             .emplace(key, OutageTrack(MixSeed(config_.seed, kEdgeTag, key),
-                                       config_.link_mtbf,
-                                       config_.link_downtime))
-             .first;
-  }
-  return it->second;
-}
-
 bool FaultPlane::NodeDown(topology::NodeId v, double t) {
-  if (config_.node_crash_mtbf <= 0.0) return false;
-  return NodeTrack(v).IsDown(t);
+  return node_tracks_[static_cast<size_t>(v)].IsDown(t);
 }
 
 bool FaultPlane::DiskDown(topology::NodeId v, double t) {
-  if (config_.disk_fail_mtbf <= 0.0) return false;
-  return DiskTrack(v).IsDown(t);
+  return disk_tracks_[static_cast<size_t>(v)].IsDown(t);
 }
 
 bool FaultPlane::SiblingLoss(uint64_t request_index, int probe) const {
@@ -364,15 +344,27 @@ bool FaultPlane::SiblingLoss(uint64_t request_index, int probe) const {
   return HashToUnit(h) < config_.sibling_loss_prob;
 }
 
+bool FaultPlane::LinkDown(LinkId link, double t) {
+  return link_tracks_[link].IsDown(t);
+}
+
 bool FaultPlane::LinkDown(topology::NodeId u, topology::NodeId v, double t) {
-  if (config_.link_mtbf <= 0.0) return false;
-  return EdgeTrack(u, v).IsDown(t);
+  return LinkDown(network_->graph().Link(u, v).id, t);
+}
+
+FaultPlane::HopFaults FaultPlane::ApplyHopFaults(CacheNode* node,
+                                                 double t) {
+  const size_t i = static_cast<size_t>(node->id());
+  HopFaults hop;
+  hop.crashes = ApplyCrashRestarts(node, t);
+  hop.down = node_tracks_[i].IsDown(t);
+  hop.disk_down = disk_tracks_[i].IsDown(t);
+  return hop;
 }
 
 int FaultPlane::ApplyCrashRestarts(CacheNode* node, double t) {
-  if (config_.node_crash_mtbf <= 0.0) return 0;
   const size_t i = static_cast<size_t>(node->id());
-  const uint64_t epoch = NodeTrack(node->id()).CrashEpoch(t);
+  const uint64_t epoch = node_tracks_[i].CrashEpoch(t);
   const uint64_t applied = applied_crash_epoch_[i];
   if (epoch <= applied) return 0;
   // Cold restart: everything volatile — store, descriptors, d-cache,
@@ -396,10 +388,10 @@ bool FaultPlane::DescentLoss(uint64_t request_index, int hop) const {
   return HashToUnit(h) < config_.decision_loss_prob;
 }
 
-bool FaultPlane::PathHealthy(const std::vector<topology::NodeId>& path,
-                             double t) {
-  for (size_t i = 0; i + 1 < path.size(); ++i) {
-    if (LinkDown(path[i], path[i + 1], t)) return false;
+bool FaultPlane::PathHealthy(const Route& route, double t) {
+  const std::vector<topology::NodeId>& path = route.nodes;
+  for (const LinkId link : route.links) {
+    if (LinkDown(link, t)) return false;
   }
   if (config_.crash_cuts_routing) {
     // Endpoints stay routable: the requester's router and the server
@@ -415,7 +407,7 @@ bool FaultPlane::ResolvePath(const Route& route, double t,
                              std::vector<topology::NodeId>* detour,
                              bool* rerouted) {
   *rerouted = false;
-  if (!routing_faults_ || PathHealthy(route.nodes, t)) return true;
+  if (!routing_faults_ || PathHealthy(route, t)) return true;
   if (DetourPath(route.nodes.front(), route.nodes.back(), t, detour)) {
     *rerouted = true;
     return true;
@@ -439,7 +431,7 @@ bool FaultPlane::DetourPath(topology::NodeId from, topology::NodeId root,
       },
       &detour_tree_);
   if (!detour_tree_.Reachable(from)) return false;
-  *path = detour_tree_.PathToRoot(from);
+  detour_tree_.PathToRoot(from, path);
   return true;
 }
 

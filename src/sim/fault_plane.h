@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/network.h"
@@ -183,7 +182,11 @@ class FaultPlane {
   /// call order and of the other fault streams.
   bool SiblingLoss(uint64_t request_index, int probe) const;
 
-  /// Whether the link (u, v) is down at time `t`.
+  /// Whether the graph link `link` (a Route::links entry) is down at time
+  /// `t`.
+  bool LinkDown(LinkId link, double t);
+
+  /// Whether the link (u, v) is down at time `t`; the link must exist.
   bool LinkDown(topology::NodeId u, topology::NodeId v, double t);
 
   /// Applies any crash/restart cycles of `node` that began at or before
@@ -192,6 +195,17 @@ class FaultPlane {
   /// applied (0 almost always). Restarts are applied lazily, on the first
   /// request that touches the node after the crash onset.
   int ApplyCrashRestarts(CacheNode* node, double t);
+
+  /// What a request finds at one of its path nodes at time `t`.
+  struct HopFaults {
+    int crashes = 0;         ///< Cold restarts just applied.
+    bool down = false;       ///< NodeDown(node, t).
+    bool disk_down = false;  ///< DiskDown(node, t).
+  };
+
+  /// ApplyCrashRestarts(node, t), NodeDown and DiskDown of `node` at `t`
+  /// in one call: the per-hop fault pass of an exchange.
+  HopFaults ApplyHopFaults(CacheNode* node, double t);
 
   /// Whether the piggyback entry of path index `hop` is lost on the
   /// ascent of request `request_index`. Pure hash — independent of call
@@ -213,29 +227,43 @@ class FaultPlane {
     OutageTrack() = default;
     OutageTrack(uint64_t seed, double mtbf, double downtime);
 
-    bool IsDown(double t);
+    bool IsDown(double t) {
+      // Odd cover index: t sits inside a [down-start, down-end) interval.
+      return enabled_ && CoverIndex(t) % 2 == 1;
+    }
     /// Number of down-intervals that began at or before `t`.
-    uint64_t CrashEpoch(double t);
+    uint64_t CrashEpoch(double t) {
+      return enabled_ ? (CoverIndex(t) + 1) / 2 : 0;
+    }
 
    private:
-    /// Extends boundaries_ until it covers `t`; returns the index of the
-    /// first boundary > t.
-    size_t CoverIndex(double t);
+    /// The number of boundaries <= t. Replay time is nearly monotone, so
+    /// the answer is almost always the last one's: O(1) while `t` stays in
+    /// the interval [lo_, hi_) between the boundaries around the cursor,
+    /// and Seek otherwise.
+    size_t CoverIndex(double t) {
+      if (lo_ <= t && t < hi_) [[likely]] return cursor_;
+      return Seek(t);
+    }
+    /// Extends boundaries_ until it covers `t`, then moves the cursor to
+    /// the first boundary > t.
+    size_t Seek(double t);
 
     util::Rng rng_;
     double onset_rate_ = 0.0;
     double recovery_rate_ = 0.0;
     bool enabled_ = false;
     std::vector<double> boundaries_;
+    /// boundaries_[cursor_ - 1] <= t < boundaries_[cursor_] for every t in
+    /// [lo_, hi_); empty until the first Seek.
+    size_t cursor_ = 0;
+    double lo_ = 0.0;
+    double hi_ = 0.0;
   };
 
-  OutageTrack& NodeTrack(topology::NodeId v);
-  OutageTrack& DiskTrack(topology::NodeId v);
-  OutageTrack& EdgeTrack(topology::NodeId u, topology::NodeId v);
-
-  /// True when every link of `path` is up and (under crash_cuts_routing)
+  /// True when every link of `route` is up and (under crash_cuts_routing)
   /// every intermediate node is forwarding at time `t`.
-  bool PathHealthy(const std::vector<topology::NodeId>& path, double t);
+  bool PathHealthy(const Route& route, double t);
 
   /// Shortest-delay detour from `from` to `root` over the surviving
   /// graph; deterministic tie-break by parent id. Returns false when
@@ -246,13 +274,12 @@ class FaultPlane {
   FaultScheduleConfig config_;
   const Network* network_;
   bool routing_faults_ = false;
-  /// Lazily materialized outage streams (cleared by Reset()).
+  /// Per-entity outage streams, indexed by node id or graph link id.
+  /// Reset() reseeds them; their boundaries materialize lazily.
   std::vector<OutageTrack> node_tracks_;
-  std::vector<bool> node_track_ready_;
   /// Per-node disk-failure streams (degraded-node fault class).
   std::vector<OutageTrack> disk_tracks_;
-  std::vector<bool> disk_track_ready_;
-  std::unordered_map<uint64_t, OutageTrack> edge_tracks_;
+  std::vector<OutageTrack> link_tracks_;
   /// Crash epochs already applied to each node's cache.
   std::vector<uint64_t> applied_crash_epoch_;
   /// DetourPath's tree, reused across detours.

@@ -39,6 +39,7 @@ util::StatusOr<std::unique_ptr<Network>> Network::Build(
     net->client_sites_ = topo.man_ids;
     net->server_sites_ = topo.man_ids;
     net->server_link_delay_ = 0.0;
+    net->num_links_ = net->graph_.num_edges();
   } else {
     CASCACHE_ASSIGN_OR_RETURN(topology::TreeTopology topo,
                               topology::BuildTree(params.tree));
@@ -64,16 +65,28 @@ util::StatusOr<std::unique_ptr<Network>> Network::Build(
       }
     }
     net->sibling_sets_.assign(n, {});
-    for (size_t v = 0; v < n; ++v) {
-      const topology::NodeId p = net->parents_[v];
-      if (p == topology::kInvalidNode) continue;
-      for (topology::NodeId c : children[static_cast<size_t>(p)]) {
-        if (c != static_cast<topology::NodeId>(v)) {
-          net->sibling_sets_[v].push_back(c);
+    net->sibling_links_.assign(n, {});
+    // Sibling-leg ids follow the graph's links, one per unordered pair of
+    // a parent's children: the pair of children a < b of a k-child parent
+    // is number a*k - a*(a+1)/2 + (b-a-1) past the parent's first id.
+    size_t first_link = net->graph_.num_edges();
+    for (const std::vector<topology::NodeId>& kids : children) {
+      const size_t k = kids.size();
+      for (size_t a = 0; a < k; ++a) {
+        for (size_t b = 0; b < k; ++b) {
+          if (b == a) continue;
+          const size_t lo = std::min(a, b);
+          const size_t hi = std::max(a, b);
+          const size_t v = static_cast<size_t>(kids[a]);
+          net->sibling_sets_[v].push_back(kids[b]);
+          net->sibling_links_[v].push_back(static_cast<LinkId>(
+              first_link + lo * k - lo * (lo + 1) / 2 + (hi - lo - 1)));
         }
       }
-      if (!net->sibling_sets_[v].empty()) net->has_siblings_ = true;
+      if (k > 1) net->has_siblings_ = true;
+      first_link += k * (k - 1) / 2;
     }
+    net->num_links_ = first_link;
   }
 
   // Random client and server placement, deterministic in placement_seed.
@@ -130,11 +143,14 @@ topology::NodeId Network::ServerAttach(ServerId server) const {
 
 void Route::FillDelays(const topology::Graph& graph) {
   delays.clear();
+  links.clear();
   delay_prefix.clear();
   double acc = 0.0;
   delay_prefix.push_back(acc);
   for (size_t i = 0; i + 1 < nodes.size(); ++i) {
-    delays.push_back(graph.EdgeDelay(nodes[i], nodes[i + 1]));
+    const topology::Edge& link = graph.Link(nodes[i], nodes[i + 1]);
+    delays.push_back(link.delay);
+    links.push_back(link.id);
     acc += delays.back();
     delay_prefix.push_back(acc);
   }

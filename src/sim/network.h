@@ -15,6 +15,7 @@ namespace cascache::sim {
 
 using trace::ClientId;
 using trace::ServerId;
+using topology::LinkId;
 
 enum class Architecture {
   kEnRoute,       ///< Tiers WAN/MAN topology, caches at every router.
@@ -43,9 +44,12 @@ struct Route {
   /// the order every latency is summed in: delay_prefix[i] == delays[0] +
   /// ... + delays[i-1]; nodes.size() entries, delay_prefix[0] == 0.
   std::vector<double> delay_prefix;
+  /// links[i] joins nodes[i] and nodes[i + 1] (Network link ids);
+  /// nodes.size() - 1 entries.
+  std::vector<LinkId> links;
 
-  /// Recomputes `delays` and `delay_prefix` for `nodes` over `graph`
-  /// (reusing their storage).
+  /// Recomputes `delays`, `links` and `delay_prefix` for `nodes` over
+  /// `graph` (reusing their storage).
   void FillDelays(const topology::Graph& graph);
 };
 
@@ -144,6 +148,21 @@ class Network {
     return sibling_sets_[static_cast<size_t>(v)];
   }
 
+  /// Link ids of the sibling legs from `v`, parallel to Siblings(v): the
+  /// pair {v, Siblings(v)[k]} is SiblingLinks(v)[k], the same id seen
+  /// from either end.
+  const std::vector<LinkId>& SiblingLinks(topology::NodeId v) const {
+    CASCACHE_CHECK(graph_.IsValidNode(v));
+    if (sibling_links_.empty()) return empty_sibling_links_;
+    return sibling_links_[static_cast<size_t>(v)];
+  }
+
+  /// Size of the dense link id space that per-link state is indexed by:
+  /// the graph's links (topology::Edge::id, carried per hop in
+  /// Route::links) and then one id per unordered sibling pair, whose
+  /// sibling leg has no graph link of its own.
+  size_t num_links() const { return num_links_; }
+
   /// Whether any node has a non-empty sibling set (hierarchical trees
   /// with branching > 1); sibling cooperation silently disables itself
   /// otherwise.
@@ -186,6 +205,10 @@ class Network {
   /// Per-node sibling sets, ascending id (hierarchical only).
   std::vector<std::vector<topology::NodeId>> sibling_sets_;
   std::vector<topology::NodeId> empty_siblings_;
+  /// Per-node sibling-leg link ids, parallel to sibling_sets_.
+  std::vector<std::vector<LinkId>> sibling_links_;
+  std::vector<LinkId> empty_sibling_links_;
+  size_t num_links_ = 0;
   bool has_siblings_ = false;
 };
 

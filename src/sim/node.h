@@ -117,6 +117,20 @@ class CacheNode {
     if (ncl_ != nullptr) ncl_->PrefetchEntry(id);
   }
 
+  /// Advisory prefetch of the RAM tier's index entry for `id`, the
+  /// tiered serve's first read; no-op on an untiered node.
+  void PrefetchRamProbe(ObjectId id) const {
+    if (ram_ != nullptr) ram_->PrefetchProbe(id);
+  }
+
+  /// Second-stage advisory prefetch, after the probes' lines have
+  /// arrived: the list links a hit's Touch rewrites in the LRU store and
+  /// the RAM tier (FlatLru::PrefetchLinks); no-op where neither exists.
+  void PrefetchLruLinks(ObjectId id) const {
+    if (lru_ != nullptr) lru_->PrefetchLinks(id);
+    if (ram_ != nullptr) ram_->PrefetchLinks(id);
+  }
+
   /// Advisory prefetch of the LRU store's eviction-victim entries (see
   /// FlatLru::PrefetchVictim); no-op outside LRU mode.
   void PrefetchLruVictim() const {
@@ -174,6 +188,9 @@ class CacheNode {
   void StampCopy(ObjectId id, double fetch_time, uint32_t version);
   /// nullptr if no stamp is recorded.
   const CopyStamp* FindCopy(ObjectId id) const;
+  /// Advisory prefetch of the stamp index entry FindCopy(id) and
+  /// StampCopy(id, ...) read; no state changes.
+  void PrefetchCopy(ObjectId id) const { copy_stamps_.Prefetch(id); }
 
   /// Structural invariants, used by tests and debug sweeps: byte usage
   /// within capacity; in cost mode, every cached object's descriptor

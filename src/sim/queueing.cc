@@ -37,13 +37,13 @@ util::Status ContentionParams::Validate() const {
   return util::Status::Ok();
 }
 
-QueueingPlane::QueueingPlane(int num_nodes)
+QueueingPlane::QueueingPlane(int num_nodes, size_t num_links)
     : node_busy_(static_cast<size_t>(num_nodes), 0.0),
-      num_nodes_(static_cast<uint64_t>(num_nodes)) {}
+      link_busy_(2 * num_links, 0.0) {}
 
 void QueueingPlane::Reset() {
   node_busy_.assign(node_busy_.size(), 0.0);
-  link_busy_.clear();
+  link_busy_.assign(link_busy_.size(), 0.0);
 }
 
 QueueingPlane::Admission QueueingPlane::AdmitOp(topology::NodeId v, double now,
@@ -80,15 +80,16 @@ bool QueueingPlane::WouldShed(topology::NodeId v, double now, double cost,
   return BacklogDepth(v, now, cost) >= capacity;
 }
 
-QueueingPlane::Transfer QueueingPlane::TransferOn(topology::NodeId from,
+QueueingPlane::Transfer QueueingPlane::TransferOn(topology::LinkId link,
+                                                  topology::NodeId from,
                                                   topology::NodeId to,
                                                   double now, uint64_t bytes,
                                                   double bandwidth) {
   Transfer t;
   if (bandwidth <= 0.0) return t;
   t.tx = static_cast<double>(bytes) / bandwidth;
-  double& busy = link_busy_[static_cast<uint64_t>(from) * num_nodes_ +
-                            static_cast<uint64_t>(to)];
+  double& busy =
+      link_busy_[2 * static_cast<size_t>(link) + (from > to ? 1 : 0)];
   if (busy > now) t.wait = busy - now;
   busy = now + t.wait + t.tx;
   return t;

@@ -1,8 +1,8 @@
 #ifndef CASCACHE_SIM_QUEUEING_H_
 #define CASCACHE_SIM_QUEUEING_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "topology/graph.h"
@@ -64,19 +64,22 @@ struct ContentionParams {
 };
 
 /// Busy-until resource timelines for the event-driven replay: one FIFO
-/// service queue per cache node and one per directed link. The model is
+/// service queue per cache node and one per direction of each link
+/// (Network link ids: graph links and sibling legs alike). The model is
 /// deliberately timeline-based rather than per-operation events — each
 /// resource remembers only the time it drains (`busy_until`), an admitted
 /// operation waits `busy_until - now`, and the backlog *depth* is the
 /// wait divided by this operation's service cost. That keeps the queueing
-/// state O(nodes) and the per-operation cost O(1) while reproducing FIFO
-/// waiting times exactly for uniform service costs (M/D/1-style queues).
+/// state O(nodes + links) and the per-operation cost O(1) while
+/// reproducing FIFO waiting times exactly for uniform service costs
+/// (M/D/1-style queues).
 ///
 /// Single-threaded like the Simulator that owns it; parallel sweep
 /// workers each own their plane.
 class QueueingPlane {
  public:
-  explicit QueueingPlane(int num_nodes);
+  /// Timelines for nodes [0, num_nodes) and links [0, num_links).
+  QueueingPlane(int num_nodes, size_t num_links);
 
   /// Forgets all backlog (a fresh Run()).
   void Reset();
@@ -114,11 +117,13 @@ class QueueingPlane {
     double tx = 0.0;    ///< Transmission seconds (bytes / bandwidth).
   };
 
-  /// Occupies the directed link from->to with a `bytes` transmission at
-  /// `bandwidth` bytes/second, FIFO behind earlier transmissions. A
-  /// non-positive bandwidth means an infinite link: free, no state.
-  Transfer TransferOn(topology::NodeId from, topology::NodeId to, double now,
-                      uint64_t bytes, double bandwidth);
+  /// Occupies `link`, which joins `from` and `to`, in the direction
+  /// from->to with a `bytes` transmission at `bandwidth` bytes/second,
+  /// FIFO behind earlier transmissions in that direction. A non-positive
+  /// bandwidth means an infinite link: free, no state.
+  Transfer TransferOn(topology::LinkId link, topology::NodeId from,
+                      topology::NodeId to, double now, uint64_t bytes,
+                      double bandwidth);
 
   double node_busy_until(topology::NodeId v) const {
     return node_busy_[static_cast<size_t>(v)];
@@ -126,10 +131,9 @@ class QueueingPlane {
 
  private:
   std::vector<double> node_busy_;
-  /// Directed-link timelines, keyed from * num_nodes + to. Sparse: only
-  /// links that carried a transmission have an entry.
-  std::unordered_map<uint64_t, double> link_busy_;
-  uint64_t num_nodes_;
+  /// Directed-link timelines: 2 * link, plus 1 for the direction from
+  /// the higher node id to the lower.
+  std::vector<double> link_busy_;
 };
 
 }  // namespace cascache::sim

@@ -119,12 +119,28 @@ Simulator::Simulator(const Network* network, CacheSet* caches,
   // sibling sets (en-route, or a branching-1 tree): every probe set would
   // be empty, so skipping the leg entirely is behavior-identical.
   sibling_on_ = options_.sibling.enabled && network->HasSiblings();
+  probed_siblings_.assign(static_cast<size_t>(network->num_nodes()), {});
+  if (sibling_on_) {
+    const SiblingParams& sp = options_.sibling;
+    for (topology::NodeId v = 0; v < network->num_nodes(); ++v) {
+      if (sp.level >= 0 && node_levels_[static_cast<size_t>(v)] != sp.level) {
+        continue;
+      }
+      const std::vector<topology::NodeId>& siblings = network->Siblings(v);
+      size_t count = siblings.size();
+      if (sp.max_probes > 0) {
+        count = std::min(count, static_cast<size_t>(sp.max_probes));
+      }
+      probed_siblings_[static_cast<size_t>(v)] = {siblings.data(), count};
+    }
+  }
   if (options_.contention.active()) {
     if (util::Status status = options_.contention.Validate(); !status.ok()) {
       init_status_ = status;
       return;
     }
-    queueing_ = std::make_unique<QueueingPlane>(network->num_nodes());
+    queueing_ = std::make_unique<QueueingPlane>(network->num_nodes(),
+                                                network->num_links());
     ctx_.queueing = queueing_.get();
     ctx_.contention = &options_.contention;
     ascent_op_cost_ =
@@ -357,6 +373,37 @@ void Simulator::ReplayRange(trace::RequestSpan requests, size_t begin,
   metrics_.FlushBlock(block_stats_);
 }
 
+void Simulator::PrefetchEventHop(topology::NodeId v,
+                                 trace::ObjectId object) const {
+  // The event-driven exchange also reads, at path node `v`, the copy's
+  // freshness stamp and the RAM tier's entry and, at a sibling-probing
+  // hop, the same of each probed sibling besides its index entry.
+  CacheNode* const nodes = caches_->nodes_data();
+  const bool coherent = updates_ != nullptr;
+  if (coherent) nodes[v].PrefetchCopy(object);
+  if (tiered_) nodes[v].PrefetchRamProbe(object);
+  if (!sibling_on_) return;
+  for (topology::NodeId sib : probed_siblings_[static_cast<size_t>(v)]) {
+    nodes[sib].PrefetchProbe(object);
+    if (coherent) nodes[sib].PrefetchCopy(object);
+    if (tiered_) nodes[sib].PrefetchRamProbe(object);
+  }
+}
+
+void Simulator::PrefetchEventEntry(topology::NodeId v,
+                                   trace::ObjectId object) const {
+  // A hit at `v` or at one of its probed siblings touches the serving
+  // store's entry: the cost-mode lines (the path nodes' are already
+  // covered) and the LRU links, of the store and of the RAM tier.
+  CacheNode* const nodes = caches_->nodes_data();
+  nodes[v].PrefetchLruLinks(object);
+  if (!sibling_on_) return;
+  for (topology::NodeId sib : probed_siblings_[static_cast<size_t>(v)]) {
+    nodes[sib].PrefetchEntry(object);
+    nodes[sib].PrefetchLruLinks(object);
+  }
+}
+
 template <Simulator::ExchangeKind kKind>
 void Simulator::ReplayBlocks(trace::RequestSpan requests, size_t begin,
                              size_t end, bool collect) {
@@ -373,8 +420,8 @@ void Simulator::ReplayBlocks(trace::RequestSpan requests, size_t begin,
   // entries a few requests ahead of its replay. The per-hop Contains
   // chain is a string of dependent loads over ~MBs of node index tables;
   // issuing them early overlaps the misses with the preceding requests'
-  // work. Skipped under fault injection (routes may detour).
-  const bool prefetch = faults_ == nullptr;
+  // work. Prefetches are advisory, so under the fault plane they follow
+  // the table route: a rare detour only wastes its hints.
   CacheNode* const nodes = caches_->nodes_data();
   // Far enough ahead to cover a cache-miss round trip, near enough that
   // the lines still sit in cache when the request replays.
@@ -393,23 +440,32 @@ void Simulator::ReplayBlocks(trace::RequestSpan requests, size_t begin,
     }
     for (size_t j = 0; j < batch.size(); ++j) {
       const size_t p = j + kPrefetchAhead;
-      if (prefetch && p < batch.size()) {
+      if (p < batch.size()) {
         const DecodedRequest& ahead = batch[p];
         for (topology::NodeId v : ahead.route->nodes) {
           nodes[v].PrefetchProbe(ahead.object);
           // Under the plain-LRU rule a miss inserts (and usually evicts)
           // at every path node, so warm the victim entries too.
-          if constexpr (kKind == ExchangeKind::kLeanLru) {
+          if constexpr (kKind != ExchangeKind::kLeanHooks) {
             nodes[v].PrefetchLruVictim();
           }
+          if constexpr (kKind == ExchangeKind::kFull) {
+            PrefetchEventHop(v, ahead.object);
+          }
+        }
+        if constexpr (kKind == ExchangeKind::kFull) {
+          if (updates_ != nullptr) updates_->Prefetch(ahead.object);
         }
       }
       if constexpr (kKind != ExchangeKind::kLeanLru) {
         const size_t q = j + kEntryPrefetchAhead;
-        if (prefetch && q < batch.size()) {
+        if (q < batch.size()) {
           const DecodedRequest& near = batch[q];
           for (topology::NodeId v : near.route->nodes) {
             nodes[v].PrefetchEntry(near.object);
+            if constexpr (kKind == ExchangeKind::kFull) {
+              PrefetchEventEntry(v, near.object);
+            }
           }
         }
       }
@@ -491,23 +547,17 @@ bool Simulator::AdmitCopy(MessageContext& ctx, size_t hop,
 }
 
 bool Simulator::TrySiblings(MessageContext& ctx, size_t hop,
-                            uint32_t* served_version) {
+                            uint32_t* served_version, LinkId* sibling_link) {
   const std::vector<topology::NodeId>& path = *ctx.path;
   const topology::NodeId node_id = path[hop];
   const SiblingParams& sp = options_.sibling;
-  if (sp.level >= 0 &&
-      node_levels_[static_cast<size_t>(node_id)] != sp.level) {
-    return false;
-  }
-  const std::vector<topology::NodeId>& siblings = network_->Siblings(node_id);
-  if (siblings.empty()) return false;
+  const std::span<const topology::NodeId> siblings =
+      probed_siblings_[static_cast<size_t>(node_id)];
   CacheNode* const nodes = caches_->nodes_data();
   const bool faults_active = faults_ != nullptr;
-  int probes = 0;
-  for (topology::NodeId sib : siblings) {
-    if (sp.max_probes > 0 && probes >= sp.max_probes) break;
+  for (size_t k = 0; k < siblings.size(); ++k) {
+    const topology::NodeId sib = siblings[k];
     const int probe_ordinal = ctx.request.sibling_probes++;
-    ++probes;
     ctx.RecordSiblingProbe(static_cast<int>(hop), sib);
     scheme_->OnSiblingProbe(ctx, static_cast<int>(hop), sib);
     ctx.request.payload_bytes += sp.probe_bytes;
@@ -562,6 +612,7 @@ bool Simulator::TrySiblings(MessageContext& ctx, size_t hop,
     ctx.response.payload_bytes += sp.probe_bytes;
     ctx.RecordSiblingServe(static_cast<int>(hop), sib);
     *served_version = version;
+    *sibling_link = network_->SiblingLinks(node_id)[k];
     return true;
   }
   return false;
@@ -726,19 +777,19 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect) {
     // cache process is still down at the attempt time. Crashes are
     // charged to the crashed node; retries and reroutes to the
     // requester.
-    arena_.node_down.assign(path_len, 0);
-    arena_.disk_down.assign(path_len, 0);
+    arena_.node_down.resize(path_len);
+    arena_.disk_down.resize(path_len);
     for (size_t i = 0; i < path_len; ++i) {
       const topology::NodeId node_id = path[i];
-      if (faults_->DiskDown(node_id, now)) arena_.disk_down[i] = 1;
-      const int applied =
-          faults_->ApplyCrashRestarts(caches_->node(node_id), now);
-      if (applied > 0) {
+      const FaultPlane::HopFaults hop =
+          faults_->ApplyHopFaults(&nodes[node_id], now);
+      if (hop.crashes > 0) {
         Observe(counters, trace, ctx, &NodeCounters::crashes,
-                static_cast<uint64_t>(applied), TraceEventType::kNodeCrash,
-                node_id, static_cast<double>(applied));
+                static_cast<uint64_t>(hop.crashes), TraceEventType::kNodeCrash,
+                node_id, static_cast<double>(hop.crashes));
       }
-      if (faults_->NodeDown(node_id, now)) arena_.node_down[i] = 1;
+      arena_.node_down[i] = hop.down ? 1 : 0;
+      arena_.disk_down[i] = hop.disk_down ? 1 : 0;
     }
     ObserveRetries(counters, trace, ctx, requester, retries);
     if (rerouted) {
@@ -764,6 +815,8 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect) {
   // Version the client receives; downstream copies inherit it (a stale
   // serving copy propagates its stale version).
   uint32_t served_version = coherent ? updates_->VersionAt(object, now) : 0;
+  // The sibling leg a sibling serve crossed.
+  LinkId sibling_link = 0;
   int hit = -1;
   for (size_t i = 0; i < path_len; ++i) {
     const topology::NodeId node_id = path[i];
@@ -819,7 +872,9 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect) {
     // identical to a local hit, and this hop contributes no piggyback
     // entry (exactly as if it had served), so scheme state stays
     // hop-aligned.
-    if (siblings && !down && TrySiblings(ctx, i, &served_version)) {
+    if (siblings && !down &&
+        !probed_siblings_[static_cast<size_t>(node_id)].empty() &&
+        TrySiblings(ctx, i, &served_version, &sibling_link)) {
       hit = static_cast<int>(i);
       break;
     }
@@ -892,12 +947,12 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect) {
     nodes[path[static_cast<size_t>(hit)]].lru()->Touch(object);
   }
   // The body of a sibling serve crosses the sibling leg before it
-  // descends: one contended transfer keyed on the (sibling, probing hop)
-  // pair.
+  // descends: one contended transfer on the (sibling, probing hop) pair's
+  // link.
   if (queued && ctx.response.served_by_sibling) {
     const QueueingPlane::Transfer t = queueing_->TransferOn(
-        ctx.response.sibling, path[static_cast<size_t>(hit)], ctx.now, size,
-        options_.contention.link_bandwidth);
+        sibling_link, ctx.response.sibling, path[static_cast<size_t>(hit)],
+        ctx.now, size, options_.contention.link_bandwidth);
     rm.queue_wait += t.wait;
     ctx.now += t.wait + t.tx;
   }
@@ -924,7 +979,7 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect) {
         ctx.RecordDiskDegraded(i);
       }
     }
-    if (queued) DescendContention(i);
+    if (queued) DescendContention(*route, i);
     if constexpr (kHooks) {
       scheme_->OnDescend(ctx, i);
       ctx.response.decision_lost = false;
@@ -966,10 +1021,10 @@ void Simulator::Exchange(const DecodedRequest& request, bool collect) {
   FinishRequest(rm, collect, attempt_start + rm.latency, queued);
 }
 
-void Simulator::DescendContention(int i) {
+void Simulator::DescendContention(const Route& route, int i) {
   MessageContext& ctx = ctx_;
   const ContentionParams& cp = options_.contention;
-  const std::vector<topology::NodeId>& path = *ctx.path;
+  const std::vector<topology::NodeId>& path = route.nodes;
   const int top = static_cast<int>(path.size()) - 1;
   // The object body crosses the link above hop i before the hop acts.
   // The topmost descent hop of an origin-served request receives it over
@@ -981,7 +1036,8 @@ void Simulator::DescendContention(int i) {
       t.tx = static_cast<double>(ctx.size) / cp.link_bandwidth;
     }
   } else {
-    t = queueing_->TransferOn(path[static_cast<size_t>(i) + 1],
+    t = queueing_->TransferOn(route.links[static_cast<size_t>(i)],
+                              path[static_cast<size_t>(i) + 1],
                               path[static_cast<size_t>(i)], ctx.now,
                               ctx.size, cp.link_bandwidth);
   }

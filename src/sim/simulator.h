@@ -1,6 +1,9 @@
 #ifndef CASCACHE_SIM_SIMULATOR_H_
 #define CASCACHE_SIM_SIMULATOR_H_
 
+#include <span>
+#include <vector>
+
 #include "schemes/scheme.h"
 #include "sim/coherency.h"
 #include "sim/completion_queue.h"
@@ -276,10 +279,23 @@ class Simulator {
   /// Called once per request, in trace order.
   double NextArrivalTime(double trace_time);
 
-  /// Event-driven descent charges for hop `i`: the object body's link
-  /// transfer into the hop, then the store-queue pre-check — a full queue
-  /// drops the placement decision there (decision_lost + RecordStoreShed).
-  void DescendContention(int i);
+  /// Stage-1 prefetches the event-driven exchange adds at path node `v`
+  /// for `object`, beyond the probe every exchange prefetches: the copy
+  /// stamp, the RAM tier's entry and, where `v` probes its siblings,
+  /// their probe entries, copy stamps and RAM tier entries. Advisory
+  /// only.
+  void PrefetchEventHop(topology::NodeId v, trace::ObjectId object) const;
+
+  /// Stage-2 prefetches the event-driven exchange adds at path node `v`:
+  /// the lines a hit's touch rewrites at `v` and at its probed siblings.
+  /// Advisory only.
+  void PrefetchEventEntry(topology::NodeId v, trace::ObjectId object) const;
+
+  /// Event-driven descent charges for hop `i` of `route`: the object
+  /// body's link transfer into the hop, then the store-queue pre-check — a
+  /// full queue drops the placement decision there (decision_lost +
+  /// RecordStoreShed).
+  void DescendContention(const Route& route, int i);
 
   /// Event-driven ascent charge at path index `hop`: the lookup (+ d-cache
   /// probe) as service demand on the node's bounded queue. Returns false
@@ -293,16 +309,18 @@ class Simulator {
   /// `*served_version` and returns true.
   bool AdmitCopy(MessageContext& ctx, size_t hop, uint32_t* served_version);
 
-  /// Sibling leg of the ascent at path index `hop` (which just missed
-  /// locally): probes the hop's siblings in ascending node id, bounded by
-  /// max_probes, and serves from the first fresh copy. Probes never
+  /// Sibling leg of the ascent at path index `hop`, which just missed
+  /// locally and has siblings to probe: probes its probed_siblings_ in
+  /// order and serves from the first fresh copy. Probes never
   /// mutate sibling stores (an expired / stale sibling copy is skipped,
   /// not erased). Returns true when a sibling served — served_by_sibling
   /// / sibling set, the serve is at `hop` — and writes the serving copy's
-  /// version to `*served_version`. Kept out of line so the sibling-off
-  /// ascent loop stays compact (one never-taken branch).
+  /// version to `*served_version` and the sibling leg's link id to
+  /// `*sibling_link`. Kept out of line so the sibling-off ascent loop
+  /// stays compact (one never-taken branch).
   __attribute__((noinline)) bool TrySiblings(MessageContext& ctx, size_t hop,
-                                             uint32_t* served_version);
+                                             uint32_t* served_version,
+                                             LinkId* sibling_link);
 
   /// Serves out of `node_id`'s tiers — the RAM tier only when `ram_only`
   /// (disk outage), else ServeTiered with promotion — records the serve
@@ -345,6 +363,11 @@ class Simulator {
   /// Sibling cooperation is live: options.sibling.enabled AND the
   /// topology actually has sibling sets (hierarchical, branching > 1).
   bool sibling_on_ = false;
+  /// probed_siblings_[v]: the siblings node `v` probes after a local
+  /// miss, in probe order — none off the configured probing level, at
+  /// most max_probes (views of the Network's sibling sets). Empty for
+  /// every node unless sibling_on_.
+  std::vector<std::span<const topology::NodeId>> probed_siblings_;
   /// Present iff coherency tracking is active for this run.
   std::unique_ptr<UpdateSchedule> updates_;
   MetricsCollector metrics_;

@@ -35,8 +35,9 @@ util::Status Graph::AddEdge(NodeId u, NodeId v, double delay) {
     return util::Status::AlreadyExists("duplicate link " + std::to_string(u) +
                                        "-" + std::to_string(v));
   }
-  adjacency_[static_cast<size_t>(u)].push_back({v, delay});
-  adjacency_[static_cast<size_t>(v)].push_back({u, delay});
+  const auto id = static_cast<LinkId>(num_edges_);
+  adjacency_[static_cast<size_t>(u)].push_back({v, id, delay});
+  adjacency_[static_cast<size_t>(v)].push_back({u, id, delay});
   ++num_edges_;
   return util::Status::Ok();
 }
@@ -51,10 +52,10 @@ bool Graph::HasEdge(NodeId u, NodeId v) const {
   return FindEdge(adjacency_[static_cast<size_t>(u)], v) != nullptr;
 }
 
-double Graph::EdgeDelay(NodeId u, NodeId v) const {
+const Edge& Graph::Link(NodeId u, NodeId v) const {
   const Edge* e = FindEdge(Neighbors(u), v);
   CASCACHE_CHECK_MSG(e != nullptr, "link does not exist");
-  return e->delay;
+  return *e;
 }
 
 bool Graph::IsConnected() const {

@@ -12,9 +12,14 @@ namespace cascache::topology {
 using NodeId = int32_t;
 inline constexpr NodeId kInvalidNode = -1;
 
+/// Dense identifier of an undirected link: AddEdge numbers a graph's links
+/// 0, 1, ... in insertion order, so per-link state is a plain array.
+using LinkId = uint32_t;
+
 /// Outgoing half of an undirected link.
 struct Edge {
   NodeId to = kInvalidNode;
+  LinkId id = 0;       ///< Shared by both halves of the link.
   double delay = 0.0;  ///< Base delay for an average-size object (seconds).
 };
 
@@ -41,8 +46,11 @@ class Graph {
   /// degrees are single digits in the default topologies).
   bool HasEdge(NodeId u, NodeId v) const;
 
+  /// The half of link (u,v) leaving u; the link must exist.
+  const Edge& Link(NodeId u, NodeId v) const;
+
   /// Delay of the link (u,v); the link must exist.
-  double EdgeDelay(NodeId u, NodeId v) const;
+  double EdgeDelay(NodeId u, NodeId v) const { return Link(u, v).delay; }
 
   /// True if every node is reachable from node 0 (BFS). Empty graphs and
   /// single-node graphs are connected.

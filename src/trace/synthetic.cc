@@ -64,11 +64,10 @@ util::Status ValidateParams(const WorkloadParams& params) {
   return util::Status::Ok();
 }
 
-/// Builds the procedural (hashed) catalog from the size-model fields.
-/// Consumes no rng: the catalog is a pure function of the model block,
-/// which is what trace format v3 persists.
-void BuildProceduralCatalog(const WorkloadParams& params,
-                            ObjectCatalog* catalog) {
+/// The procedural (hashed) catalog's model block, from the size-model
+/// fields. The catalog is a pure function of it, which is what trace
+/// format v3 persists.
+CatalogModel ProceduralModel(const WorkloadParams& params) {
   CatalogModel model;
   model.seed = params.seed;
   model.lognormal_mu = params.size_lognormal_mu;
@@ -78,7 +77,7 @@ void BuildProceduralCatalog(const WorkloadParams& params,
   model.pareto_alpha = params.size_pareto_alpha;
   model.min_size = params.min_object_size;
   model.max_size = params.max_object_size;
-  catalog->BuildProcedural(model, params.num_objects, params.num_servers);
+  return model;
 }
 
 // Objects: id == popularity rank; size and origin server independent of
@@ -324,7 +323,10 @@ util::StatusOr<Workload> GenerateWorkload(const WorkloadParams& params) {
   util::Rng rng(params.seed);
   Workload workload;
   if (params.procedural_catalog) {
-    BuildProceduralCatalog(params, &workload.catalog);
+    // Consumes no rng, so the streamed generator (which writes only the
+    // model block) stays bit-identical.
+    workload.catalog.BuildProcedural(ProceduralModel(params),
+                                     params.num_objects, params.num_servers);
   } else {
     BuildCatalog(params, &rng, &workload.catalog);
   }
@@ -339,16 +341,20 @@ util::Status GenerateWorkloadToFile(const WorkloadParams& params,
                                     const std::string& path) {
   CASCACHE_RETURN_IF_ERROR(ValidateParams(params));
   util::Rng rng(params.seed);
-  ObjectCatalog catalog;
+  // A procedural catalog is written as its model block alone (v3): the
+  // requests never read it, so it is not built here.
+  std::unique_ptr<TraceWriter> writer;
   if (params.procedural_catalog) {
-    BuildProceduralCatalog(params, &catalog);
+    CASCACHE_ASSIGN_OR_RETURN(
+        writer, TraceWriter::Create(path, ProceduralModel(params),
+                                    params.num_objects, params.num_servers,
+                                    params.num_requests));
   } else {
+    ObjectCatalog catalog;
     BuildCatalog(params, &rng, &catalog);
+    CASCACHE_ASSIGN_OR_RETURN(
+        writer, TraceWriter::Create(path, catalog, params.num_requests));
   }
-
-  CASCACHE_ASSIGN_OR_RETURN(
-      std::unique_ptr<TraceWriter> writer,
-      TraceWriter::Create(path, catalog, params.num_requests));
 
   // Buffer a bounded block of requests between Append calls; 64Ki
   // records = 1 MiB regardless of trace length.

@@ -36,19 +36,19 @@ uint64_t AlignUp(uint64_t v, uint64_t align) {
   return (v + align - 1) / align * align;
 }
 
-/// Writes the v2/v3 header + catalog (or model block) + zero padding; on
-/// return the stream is positioned at the (page-aligned) request region.
-/// A procedural catalog selects v3 (64-byte model block), a materialized
-/// one v2 (per-object entries).
-util::Status WriteV2Preamble(std::FILE* f, const ObjectCatalog& catalog,
-                             uint64_t num_requests, const std::string& path) {
-  const uint32_t version =
-      catalog.procedural() ? kTraceVersion3 : kTraceVersion2;
-  const uint32_t num_objects = catalog.num_objects();
-  const uint32_t num_servers = catalog.num_servers();
+/// Writes the v2/v3 header + catalog block + zero padding; on return the
+/// stream is positioned at the (page-aligned) request region. A model
+/// block selects v3 (a 64-byte block); without one, `catalog`'s
+/// per-object entries make v2.
+util::Status WritePreamble(std::FILE* f, uint32_t num_objects,
+                           uint32_t num_servers, uint64_t num_requests,
+                           const CatalogModel* model,
+                           const ObjectCatalog* catalog,
+                           const std::string& path) {
+  const uint32_t version = model != nullptr ? kTraceVersion3 : kTraceVersion2;
   const uint64_t catalog_bytes =
-      catalog.procedural() ? sizeof(CatalogModel)
-                           : kTraceCatalogEntryBytes * uint64_t{num_objects};
+      model != nullptr ? sizeof(CatalogModel)
+                       : kTraceCatalogEntryBytes * uint64_t{num_objects};
   const uint64_t catalog_end = kTraceV2HeaderBytes + catalog_bytes;
   const uint64_t request_offset = AlignUp(catalog_end, kTraceRequestAlign);
   if (std::fwrite(kTraceMagic, 1, 4, f) != 4 || !WriteOne(f, version) ||
@@ -56,14 +56,14 @@ util::Status WriteV2Preamble(std::FILE* f, const ObjectCatalog& catalog,
       !WriteOne(f, num_requests) || !WriteOne(f, request_offset)) {
     return util::Status::IoError("short write: " + path);
   }
-  if (catalog.procedural()) {
-    if (!WriteOne(f, catalog.model())) {
+  if (model != nullptr) {
+    if (!WriteOne(f, *model)) {
       return util::Status::IoError("short write: " + path);
     }
   } else {
     for (ObjectId id = 0; id < num_objects; ++id) {
-      if (!WriteOne(f, catalog.size(id)) ||
-          !WriteOne(f, catalog.server(id))) {
+      if (!WriteOne(f, catalog->size(id)) ||
+          !WriteOne(f, catalog->server(id))) {
         return util::Status::IoError("short write: " + path);
       }
     }
@@ -291,19 +291,39 @@ TraceWriter::~TraceWriter() {
 util::StatusOr<std::unique_ptr<TraceWriter>> TraceWriter::Create(
     const std::string& path, const ObjectCatalog& catalog,
     uint64_t expected_requests) {
+  if (catalog.procedural()) {
+    return Create(path, catalog.model(), catalog.num_objects(),
+                  catalog.num_servers(), expected_requests);
+  }
+  return Open(path, catalog.num_objects(), catalog.num_servers(),
+              expected_requests, nullptr, &catalog);
+}
+
+util::StatusOr<std::unique_ptr<TraceWriter>> TraceWriter::Create(
+    const std::string& path, const CatalogModel& model, uint32_t num_objects,
+    uint32_t num_servers, uint64_t expected_requests) {
+  return Open(path, num_objects, num_servers, expected_requests, &model,
+              nullptr);
+}
+
+util::StatusOr<std::unique_ptr<TraceWriter>> TraceWriter::Open(
+    const std::string& path, uint32_t num_objects, uint32_t num_servers,
+    uint64_t expected_requests, const CatalogModel* model,
+    const ObjectCatalog* catalog) {
   std::unique_ptr<TraceWriter> writer(new TraceWriter());
   writer->file_ = std::fopen(path.c_str(), "wb");
   if (writer->file_ == nullptr) {
     return util::Status::IoError("cannot open for write: " + path);
   }
   writer->path_ = path;
-  writer->num_objects_ = catalog.num_objects();
+  writer->num_objects_ = num_objects;
   writer->expected_requests_ = expected_requests;
   writer->iobuf_.resize(1 << 20);
   std::setvbuf(writer->file_, writer->iobuf_.data(), _IOFBF,
                writer->iobuf_.size());
-  CASCACHE_RETURN_IF_ERROR(
-      WriteV2Preamble(writer->file_, catalog, expected_requests, path));
+  CASCACHE_RETURN_IF_ERROR(WritePreamble(writer->file_, num_objects,
+                                         num_servers, expected_requests,
+                                         model, catalog, path));
   return writer;
 }
 

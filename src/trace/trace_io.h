@@ -82,7 +82,7 @@ util::Status WriteTraceCsv(const Workload& workload, const std::string& path);
 util::Status ConvertCsvTrace(const std::string& csv_path,
                              const std::string& out_path);
 
-/// Streaming writer for v2 traces: the catalog is written up front and
+/// Streaming writer for v2 and v3 traces: the catalog is written up front and
 /// requests are appended in bounded blocks, so arbitrarily long traces
 /// are produced in O(1) resident memory. If the final request count
 /// differs from `expected_requests`, Close() patches the header.
@@ -93,6 +93,13 @@ class TraceWriter {
   static util::StatusOr<std::unique_ptr<TraceWriter>> Create(
       const std::string& path, const ObjectCatalog& catalog,
       uint64_t expected_requests = 0);
+
+  /// A v3 trace of the procedural catalog that `model` generates over
+  /// `num_objects` objects and `num_servers` servers: the header needs
+  /// only the model block, so the catalog itself is never built.
+  static util::StatusOr<std::unique_ptr<TraceWriter>> Create(
+      const std::string& path, const CatalogModel& model,
+      uint32_t num_objects, uint32_t num_servers, uint64_t expected_requests);
 
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
@@ -111,6 +118,13 @@ class TraceWriter {
 
  private:
   TraceWriter() = default;
+
+  /// Opens `path` and writes the preamble: v3 from `model` when given,
+  /// else v2 from `catalog`'s entries.
+  static util::StatusOr<std::unique_ptr<TraceWriter>> Open(
+      const std::string& path, uint32_t num_objects, uint32_t num_servers,
+      uint64_t expected_requests, const CatalogModel* model,
+      const ObjectCatalog* catalog);
 
   std::FILE* file_ = nullptr;
   std::string path_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -387,6 +388,134 @@ TEST_F(FaultPlaneChainTest, OutageStreamsAreQueryOrderIndependent) {
     }
   }
   EXPECT_EQ(forward_answers, replay_answers);
+}
+
+TEST_F(FaultPlaneChainTest, FirstQueryBeforeTimeZeroSeesEverythingUp) {
+  // Outages start after time 0, so an earlier time finds every entity up,
+  // even as a track's very first query.
+  FaultScheduleConfig config = CrashConfig();
+  config.disk_fail_mtbf = 6.0;
+  config.link_mtbf = 7.0;
+  FaultPlane plane(config, network_.get());
+  EXPECT_FALSE(plane.NodeDown(0, -1.0));
+  EXPECT_FALSE(plane.DiskDown(0, -1.0));
+  EXPECT_FALSE(plane.LinkDown(0, 1, -1.0));
+}
+
+TEST_F(FaultPlaneChainTest, InterleavedQueriesMatchTimeOrderedPlanes) {
+  // Every outage stream at once, with cycles short enough that the window
+  // crosses hundreds of boundaries per entity.
+  FaultScheduleConfig config = CrashConfig(/*mtbf=*/8.0, /*downtime=*/4.0);
+  config.disk_fail_mtbf = 6.0;
+  config.disk_fail_downtime = 3.0;
+  config.link_mtbf = 7.0;
+  config.link_downtime = 2.0;
+  CacheNodeConfig node_config;
+  node_config.mode = CacheMode::kLru;
+  node_config.capacity_bytes = 1000;
+  caches_.Configure(node_config);
+  const int n = network_->num_nodes();
+
+  // A replay-shaped query stream: a clock that creeps forward, with
+  // retry-style jumps ahead (timeout plus backoff) that the next query
+  // returns from, and now and then a query far in the past.
+  enum Kind { kNode, kDisk, kLink, kCrash };
+  struct Query {
+    double t;
+    Kind kind;
+    topology::NodeId v;
+    bool reversed;  ///< Link queries: name the link (v+1, v).
+  };
+  util::Rng rng(17);
+  std::vector<Query> queries;
+  double clock = 0.0;
+  for (int i = 0; i < 20000; ++i) {
+    clock += rng.NextExponential(10.0);
+    double t = clock;
+    switch (rng.NextUint64(16)) {
+      case 0:
+        t += config.request_timeout +
+             std::ldexp(config.retry_backoff,
+                        static_cast<int>(rng.NextInt(0, 3)));
+        break;
+      case 1:
+        t = rng.NextDouble(0.0, clock);
+        break;
+      default:
+        break;
+    }
+    const Kind kind = static_cast<Kind>(rng.NextUint64(4));
+    // Links run v - v+1 on the chain.
+    const int entities = kind == kLink ? n - 1 : n;
+    const auto v = static_cast<topology::NodeId>(rng.NextUint64(entities));
+    queries.push_back({t, kind, v, rng.NextBool()});
+  }
+
+  // Interleaved: one plane answers in stream order. A crash query reports
+  // the node's applied epoch so far (the running sum of restarts).
+  FaultPlane interleaved(config, network_.get());
+  std::vector<uint64_t> applied(static_cast<size_t>(n), 0);
+  std::vector<uint64_t> answers;
+  std::vector<size_t> latest_crash(static_cast<size_t>(n), queries.size());
+  std::vector<size_t> crash_basis(queries.size(), queries.size());
+  const auto answer = [&](FaultPlane& plane, std::vector<uint64_t>& epochs,
+                          const Query& q) -> uint64_t {
+    switch (q.kind) {
+      case kNode:
+        return plane.NodeDown(q.v, q.t) ? 1 : 0;
+      case kDisk:
+        return plane.DiskDown(q.v, q.t) ? 1 : 0;
+      case kLink:
+        // Either orientation names the same undirected link.
+        return (q.reversed ? plane.LinkDown(q.v + 1, q.v, q.t)
+                           : plane.LinkDown(q.v, q.v + 1, q.t))
+                   ? 1
+                   : 0;
+      case kCrash:
+        epochs[static_cast<size_t>(q.v)] += static_cast<uint64_t>(
+            plane.ApplyCrashRestarts(caches_.node(q.v), q.t));
+        return epochs[static_cast<size_t>(q.v)];
+    }
+    return 0;
+  };
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const Query& q = queries[i];
+    answers.push_back(answer(interleaved, applied, q));
+    if (q.kind == kCrash) {
+      // The applied epoch is that of the latest time this node was asked
+      // about, whichever query asked it.
+      size_t& latest = latest_crash[static_cast<size_t>(q.v)];
+      if (latest == queries.size() || queries[latest].t < q.t) latest = i;
+      crash_basis[i] = latest;
+    }
+  }
+
+  // Time-ordered: a fresh plane answers the same queries sorted by time.
+  std::vector<size_t> order(queries.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return queries[a].t < queries[b].t;
+  });
+  FaultPlane ordered(config, network_.get());
+  std::vector<uint64_t> ordered_applied(static_cast<size_t>(n), 0);
+  std::vector<uint64_t> expected(queries.size());
+  for (size_t i : order) {
+    expected[i] = answer(ordered, ordered_applied, queries[i]);
+  }
+  std::vector<int> downs(4, 0);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const Query& q = queries[i];
+    const uint64_t want =
+        q.kind == kCrash ? expected[crash_basis[i]] : expected[i];
+    EXPECT_EQ(answers[i], want) << "query " << i << " kind " << q.kind
+                                << " entity " << q.v << " at t=" << q.t;
+    if (q.kind != kCrash && answers[i] != 0) ++downs[q.kind];
+  }
+  // Every stream is actually exercised in both states.
+  EXPECT_GT(downs[kNode], 100);
+  EXPECT_GT(downs[kDisk], 100);
+  EXPECT_GT(downs[kLink], 100);
+  EXPECT_GT(*std::max_element(applied.begin(), applied.end()), 100u);
 }
 
 TEST_F(FaultPlaneChainTest, NodesFaultIndependently) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/experiment.h"
+#include "testing/scenario.h"
 
 namespace cascache::sim {
 namespace {
@@ -52,7 +53,7 @@ TEST(ContentionParamsTest, ValidateRejectsBadKnobs) {
 }
 
 TEST(QueueingPlaneTest, AdmitOpAccumulatesFifoBacklog) {
-  QueueingPlane plane(2);
+  QueueingPlane plane(2, 0);
   // Power-of-two cost: the waits below are exact in binary floating point.
   const double cost = 0.25;
 
@@ -80,7 +81,7 @@ TEST(QueueingPlaneTest, AdmitOpAccumulatesFifoBacklog) {
 }
 
 TEST(QueueingPlaneTest, BoundedQueueShedsAtCapacity) {
-  QueueingPlane plane(1);
+  QueueingPlane plane(1, 0);
   const double cost = 0.5;
   const uint32_t capacity = 2;
   EXPECT_FALSE(plane.AdmitOp(0, 0.0, cost, capacity).shed);  // depth 0
@@ -99,7 +100,7 @@ TEST(QueueingPlaneTest, BoundedQueueShedsAtCapacity) {
 }
 
 TEST(QueueingPlaneTest, BacklogDepthDoesNotCommit) {
-  QueueingPlane plane(1);
+  QueueingPlane plane(1, 0);
   plane.AdmitOp(0, 0.0, 1.0, 0);
   const double before = plane.node_busy_until(0);
   EXPECT_EQ(plane.BacklogDepth(0, 0.0, 1.0), 1u);
@@ -108,7 +109,7 @@ TEST(QueueingPlaneTest, BacklogDepthDoesNotCommit) {
 }
 
 TEST(QueueingPlaneTest, ZeroCostOpsAreFree) {
-  QueueingPlane plane(1);
+  QueueingPlane plane(1, 0);
   const QueueingPlane::Admission a = plane.AdmitOp(0, 5.0, 0.0, 3);
   EXPECT_EQ(a.wait, 0.0);
   EXPECT_EQ(a.depth, 0u);
@@ -118,33 +119,61 @@ TEST(QueueingPlaneTest, ZeroCostOpsAreFree) {
 }
 
 TEST(QueueingPlaneTest, TransferSerializesPerDirectedLink) {
-  QueueingPlane plane(4);
+  // A root (0) over three siblings (1, 2, 3).
+  const trace::ObjectCatalog catalog =
+      cascache::testing::MakeCatalog({{100, 0}});
+  const std::unique_ptr<Network> network =
+      cascache::testing::MakeTreeNetwork(&catalog, /*depth=*/2, /*fanout=*/3);
+  QueueingPlane plane(network->num_nodes(), network->num_links());
+  const LinkId up1 = network->graph().Link(1, 0).id;
+  const LinkId up2 = network->graph().Link(2, 0).id;
+  // Siblings of 1, ascending: 2, then 3.
+  const LinkId leg12 = network->SiblingLinks(1)[0];
+  const LinkId leg13 = network->SiblingLinks(1)[1];
   // 100 bytes at 400 bytes/s = 0.25 s of occupancy (exact).
-  QueueingPlane::Transfer t = plane.TransferOn(1, 0, 0.0, 100, 400.0);
+  QueueingPlane::Transfer t = plane.TransferOn(up1, 1, 0, 0.0, 100, 400.0);
   EXPECT_EQ(t.wait, 0.0);
   EXPECT_EQ(t.tx, 0.25);
   // Second transfer on the same directed link queues FIFO.
-  t = plane.TransferOn(1, 0, 0.0, 100, 400.0);
+  t = plane.TransferOn(up1, 1, 0, 0.0, 100, 400.0);
   EXPECT_EQ(t.wait, 0.25);
   EXPECT_EQ(t.tx, 0.25);
-  // The reverse direction and other links are independent.
-  t = plane.TransferOn(0, 1, 0.0, 100, 400.0);
+  // The reverse direction keeps its own FIFO timeline.
+  t = plane.TransferOn(up1, 0, 1, 0.0, 100, 400.0);
   EXPECT_EQ(t.wait, 0.0);
-  t = plane.TransferOn(2, 3, 0.0, 100, 400.0);
+  t = plane.TransferOn(up1, 0, 1, 0.0, 100, 400.0);
+  EXPECT_EQ(t.wait, 0.25);
+  // Other links are independent.
+  t = plane.TransferOn(up2, 2, 0, 0.0, 100, 400.0);
+  EXPECT_EQ(t.wait, 0.0);
+  // So is the sibling leg: a body from sibling 2 to probing hop 1 queues
+  // behind earlier bodies on that pair only, in that direction only.
+  t = plane.TransferOn(leg12, 2, 1, 0.0, 100, 400.0);
+  EXPECT_EQ(t.wait, 0.0);
+  t = plane.TransferOn(leg12, 2, 1, 0.0, 100, 400.0);
+  EXPECT_EQ(t.wait, 0.25);
+  t = plane.TransferOn(leg12, 1, 2, 0.0, 100, 400.0);
+  EXPECT_EQ(t.wait, 0.0);
+  t = plane.TransferOn(leg13, 3, 1, 0.0, 100, 400.0);
   EXPECT_EQ(t.wait, 0.0);
   // Infinite bandwidth: free, no occupancy.
-  t = plane.TransferOn(1, 0, 0.0, 100, 0.0);
+  t = plane.TransferOn(up1, 1, 0, 0.0, 100, 0.0);
   EXPECT_EQ(t.wait, 0.0);
   EXPECT_EQ(t.tx, 0.0);
+  // Reset forgets every timeline, links and sibling pairs alike.
+  plane.Reset();
+  EXPECT_EQ(plane.TransferOn(up1, 1, 0, 0.0, 100, 400.0).wait, 0.0);
+  EXPECT_EQ(plane.TransferOn(up1, 0, 1, 0.0, 100, 400.0).wait, 0.0);
+  EXPECT_EQ(plane.TransferOn(leg12, 2, 1, 0.0, 100, 400.0).wait, 0.0);
 }
 
 TEST(QueueingPlaneTest, ResetForgetsBacklog) {
-  QueueingPlane plane(1);
+  QueueingPlane plane(2, 1);
   plane.AdmitOp(0, 0.0, 1.0, 0);
-  plane.TransferOn(0, 0, 0.0, 100, 100.0);
+  plane.TransferOn(0, 1, 0, 0.0, 100, 100.0);
   plane.Reset();
   EXPECT_EQ(plane.node_busy_until(0), 0.0);
-  EXPECT_EQ(plane.TransferOn(0, 0, 0.0, 100, 100.0).wait, 0.0);
+  EXPECT_EQ(plane.TransferOn(0, 1, 0, 0.0, 100, 100.0).wait, 0.0);
 }
 
 // --- Analytic-vs-event equivalence ------------------------------------

@@ -54,7 +54,12 @@ constexpr uint64_t kMeasuredRequests = 300'000;
 class SteadyStateAllocationTest
     : public ::testing::TestWithParam<schemes::SchemeKind> {};
 
-TEST_P(SteadyStateAllocationTest, WarmReplayAllocatesAlmostNothing) {
+/// Replays a warm window through `options`, then counts in
+/// `*allocations` the allocations of a measured window stepped on from
+/// there.
+void WarmReplayAllocations(schemes::SchemeKind kind,
+                           const NetworkParams& network_params,
+                           const SimOptions& options, uint64_t* allocations) {
   trace::WorkloadParams params;
   params.num_objects = 5'000;
   params.num_requests = kWarmRequests + kMeasuredRequests;
@@ -63,18 +68,18 @@ TEST_P(SteadyStateAllocationTest, WarmReplayAllocatesAlmostNothing) {
   auto workload_or = trace::GenerateWorkload(params);
   ASSERT_TRUE(workload_or.ok()) << workload_or.status().ToString();
   const trace::Workload workload = std::move(workload_or).value();
-  auto network_or = Network::Build(NetworkParams(), &workload.catalog);
+  auto network_or = Network::Build(network_params, &workload.catalog);
   ASSERT_TRUE(network_or.ok()) << network_or.status().ToString();
   const std::unique_ptr<Network> network = std::move(network_or).value();
 
   schemes::SchemeSpec spec;
-  spec.kind = GetParam();
+  spec.kind = kind;
   auto scheme_or = schemes::MakeScheme(spec);
   ASSERT_TRUE(scheme_or.ok()) << scheme_or.status().ToString();
   const std::unique_ptr<schemes::CachingScheme> scheme =
       std::move(scheme_or).value();
   CacheSet caches = network->MakeCacheSet();
-  Simulator simulator(network.get(), &caches, scheme.get());
+  Simulator simulator(network.get(), &caches, scheme.get(), options);
 
   // Run() configures every cache at 1% of the catalog's bytes and
   // replays the warm window; the measured window then continues it.
@@ -90,9 +95,54 @@ TEST_P(SteadyStateAllocationTest, WarmReplayAllocatesAlmostNothing) {
        ++i) {
     simulator.Step(workload.requests[i], /*collect=*/true);
   }
-  const uint64_t allocations =
-      g_allocations.load(std::memory_order_relaxed) - before;
+  *allocations = g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST_P(SteadyStateAllocationTest, WarmReplayAllocatesAlmostNothing) {
+  uint64_t allocations = 0;
+  WarmReplayAllocations(GetParam(), NetworkParams(), SimOptions(),
+                        &allocations);
   // Fewer than 1 allocation per 1,000 requests.
+  EXPECT_LT(allocations * 1'000, kMeasuredRequests)
+      << allocations << " allocations over " << kMeasuredRequests
+      << " warm requests";
+}
+
+// The event-driven replay, configured as the canonical contended_chaos
+// workload: queueing near the shedding knee, every fault class, a RAM
+// tier, sibling probes at the leaves and invalidation coherency.
+TEST_P(SteadyStateAllocationTest,
+       EventDrivenChaosReplayAllocatesAlmostNothing) {
+  NetworkParams network_params;
+  network_params.architecture = Architecture::kHierarchical;
+  SimOptions options;
+  ContentionParams& c = options.contention;
+  c.lookup_cost = 0.002;
+  c.store_cost = 0.001;
+  c.dcache_cost = 0.0005;
+  c.node_queue_capacity = 32;
+  c.link_bandwidth = 1e8;
+  c.arrival_rate = 300.0;
+  options.tier.ram_fraction = 0.1;
+  options.tier.ram_hit_cost = 0.0001;
+  options.tier.disk_hit_cost = 0.002;
+  options.sibling.enabled = true;
+  options.sibling.level = 0;
+  FaultScheduleConfig& f = options.faults;
+  f.node_crash_mtbf = 600.0;
+  f.node_downtime = 20.0;
+  f.link_mtbf = 20000.0;
+  f.link_downtime = 20.0;
+  f.ascent_loss_prob = 0.01;
+  f.decision_loss_prob = 0.01;
+  f.disk_fail_mtbf = 600.0;
+  f.disk_fail_downtime = 30.0;
+  f.sibling_loss_prob = 0.01;
+  options.coherency.protocol = CoherencyProtocol::kInvalidation;
+  options.coherency.mutable_fraction = 0.1;
+  options.coherency.mean_update_period = 600.0;
+  uint64_t allocations = 0;
+  WarmReplayAllocations(GetParam(), network_params, options, &allocations);
   EXPECT_LT(allocations * 1'000, kMeasuredRequests)
       << allocations << " allocations over " << kMeasuredRequests
       << " warm requests";
