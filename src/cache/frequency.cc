@@ -40,13 +40,4 @@ double FrequencyEstimator::Estimate(ObjectDescriptor* desc,
   return desc->frequency;
 }
 
-double FrequencyEstimator::Peek(const ObjectDescriptor& desc,
-                                double now) const {
-  if (desc.frequency_time >= 0.0 &&
-      now - desc.frequency_time < params_.aging_interval) {
-    return desc.frequency;
-  }
-  return Compute(desc, now);
-}
-
 }  // namespace cascache::cache

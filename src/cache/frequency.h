@@ -35,9 +35,6 @@ class FrequencyEstimator {
   /// than the aging interval.
   double Estimate(ObjectDescriptor* desc, double now) const;
 
-  /// Estimate without mutating the descriptor (for const contexts).
-  double Peek(const ObjectDescriptor& desc, double now) const;
-
   const FrequencyEstimatorParams& params() const { return params_; }
 
  private:

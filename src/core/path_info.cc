@@ -4,12 +4,6 @@
 
 namespace cascache::core {
 
-PlacementInput PathInfo::ToPlacementInput(std::vector<int>* origin) const {
-  PlacementInput input;
-  FillPlacementInput(&input, origin);
-  return input;
-}
-
 void PathInfo::FillPlacementInput(PlacementInput* input,
                                   std::vector<int>* origin) const {
   CASCACHE_CHECK(input != nullptr);

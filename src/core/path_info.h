@@ -36,18 +36,15 @@ struct PathInfo {
     return info.has_descriptor && info.feasible;
   }
 
-  /// Builds the PlacementInput over the candidate nodes. `origin[i]` is
-  /// set to the index into `nodes` that PlacementInput slot i represents.
+  /// Builds the PlacementInput over the candidate nodes into `*input`.
+  /// `origin[i]` is set to the index into `nodes` that PlacementInput slot
+  /// i represents. Both buffers are cleared and refilled, so the request
+  /// hot path reuses their capacity.
   ///
   /// Locally estimated frequencies can violate the f_1 >= ... >= f_n
   /// monotonicity the model assumes (an artifact of independent sliding
   /// windows); they are clamped upward from the client side so each
   /// upstream candidate reports at least its downstream successor's rate.
-  PlacementInput ToPlacementInput(std::vector<int>* origin) const;
-
-  /// Allocation-free variant for the request hot path: clears and refills
-  /// caller-owned buffers instead of returning a fresh PlacementInput.
-  /// Identical contents to ToPlacementInput.
   void FillPlacementInput(PlacementInput* input, std::vector<int>* origin)
       const;
 };

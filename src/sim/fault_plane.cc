@@ -1,13 +1,10 @@
 #include "sim/fault_plane.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
+#include <string>
 #include <string_view>
-#include <utility>
 #include <variant>
 
 #include "util/flags.h"
@@ -47,9 +44,9 @@ constexpr uint64_t kDescentTag = 0x44;  // 'D'
 constexpr uint64_t kDiskTag = 0x4b;     // 'K' (disK; 'D' is taken)
 constexpr uint64_t kSiblingTag = 0x53;  // 'S'
 
-/// The fault keys, in --help order: one row names the key shared by the
-/// config file, CASCACHE_FAULT_<KEY> and --fault-<key>, the field it
-/// sets, and the flag's help.
+/// The fault keys, in --help order: one row names the key of
+/// --fault-<key> and of Validate's messages, the field it sets, and the
+/// flag's help.
 struct FaultKey {
   std::string_view key;
   std::variant<uint64_t FaultScheduleConfig::*, double FaultScheduleConfig::*,
@@ -88,13 +85,6 @@ const FaultKey kFaultKeys[] = {
     {"sibling_loss", &FaultScheduleConfig::sibling_loss_prob,
      "probability a sibling probe or its reply is lost"},
 };
-
-const FaultKey* FindFaultKey(std::string_view key) {
-  for (const FaultKey& entry : kFaultKeys) {
-    if (entry.key == key) return &entry;
-  }
-  return nullptr;
-}
 
 /// "node_mtbf" -> "fault-node-mtbf".
 std::string FaultFlagName(const FaultKey& entry) {
@@ -151,105 +141,14 @@ util::Status FaultScheduleConfig::Validate() const {
   return util::Status::Ok();
 }
 
-util::Status ApplyFaultSetting(const std::string& key,
-                               const std::string& value,
-                               FaultScheduleConfig* config) {
-  const FaultKey* entry = FindFaultKey(key);
-  if (entry == nullptr) {
-    return util::Status::InvalidArgument("unknown fault setting: " + key);
-  }
-  const util::Status status = std::visit(
-      [&](auto member) { return util::ParseValue(value, &(config->*member)); },
-      entry->field);
-  if (!status.ok()) {
-    return util::Status::InvalidArgument("fault setting " + key + ": " +
-                                         status.message());
-  }
-  return util::Status::Ok();
-}
-
-util::Status LoadFaultConfigFile(const std::string& path,
-                                 FaultScheduleConfig* config) {
-  std::FILE* file = std::fopen(path.c_str(), "r");
-  if (file == nullptr) {
-    return util::Status::IoError("cannot open fault config: " + path);
-  }
-  char line[512];
-  int line_no = 0;
-  util::Status status = util::Status::Ok();
-  while (std::fgets(line, sizeof(line), file) != nullptr) {
-    ++line_no;
-    std::string text(line);
-    if (const size_t hash = text.find('#'); hash != std::string::npos) {
-      text.resize(hash);
-    }
-    // Trim whitespace.
-    const size_t first = text.find_first_not_of(" \t\r\n");
-    if (first == std::string::npos) continue;
-    const size_t last = text.find_last_not_of(" \t\r\n");
-    text = text.substr(first, last - first + 1);
-    const size_t eq = text.find('=');
-    if (eq == std::string::npos) {
-      status = util::Status::InvalidArgument(
-          path + ":" + std::to_string(line_no) + ": expected key=value");
-      break;
-    }
-    // Allow whitespace around '=' ("node_mtbf = 40").
-    const auto trim = [](std::string s) {
-      const size_t begin = s.find_first_not_of(" \t");
-      if (begin == std::string::npos) return std::string();
-      const size_t end = s.find_last_not_of(" \t");
-      return s.substr(begin, end - begin + 1);
-    };
-    status = ApplyFaultSetting(trim(text.substr(0, eq)),
-                               trim(text.substr(eq + 1)), config);
-    if (!status.ok()) break;
-  }
-  std::fclose(file);
-  return status;
-}
-
-util::Status ApplyFaultEnvOverrides(FaultScheduleConfig* config) {
-  for (const FaultKey& entry : kFaultKeys) {
-    std::string env_name = "CASCACHE_FAULT_";
-    for (const unsigned char c : entry.key) {
-      env_name += static_cast<char>(std::toupper(c));
-    }
-    const char* value = std::getenv(env_name.c_str());
-    if (value == nullptr) continue;
-    if (util::Status status =
-            ApplyFaultSetting(std::string(entry.key), value, config);
-        !status.ok()) {
-      return util::Status::InvalidArgument(env_name + ": " + status.message());
-    }
-  }
-  return util::Status::Ok();
-}
-
-void FaultFlags::Register(util::FlagParser* flags) {
-  flags->Add("fault-config", &config_file_,
-             "fault schedule file (key=value lines; see DESIGN.md)");
+void RegisterFaultFlags(util::FlagParser* flags, FaultScheduleConfig* config) {
   for (const FaultKey& entry : kFaultKeys) {
     std::visit(
         [&](auto member) {
-          flags->Add(FaultFlagName(entry), &(values_.*member), entry.help);
+          flags->Add(FaultFlagName(entry), &(config->*member), entry.help);
         },
         entry.field);
   }
-}
-
-util::Status FaultFlags::Resolve(const util::FlagParser& flags,
-                                 FaultScheduleConfig* config) const {
-  if (!config_file_.empty()) {
-    CASCACHE_RETURN_IF_ERROR(LoadFaultConfigFile(config_file_, config));
-  }
-  CASCACHE_RETURN_IF_ERROR(ApplyFaultEnvOverrides(config));
-  for (const FaultKey& entry : kFaultKeys) {
-    if (!flags.WasSet(FaultFlagName(entry))) continue;
-    std::visit([&](auto member) { config->*member = values_.*member; },
-               entry.field);
-  }
-  return config->Validate();
 }
 
 // --- OutageTrack -----------------------------------------------------------

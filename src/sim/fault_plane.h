@@ -2,7 +2,6 @@
 #define CASCACHE_SIM_FAULT_PLANE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/network.h"
@@ -95,48 +94,11 @@ struct FaultScheduleConfig {
   bool operator==(const FaultScheduleConfig&) const = default;
 };
 
-/// Applies one `key=value` setting to a config through the one value
-/// parser (util::ParseValue); shared by the config-file loader, the
-/// CASCACHE_FAULT_* environment overrides and tests. Keys: seed,
-/// node_mtbf, node_downtime, link_mtbf, link_downtime, crash_cuts_routing,
-/// ascent_loss, decision_loss, timeout, max_retries, backoff, disk_mtbf,
-/// disk_downtime, sibling_loss.
-util::Status ApplyFaultSetting(const std::string& key,
-                               const std::string& value,
-                               FaultScheduleConfig* config);
-
-/// Loads a fault schedule file: one `key=value` per line, '#' comments
-/// and blank lines ignored.
-util::Status LoadFaultConfigFile(const std::string& path,
-                                 FaultScheduleConfig* config);
-
-/// Overrides config fields from CASCACHE_FAULT_* environment variables
-/// (CASCACHE_FAULT_NODE_MTBF, ..., uppercased key names above).
-util::Status ApplyFaultEnvOverrides(FaultScheduleConfig* config);
-
-/// The fault schedule's command-line surface: --fault-config plus one
-/// --fault-<key> flag per key above ('_' spelled '-'). Holds the flag
-/// values until Resolve layers them over the other sources, so it must
-/// outlive the parser it registers with.
-class FaultFlags {
- public:
-  FaultFlags() = default;
-  // The registered flags point into this object.
-  FaultFlags(const FaultFlags&) = delete;
-  FaultFlags& operator=(const FaultFlags&) = delete;
-
-  void Register(util::FlagParser* flags);
-
-  /// Builds `config` from, lowest to highest precedence: its current
-  /// values, the --fault-config file, CASCACHE_FAULT_* variables and the
-  /// --fault-* flags given on the command line; then validates it.
-  util::Status Resolve(const util::FlagParser& flags,
-                       FaultScheduleConfig* config) const;
-
- private:
-  std::string config_file_;
-  FaultScheduleConfig values_;
-};
+/// Binds one --fault-<key> flag per schedule field (--fault-node-mtbf,
+/// --fault-timeout, ...; `--help` lists all 14) to that field of
+/// `config`, the flag's only source. `config` must outlive the parser's
+/// Parse; the caller runs config->Validate() after it.
+void RegisterFaultFlags(util::FlagParser* flags, FaultScheduleConfig* config);
 
 /// Deterministic fault-injection layer over one simulation run. Owned by
 /// the Simulator (one per cache plane, so parallel sweep cells fault

@@ -44,8 +44,9 @@ void MessageContext::CommitStoreService(topology::NodeId node_id) {
   if (cost <= 0.0) return;
   const QueueingPlane::Admission adm =
       queueing->AdmitOp(node_id, now, cost, contention->node_queue_capacity);
-  // The descent pre-checks WouldShed before letting the scheme place, so
-  // this admission cannot refuse: the op only waits and serves.
+  // Simulator::DescendContention pre-checks BacklogDepth against the
+  // capacity before letting the scheme place, so this admission cannot
+  // refuse: the op only waits and serves.
   metrics->queue_wait += adm.wait;
   now += adm.wait + cost;
   RaiseQueueDepth(telemetry.node_counters, node_id, adm.depth);

@@ -215,12 +215,6 @@ void CacheNode::SetMissPenalty(cache::NclCache::Entry entry,
   if (entry.cached()) RefreshLoss(entry, desc, now);
 }
 
-void CacheNode::UpdateMissPenalty(ObjectId id, double miss_penalty,
-                                  double now) {
-  const cache::NclCache::Entry entry = Find(id);
-  if (entry.known()) SetMissPenalty(entry, miss_penalty, now);
-}
-
 void CacheNode::UpdateMissPenaltyOrAdmit(ObjectId id, uint64_t size,
                                          double miss_penalty, double now) {
   const cache::NclCache::Entry entry = Find(id);

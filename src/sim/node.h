@@ -263,14 +263,11 @@ class CacheNode {
   /// disabled. Must not be called for objects cached here.
   ObjectDescriptor* AdmitDescriptor(ObjectId id, uint64_t size, double now);
 
-  /// Sets the miss penalty on the object's descriptor (main or d-cache),
-  /// refreshing the dependent priorities. No-op if the node has no
-  /// descriptor for it.
-  void UpdateMissPenalty(ObjectId id, double miss_penalty, double now);
-
-  /// UpdateMissPenalty for a known object; otherwise AdmitDescriptor and
-  /// set the admitted descriptor's miss penalty (the response descent
-  /// past a non-selected node, paper §2.3-2.4), in one lookup pass.
+  /// Sets the miss penalty on a known object's descriptor (main or
+  /// d-cache), refreshing the dependent priorities; otherwise
+  /// AdmitDescriptor and set the admitted descriptor's miss penalty (the
+  /// response descent past a non-selected node, paper §2.3-2.4), in one
+  /// lookup pass.
   void UpdateMissPenaltyOrAdmit(ObjectId id, uint64_t size,
                                 double miss_penalty, double now);
 

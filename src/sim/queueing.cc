@@ -74,12 +74,6 @@ uint32_t QueueingPlane::BacklogDepth(topology::NodeId v, double now,
   return static_cast<uint32_t>(backlog / cost);
 }
 
-bool QueueingPlane::WouldShed(topology::NodeId v, double now, double cost,
-                              uint32_t capacity) const {
-  if (capacity == 0) return false;
-  return BacklogDepth(v, now, cost) >= capacity;
-}
-
 QueueingPlane::Transfer QueueingPlane::TransferOn(topology::LinkId link,
                                                   topology::NodeId from,
                                                   topology::NodeId to,

@@ -107,11 +107,6 @@ class QueueingPlane {
   /// decision was dropped before it acts.
   uint32_t BacklogDepth(topology::NodeId v, double now, double cost) const;
 
-  /// Whether AdmitOp(v, now, cost, capacity) would shed, without
-  /// committing any state.
-  bool WouldShed(topology::NodeId v, double now, double cost,
-                 uint32_t capacity) const;
-
   struct Transfer {
     double wait = 0.0;  ///< Seconds queued behind earlier transmissions.
     double tx = 0.0;    ///< Transmission seconds (bytes / bandwidth).

@@ -39,13 +39,4 @@ ShortestPathTree BuildShortestPathTree(const Graph& graph, NodeId root) {
   return tree;
 }
 
-std::vector<std::vector<double>> AllPairsShortestDelays(const Graph& graph) {
-  const int n = graph.num_nodes();
-  std::vector<std::vector<double>> dist(static_cast<size_t>(n));
-  for (NodeId v = 0; v < n; ++v) {
-    dist[static_cast<size_t>(v)] = BuildShortestPathTree(graph, v).dist;
-  }
-  return dist;
-}
-
 }  // namespace cascache::topology

@@ -96,10 +96,6 @@ void BuildShortestPathTree(const Graph& graph, NodeId root,
 /// The tree over every link of `graph`.
 ShortestPathTree BuildShortestPathTree(const Graph& graph, NodeId root);
 
-/// All-pairs shortest-path delays via repeated Dijkstra; O(V·E log V).
-/// Intended for topology statistics and small-graph test oracles.
-std::vector<std::vector<double>> AllPairsShortestDelays(const Graph& graph);
-
 }  // namespace cascache::topology
 
 #endif  // CASCACHE_TOPOLOGY_SHORTEST_PATH_H_

@@ -69,21 +69,8 @@ FlagParser::Flag* FlagParser::Find(const std::string& name) {
   return nullptr;
 }
 
-const FlagParser::Flag* FlagParser::Find(const std::string& name) const {
-  for (const Flag& flag : flags_) {
-    if (flag.name == name) return &flag;
-  }
-  return nullptr;
-}
-
-bool FlagParser::WasSet(const std::string& name) const {
-  const Flag* flag = Find(name);
-  return flag != nullptr && flag->parsed;
-}
-
 Status FlagParser::Parse(int argc, const char* const* argv) {
   positional_.clear();
-  for (Flag& flag : flags_) flag.parsed = false;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
@@ -114,16 +101,6 @@ Status FlagParser::Parse(int argc, const char* const* argv) {
     if (Status status = flag->set(value); !status.ok()) {
       return Status::InvalidArgument("--" + name + ": " + status.message());
     }
-    flag->parsed = true;
-  }
-  for (Flag& flag : flags_) {
-    if (flag.parsed || flag.env.empty()) continue;
-    const char* value = std::getenv(flag.env.c_str());
-    if (value == nullptr || value[0] == '\0') continue;
-    if (Status status = flag.set(value); !status.ok()) {
-      return Status::InvalidArgument(flag.env + " (--" + flag.name +
-                                     "): " + status.message());
-    }
   }
   return Status::Ok();
 }
@@ -132,9 +109,7 @@ std::string FlagParser::Usage(const std::string& program) const {
   std::string out = "usage: " + program + " [flags]\n";
   for (const Flag& flag : flags_) {
     out += "  --" + flag.name + " (default: " + flag.default_text + ")\n      " +
-           flag.help;
-    if (!flag.env.empty()) out += " (env: " + flag.env + ")";
-    out += "\n";
+           flag.help + "\n";
   }
   return out;
 }

@@ -17,12 +17,12 @@
 
 namespace cascache::util {
 
-/// The one value parser behind command-line flags, environment variables
-/// and config-file keys. Numbers and booleans reject empty input and
-/// trailing junk; integers reject overflow, values their target type
-/// cannot hold and (for unsigned targets) a sign; doubles reject NaN and
-/// +-inf. Booleans accept true|1|yes and false|0|no. `*out` is left
-/// untouched on error.
+/// The one value parser behind command-line flags, list elements and the
+/// few environment variables the code reads. Numbers and booleans reject
+/// empty input and trailing junk; integers reject overflow, values their
+/// target type cannot hold and (for unsigned targets) a sign; doubles
+/// reject NaN and +-inf. Booleans accept true|1|yes and false|0|no.
+/// `*out` is left untouched on error.
 Status ParseValue(std::string_view text, std::string* out);
 Status ParseValue(std::string_view text, bool* out);
 Status ParseValue(std::string_view text, double* out);
@@ -80,20 +80,17 @@ Status ParseChoice(std::string_view text,
 /// Command-line flag parser for the tools and benches. Every flag is bound
 /// to the field it sets. Supports `--name=value`, `--name value` and bare
 /// boolean `--name`; unknown flags and malformed values are errors;
-/// positional arguments are collected in order. A flag may name an
-/// environment variable that supplies its value when the flag is not
-/// given on the command line.
+/// positional arguments are collected in order.
 class FlagParser {
  public:
   /// Binds --name to `field` (std::string, bool, an integer or double).
   /// The field's current value is the default; Parse overwrites it only
-  /// when the flag (or its non-empty `env` variable) is given. All Add
-  /// calls must happen before Parse, and `field` must outlive the parser.
+  /// when the flag is given. All Add calls must happen before Parse, and
+  /// `field` must outlive the parser.
   template <typename T>
-  void Add(const std::string& name, T* field, const std::string& help,
-           std::string env = "") {
+  void Add(const std::string& name, T* field, const std::string& help) {
     CASCACHE_CHECK(field != nullptr);
-    flags_.push_back({name, help, std::move(env), FormatDefault(*field),
+    flags_.push_back({name, help, FormatDefault(*field),
                       std::is_same_v<T, bool>,
                       [field](std::string_view text) {
                         return ParseValue(text, field);
@@ -105,44 +102,34 @@ class FlagParser {
   /// current value.
   template <typename E>
   void Add(const std::string& name, E* field,
-           std::type_identity_t<Choices<E>> choices, const std::string& help,
-           std::string env = "") {
+           std::type_identity_t<Choices<E>> choices,
+           const std::string& help) {
     CASCACHE_CHECK(field != nullptr);
     std::string default_name;
     for (const auto& [choice, value] : choices) {
       if (value == *field) default_name = choice;
     }
-    flags_.push_back({name, help, std::move(env), default_name, false,
+    flags_.push_back({name, help, default_name, false,
                       [field, choices](std::string_view text) {
                         return ParseChoice<E>(text, choices, field);
                       }});
   }
 
-  /// Parses argv (excluding argv[0]), then fills every flag not given
-  /// from its environment variable, if set and non-empty.
+  /// Parses argv (excluding argv[0]).
   Status Parse(int argc, const char* const* argv);
 
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Whether the flag appeared on the last parsed command line (as
-  /// opposed to holding its default or an environment value). Lets
-  /// callers layer CLI values over other configuration sources. False
-  /// for unknown names.
-  bool WasSet(const std::string& name) const;
-
-  /// Help text listing every flag with its default, description and
-  /// environment variable.
+  /// Help text listing every flag with its default and description.
   std::string Usage(const std::string& program) const;
 
  private:
   struct Flag {
     std::string name;
     std::string help;
-    std::string env;
     std::string default_text;
     bool is_bool;
     std::function<Status(std::string_view)> set;
-    bool parsed = false;  ///< Seen on the last Parse'd command line.
   };
 
   static std::string FormatDefault(const std::string& value) { return value; }
@@ -155,7 +142,6 @@ class FlagParser {
   }
 
   Flag* Find(const std::string& name);
-  const Flag* Find(const std::string& name) const;
 
   std::vector<Flag> flags_;
   std::vector<std::string> positional_;

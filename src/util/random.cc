@@ -115,23 +115,6 @@ double Rng::NextPareto(double xm, double alpha) {
   return xm / std::pow(u, 1.0 / alpha);
 }
 
-size_t Rng::NextWeighted(const std::vector<double>& weights) {
-  CASCACHE_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    CASCACHE_CHECK(w >= 0.0);
-    total += w;
-  }
-  CASCACHE_CHECK(total > 0.0);
-  double target = NextDouble() * total;
-  double acc = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (target < acc) return i;
-  }
-  return weights.size() - 1;  // Guard against floating-point round-off.
-}
-
 DiscreteSampler::DiscreteSampler(const std::vector<double>& weights) {
   CASCACHE_CHECK(!weights.empty());
   const size_t n = weights.size();

@@ -56,12 +56,6 @@ class Rng {
     }
   }
 
-  /// Draws an index in [0, weights.size()) proportionally to the weights.
-  /// Weights must be non-negative with a positive sum. O(n); for repeated
-  /// sampling from a fixed distribution use DiscreteSampler or
-  /// ZipfDistribution instead.
-  size_t NextWeighted(const std::vector<double>& weights);
-
  private:
   uint64_t state_[4];
   bool has_cached_gaussian_ = false;

@@ -17,10 +17,17 @@ PathNodeInfo Node(double f, double m, double l, bool has_desc = true,
   return info;
 }
 
+/// The PlacementInput FillPlacementInput builds for `info`.
+PlacementInput Fill(const PathInfo& info, std::vector<int>* origin) {
+  PlacementInput input;
+  info.FillPlacementInput(&input, origin);
+  return input;
+}
+
 TEST(PathInfoTest, EmptyPathGivesEmptyInput) {
   PathInfo info;
   std::vector<int> origin;
-  const PlacementInput input = info.ToPlacementInput(&origin);
+  const PlacementInput input = Fill(info, &origin);
   EXPECT_TRUE(input.f.empty());
   EXPECT_TRUE(origin.empty());
 }
@@ -30,7 +37,7 @@ TEST(PathInfoTest, AllCandidatesPassThrough) {
   info.nodes = {Node(5.0, 1.0, 0.1), Node(3.0, 2.0, 0.2),
                 Node(2.0, 3.0, 0.3)};
   std::vector<int> origin;
-  const PlacementInput input = info.ToPlacementInput(&origin);
+  const PlacementInput input = Fill(info, &origin);
   ASSERT_EQ(input.n(), 3u);
   EXPECT_EQ(origin, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(input.f, (std::vector<double>{5.0, 3.0, 2.0}));
@@ -44,7 +51,7 @@ TEST(PathInfoTest, ExcludesNodesWithoutDescriptor) {
   info.nodes = {Node(5.0, 1.0, 0.1), Node(3.0, 2.0, 0.2, /*has_desc=*/false),
                 Node(2.0, 3.0, 0.3)};
   std::vector<int> origin;
-  const PlacementInput input = info.ToPlacementInput(&origin);
+  const PlacementInput input = Fill(info, &origin);
   ASSERT_EQ(input.n(), 2u);
   EXPECT_EQ(origin, (std::vector<int>{0, 2}));
   EXPECT_EQ(input.m, (std::vector<double>{1.0, 3.0}));
@@ -55,7 +62,7 @@ TEST(PathInfoTest, ExcludesInfeasibleNodes) {
   info.nodes = {Node(5.0, 1.0, 0.1, true, /*feasible=*/false),
                 Node(3.0, 2.0, 0.2)};
   std::vector<int> origin;
-  const PlacementInput input = info.ToPlacementInput(&origin);
+  const PlacementInput input = Fill(info, &origin);
   ASSERT_EQ(input.n(), 1u);
   EXPECT_EQ(origin, std::vector<int>{1});
 }
@@ -67,7 +74,7 @@ TEST(PathInfoTest, MonotoneClampRepairsEstimatorNoise) {
   info.nodes = {Node(1.0, 1.0, 0.0), Node(4.0, 2.0, 0.0),
                 Node(2.0, 3.0, 0.0)};
   std::vector<int> origin;
-  const PlacementInput input = info.ToPlacementInput(&origin);
+  const PlacementInput input = Fill(info, &origin);
   EXPECT_EQ(input.f, (std::vector<double>{4.0, 4.0, 2.0}));
   EXPECT_TRUE(ValidatePlacementInput(input).ok());
 }
@@ -77,7 +84,7 @@ TEST(PathInfoTest, ClampKeepsAlreadyMonotoneUntouched) {
   info.nodes = {Node(6.0, 1.0, 0.0), Node(4.0, 2.0, 0.0),
                 Node(4.0, 3.0, 0.0)};
   std::vector<int> origin;
-  const PlacementInput input = info.ToPlacementInput(&origin);
+  const PlacementInput input = Fill(info, &origin);
   EXPECT_EQ(input.f, (std::vector<double>{6.0, 4.0, 4.0}));
 }
 

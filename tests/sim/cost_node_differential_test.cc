@@ -1,6 +1,6 @@
 // Differential test of the cost-mode CacheNode (LNC-R and the coordinated
 // scheme): random InsertCost / RecordAccess[OrAdmit] / AdmitDescriptor /
-// UpdateMissPenalty[OrAdmit] / EraseObject / Reset sequences run in
+// UpdateMissPenaltyOrAdmit / EraseObject / Reset sequences run in
 // lock-step against RefCostNode (tests/testing/ref_caches.h), the
 // orchestration over a separate NCL store, main-descriptor map and
 // d-cache. After every step the cached set, the op's descriptor (presence
@@ -105,8 +105,12 @@ void RunCostNodeDifferential(cache::DCachePolicy policy, size_t dcache_entries,
       node.UpdateMissPenaltyOrAdmit(id, size, penalty, now);
       ref.UpdateMissPenaltyOrAdmit(k, size, penalty, now);
     } else if (dice < 0.88) {
-      node.UpdateMissPenalty(id, penalty, now);
-      ref.UpdateMissPenalty(k, penalty, now);
+      // A known id's penalty update: the reference's update-only path
+      // against the node's one entry point.
+      if (ref.FindDescriptor(k) != nullptr) {
+        node.UpdateMissPenaltyOrAdmit(id, size, penalty, now);
+        ref.UpdateMissPenalty(k, penalty, now);
+      }
     } else if (dice < 0.998) {
       ASSERT_EQ(node.EraseObject(id), ref.EraseObject(k)) << "step " << step;
     } else {

@@ -152,9 +152,13 @@ TEST(CacheNodeTest, RefreshLossTracksFrequencyDecay) {
 TEST(CacheNodeTest, UpdateMissPenaltyOnDCacheDescriptor) {
   CacheNode node(0, CostConfig());
   node.AdmitDescriptor(5, 10, 1.0);
-  node.UpdateMissPenalty(5, 6.5, 2.0);
+  const size_t known = node.ncl()->dcache_size();
+  node.UpdateMissPenaltyOrAdmit(5, 10, 6.5, 2.0);
   EXPECT_DOUBLE_EQ(node.FindDescriptor(5)->miss_penalty, 6.5);
-  node.UpdateMissPenalty(99, 6.5, 2.0);  // Unknown: no-op.
+  // A known descriptor is updated in place: no second admission, and no
+  // access recorded.
+  EXPECT_EQ(node.ncl()->dcache_size(), known);
+  EXPECT_EQ(node.FindDescriptor(5)->num_accesses, 1u);
 }
 
 TEST(CacheNodeTest, EraseObjectInLruMode) {

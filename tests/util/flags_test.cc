@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string_view>
 #include <utility>
 
@@ -134,32 +133,6 @@ TEST(FlagParserTest, NegativeAndLargeNumbers) {
   EXPECT_DOUBLE_EQ(d, -2500.0);
 }
 
-TEST(FlagParserTest, WasSetTracksExplicitFlags) {
-  FlagParser parser;
-  double d = 1.0;
-  bool b = false;
-  int64_t i = 5;
-  parser.Add("rate", &d, "h");
-  parser.Add("verbose", &b, "h");
-  parser.Add("count", &i, "h");
-
-  const char* argv[] = {"--rate=2.5", "--verbose"};
-  ASSERT_TRUE(parser.Parse(2, argv).ok());
-  EXPECT_TRUE(parser.WasSet("rate"));
-  EXPECT_TRUE(parser.WasSet("verbose"));
-  // Flags left at their defaults are not "set" — the CLI uses this to
-  // decide whether a flag should override a fault-config file value.
-  EXPECT_FALSE(parser.WasSet("count"));
-  EXPECT_FALSE(parser.WasSet("no-such-flag"));
-
-  // Parse resets the set-tracking: a second parse with no args reports
-  // everything unset again.
-  const char* none[] = {"positional-only"};
-  ASSERT_TRUE(parser.Parse(1, none).ok());
-  EXPECT_FALSE(parser.WasSet("rate"));
-  EXPECT_FALSE(parser.WasSet("verbose"));
-}
-
 TEST(FlagParserTest, DefaultTakenFromField) {
   FlagParser parser;
   uint32_t objects = 20'000;
@@ -234,41 +207,6 @@ TEST(FlagParserTest, EnumFlagUsesNameTable) {
   EXPECT_NE(status.message().find("triangle"), std::string::npos);
   EXPECT_NE(status.message().find("circle|square"), std::string::npos);
   EXPECT_EQ(shape, Shape::kCircle);
-}
-
-TEST(FlagParserTest, EnvFallback) {
-  FlagParser parser;
-  std::string path = "default";
-  int64_t count = 1;
-  parser.Add("path", &path, "where", "CASCACHE_FLAGS_TEST_PATH");
-  parser.Add("count", &count, "h", "CASCACHE_FLAGS_TEST_COUNT");
-  EXPECT_NE(parser.Usage("prog").find("where (env: CASCACHE_FLAGS_TEST_PATH)"),
-            std::string::npos);
-  ASSERT_EQ(setenv("CASCACHE_FLAGS_TEST_PATH", "from-env", 1), 0);
-  ASSERT_EQ(setenv("CASCACHE_FLAGS_TEST_COUNT", "", 1), 0);
-  const char* argv[] = {"positional-only"};
-  ASSERT_TRUE(parser.Parse(1, argv).ok());
-  EXPECT_EQ(path, "from-env");
-  EXPECT_EQ(count, 1);  // An empty variable is ignored.
-  EXPECT_FALSE(parser.WasSet("path"));
-
-  // Env values go through the same value parser as flags.
-  ASSERT_EQ(setenv("CASCACHE_FLAGS_TEST_COUNT", "12x", 1), 0);
-  EXPECT_FALSE(parser.Parse(1, argv).ok());
-  unsetenv("CASCACHE_FLAGS_TEST_PATH");
-  unsetenv("CASCACHE_FLAGS_TEST_COUNT");
-}
-
-TEST(FlagParserTest, ExplicitFlagBeatsEnv) {
-  FlagParser parser;
-  std::string path;
-  parser.Add("path", &path, "h", "CASCACHE_FLAGS_TEST_PATH");
-  ASSERT_EQ(setenv("CASCACHE_FLAGS_TEST_PATH", "from-env", 1), 0);
-  const char* argv[] = {"--path=from-flag"};
-  ASSERT_TRUE(parser.Parse(1, argv).ok());
-  EXPECT_EQ(path, "from-flag");
-  EXPECT_TRUE(parser.WasSet("path"));
-  unsetenv("CASCACHE_FLAGS_TEST_PATH");
 }
 
 TEST(SplitCommaListTest, Basic) {

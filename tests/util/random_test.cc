@@ -130,16 +130,6 @@ TEST(RngTest, ShuffleActuallyPermutes) {
   EXPECT_NE(shuffled, v);
 }
 
-TEST(RngTest, WeightedSamplingFollowsWeights) {
-  Rng rng(27);
-  const std::vector<double> weights = {1.0, 0.0, 3.0};
-  std::vector<int> counts(3, 0);
-  for (int i = 0; i < 40000; ++i) ++counts[rng.NextWeighted(weights)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(counts[0] / 40000.0, 0.25, 0.02);
-  EXPECT_NEAR(counts[2] / 40000.0, 0.75, 0.02);
-}
-
 TEST(DiscreteSamplerTest, MatchesWeights) {
   Rng rng(29);
   const std::vector<double> weights = {4.0, 1.0, 0.0, 5.0};

@@ -125,7 +125,6 @@ util::Status RunMain(int argc, char** argv) {
   std::string schemes_text = "lru,modulo,lncr,coordinated", cache_text = "0.01",
               workload_text = "static", trace_in, trace_out, results_csv,
               per_node_csv, trace_jsonl;
-  sim::FaultFlags fault_flags;
 
   util::FlagParser flags;
   flags.Add("help", &help, "print this help");
@@ -145,13 +144,11 @@ util::Status RunMain(int argc, char** argv) {
   flags.Add("seed", &workload.seed, "workload seed");
   flags.Add("trace-in", &trace_in,
             "replay a saved .cctr binary trace instead of generating one; "
-            "v2/v3 are mmap'd and shared across sweep cells, v1 loads in RAM",
-            "CASCACHE_TRACE_IN");
+            "v2/v3 are mmap'd and shared across sweep cells, v1 loads in RAM");
   flags.Add("trace-out", &trace_out,
             "stream-generate the synthetic workload to this binary trace "
             "file (v2; v3 with --catalog=procedural) in O(1) memory and exit "
-            "without simulating",
-            "CASCACHE_TRACE_OUT");
+            "without simulating");
   flags.Add("trace-stream-release", &config.release_trace_pages,
             "advise-release consumed pages of the mapped --trace-in while "
             "replaying, keeping resident memory O(1) in trace length "
@@ -173,8 +170,7 @@ util::Status RunMain(int argc, char** argv) {
   // Non-stationary workload model (trace/workload_model.h).
   flags.Add("workload", &workload_text,
             "workload model: static, or comma list of "
-            "drift|flash|diurnal|sessions|regional",
-            "CASCACHE_WORKLOAD");
+            "drift|flash|diurnal|sessions|regional");
   flags.Add("workload-drift-mode", &knobs.drift_mode, kDriftModes,
             "popularity drift mode: rotate | shuffle (shuffle is limited to "
             "2^24 objects)");
@@ -205,8 +201,7 @@ util::Status RunMain(int argc, char** argv) {
   flags.Add("catalog", &workload.procedural_catalog, kCatalogModes,
             "catalog storage: materialized | procedural; procedural hashes "
             "sizes/servers from the id — O(1) memory at 10^8 objects, v3 "
-            "trace files",
-            "CASCACHE_CATALOG");
+            "trace files");
   flags.Add("level-growth", &sim.level_capacity_growth,
             "hierarchical per-level capacity growth (1 = uniform)");
   flags.Add("jobs", &config.jobs,
@@ -222,8 +217,8 @@ util::Status RunMain(int argc, char** argv) {
             "fraction of requests traced (deterministic per seed)");
   flags.Add("trace-ring", &sim.trace.ring_capacity,
             "trace ring capacity: most recent records kept per cell");
-  // Fault injection (sim/fault_plane.h): --fault-config and --fault-<key>.
-  fault_flags.Register(&flags);
+  // Fault injection (sim/fault_plane.h): one --fault-<key> per field.
+  sim::RegisterFaultFlags(&flags, &sim.faults);
   // Two-tier stores (sim/node.h): a fast RAM tier over the full-capacity
   // slow tier, with promotion on hit and demotion on eviction.
   flags.Add("tier-ram-fraction", &sim.tier.ram_fraction,
@@ -308,7 +303,7 @@ util::Status RunMain(int argc, char** argv) {
   // Key the trace sampler off the workload seed so a rerun with the same
   // flags samples the same requests.
   sim.trace.seed = workload.seed;
-  CASCACHE_RETURN_IF_ERROR(fault_flags.Resolve(flags, &sim.faults));
+  CASCACHE_RETURN_IF_ERROR(sim.faults.Validate());
   CASCACHE_RETURN_IF_ERROR(sim.tier.Validate());
   CASCACHE_RETURN_IF_ERROR(sim.sibling.Validate());
   CASCACHE_RETURN_IF_ERROR(contention.Validate());
