@@ -5,12 +5,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <thread>
 
 #include "util/csv.h"
 #include "util/flags.h"
-#include "util/table.h"
 #include "util/thread_pool.h"
 
 namespace cascache::sim {
@@ -367,47 +365,6 @@ util::Status WriteTraceJsonl(const std::vector<RunResult>& results,
   if (std::fclose(f) != 0) ok = false;
   if (!ok) return util::Status::IoError("short write: " + path);
   return util::Status::Ok();
-}
-
-std::string FormatSweepTable(const std::vector<RunResult>& results,
-                             const std::string& metric_name,
-                             double (*selector)(const MetricsSummary&)) {
-  // Collect scheme order (first appearance) and cache sizes (ascending).
-  std::vector<std::string> scheme_order;
-  std::vector<double> fractions;
-  for (const RunResult& r : results) {
-    if (std::find(scheme_order.begin(), scheme_order.end(), r.scheme) ==
-        scheme_order.end()) {
-      scheme_order.push_back(r.scheme);
-    }
-    if (std::find(fractions.begin(), fractions.end(), r.cache_fraction) ==
-        fractions.end()) {
-      fractions.push_back(r.cache_fraction);
-    }
-  }
-  std::sort(fractions.begin(), fractions.end());
-
-  std::map<std::pair<double, std::string>, double> cells;
-  for (const RunResult& r : results) {
-    cells[{r.cache_fraction, r.scheme}] = selector(r.metrics);
-  }
-
-  std::vector<std::string> header = {"cache size (" + metric_name + ")"};
-  for (const std::string& s : scheme_order) header.push_back(s);
-  util::TablePrinter table(std::move(header));
-  for (double f : fractions) {
-    std::vector<std::string> row;
-    char label[32];
-    std::snprintf(label, sizeof(label), "%.2f%%", f * 100.0);
-    row.push_back(label);
-    for (const std::string& s : scheme_order) {
-      auto it = cells.find({f, s});
-      row.push_back(it == cells.end() ? "-" : util::TablePrinter::Fmt(
-                                                  it->second, 5));
-    }
-    table.AddRow(std::move(row));
-  }
-  return table.ToString();
 }
 
 }  // namespace cascache::sim

@@ -14,9 +14,9 @@ namespace cascache::sim {
 
 /// One full parameter sweep: an architecture, a workload, a set of
 /// relative cache sizes, and a set of schemes. This is the engine behind
-/// every figure bench: it builds the topology and workload once and runs
-/// each (cache size, scheme) cell on freshly reset caches, as the paper's
-/// experiments do.
+/// every sweep of `bench/claims`: it builds the topology and workload once
+/// and runs each (cache size, scheme) cell on freshly reset caches, as the
+/// paper's experiments do.
 struct ExperimentConfig {
   NetworkParams network;
   trace::WorkloadParams workload;
@@ -141,15 +141,9 @@ class ExperimentRunner {
   std::unique_ptr<Network> network_;
 };
 
-/// Formats sweep results as a table: one row per cache size, one column
-/// per scheme, cells showing `metric` extracted by the selector.
-std::string FormatSweepTable(
-    const std::vector<RunResult>& results, const std::string& metric_name,
-    double (*selector)(const MetricsSummary&));
-
 /// Writes sweep results as CSV (one row per cell, all metrics as
-/// columns) for external plotting; the benches accept an output path via
-/// CASCACHE_RESULTS_CSV.
+/// columns) for external plotting; `bench/claims` writes one per sweep
+/// when CASCACHE_RESULTS_CSV is set.
 util::Status WriteResultsCsv(const std::vector<RunResult>& results,
                              const std::string& path);
 

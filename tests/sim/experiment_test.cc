@@ -82,28 +82,6 @@ TEST(ExperimentTest, RejectsBadConfigs) {
   EXPECT_FALSE(ExperimentRunner::Create(config).ok());
 }
 
-TEST(ExperimentTest, FormatSweepTableLaysOutSchemesAndSizes) {
-  std::vector<RunResult> results;
-  for (double f : {0.01, 0.10}) {
-    for (const char* s : {"LRU", "Coordinated"}) {
-      RunResult r;
-      r.scheme = s;
-      r.cache_fraction = f;
-      r.metrics.avg_latency = f * 10;
-      results.push_back(r);
-    }
-  }
-  const std::string table = FormatSweepTable(
-      results, "latency",
-      [](const MetricsSummary& m) { return m.avg_latency; });
-  EXPECT_NE(table.find("LRU"), std::string::npos);
-  EXPECT_NE(table.find("Coordinated"), std::string::npos);
-  EXPECT_NE(table.find("1.00%"), std::string::npos);
-  EXPECT_NE(table.find("10.00%"), std::string::npos);
-  // Row order: ascending cache size.
-  EXPECT_LT(table.find("1.00%"), table.find("10.00%"));
-}
-
 TEST(ExperimentTest, WriteResultsCsvRoundTrip) {
   std::vector<RunResult> results;
   RunResult r;
